@@ -2,10 +2,8 @@
 aggregated from per-token anchor decisions, with an anytime top-k engine and
 an evaluation harness."""
 
-from .aggregate import (AGGREGATION_KINDS, AnchorCounts, ProbModelParams,
-                        g_av, g_base, g_h, g_pr, g_pr_inverse, g_sq,
-                        laplace_smooth, log_likelihood, make_aggregation,
-                        mle_params, rank_words, update_counts)
+from .aggregate import (AGGREGATION_KINDS, AnchorCounts, log_likelihood,
+                        make_aggregation, rank_words)
 from .anchor import (AnchorConfig, AnchorDecision, PrecisionEstimate,
                      adaptive_tau, anchors_of_document, confidence_bounds,
                      estimate_token)

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -28,16 +27,6 @@ from .corpus import WordStats
 
 __all__ = [
     "AnchorCounts",
-    "ProbModelParams",
-    "update_counts",
-    "g_sq",
-    "g_av",
-    "g_h",
-    "g_pr",
-    "g_base",
-    "g_pr_inverse",
-    "mle_params",
-    "laplace_smooth",
     "log_likelihood",
     "Aggregation",
     "make_aggregation",
@@ -103,31 +92,7 @@ class AnchorCounts:
         self.docs_processed[c] += 1
 
 
-def update_counts(counts: AnchorCounts, decisions: Sequence[AnchorDecision],
-                  c: str, doc_id: str) -> AnchorCounts:
-    """Tally one document's decisions into the counts (in place)."""
-    counts.ingest(decisions, c, doc_id)
-    return counts
-
-
 # -- probabilistic model ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProbModelParams:
-    """Closed-form estimates of the two-source generative mixture.
-
-    ``q_raw`` is the anchor-source estimate, which may dip below zero;
-    ``q_star`` is its Laplace-smoothed version (a proper distribution that
-    preserves the raw ordering). ``p`` is the background source.
-    """
-
-    alpha: float
-    words: tuple[str, ...]
-    p: dict[str, float]
-    q_raw: dict[str, float]
-    q_star: dict[str, float]
-    q_min: float
 
 
 def _q_raw_vector(a_plus: np.ndarray, a_minus: np.ndarray, alpha: float
@@ -152,62 +117,16 @@ def _smooth_vector(q: np.ndarray) -> tuple[np.ndarray, float]:
     return (q + beta) / (1.0 + q.size * beta), q_min
 
 
-def mle_params(counts: AnchorCounts, alpha: float, c: str) -> ProbModelParams:
-    """Mixture estimates for class c over the words seen in that class."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha out of (0, 1]: {alpha}")
-    seen = counts.seen_mask(c)
-    if not seen.any():
-        raise ValueError(f"no processed occurrences for class {c!r}")
-    words = tuple(w for w, keep in zip(counts.words, seen) if keep)
-    q, p = _q_raw_vector(counts.a_plus[c][seen], counts.a_minus[c][seen], alpha)
-    q_star, q_min = _smooth_vector(q)
-    return ProbModelParams(
-        alpha=alpha,
-        words=words,
-        p=dict(zip(words, p.tolist())),
-        q_raw=dict(zip(words, q.tolist())),
-        q_star=dict(zip(words, q_star.tolist())),
-        q_min=q_min,
-    )
-
-
-def laplace_smooth(params: ProbModelParams) -> ProbModelParams:
-    """Return params with ``q_star`` recomputed from ``q_raw``.
-
-    ``mle_params`` already smooths; this entry point exists so the smoothing
-    step can be applied (and tested) in isolation.
-    """
-    q = np.asarray([params.q_raw[w] for w in params.words])
-    q_star, q_min = _smooth_vector(q)
-    return ProbModelParams(
-        alpha=params.alpha, words=params.words, p=params.p,
-        q_raw=params.q_raw, q_star=dict(zip(params.words, q_star.tolist())),
-        q_min=q_min,
-    )
-
-
-def log_likelihood(a_plus: Mapping[str, int] | Sequence[int],
-                   a_minus: Mapping[str, int] | Sequence[int],
-                   alpha: float,
-                   q: Mapping[str, float] | Sequence[float],
-                   p: Mapping[str, float] | Sequence[float]) -> float:
+def log_likelihood(a_plus: Sequence[int], a_minus: Sequence[int], alpha: float,
+                   q: Sequence[float], p: Sequence[float]) -> float:
     """Log-probability of the observed tallies under the generative mixture.
 
     sum_w  A+(w) * log(alpha*q(w) + (1-alpha)*p(w)) + A-(w) * log p(w),
-    with -inf when a positively-counted term has zero probability.
+    over word-aligned vectors, with -inf when a positively-counted term has
+    zero probability.
     """
-    if isinstance(a_plus, Mapping):
-        keys = sorted(a_plus)
-        ap = np.asarray([a_plus[k] for k in keys], dtype=np.float64)
-        am = np.asarray([a_minus[k] for k in keys], dtype=np.float64)
-        qv = np.asarray([q[k] for k in keys], dtype=np.float64)
-        pv = np.asarray([p[k] for k in keys], dtype=np.float64)
-    else:
-        ap = np.asarray(a_plus, dtype=np.float64)
-        am = np.asarray(a_minus, dtype=np.float64)
-        qv = np.asarray(q, dtype=np.float64)
-        pv = np.asarray(p, dtype=np.float64)
+    ap, am, qv, pv = (np.asarray(v, dtype=np.float64)
+                      for v in (a_plus, a_minus, q, p))
     mix = alpha * qv + (1.0 - alpha) * pv
     total = 0.0
     for count, prob in ((ap, mix), (am, pv)):
@@ -216,28 +135,6 @@ def log_likelihood(a_plus: Mapping[str, int] | Sequence[int],
             return -math.inf
         total += float(np.sum(count[active] * np.log(prob[active])))
     return total
-
-
-# -- scalar aggregation functions -------------------------------------------
-
-
-def g_sq(counts: AnchorCounts, word: str, c: str) -> float:
-    return math.sqrt(counts.plus(word, c))
-
-
-def g_av(counts: AnchorCounts, word: str, c: str,
-         min_freq: int | None = None, stats: WordStats | None = None) -> float | None:
-    """Anchor share of the word's occurrences; None when excluded/unseen."""
-    if min_freq is not None:
-        if stats is None:
-            raise ValueError("min_freq filtering requires word statistics")
-        if stats.n_w(word) < min_freq:
-            return None
-    plus = counts.plus(word, c)
-    minus = counts.minus(word, c)
-    if plus + minus == 0:
-        return None
-    return plus / (plus + minus)
 
 
 def _entropy_rows(gsq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,55 +148,6 @@ def _entropy_rows(gsq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             terms = np.where(share > 0, share * np.log(share), 0.0)
         h[defined] = -terms.sum(axis=1)
     return h, defined
-
-
-def g_h(counts: AnchorCounts, word: str, c: str,
-        words: Iterable[str] | None = None) -> float | None:
-    """Entropy-damped square-root score.
-
-    The entropy normalization range is computed across ``words`` (defaults
-    to the whole vocabulary of the counts); when the range degenerates the
-    damping factor is 1 so single-class tasks still score.
-    """
-    scored = tuple(words) if words is not None else counts.words
-    idx = np.asarray([counts.index[w] for w in scored], dtype=np.intp)
-    gsq = np.sqrt(np.column_stack([counts.a_plus[cc][idx] for cc in counts.classes]))
-    h, defined = _entropy_rows(gsq)
-    pos = list(scored).index(word) if word in scored else None
-    if pos is None or not defined[pos]:
-        return None
-    h_def = h[defined]
-    h_min, h_max = float(h_def.min()), float(h_def.max())
-    if h_max == h_min:
-        factor = 1.0
-    else:
-        factor = 1.0 - (h[pos] - h_min) / (h_max - h_min)
-    return factor * float(gsq[pos, counts.classes.index(c)])
-
-
-def g_pr(counts: AnchorCounts, alpha: float, word: str, c: str) -> float | None:
-    """Smoothed anchor-emission probability; None when the model is undefined."""
-    try:
-        params = mle_params(counts, alpha, c)
-    except ValueError:
-        return None
-    return params.q_star.get(word)
-
-
-def g_base(stats: WordStats, word: str, c: str) -> float:
-    """Share of the word's containing documents that belong to class c."""
-    total = stats.doc_freq_total.get(word, 0)
-    if total == 0:
-        raise ValueError(f"word {word!r} does not occur in any document")
-    return stats.doc_freq_class[c].get(word, 0) / total
-
-
-def g_pr_inverse(counts: AnchorCounts, alpha: float, word: str, c: str) -> float | None:
-    """Reciprocal of the probabilistic score; zero-score words are excluded."""
-    score = g_pr(counts, alpha, word, c)
-    if score is None or score == 0.0:
-        return None
-    return 1.0 / score
 
 
 # -- aggregation kinds for the anytime driver --------------------------------
@@ -377,8 +225,9 @@ class GAv(Aggregation):
             self._excluded_cache = (id(counts), freq < self.min_freq)
         return self._excluded_cache[1]
 
-    def rank_values(self, counts, c):
-        plus = counts.a_plus[c].astype(np.float64)
+    def _share(self, counts, c, a_plus):
+        """Anchor share a_plus / (a_plus + A-), NaN where min_freq excludes."""
+        plus = a_plus.astype(np.float64)
         denom = plus + counts.a_minus[c]
         with np.errstate(divide="ignore", invalid="ignore"):
             values = np.where(denom > 0, plus / np.maximum(denom, 1), 0.0)
@@ -387,15 +236,11 @@ class GAv(Aggregation):
             values = np.where(excluded, np.nan, values)
         return values
 
+    def rank_values(self, counts, c):
+        return self._share(counts, c, counts.a_plus[c])
+
     def _raw_bounds(self, counts, c, remaining):
-        plus = (counts.a_plus[c] + remaining).astype(np.float64)
-        denom = plus + counts.a_minus[c]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = np.where(denom > 0, plus / np.maximum(denom, 1), 0.0)
-        excluded = self._excluded(counts)
-        if excluded is not None:
-            values = np.where(excluded, np.nan, values)
-        return values
+        return self._share(counts, c, counts.a_plus[c] + remaining)
 
     def params(self):
         return {} if self.min_freq is None else {"min_freq": self.min_freq}
@@ -408,38 +253,31 @@ class GH(Aggregation):
         return np.sqrt(np.column_stack(
             [counts.a_plus[c] for c in counts.classes]).astype(np.float64))
 
-    def rank_values(self, counts, c):
+    def _scores(self, counts, c, remaining=None):
+        """Entropy-damped square-root scores, normalized by the entropy range
+        of the current counts. With ``remaining``, class c's anchor counts
+        are first boosted by it. A degenerate range damps nothing, so
+        single-class tasks still score; undefined entropy scores 0."""
         gsq = self._gsq_matrix(counts)
         h, defined = _entropy_rows(gsq)
-        col = counts.classes.index(c)
-        values = np.zeros(len(counts.words))
+        h_min = h_max = 0.0
         if defined.any():
-            h_def = h[defined]
-            h_min, h_max = float(h_def.min()), float(h_def.max())
-            if h_max == h_min:
-                factor = np.ones_like(h)
-            else:
-                factor = 1.0 - (h - h_min) / (h_max - h_min)
-            values = np.where(defined, factor * gsq[:, col], 0.0)
-        return values
+            h_min, h_max = float(h[defined].min()), float(h[defined].max())
+        col = counts.classes.index(c)
+        if remaining is not None:
+            gsq[:, col] = np.sqrt((counts.a_plus[c] + remaining).astype(np.float64))
+            h, defined = _entropy_rows(gsq)
+        if h_max == h_min:
+            factor = np.ones(len(h))
+        else:
+            factor = 1.0 - np.clip((h - h_min) / (h_max - h_min), 0.0, 1.0)
+        return np.where(defined, factor * gsq[:, col], 0.0)
+
+    def rank_values(self, counts, c):
+        return self._scores(counts, c)
 
     def _raw_bounds(self, counts, c, remaining):
-        gsq = self._gsq_matrix(counts)
-        col = counts.classes.index(c)
-        h, defined = _entropy_rows(gsq)
-        boosted = gsq.copy()
-        boosted[:, col] = np.sqrt((counts.a_plus[c] + remaining).astype(np.float64))
-        h_new, defined_new = _entropy_rows(boosted)
-        if defined.any():
-            h_def = h[defined]
-            h_min, h_max = float(h_def.min()), float(h_def.max())
-        else:
-            h_min = h_max = 0.0
-        if h_max == h_min:
-            factor = np.ones(len(counts.words))
-        else:
-            factor = 1.0 - np.clip((h_new - h_min) / (h_max - h_min), 0.0, 1.0)
-        return np.where(defined_new, factor * boosted[:, col], 0.0)
+        return self._scores(counts, c, remaining)
 
 
 class GPr(Aggregation):
@@ -452,7 +290,8 @@ class GPr(Aggregation):
         self.alpha = alpha
 
     def _model(self, counts, c):
-        """(q_star over full vocab, beta, n_seen, totals) or None if undefined."""
+        """(q_star over full vocab, 0 where unseen; beta, n_seen, totals), or
+        None if undefined."""
         seen = counts.seen_mask(c)
         total_plus = int(counts.a_plus[c].sum())
         total_minus = int(counts.a_minus[c].sum())
@@ -464,14 +303,11 @@ class GPr(Aggregation):
         q_star = np.zeros(len(counts.words))
         q_star[seen] = q_star_seen
         beta = abs(q_min) if q_min < 0 else 0.0
-        return q_star, beta, int(seen.sum()), total_plus, total_minus, seen
+        return q_star, beta, int(seen.sum()), total_plus, total_minus
 
     def rank_values(self, counts, c):
         model = self._model(counts, c)
-        if model is None:
-            return np.zeros(len(counts.words))
-        q_star, _, _, _, _, seen = model
-        return np.where(seen, q_star, 0.0)
+        return np.zeros(len(counts.words)) if model is None else model[0]
 
     def _raw_bounds(self, counts, c, remaining):
         # Optimistic raw estimate with the word's remaining occurrences all
@@ -481,7 +317,7 @@ class GPr(Aggregation):
         model = self._model(counts, c)
         if model is None:
             return np.full(len(counts.words), np.inf)
-        _, beta, n_seen, total_plus, total_minus, _ = model
+        _, beta, n_seen, total_plus, total_minus = model
         plus = counts.a_plus[c].astype(np.float64)
         minus = counts.a_minus[c].astype(np.float64)
         boosted_plus = plus + remaining
@@ -529,10 +365,9 @@ class GPrInverse(GPr):
         model = self._model(counts, c)
         if model is None:
             return np.full(len(counts.words), np.nan)
-        q_star, _, _, _, _, seen = model
+        q_star = model[0]
         with np.errstate(divide="ignore", invalid="ignore"):
-            inv = np.where(seen & (q_star > 0), 1.0 / np.maximum(q_star, 1e-300), np.nan)
-        return inv
+            return np.where(q_star > 0, 1.0 / np.maximum(q_star, 1e-300), np.nan)
 
     def _raw_bounds(self, counts, c, remaining):
         # Assuming remaining occurrences are anchors is not optimistic for an

@@ -75,6 +75,17 @@ class AnchorDecision:
     tau_eff: float
     skipped: bool = field(default=False)
 
+    def to_row(self, doc_id: str) -> dict:
+        """The decision as one trace row of document ``doc_id``."""
+        return {
+            "doc": doc_id,
+            "pos": self.token.position,
+            "word": self.token.word,
+            "anchor": self.is_anchor,
+            "precision": None if self.estimate is None else self.estimate.point,
+            "samples": self.samples_used,
+        }
+
 
 def confidence_bounds(successes: int, trials: int, delta: float) -> tuple[float, float]:
     """Two-sided Hoeffding bounds around the empirical rate, clipped to [0, 1].

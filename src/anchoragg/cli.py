@@ -60,10 +60,21 @@ def _load_config_file(path: str | None) -> dict:
 
 def _merge_config(args: argparse.Namespace, config: dict,
                   defaults: dict) -> dict:
-    """flags > config file > defaults; unknown config keys are rejected."""
+    """flags > config file > defaults; unknown config keys are rejected, and
+    so is a value whose type is not its flag's. A float flag takes an int
+    too, and null is taken where the default is null."""
     unknown = set(config) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in config.items():
+        expected = args.config_types[key]
+        allowed = (int, float) if expected is float else (expected,)
+        if defaults[key] is None:
+            allowed += (type(None),)
+        if not isinstance(value, allowed) or (isinstance(value, bool)
+                                              and expected is not bool):
+            raise ConfigError(f"config key {key!r} takes {expected.__name__}, "
+                              f"got {value!r}")
     resolved = dict(defaults)
     resolved.update(config)
     for key in defaults:
@@ -108,6 +119,13 @@ def _load_corpus_from(resolved: dict) -> Corpus:
                            max_chars=resolved["max_chars"])
     except (ValueError, OSError) as exc:
         raise ConfigError(f"cannot load corpus: {exc}") from exc
+
+
+def _close_clients(*clients) -> None:
+    """Close the external service clients among ``clients``."""
+    for client in clients:
+        if isinstance(client, (ExternalPredictorClient, ExternalPerturbatorClient)):
+            client.close()
 
 
 def _build_predictor(resolved: dict):
@@ -327,6 +345,7 @@ def cmd_topk(args: argparse.Namespace) -> int:
         for handle in (snapshot_handle, trace_handle):
             if handle is not None:
                 handle.close()
+        _close_clients(predictor, perturbator)
     t_run = time.time()
 
     if resolved["k"] > len(est.result_.candidates):
@@ -375,42 +394,42 @@ def cmd_anchors(args: argparse.Namespace) -> int:
         raise ConfigError("--out is required")
     started = time.time()
     corpus = _load_corpus_from(resolved)
-    predictor = CountingPredictor(_build_predictor(resolved))
+    base = _build_predictor(resolved)
+    predictor = CountingPredictor(base)
     cached = CachingPredictor(predictor)
     cfg = AnchorConfig(tau=resolved["tau"], delta=resolved["delta"],
                        batch_size=resolved["batch_size"],
                        max_samples=resolved["max_samples"])
-    stats = word_stats(corpus, {d.id: cached.predict(d) for d in corpus})
-    perturbator = build_unigram_perturbator(stats, zeta=resolved["zeta"],
-                                            mask_prob=resolved["mask_prob"])
-    if resolved["class_label"]:
-        if resolved["class_label"] not in corpus.classes:
-            raise ConfigError(f"class {resolved['class_label']!r} not in corpus")
-        docs = order_documents(corpus, cached, resolved["class_label"])
-    else:
-        docs = [d for d in corpus if len(d.words)]
-    if resolved["limit"]:
-        docs = docs[:resolved["limit"]]
-    seed = resolved["seed"]
-    rows = 0
-    with open(resolved["out"], "w", encoding="utf-8") as handle:
-        for doc in docs:
-            if len(doc.words) == 0:
-                continue
-            target = cached.predict(doc)
-            decisions = anchors_of_document(
-                doc, predictor, perturbator, cfg,
-                threshold_for=lambda w: cfg.tau,
-                rng_for=lambda pos, d=doc: stream_rng(seed, "perturb", d.id, pos),
-                target=target)
-            for dec in decisions:
-                handle.write(json.dumps({
-                    "doc": doc.id, "pos": dec.token.position,
-                    "word": dec.token.word, "anchor": dec.is_anchor,
-                    "precision": None if dec.estimate is None else dec.estimate.point,
-                    "samples": dec.samples_used}) + "\n")
-                rows += 1
-            handle.flush()
+    try:
+        stats = word_stats(corpus, {d.id: cached.predict(d) for d in corpus})
+        perturbator = build_unigram_perturbator(stats, zeta=resolved["zeta"],
+                                                mask_prob=resolved["mask_prob"])
+        if resolved["class_label"]:
+            if resolved["class_label"] not in corpus.classes:
+                raise ConfigError(f"class {resolved['class_label']!r} not in corpus")
+            docs = order_documents(corpus, cached, resolved["class_label"])
+        else:
+            docs = [d for d in corpus if len(d.words)]
+        if resolved["limit"]:
+            docs = docs[:resolved["limit"]]
+        seed = resolved["seed"]
+        rows = 0
+        with open(resolved["out"], "w", encoding="utf-8") as handle:
+            for doc in docs:
+                if len(doc.words) == 0:
+                    continue
+                target = cached.predict(doc)
+                decisions = anchors_of_document(
+                    doc, predictor, perturbator, cfg,
+                    threshold_for=lambda w: cfg.tau,
+                    rng_for=lambda pos, d=doc: stream_rng(seed, "perturb", d.id, pos),
+                    target=target)
+                for dec in decisions:
+                    handle.write(json.dumps(dec.to_row(doc.id)) + "\n")
+                    rows += 1
+                handle.flush()
+    finally:
+        _close_clients(base)
     _write_manifest(_manifest_path(resolved, resolved["out"]), "anchors",
                     resolved, started, {},
                     {"documents": len(docs), "tokens": rows,
@@ -434,42 +453,45 @@ def cmd_eval_aopc(args: argparse.Namespace) -> int:
         raise ConfigError("--terms or --snapshots is required")
     started = time.time()
     corpus = _load_corpus_from(resolved)
-    predictor = CachingPredictor(_build_predictor(resolved))
+    base = _build_predictor(resolved)
+    predictor = CachingPredictor(base)
     payload = {}
+    try:
+        if resolved["terms"]:
+            terms_path = Path(resolved["terms"])
+            if not terms_path.exists():
+                raise ConfigError(f"terms file not found: {terms_path}")
+            try:
+                terms = TermList.load(terms_path)
+            except (ValueError, KeyError) as exc:
+                raise ConfigError(f"malformed terms file: {exc}") from exc
+            c = resolved["class_label"] or terms.class_label
+            if c not in corpus.classes:
+                raise ConfigError(f"class {c!r} not in corpus classes {corpus.classes}")
+            result = aopc_k(terms, corpus, predictor, c)
+            payload = {"class": c, "agg": terms.aggregation, "k": len(terms),
+                       "value": result.value, "per_prefix": list(result.per_prefix),
+                       "documents": result.documents}
+            if resolved["out"]:
+                Path(resolved["out"]).write_text(json.dumps(payload, indent=2),
+                                                 encoding="utf-8")
 
-    if resolved["terms"]:
-        terms_path = Path(resolved["terms"])
-        if not terms_path.exists():
-            raise ConfigError(f"terms file not found: {terms_path}")
-        try:
-            terms = TermList.load(terms_path)
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(f"malformed terms file: {exc}") from exc
-        c = resolved["class_label"] or terms.class_label
-        if c not in corpus.classes:
-            raise ConfigError(f"class {c!r} not in corpus classes {corpus.classes}")
-        result = aopc_k(terms, corpus, predictor, c)
-        payload = {"class": c, "agg": terms.aggregation, "k": len(terms),
-                   "value": result.value, "per_prefix": list(result.per_prefix),
-                   "documents": result.documents}
-        if resolved["out"]:
-            Path(resolved["out"]).write_text(json.dumps(payload, indent=2),
-                                             encoding="utf-8")
-
-    if resolved["snapshots"]:
-        if not resolved["class_label"]:
-            raise ConfigError("--class is required with --snapshots")
-        snap_path = Path(resolved["snapshots"])
-        if not snap_path.exists():
-            raise ConfigError(f"snapshot log not found: {snap_path}")
-        snaps = [json.loads(line) for line in
-                 snap_path.read_text(encoding="utf-8").splitlines() if line]
-        rows = quality_timeline(snaps, corpus, predictor,
-                                resolved["class_label"])
-        target = Path(resolved["timeline_out"] or (str(snap_path) + ".csv"))
-        with open(target, "w", encoding="utf-8", newline="") as handle:
-            write_timeline_csv(handle, rows)
-        payload.setdefault("timeline", str(target))
+        if resolved["snapshots"]:
+            if not resolved["class_label"]:
+                raise ConfigError("--class is required with --snapshots")
+            snap_path = Path(resolved["snapshots"])
+            if not snap_path.exists():
+                raise ConfigError(f"snapshot log not found: {snap_path}")
+            snaps = [json.loads(line) for line in
+                     snap_path.read_text(encoding="utf-8").splitlines() if line]
+            rows = quality_timeline(snaps, corpus, predictor,
+                                    resolved["class_label"])
+            target = Path(resolved["timeline_out"] or (str(snap_path) + ".csv"))
+            with open(target, "w", encoding="utf-8", newline="") as handle:
+                write_timeline_csv(handle, rows)
+            payload.setdefault("timeline", str(target))
+    finally:
+        _close_clients(base)
 
     _write_manifest(_manifest_path(resolved, resolved["out"]), "eval-aopc",
                     resolved, started, {}, {"aopc": payload.get("value")})
@@ -500,17 +522,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
             raise ConfigError(f"malformed terms file {p}: {exc}") from exc
     started = time.time()
     corpus = _load_corpus_from(resolved)
-    predictor = CachingPredictor(_build_predictor(resolved))
+    base = _build_predictor(resolved)
+    predictor = CachingPredictor(base)
 
     names = [name for name, _ in lists]
     shared = [[shared_terms_ratio(a, b) for _, b in lists] for _, a in lists]
     aopc_rows = []
-    for name, terms in lists:
-        c = resolved["class_label"] or terms.class_label
-        if c not in corpus.classes:
-            raise ConfigError(f"class {c!r} not in corpus classes {corpus.classes}")
-        aopc_rows.append((name, terms.aggregation, c,
-                          aopc_k(terms, corpus, predictor, c).value))
+    try:
+        for name, terms in lists:
+            c = resolved["class_label"] or terms.class_label
+            if c not in corpus.classes:
+                raise ConfigError(f"class {c!r} not in corpus classes {corpus.classes}")
+            aopc_rows.append((name, terms.aggregation, c,
+                              aopc_k(terms, corpus, predictor, c).value))
+    finally:
+        _close_clients(base)
 
     prefix = resolved["out_prefix"] or "compare"
     with open(f"{prefix}_shared.csv", "w", encoding="utf-8", newline="") as handle:
@@ -650,6 +676,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest")
     p.set_defaults(func=cmd_compare)
 
+    for p in sub.choices.values():  # the type a config value takes per key
+        p.set_defaults(config_types={a.dest: bool if a.nargs == 0 else (a.type or str)
+                                     for a in p._actions})
     return parser
 
 

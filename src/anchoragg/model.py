@@ -10,7 +10,6 @@ feed perturbed word tuples directly. Probability vectors align with
 from __future__ import annotations
 
 import json
-import subprocess
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -19,6 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
+from ._transport import JsonLinesTransport
 from ._validation import ParamsMixin, check_fitted
 from .corpus import Corpus, Document
 
@@ -269,70 +269,24 @@ class ExternalPredictorClient(Predictor):
     Request:  ``{"texts": [string, ...]}``
     Response: ``{"probs": [[float, ...], ...], "classes": [string, ...]}``
     with ``probs`` row-aligned to ``texts`` and ``classes`` fixed for the
-    whole session. Two transports: HTTP POST (one JSON object per request)
-    and a stdin/stdout subprocess (one JSON line per request). No retries;
-    failures raise immediately.
+    whole session. Each row must be a probability vector: finite,
+    non-negative, summing to 1 within 1e-6. Served over HTTP or a
+    subprocess (see ``_transport``); no retries, failures raise immediately.
     """
 
     def __init__(self, endpoint: str | None = None,
                  command: Sequence[str] | None = None,
                  timeout: float = 30.0, batch_size: int = 32,
                  max_in_flight: int = 1):
-        if (endpoint is None) == (command is None):
-            raise ValueError("exactly one of endpoint/command must be given")
-        self.endpoint = endpoint
-        self.command = list(command) if command else None
-        self.timeout = timeout
+        self._transport = JsonLinesTransport(endpoint, command, timeout,
+                                             ExternalPredictorError, "predictor")
         self.batch_size = max(1, int(batch_size))
         self.max_in_flight = max(1, int(max_in_flight))
         self.classes_ = None
-        self._proc = None
         self._lock = threading.Lock()
 
-    # transport ----------------------------------------------------------
-
-    def _post_http(self, texts: list[str]) -> dict:
-        import requests
-
-        try:
-            resp = requests.post(self.endpoint, json={"texts": texts},
-                                 timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise ExternalPredictorError(f"predictor endpoint unreachable: {exc}") from exc
-        if resp.status_code != 200:
-            raise ExternalPredictorError(
-                f"predictor endpoint returned HTTP {resp.status_code}")
-        try:
-            return resp.json()
-        except ValueError as exc:
-            raise ExternalPredictorError("predictor response is not JSON") from exc
-
-    def _ensure_proc(self):
-        if self._proc is None or self._proc.poll() is not None:
-            self._proc = subprocess.Popen(
-                self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                text=True, bufsize=1)
-        return self._proc
-
-    def _post_subprocess(self, texts: list[str]) -> dict:
-        with self._lock:
-            proc = self._ensure_proc()
-            try:
-                proc.stdin.write(json.dumps({"texts": texts}) + "\n")
-                proc.stdin.flush()
-                line = proc.stdout.readline()
-            except (BrokenPipeError, OSError) as exc:
-                raise ExternalPredictorError(f"predictor subprocess failed: {exc}") from exc
-        if not line:
-            raise ExternalPredictorError("predictor subprocess closed its stdout")
-        try:
-            return json.loads(line)
-        except ValueError as exc:
-            raise ExternalPredictorError("predictor response is not JSON") from exc
-
     def _request(self, texts: list[str]) -> np.ndarray:
-        payload = (self._post_http(texts) if self.endpoint
-                   else self._post_subprocess(texts))
+        payload = self._transport.roundtrip({"texts": texts})
         if "probs" not in payload or "classes" not in payload:
             raise ExternalPredictorError("response lacks probs/classes fields")
         classes = tuple(payload["classes"])
@@ -348,6 +302,10 @@ class ExternalPredictorClient(Predictor):
             raise ExternalPredictorError(
                 f"probs shape {probs.shape} misaligned with {len(texts)} texts "
                 f"and {len(classes)} classes")
+        # NaN fails both comparisons; an infinite entry fails one of them
+        if not ((probs >= 0).all() and (abs(probs.sum(axis=1) - 1.0) <= 1e-6).all()):
+            raise ExternalPredictorError(
+                "probs rows must be finite, non-negative and sum to 1")
         return probs
 
     # prediction ---------------------------------------------------------
@@ -358,7 +316,7 @@ class ExternalPredictorClient(Predictor):
             return np.zeros((0, 0))
         chunks = [texts[i:i + self.batch_size]
                   for i in range(0, len(texts), self.batch_size)]
-        if self.endpoint and self.max_in_flight > 1 and len(chunks) > 1:
+        if self._transport.endpoint and self.max_in_flight > 1 and len(chunks) > 1:
             with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
                 results = list(pool.map(self._request, chunks))
         else:
@@ -372,10 +330,7 @@ class ExternalPredictorClient(Predictor):
         return self.predict_proba_texts([" ".join(w) for w in docs])
 
     def close(self):
-        if self._proc is not None:
-            self._proc.stdin.close()
-            self._proc.wait(timeout=5)
-            self._proc = None
+        self._transport.close()
 
 
 # -- wrappers --------------------------------------------------------------

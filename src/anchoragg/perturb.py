@@ -9,13 +9,11 @@ service can supply context-aware candidates instead.
 
 from __future__ import annotations
 
-import json
-import subprocess
-import threading
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._transport import JsonLinesTransport
 from ._validation import check_probability, check_positive_int
 from .corpus import Document, WordStats
 
@@ -123,61 +121,21 @@ class ExternalPerturbatorClient(Perturbator):
     with one candidate list per masked position, each of at most ``zeta``
     entries with non-negative weights. The mask pattern is drawn locally;
     the service owns the fill distribution (and may condition or iterate
-    internally). Candidate requests are not cached: each sample is a fresh
-    draw over a fresh mask pattern.
+    internally). Candidates are not cached: each sample is a fresh draw over
+    a fresh mask pattern.
     """
 
     def __init__(self, endpoint: str | None = None,
                  command: Sequence[str] | None = None,
                  zeta: int = 500, mask_prob: float = 0.5, timeout: float = 30.0):
-        if (endpoint is None) == (command is None):
-            raise ValueError("exactly one of endpoint/command must be given")
         check_probability(mask_prob, "mask_prob", open_low=True, open_high=False)
-        self.endpoint = endpoint
-        self.command = list(command) if command else None
+        self._transport = JsonLinesTransport(endpoint, command, timeout,
+                                             ExternalPerturbatorError, "perturbator")
         self.zeta = int(zeta)
         self.mask_prob = float(mask_prob)
-        self.timeout = timeout
-        self._proc = None
-        self._lock = threading.Lock()
-
-    def _roundtrip(self, request: dict) -> dict:
-        if self.endpoint:
-            import requests
-
-            try:
-                resp = requests.post(self.endpoint, json=request, timeout=self.timeout)
-            except requests.RequestException as exc:
-                raise ExternalPerturbatorError(
-                    f"perturbator endpoint unreachable: {exc}") from exc
-            if resp.status_code != 200:
-                raise ExternalPerturbatorError(
-                    f"perturbator endpoint returned HTTP {resp.status_code}")
-            try:
-                return resp.json()
-            except ValueError as exc:
-                raise ExternalPerturbatorError("perturbator response is not JSON") from exc
-        with self._lock:
-            if self._proc is None or self._proc.poll() is not None:
-                self._proc = subprocess.Popen(
-                    self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                    text=True, bufsize=1)
-            try:
-                self._proc.stdin.write(json.dumps(request) + "\n")
-                self._proc.stdin.flush()
-                line = self._proc.stdout.readline()
-            except (BrokenPipeError, OSError) as exc:
-                raise ExternalPerturbatorError(
-                    f"perturbator subprocess failed: {exc}") from exc
-        if not line:
-            raise ExternalPerturbatorError("perturbator subprocess closed its stdout")
-        try:
-            return json.loads(line)
-        except ValueError as exc:
-            raise ExternalPerturbatorError("perturbator response is not JSON") from exc
 
     def _candidates(self, doc: Document, masked: list[int]) -> list[list[tuple[str, float]]]:
-        payload = self._roundtrip({
+        payload = self._transport.roundtrip({
             "text": doc.raw_text,
             "masked_positions": masked,
             "zeta": self.zeta,
@@ -220,7 +178,4 @@ class ExternalPerturbatorClient(Perturbator):
         return out
 
     def close(self):
-        if self._proc is not None:
-            self._proc.stdin.close()
-            self._proc.wait(timeout=5)
-            self._proc = None
+        self._transport.close()

@@ -218,14 +218,7 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
                 counts.ingest(decisions, c, doc.id)
                 if trace_sink is not None:
                     for d in decisions:
-                        trace_sink({
-                            "doc": doc.id,
-                            "pos": d.token.position,
-                            "word": d.token.word,
-                            "anchor": d.is_anchor,
-                            "precision": None if d.estimate is None else d.estimate.point,
-                            "samples": d.samples_used,
-                        })
+                        trace_sink(d.to_row(doc.id))
             else:
                 counts.ingest([], c, doc.id)
 

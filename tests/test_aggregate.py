@@ -3,10 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from anchoragg.aggregate import (AnchorCounts, g_av, g_base, g_h, g_pr,
-                                 g_pr_inverse, g_sq, laplace_smooth,
-                                 log_likelihood, make_aggregation, mle_params,
-                                 rank_words, update_counts)
+from anchoragg.aggregate import (AnchorCounts, _q_raw_vector, _smooth_vector,
+                                 log_likelihood, make_aggregation, rank_words)
 from anchoragg.anchor import AnchorDecision, PrecisionEstimate
 from anchoragg.corpus import Token, word_stats
 
@@ -32,33 +30,45 @@ def counts_from(table, classes=("c0",)):
     return counts
 
 
+def score(kind, counts, word, c, **params):
+    """One word's value from the aggregation the anytime engine ranks with."""
+    values = make_aggregation(kind, **params).rank_values(counts, c)
+    return float(values[counts.index[word]])
+
+
+def raw_estimates(counts, alpha, c="c0"):
+    """Raw (q, p) over the words seen in class c, in vocabulary order."""
+    seen = counts.seen_mask(c)
+    return _q_raw_vector(counts.a_plus[c][seen], counts.a_minus[c][seen], alpha)
+
+
 class TestUpdateCounts:
     def test_direct_tally(self):
         counts = AnchorCounts(["bad", "great"], ("c0",))
         decisions = [decision("great", 0, True), decision("great", 1, True),
                      decision("bad", 2, False)]
-        update_counts(counts, decisions, "c0", "d1")
+        counts.ingest(decisions, "c0", "d1")
         assert counts.plus("great", "c0") == 2
         assert counts.minus("bad", "c0") == 1
         assert counts.docs_processed["c0"] == 1
 
     def test_empty_decisions_leave_counts(self):
         counts = AnchorCounts(["w"], ("c0",))
-        update_counts(counts, [], "c0", "d1")
+        counts.ingest([], "c0", "d1")
         assert counts.total_plus("c0") == 0 and counts.total_minus("c0") == 0
 
     def test_same_word_mixed_positions(self):
         counts = AnchorCounts(["w"], ("c0",))
-        update_counts(counts, [decision("w", 0, True), decision("w", 3, False)],
+        counts.ingest([decision("w", 0, True), decision("w", 3, False)],
                       "c0", "d1")
         assert counts.plus("w", "c0") == 1
         assert counts.minus("w", "c0") == 1
 
     def test_double_ingestion_rejected(self):
         counts = AnchorCounts(["w"], ("c0",))
-        update_counts(counts, [decision("w", 0, True)], "c0", "d1")
+        counts.ingest([decision("w", 0, True)], "c0", "d1")
         with pytest.raises(ValueError, match="already ingested"):
-            update_counts(counts, [decision("w", 0, True)], "c0", "d1")
+            counts.ingest([decision("w", 0, True)], "c0", "d1")
 
     def test_count_conservation(self):
         corpus = make_corpus([("0", "a b a", "c0"), ("1", "b c", "c0")])
@@ -67,31 +77,34 @@ class TestUpdateCounts:
         for doc in corpus:
             decisions = [decision(w, i, bool(rng.integers(2)))
                          for i, w in enumerate(doc.words)]
-            update_counts(counts, decisions, "c0", doc.id)
+            counts.ingest(decisions, "c0", doc.id)
         assert counts.total_plus("c0") + counts.total_minus("c0") == 5
 
 
 class TestSimpleAggregations:
     def test_g_sq(self):
         counts = counts_from({"c0": {"w": (0, 3), "v": (4, 0), "u": (2, 1)}})
-        assert g_sq(counts, "w", "c0") == 0.0
-        assert g_sq(counts, "v", "c0") == 2.0
-        assert g_sq(counts, "u", "c0") == pytest.approx(math.sqrt(2), abs=1e-12)
+        assert score("sq", counts, "w", "c0") == 0.0
+        assert score("sq", counts, "v", "c0") == 2.0
+        assert score("sq", counts, "u", "c0") == pytest.approx(math.sqrt(2), abs=1e-12)
 
     def test_g_av(self):
         counts = counts_from({"c0": {"once": (1, 0), "never": (0, 7),
                                      "mixed": (3, 1), "unseen": (0, 0)}})
-        assert g_av(counts, "once", "c0") == 1.0
-        assert g_av(counts, "never", "c0") == 0.0
-        assert g_av(counts, "mixed", "c0") == 0.75
-        assert g_av(counts, "unseen", "c0") is None
+        assert score("av", counts, "once", "c0") == 1.0
+        assert score("av", counts, "never", "c0") == 0.0
+        assert score("av", counts, "mixed", "c0") == 0.75
+        # unseen: no share defined, ranked at the floor
+        assert score("av", counts, "unseen", "c0") == 0.0
 
     def test_g_av_min_freq_exclusion(self):
         corpus = make_corpus([("0", "great great great great rare", "c0")])
         stats = word_stats(corpus)
         counts = counts_from({"c0": {"great": (4, 0), "rare": (1, 0)}})
-        assert g_av(counts, "great", "c0", min_freq=5, stats=stats) is None
-        assert g_av(counts, "rare", "c0", min_freq=1, stats=stats) == 1.0
+        assert math.isnan(score("av_minfreq", counts, "great", "c0",
+                                min_freq=5, stats=stats))
+        assert score("av_minfreq", counts, "rare", "c0",
+                     min_freq=1, stats=stats) == 1.0
 
     def test_g_h_point_mass_and_uniform(self):
         counts = counts_from(
@@ -99,47 +112,50 @@ class TestSimpleAggregations:
              "c1": {"solo": (0, 4), "both": (4, 0), "tilted": (1, 0)}},
             classes=("c0", "c1"))
         # 'solo' anchors only in c0: entropy 0 = minimum -> full G_sq
-        assert g_h(counts, "solo", "c0") == pytest.approx(2.0)
+        assert score("h", counts, "solo", "c0") == pytest.approx(2.0)
         # 'both' splits evenly: maximal entropy -> factor 0
-        assert g_h(counts, "both", "c0") == pytest.approx(0.0)
+        assert score("h", counts, "both", "c0") == pytest.approx(0.0)
         # 'tilted' sits between
-        value = g_h(counts, "tilted", "c0")
+        value = score("h", counts, "tilted", "c0")
         assert 0.0 < value < 3.0
 
     def test_g_h_single_class_degenerates_to_g_sq(self):
         counts = counts_from({"c0": {"a": (4, 1), "b": (1, 2)}})
-        assert g_h(counts, "a", "c0") == pytest.approx(2.0)
-        assert g_h(counts, "b", "c0") == pytest.approx(1.0)
+        assert score("h", counts, "a", "c0") == pytest.approx(2.0)
+        assert score("h", counts, "b", "c0") == pytest.approx(1.0)
 
     def test_g_h_unscored_word(self):
         counts = counts_from({"c0": {"a": (4, 1), "zero": (0, 5)}})
-        assert g_h(counts, "zero", "c0") is None
+        # no anchors in any class: entropy undefined, ranked at the floor
+        assert score("h", counts, "zero", "c0") == 0.0
 
     def test_g_base(self):
         corpus = make_corpus([("0", "w q", "c"), ("1", "w", "c"),
                               ("2", "w", "d"), ("3", "w", "d"), ("4", "v", "d")])
         stats = word_stats(corpus)
-        assert g_base(stats, "q", "c") == 1.0
-        assert g_base(stats, "w", "c") == 0.5
-        assert g_base(stats, "v", "c") == 0.0
-        with pytest.raises(ValueError):
-            g_base(stats, "absent", "c")
+        counts = AnchorCounts(["q", "w", "v", "absent"], ("c", "d"))
+        assert score("base", counts, "q", "c", stats=stats) == 1.0
+        assert score("base", counts, "w", "c", stats=stats) == 0.5
+        assert score("base", counts, "v", "c", stats=stats) == 0.0
+        # in no document: no share defined, excluded from ranking
+        assert math.isnan(score("base", counts, "absent", "c", stats=stats))
 
 
 class TestProbModel:
     def test_alpha_one_collapses_to_anchor_share(self):
         counts = counts_from({"c0": {"a": (3, 1), "b": (1, 3)}})
-        params = mle_params(counts, 1.0, "c0")
-        assert params.q_raw["a"] == pytest.approx(0.75)
-        assert params.q_raw["b"] == pytest.approx(0.25)
+        q, _ = raw_estimates(counts, 1.0)
+        assert q[counts.index["a"]] == pytest.approx(0.75)
+        assert q[counts.index["b"]] == pytest.approx(0.25)
 
     def test_worked_example(self):
         counts = counts_from({"c0": {"a": (3, 1), "b": (1, 3)}})
-        params = mle_params(counts, 0.5, "c0")
-        assert params.q_raw["a"] == pytest.approx(1.25)
-        assert params.q_raw["b"] == pytest.approx(-0.25)
-        assert params.p["a"] == pytest.approx(0.25)
-        assert params.p["b"] == pytest.approx(0.75)
+        q, p = raw_estimates(counts, 0.5)
+        a, b = counts.index["a"], counts.index["b"]
+        assert q[a] == pytest.approx(1.25)
+        assert q[b] == pytest.approx(-0.25)
+        assert p[a] == pytest.approx(0.25)
+        assert p[b] == pytest.approx(0.75)
 
     def test_raw_estimates_sum_to_one(self):
         rng = np.random.default_rng(4)
@@ -151,27 +167,29 @@ class TestProbModel:
                 continue
             table = {"c0": {f"w{i}": (int(plus[i]), int(minus[i]))
                             for i in range(w)}}
-            params = mle_params(counts_from(table), 0.3, "c0")
-            assert sum(params.q_raw.values()) == pytest.approx(1.0, abs=1e-9)
-            assert sum(params.p.values()) == pytest.approx(1.0, abs=1e-9)
+            q, p = raw_estimates(counts_from(table), 0.3)
+            assert q.sum() == pytest.approx(1.0, abs=1e-9)
+            assert p.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_undefined_model_raises(self):
         counts = counts_from({"c0": {"a": (3, 0)}})
         with pytest.raises(ValueError, match="undefined"):
-            mle_params(counts, 0.5, "c0")
+            raw_estimates(counts, 0.5)
 
     def test_smoothed_worked_example(self):
         counts = counts_from({"c0": {"a": (3, 1), "b": (1, 3)}})
-        params = mle_params(counts, 0.5, "c0")
-        assert params.q_star["a"] == pytest.approx(1.0)
-        assert params.q_star["b"] == pytest.approx(0.0)
-        assert sum(params.q_star.values()) == pytest.approx(1.0, abs=1e-9)
+        q_star = make_aggregation("pr", alpha=0.5).rank_values(counts, "c0")
+        assert q_star[counts.index["a"]] == pytest.approx(1.0)
+        assert q_star[counts.index["b"]] == pytest.approx(0.0)
+        assert q_star.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_smoothing_identity_when_non_negative(self):
         counts = counts_from({"c0": {"a": (3, 1), "b": (1, 3)}})
-        params = mle_params(counts, 1.0, "c0")
-        smoothed = laplace_smooth(params)
-        assert smoothed.q_star == params.q_raw
+        q, _ = raw_estimates(counts, 1.0)
+        smoothed, _ = _smooth_vector(q)
+        assert smoothed.tolist() == q.tolist()
+        q_star = make_aggregation("pr", alpha=1.0).rank_values(counts, "c0")
+        assert q_star.tolist() == q.tolist()
 
     def test_log_likelihood_matches_oracle(self):
         rng = np.random.default_rng(9)
@@ -217,8 +235,8 @@ class TestProbModel:
 class TestGPr:
     def test_worked_example_scores(self):
         counts = counts_from({"c0": {"a": (3, 1), "b": (1, 3)}})
-        assert g_pr(counts, 0.5, "a", "c0") == pytest.approx(1.0)
-        assert g_pr(counts, 0.5, "b", "c0") == pytest.approx(0.0)
+        assert score("pr", counts, "a", "c0", alpha=0.5) == pytest.approx(1.0)
+        assert score("pr", counts, "b", "c0", alpha=0.5) == pytest.approx(0.0)
 
     def test_pure_anchor_beats_equally_frequent_mixed_word(self):
         # brute force over small count grids: a word with all its
@@ -228,17 +246,18 @@ class TestGPr:
                 counts = counts_from({"c0": {
                     "pure": (n, 0), "mixed": (a, n - a), "rest": (5, 20)}})
                 for alpha in (0.3, 0.5, 1.0):
-                    pure = g_pr(counts, alpha, "pure", "c0")
-                    mixed = g_pr(counts, alpha, "mixed", "c0")
+                    pure = score("pr", counts, "pure", "c0", alpha=alpha)
+                    mixed = score("pr", counts, "mixed", "c0", alpha=alpha)
                     assert pure > mixed
 
     def test_smoothing_floor_non_negative(self):
         counts = counts_from({"c0": {"never": (0, 9), "often": (7, 2)}})
-        assert g_pr(counts, 0.5, "never", "c0") >= 0.0
+        assert score("pr", counts, "never", "c0", alpha=0.5) >= 0.0
 
     def test_undefined_model_unscored(self):
+        # no non-anchor occurrence: model undefined, ranked at the floor
         counts = counts_from({"c0": {"a": (2, 0)}})
-        assert g_pr(counts, 0.5, "a", "c0") is None
+        assert score("pr", counts, "a", "c0", alpha=0.5) == 0.0
 
     def test_alpha_one_ranking_matches_anchor_counts(self):
         counts = counts_from({"c0": {"a": (5, 2), "b": (3, 4), "c": (1, 1),
@@ -253,17 +272,18 @@ class TestGPr:
 class TestGPrInverse:
     def test_reciprocal_values(self):
         counts = counts_from({"c0": {"a": (3, 1), "b": (2, 2), "c": (1, 3)}})
-        score = g_pr(counts, 0.5, "b", "c0")
-        assert g_pr_inverse(counts, 0.5, "b", "c0") == pytest.approx(1 / score)
+        pr = score("pr", counts, "b", "c0", alpha=0.5)
+        assert score("pr_inverse", counts, "b", "c0", alpha=0.5) \
+            == pytest.approx(1 / pr)
 
     def test_zero_score_excluded(self):
         counts = counts_from({"c0": {"a": (3, 1), "b": (1, 3)}})
-        assert g_pr(counts, 0.5, "b", "c0") == pytest.approx(0.0)
-        assert g_pr_inverse(counts, 0.5, "b", "c0") is None
+        assert score("pr", counts, "b", "c0", alpha=0.5) == pytest.approx(0.0)
+        assert math.isnan(score("pr_inverse", counts, "b", "c0", alpha=0.5))
 
     def test_unit_score(self):
         counts = counts_from({"c0": {"a": (3, 1), "b": (1, 3)}})
-        assert g_pr_inverse(counts, 0.5, "a", "c0") == pytest.approx(1.0)
+        assert score("pr_inverse", counts, "a", "c0", alpha=0.5) == pytest.approx(1.0)
 
 
 class TestRanking:
@@ -289,9 +309,6 @@ class TestInvariantBundle:
             counts = counts_from(table, classes=("c0", "c1"))
             for i in range(w):
                 word = f"w{i}"
-                av = g_av(counts, word, "c0")
-                if av is not None:
-                    assert 0.0 <= av <= 1.0
-                h = g_h(counts, word, "c0")
-                if h is not None:
-                    assert h <= g_sq(counts, word, "c0") + 1e-12
+                assert 0.0 <= score("av", counts, word, "c0") <= 1.0
+                assert score("h", counts, word, "c0") \
+                    <= score("sq", counts, word, "c0") + 1e-12

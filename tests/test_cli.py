@@ -123,6 +123,19 @@ class TestTopk:
         (workspace / "cfg.json").write_text(json.dumps({"bogus_key": 1}))
         assert run("topk", "--config", "cfg.json") == 2
 
+    def test_config_value_of_wrong_type(self, workspace, capsys):
+        synth_and_train(workspace, docs=40)
+        base = {"corpus": "c.jsonl", "format": "jsonl", "model": "m.json",
+                "class_label": "pos", "seed": 5, "max_samples": 10,
+                "terms": "t.json"}
+        for key, value in (("k", "20"), ("adaptive_tau", 1), ("alpha", True)):
+            (workspace / "cfg.json").write_text(json.dumps({**base, key: value}))
+            assert run("topk", "--config", "cfg.json") == 2
+            assert f"config key {key!r}" in capsys.readouterr().err
+        # an int is a valid float
+        (workspace / "cfg.json").write_text(json.dumps({**base, "alpha": 1}))
+        assert run("topk", "--config", "cfg.json") == 0
+
     def test_oversized_k_warns_and_emits_full_ranking(self, workspace, capsys):
         synth_and_train(workspace, docs=40)
         code = run("topk", "--corpus", "c.jsonl", "--format", "jsonl",
@@ -220,6 +233,20 @@ class TestExternalBackendsViaCli:
             "    rows = [[{'word': 'blank', 'weight': 1.0}]"
             " for _ in req['masked_positions']]\n"
             "    print(json.dumps({'candidates': rows}), flush=True)\n")
+
+    def test_eval_aopc_closes_external_predictor(self, workspace):
+        import sys as _sys
+
+        assert run("synth", "--out", "c.jsonl", "--docs", "20", "--seed", "3") == 0
+        TermList.from_pairs("pos", "sq", [("gsig", 1.0)]).save("terms.json")
+        # the service leaves a marker once its input ends
+        (workspace / "pred.py").write_text(
+            self.PRED + "open('closed.marker', 'w').close()\n")
+        code = run("eval-aopc", "--terms", "terms.json", "--corpus", "c.jsonl",
+                   "--format", "jsonl",
+                   "--external-cmd", f"{_sys.executable} pred.py")
+        assert code == 0
+        assert (workspace / "closed.marker").exists()
 
     def test_topk_with_external_predictor_and_perturbator(self, workspace):
         import sys as _sys

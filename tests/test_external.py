@@ -139,6 +139,15 @@ class TestExternalPredictorHttp:
         with pytest.raises(ExternalPredictorError, match="misaligned"):
             client.predict_proba_texts(["one", "two"])
 
+    @pytest.mark.parametrize("row", [[float("nan"), 0.5], [-0.1, 1.1],
+                                     [0.5, 0.6]])
+    def test_invalid_probability_row(self, http_server, row):
+        url = http_server(lambda request: {"probs": [row] * len(request["texts"]),
+                                           "classes": ["a", "b"]})
+        client = ExternalPredictorClient(endpoint=url)
+        with pytest.raises(ExternalPredictorError, match="probs rows"):
+            client.predict_proba_words(["x"])
+
     def test_class_change_mid_session(self, http_server):
         state = {"n": 0}
 
