@@ -71,9 +71,11 @@ class JsonLinesTransport:
                 self._proc.stdin.flush()
                 line = self._proc.stdout.readline()
             except OSError as exc:
+                self.close()
                 raise self.error(f"{self.service} subprocess failed: {exc}") from exc
-        if not line:
-            raise self.error(f"{self.service} subprocess closed its stdout")
+            if not line:
+                self.close()  # reap the child now, not on the next request
+                raise self.error(f"{self.service} subprocess closed its stdout")
         return line
 
     def close(self) -> None:

@@ -4,7 +4,8 @@ A token is an anchor when the predictor keeps its decision on perturbed
 documents that retain the token, with probability at least a threshold.
 The estimator samples in batches, maintains two-sided confidence bounds on
 the success rate, and stops as soon as the bound certifies the decision
-either way; at budget exhaustion the point estimate decides.
+either way; at budget exhaustion the point estimate decides. The tokens of
+a document are tested together, in rounds that share predictor calls.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ __all__ = [
     "estimate_token",
     "anchors_of_document",
 ]
+
+# rows per predictor call: a round of an m-token document holds ~batch * m
+# perturbed rows of m words each, so it is drawn and scored in slices
+ROUND_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -131,37 +136,67 @@ def estimate_token(doc: Document, position: int, predictor: Predictor,
     """
     if not 0 <= position < len(doc.words):
         raise ValueError(f"position {position} outside document {doc.id!r}")
-    if not cfg.tau_floor <= tau_eff <= 1.0:
-        raise ValueError(f"tau_eff {tau_eff} outside [{cfg.tau_floor}, 1]")
     if target is None:
         target = predictor.predict(doc)
-    target_idx = predictor.class_index(target)
+    return _sequential_tests(doc, [position], [tau_eff], [rng], predictor,
+                             perturbator, cfg, predictor.class_index(target))[0]
 
-    successes = 0
+
+def _sequential_tests(doc: Document, positions: list[int], taus: list[float],
+                      rngs: list[np.random.Generator], predictor: Predictor,
+                      perturbator: Perturbator, cfg: AnchorConfig, target_idx: int,
+                      executor: Executor | None = None) -> list[AnchorDecision]:
+    """The sequential test of each position, all moving in rounds.
+
+    In every round each undecided position draws its next batch from its own
+    generator, and the round's rows are scored in predictor calls of at most
+    ``ROUND_ROWS`` rows. A position leaves once its bound clears its
+    threshold or its budget is spent. Each generator is consumed as a test
+    of its position alone would consume it, so decisions do not depend on
+    which positions share a round.
+    """
+    for tau_eff in taus:
+        if not cfg.tau_floor <= tau_eff <= 1.0:
+            raise ValueError(f"tau_eff {tau_eff} outside [{cfg.tau_floor}, 1]")
+    successes = [0] * len(positions)
+    decisions: list[AnchorDecision | None] = [None] * len(positions)
+    active = list(range(len(positions)))
     trials = 0
-    lower = upper = None
-    is_anchor = None
-    while trials < cfg.max_samples:
+    while active:
         batch = min(cfg.batch_size, cfg.max_samples - trials)
-        samples = perturbator.sample_batch(doc, (position,), batch, rng)
-        probs = predictor.predict_proba_many(samples)
-        successes += int(np.sum(np.argmax(probs, axis=1) == target_idx))
         trials += batch
-        lower, upper = confidence_bounds(successes, trials, cfg.delta)
-        if lower >= tau_eff:
-            is_anchor = True
-            break
-        if upper < tau_eff:
-            is_anchor = False
-            break
-    point = successes / trials
-    if is_anchor is None:
-        is_anchor = point >= tau_eff
-    estimate = PrecisionEstimate(successes=successes, trials=trials, point=point,
-                                 lower=lower, upper=upper)
-    return AnchorDecision(token=Token(doc.words[position], position),
-                          is_anchor=is_anchor, estimate=estimate,
-                          samples_used=trials, tau_eff=tau_eff)
+
+        def draw(i: int) -> list[tuple[str, ...]]:
+            return perturbator.sample_batch(doc, (positions[i],), batch, rngs[i])
+
+        hits = []
+        per_call = max(1, ROUND_ROWS // batch)
+        for start in range(0, len(active), per_call):
+            group = active[start:start + per_call]
+            drawn = executor.map(draw, group) if executor else map(draw, group)
+            rows = [row for sample in drawn for row in sample]
+            labels = np.concatenate([
+                np.argmax(predictor.predict_proba_many(rows[j:j + ROUND_ROWS]), axis=1)
+                for j in range(0, len(rows), ROUND_ROWS)])
+            hits.extend((labels == target_idx).reshape(len(group), batch).sum(axis=1))
+        undecided = []
+        for i, hit in zip(active, hits):
+            successes[i] += int(hit)
+            tau_eff = taus[i]
+            lower, upper = confidence_bounds(successes[i], trials, cfg.delta)
+            if lower < tau_eff <= upper and trials < cfg.max_samples:
+                undecided.append(i)
+                continue
+            point = successes[i] / trials
+            estimate = PrecisionEstimate(successes=successes[i], trials=trials,
+                                         point=point, lower=lower, upper=upper)
+            # certified either way by the bounds, else by the point estimate
+            is_anchor = lower >= tau_eff or (upper >= tau_eff and point >= tau_eff)
+            decisions[i] = AnchorDecision(
+                token=Token(doc.words[positions[i]], positions[i]), is_anchor=is_anchor,
+                estimate=estimate, samples_used=trials, tau_eff=tau_eff)
+        active = undecided
+    return decisions
 
 
 def _skipped_decision(doc: Document, position: int, tau_eff: float) -> AnchorDecision:
@@ -180,10 +215,11 @@ def anchors_of_document(doc: Document, predictor: Predictor,
     """One anchor decision per token of the document, in position order.
 
     ``threshold_for`` supplies the effective threshold per word (constant or
-    adaptive); ``rng_for`` supplies the per-position generator so token
-    estimations are independent and may run on ``executor`` workers without
-    affecting results. Words for which ``skip_word`` is true are not sampled
-    and are recorded as non-anchors.
+    adaptive); ``rng_for`` supplies the per-position generator, so the tokens'
+    tests are independent and run together in rounds (see
+    ``_sequential_tests``); ``executor`` workers draw a round's batches.
+    Words for which ``skip_word`` is true are not sampled and are recorded
+    as non-anchors.
     """
     if len(doc.words) == 0:
         raise ValueError(f"document {doc.id!r} is empty")
@@ -191,16 +227,12 @@ def anchors_of_document(doc: Document, predictor: Predictor,
         target = predictor.predict(doc)
 
     thresholds = {w: threshold_for(w) for w in set(doc.words)}
-
-    def run(position: int) -> AnchorDecision:
-        word = doc.words[position]
-        tau_eff = thresholds[word]
-        if skip_word is not None and skip_word(word):
-            return _skipped_decision(doc, position, tau_eff)
-        return estimate_token(doc, position, predictor, perturbator, cfg,
-                              tau_eff, rng_for(position), target=target)
-
-    positions = range(len(doc.words))
-    if executor is None:
-        return [run(p) for p in positions]
-    return list(executor.map(run, positions))
+    sampled = [p for p, w in enumerate(doc.words)
+               if skip_word is None or not skip_word(w)]
+    tested = _sequential_tests(
+        doc, sampled, [thresholds[doc.words[p]] for p in sampled],
+        [rng_for(p) for p in sampled], predictor, perturbator, cfg,
+        predictor.class_index(target), executor)
+    decisions = dict(zip(sampled, tested))
+    return [decisions[p] if p in decisions else _skipped_decision(doc, p, thresholds[w])
+            for p, w in enumerate(doc.words)]

@@ -123,19 +123,25 @@ def aopc_k(terms: TermList, corpus: Corpus, predictor: Predictor, c: str
     if len(terms) == 0:
         raise ValueError("empty term list")
     k = len(terms)
-    class_docs = [d for d in corpus if predictor.predict(d) == c]
+    docs = list(corpus)
+    predicted = np.argmax(predictor.predict_proba_many([d.words for d in docs]),
+                          axis=1) if docs else ()
+    class_docs = [d for d, j in zip(docs, predicted) if predictor.classes_[j] == c]
     if not class_docs:
         raise ValueError(f"no documents classified as {c!r}")
     c_idx = predictor.class_index(c)
-    term_set = set(terms.words)
+    words = terms.words
+    term_set = set(words)
+    touched = [d for d in class_docs if not term_set.isdisjoint(d.words)]
     drops = np.zeros(k)
-    for doc in class_docs:
-        if not term_set.intersection(doc.words):
-            continue
-        base = predictor.predict_proba(doc)[c_idx]
-        for i in range(1, k + 1):
-            reduced = remove_prefix(doc, terms, i)
-            drops[i - 1] += base - predictor.predict_proba(reduced)[c_idx]
+    if touched:
+        # per touched document: its words, then its k removal prefixes
+        rows = [remove_prefix(doc, words, i).words
+                for doc in touched for i in range(k + 1)]
+        probs = predictor.predict_proba_many(rows)[:, c_idx].reshape(len(touched), k + 1)
+        for row in probs:
+            for i in range(k):
+                drops[i] += row[0] - row[i + 1]
     per_prefix = drops / len(class_docs)
     value = float(per_prefix.sum() / (k + 1))
     return AopcResult(value=value, per_prefix=tuple(per_prefix.tolist()),

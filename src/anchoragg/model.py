@@ -173,22 +173,32 @@ class BowClassifier(ParamsMixin, Predictor):
 
     # -- prediction ------------------------------------------------------
 
-    def _logits_words(self, words: Sequence[str]) -> np.ndarray:
-        check_fitted(self, ("weights_", "bias_", "classes_"))
-        logits = self.bias_.copy()
-        index = self._vocab_index_
-        W = self.weights_
-        for w in words:
-            j = index.get(w)
-            if j is not None:
-                logits += W[j]
-        return logits
-
     def predict_proba_words(self, words: Sequence[str]) -> np.ndarray:
-        return _softmax(self._logits_words(words))
+        return self.predict_proba_many([words])[0]
 
     def predict_proba_many(self, docs: Sequence[Sequence[str]]) -> np.ndarray:
-        return np.stack([_softmax(self._logits_words(w)) for w in docs])
+        """Softmax of ``bias`` plus the weight rows of each document's words.
+
+        Rows of equal length are scored together, adding one word column at a
+        time: the same left-to-right sum per row as a word-by-word loop, so
+        results do not depend on how rows are batched. Out-of-vocabulary
+        words add an appended zero row.
+        """
+        check_fitted(self, ("weights_", "bias_", "classes_"))
+        index = self._vocab_index_
+        oov = len(self.vocabulary_)
+        Wz = np.vstack([self.weights_, np.zeros((1, len(self.classes_)))])
+        lengths = np.fromiter(map(len, docs), dtype=np.intp, count=len(docs))
+        logits = np.empty((len(docs), len(self.classes_)))
+        for length in np.unique(lengths):
+            rows = np.flatnonzero(lengths == length)
+            ids = np.asarray([index.get(w, oov) for r in rows for w in docs[r]],
+                             dtype=np.intp).reshape(rows.size, length)
+            acc = np.repeat(self.bias_[None, :], rows.size, axis=0)
+            for col in np.ascontiguousarray(ids.T):
+                acc += Wz.take(col, axis=0)
+            logits[rows] = acc
+        return _softmax(logits)
 
     def __getstate__(self):
         return self.__dict__
@@ -216,9 +226,9 @@ def accuracy(predictor: Predictor, corpus: Corpus) -> float:
     """Fraction of documents whose prediction matches the corpus label."""
     if len(corpus) == 0:
         raise ValueError("cannot compute accuracy on an empty corpus")
-    hits = sum(
-        1 for d in corpus if predictor.predict(d) == corpus.labels[d.id]
-    )
+    probs = predictor.predict_proba_many([d.words for d in corpus])
+    hits = sum(1 for d, j in zip(corpus, np.argmax(probs, axis=1))
+               if predictor.classes_[j] == corpus.labels[d.id])
     return hits / len(corpus)
 
 
@@ -379,15 +389,19 @@ class CachingPredictor(Predictor):
         return self.base.classes_
 
     def predict_proba_words(self, words: Sequence[str]) -> np.ndarray:
-        key = tuple(words)
-        with self._lock:
-            hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        probs = self.base.predict_proba_words(key)
-        with self._lock:
-            self._cache[key] = probs
-        return probs
+        return self.predict_proba_many([words])[0]
 
     def predict_proba_many(self, docs: Sequence[Sequence[str]]) -> np.ndarray:
-        return np.stack([self.predict_proba_words(w) for w in docs])
+        """Cached rows as they are; the distinct misses in one base call."""
+        keys = [tuple(w) for w in docs]
+        if not keys:
+            return self.base.predict_proba_many([])
+        with self._lock:
+            found = {k: self._cache[k] for k in keys if k in self._cache}
+        misses = list(dict.fromkeys(k for k in keys if k not in found))
+        if misses:
+            probs = self.base.predict_proba_many(misses)
+            found.update(zip(misses, probs))
+            with self._lock:
+                self._cache.update(zip(misses, probs))
+        return np.stack([found[k] for k in keys])

@@ -64,6 +64,10 @@ class UnigramPerturbator(Perturbator):
         if np.any(weights < 0) or weights.sum() <= 0:
             raise ValueError("pool weights must be non-negative with positive sum")
         self.pool_weights = weights / weights.sum()
+        # the CDF ``rng.choice(p=pool_weights)`` builds on every call: searching
+        # it with the same uniforms gives the same draws and stream state
+        self._cdf = self.pool_weights.cumsum()
+        self._cdf /= self._cdf[-1]
         self.mask_prob = float(mask_prob)
         self.zeta = int(zeta) if zeta is not None else len(pool_words)
 
@@ -75,22 +79,17 @@ class UnigramPerturbator(Perturbator):
             if not 0 <= pos < m:
                 raise ValueError(f"keep position {pos} outside document of length {m}")
         free = np.asarray([i for i in range(m) if i not in keep_set], dtype=np.intp)
-        base = list(doc.words)
         if free.size == 0 or n == 0:
-            return [tuple(base)] * n
+            return [tuple(doc.words)] * n
         masks = rng.random((n, free.size)) < self.mask_prob
-        total = int(masks.sum())
-        if total:
-            draws = rng.choice(self.pool_words.size, size=total, p=self.pool_weights)
-        fill = 0
-        out = []
-        for row in range(n):
-            words = list(base)
-            for j in np.nonzero(masks[row])[0]:
-                words[free[j]] = str(self.pool_words[draws[fill]])
-                fill += 1
-            out.append(tuple(words))
-        return out
+        rows = np.empty((n, m), dtype=object)
+        rows[:] = doc.words
+        # nonzero lists the masked slots row by row, the order the draws fill
+        masked_row, masked_col = np.nonzero(masks)
+        if masked_row.size:
+            picks = self._cdf.searchsorted(rng.random(masked_row.size), side="right")
+            rows[masked_row, free[masked_col]] = self.pool_words[picks]
+        return list(map(tuple, rows.tolist()))
 
 
 def build_unigram_perturbator(stats: WordStats, zeta: int = 500,

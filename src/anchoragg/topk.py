@@ -15,10 +15,10 @@ point yields a valid, improving answer. Optimizations on top:
   partial probabilistic score is already high;
 - document sampling: run on a uniform subset of the corpus.
 
-Token estimations inside a document are independent and may run on a
-thread pool; tallies, selection, filtering, and snapshots are applied in
-document order by the single reducer, so outputs are identical for any
-worker count.
+Token estimations inside a document are independent and move in rounds
+whose perturbation draws may run on a thread pool; tallies, selection,
+filtering, and snapshots are applied in document order by the single
+reducer, so outputs are identical for any worker count.
 """
 
 from __future__ import annotations

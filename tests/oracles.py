@@ -7,6 +7,8 @@ checks.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import stats
 
@@ -177,3 +179,79 @@ def gd_steps_by_hand(X: np.ndarray, y_idx: np.ndarray, n_classes: int,
         W = W - lr * (X.T @ grad + 2.0 * l2 * W)
         b = b - lr * grad.sum(axis=0)
     return W, b
+
+
+# -- per-row and per-token loops of the sample path ---------------------------
+
+
+def bow_proba_by_loop(clf, words) -> np.ndarray:
+    """Class probabilities of one word sequence, summing the weight rows of
+    its in-vocabulary words one at a time, left to right."""
+    logits = clf.bias_.copy()
+    for w in words:
+        j = clf._vocab_index_.get(w)
+        if j is not None:
+            logits += clf.weights_[j]
+    shifted = logits - logits.max()
+    exp = np.exp(shifted)
+    return exp / exp.sum()
+
+
+def unigram_fill_by_loop(pert, doc, keep, n, rng) -> list[tuple[str, ...]]:
+    """Perturbations drawn one masked slot at a time: mask coins for all
+    free positions, ``rng.choice`` for the fills, then a row-by-row fill."""
+    m = len(doc.words)
+    keep_set = set(keep)
+    free = np.asarray([i for i in range(m) if i not in keep_set], dtype=np.intp)
+    base = list(doc.words)
+    if free.size == 0 or n == 0:
+        return [tuple(base)] * n
+    masks = rng.random((n, free.size)) < pert.mask_prob
+    total = int(masks.sum())
+    if total:
+        draws = rng.choice(pert.pool_words.size, size=total, p=pert.pool_weights)
+    fill = 0
+    out = []
+    for row in range(n):
+        words = list(base)
+        for j in np.nonzero(masks[row])[0]:
+            words[free[j]] = str(pert.pool_words[draws[fill]])
+            fill += 1
+        out.append(tuple(words))
+    return out
+
+
+def sequential_test_by_token(doc, position, predictor, perturbator, cfg,
+                             tau_eff, rng, target_idx):
+    """(is_anchor, successes, trials) of one token, tested on its own:
+    batches until a Hoeffding bound clears ``tau_eff`` or the budget ends."""
+    successes = trials = 0
+    while trials < cfg.max_samples:
+        batch = min(cfg.batch_size, cfg.max_samples - trials)
+        samples = perturbator.sample_batch(doc, (position,), batch, rng)
+        probs = predictor.predict_proba_many(samples)
+        successes += int(np.sum(np.argmax(probs, axis=1) == target_idx))
+        trials += batch
+        half = math.sqrt(math.log(2.0 / cfg.delta) / (2.0 * trials))
+        point = successes / trials
+        if max(0.0, point - half) >= tau_eff:
+            return True, successes, trials
+        if min(1.0, point + half) < tau_eff:
+            return False, successes, trials
+    return successes / trials >= tau_eff, successes, trials
+
+
+def aopc_by_document(words, corpus, predictor, c) -> np.ndarray:
+    """Per-prefix AOPC drops, scoring one document or prefix per call."""
+    class_docs = [d for d in corpus if predictor.predict(d) == c]
+    c_idx = predictor.class_index(c)
+    drops = np.zeros(len(words))
+    for doc in class_docs:
+        if not set(words).intersection(doc.words):
+            continue
+        base = predictor.predict_proba_words(doc.words)[c_idx]
+        for i in range(1, len(words) + 1):
+            removed = set(words[:i])
+            kept = [w for w in doc.words if w not in removed]
+            drops[i - 1] += base - predictor.predict_proba_words(kept)[c_idx]
+    return drops / len(class_docs)

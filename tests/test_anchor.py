@@ -1,19 +1,23 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchoragg.anchor import (AnchorConfig, adaptive_tau, anchors_of_document,
-                              confidence_bounds, estimate_token)
-from anchoragg.corpus import Document
-from anchoragg.perturb import UnigramPerturbator
+from anchoragg.anchor import (ROUND_ROWS, AnchorConfig, adaptive_tau,
+                              anchors_of_document, confidence_bounds,
+                              estimate_token)
+from anchoragg.corpus import Document, word_stats
+from anchoragg.model import Predictor, train_bow
+from anchoragg.perturb import UnigramPerturbator, build_unigram_perturbator
 from anchoragg.seeding import stream_rng
+from anchoragg.synth import SynthSpec, generate_planted_corpus
 
 from conftest import (CoinPerturbator, ConstantPredictor, FlipWordPredictor,
                       PositionWordPredictor)
-from oracles import interval_coverage, mc_precision
+from oracles import interval_coverage, mc_precision, sequential_test_by_token
 
 
 class TestConfidenceBounds:
@@ -240,6 +244,103 @@ class TestAnchorsOfDocument:
                 rng_for=lambda pos: stream_rng(3, "doc", doc.id, pos),
                 executor=pool)
         assert serial == parallel
+
+
+class CallRecorder(Predictor):
+    """Passes calls through and records the row count of each batch call."""
+
+    def __init__(self, base):
+        self.base = base
+        self.classes_ = base.classes_
+        self.batches = []
+
+    def predict_proba_words(self, words):
+        return self.base.predict_proba_words(words)
+
+    def predict_proba_many(self, docs):
+        self.batches.append(len(docs))
+        return self.base.predict_proba_many(docs)
+
+
+class TestRounds:
+    """Testing every token of a document in shared rounds decides exactly
+    as testing each token on its own stream."""
+
+    @staticmethod
+    def _check_against_oracle(doc, pred, pert, cfg, threshold_for,
+                              skip=None, executor=None, recorder=None):
+        rng_for = lambda pos: stream_rng(11, "rounds", doc.id, pos)
+        target = pred.predict(doc)
+        decisions = anchors_of_document(doc, recorder or pred, pert, cfg,
+                                        threshold_for, rng_for, skip_word=skip,
+                                        target=target, executor=executor)
+        assert [d.token.position for d in decisions] == list(range(len(doc.words)))
+        for pos, (word, d) in enumerate(zip(doc.words, decisions)):
+            assert d.tau_eff == threshold_for(word)
+            if skip is not None and skip(word):
+                assert d.skipped and d.samples_used == 0
+                continue
+            expected = sequential_test_by_token(
+                doc, pos, pred, pert, cfg, threshold_for(word), rng_for(pos),
+                pred.class_index(target))
+            assert (d.is_anchor, d.estimate.successes, d.samples_used) == expected
+        return decisions
+
+    def test_early_stops_thresholds_and_skips(self):
+        doc = Document.from_text("d", "a b c d e a b skip f g c")
+        cfg = AnchorConfig(batch_size=7, max_samples=60)
+        taus = {"a": 0.55, "b": 0.7, "c": 0.8, "d": 0.9, "e": 0.95, "f": 1.0,
+                "g": 0.6, "skip": 0.95}
+        stops = set()
+        for pi in (0.2, 0.5, 0.7, 0.85, 0.93, 1.0):
+            decisions = self._check_against_oracle(
+                doc, FlipWordPredictor(), CoinPerturbator(pi), cfg, taus.get,
+                skip=lambda w: w == "skip")
+            stops |= {d.samples_used for d in decisions if not d.skipped}
+        # decisions at the first look, in between and at the budget
+        assert {7, 60} <= stops and len(stops) > 3
+
+    def test_trained_model_and_unigram_pool(self):
+        spec = SynthSpec(n_docs=30, n_fillers=40, n_singleton_docs=2)
+        corpus, _ = generate_planted_corpus(spec, seed=3)
+        clf = train_bow(corpus, epochs=100, learning_rate=0.3, seed=0)
+        pert = build_unigram_perturbator(word_stats(corpus), zeta=50)
+        cfg = AnchorConfig(delta=0.3)
+        for doc in corpus.documents[:6]:
+            self._check_against_oracle(doc, clf, pert, cfg, lambda w: 0.8,
+                                       skip=lambda w: len(w) < 3)
+
+    def test_executor_draws_match_oracle(self):
+        doc = Document.from_text("d", "a b c d e f g h")
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            self._check_against_oracle(doc, FlipWordPredictor(),
+                                       CoinPerturbator(0.9), AnchorConfig(),
+                                       lambda w: 0.9, executor=pool)
+
+    def test_one_predictor_call_per_round(self):
+        doc = Document.from_text("d", "a b c d e f g h i j k l")
+        for cfg in (AnchorConfig(), AnchorConfig(batch_size=10, max_samples=25),
+                    AnchorConfig(batch_size=7, max_samples=100)):
+            pred = CallRecorder(FlipWordPredictor())
+            anchors_of_document(doc, pred, CoinPerturbator(0.9), cfg,
+                                threshold_for=lambda w: cfg.tau,
+                                rng_for=lambda pos: stream_rng(4, "calls", pos),
+                                target="pos")
+            assert len(pred.batches) <= math.ceil(cfg.max_samples / cfg.batch_size)
+            assert pred.batches[0] == len(doc.words) * cfg.batch_size
+
+    def test_round_rows_are_capped(self):
+        words = " ".join(f"w{i % 50}" for i in range(600))
+        doc = Document.from_text("long", words)
+        pred = FlipWordPredictor()
+        recorder = CallRecorder(pred)
+        cfg = AnchorConfig()
+        assert len(doc.words) * cfg.batch_size > ROUND_ROWS
+        self._check_against_oracle(doc, pred, CoinPerturbator(0.9), cfg,
+                                   lambda w: 0.9, recorder=recorder)
+        assert max(recorder.batches) <= ROUND_ROWS
+        # the first round's 6,000 rows go out in two calls
+        assert sum(recorder.batches[:2]) == len(doc.words) * cfg.batch_size
 
 
 class TestStatisticalSoundness:

@@ -263,3 +263,42 @@ class TestExternalBackendsViaCli:
         assert code == 0
         terms = TermList.load("ext_terms.json")
         assert len(terms) == 3
+
+
+class TestGoldenOutput:
+    """A fixed baseline-profile run must reproduce its recorded outputs.
+
+    The digest covers terms, counts, snapshots without ``t_sec`` and the
+    per-token trace. It was recorded with the per-row sample path, so any
+    change to the draws or to the order of the logit sum fails here.
+    """
+
+    DIGEST = "acbe769022e0edd2261ab32a83c3af347aafa7c15a15c342a4076efbaac061e5"
+
+    @staticmethod
+    def _digest(ws) -> str:
+        import hashlib
+
+        jsonl = lambda name: [json.loads(l) for l in
+                              (ws / name).read_text().splitlines() if l]
+        snapshots = jsonl("snaps.jsonl")
+        for snap in snapshots:
+            del snap["t_sec"]
+        content = {"terms": json.loads((ws / "terms.json").read_text()),
+                   "counts": jsonl("counts.jsonl"), "snapshots": snapshots,
+                   "trace": jsonl("trace.jsonl")}
+        blob = json.dumps(content, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+    def test_baseline_topk_digest(self, workspace):
+        assert run("synth", "--out", "c.jsonl", "--truth", "t.json",
+                   "--docs", "40", "--seed", "1") == 0
+        assert run("train", "--corpus", "c.jsonl", "--format", "jsonl",
+                   "--out", "m.json", "--seed", "0") == 0
+        assert run("topk", "--corpus", "c.jsonl", "--format", "jsonl",
+                   "--model", "m.json", "--class", "pos", "--k", "10",
+                   "--agg", "pr", "--alpha", "0.5", "--profile", "baseline",
+                   "--seed", "7", "--threads", "1", "--terms", "terms.json",
+                   "--snapshots", "snaps.jsonl", "--counts", "counts.jsonl",
+                   "--trace", "trace.jsonl") == 0
+        assert self._digest(workspace) == self.DIGEST

@@ -8,6 +8,7 @@ from anchoragg.eval import (TermList, aopc_k, append_drop, quality_timeline,
 from anchoragg.model import CachingPredictor, Predictor, train_bow
 
 from conftest import make_corpus
+from oracles import aopc_by_document
 
 
 def terms(words, start=1.0):
@@ -142,6 +143,48 @@ class TestAopc:
         full = aopc_k(terms(["key", "note", "pad"]), corpus, pred, "pos")
         short = aopc_k(terms(["key", "note"]), corpus, pred, "pos")
         np.testing.assert_allclose(full.per_prefix[:2], short.per_prefix)
+
+
+    def test_equals_per_document_scoring(self, planted200):
+        corpus, truth, clf = planted200
+        words = list(truth.signal["pos"][:6]) + ["the", "zz-unseen"]
+        tl = TermList.from_pairs("pos", "test",
+                                 [(w, 1.0 - i / 10) for i, w in enumerate(words)])
+        result = aopc_k(tl, corpus, clf, "pos")
+        assert np.array_equal(result.per_prefix,
+                              aopc_by_document(tl.words, corpus, clf, "pos"))
+
+    def test_external_requests_follow_batch_size(self, tmp_path):
+        import math
+        import sys
+
+        from anchoragg.model import ExternalPredictorClient
+
+        script = tmp_path / "counting.py"
+        script.write_text(
+            "import json, sys\n"
+            "for line in sys.stdin:\n"
+            "    texts = json.loads(line)['texts']\n"
+            "    with open(sys.argv[1], 'a') as log:\n"
+            "        log.write(f'{len(texts)}\\n')\n"
+            "    probs = [[0.1, 0.9] if 'key' in t else [0.4, 0.6] for t in texts]\n"
+            "    print(json.dumps({'probs': probs, 'classes': ['neg', 'pos']}),"
+            " flush=True)\n")
+        log = tmp_path / "requests.log"
+        corpus = make_corpus([(str(i), "key note" if i % 3 else "plain text", "pos")
+                              for i in range(23)])
+        client = ExternalPredictorClient(
+            command=[sys.executable, str(script), str(log)], batch_size=4)
+        try:
+            result = aopc_k(terms(["key", "note"]), corpus, client, "pos")
+        finally:
+            client.close()
+        sizes = [int(n) for n in log.read_text().split()]
+        touched_rows = sum(1 for i in range(23) if i % 3) * 3
+        assert sizes[:math.ceil(23 / 4)] == [4] * 5 + [3]
+        assert len(sizes) == math.ceil(23 / 4) + math.ceil(touched_rows / 4)
+        assert sum(sizes) == 23 + touched_rows
+        assert result.documents == 23
 
 
 class TestSharedTerms:

@@ -110,6 +110,33 @@ class TestExternalPredictorSubprocess:
         with pytest.raises(ExternalPredictorError):
             client.predict_proba_words(["x"])
 
+    def test_dead_subprocess_is_reaped_at_once(self, monkeypatch):
+        import gc
+        import subprocess
+        import warnings
+
+        started = []
+
+        class Recorded(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", Recorded)
+        client = ExternalPredictorClient(
+            command=[sys.executable, "-c", "import sys; sys.exit(0)"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ExternalPredictorError, match="closed its stdout"):
+                client.predict_proba_words(["x"])
+            assert client._transport._proc is None
+            (proc,) = started
+            assert proc.returncode is not None
+            assert proc.stdout.closed
+            del proc, started[:]
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
 
 class TestExternalPredictorHttp:
     def test_row_alignment(self, http_server):

@@ -5,10 +5,11 @@ import pytest
 
 from anchoragg.corpus import Document
 from anchoragg.model import (BowClassifier, CachingPredictor, CountingPredictor,
-                             accuracy, load_model, save_model, train_bow)
+                             Predictor, accuracy, load_model, save_model,
+                             train_bow)
 
 from conftest import make_corpus
-from oracles import gd_steps_by_hand
+from oracles import bow_proba_by_loop, gd_steps_by_hand
 
 
 def separable_corpus():
@@ -112,6 +113,42 @@ class TestPrediction:
         np.testing.assert_array_equal(clf.predict_proba(d1), clf.predict_proba(d2))
 
 
+class TestBatchedScoring:
+    @staticmethod
+    def _random_model(rng, n_classes, n_words):
+        clf = BowClassifier()
+        clf.classes_ = tuple(f"c{i}" for i in range(n_classes))
+        clf.vocabulary_ = tuple(f"w{j}" for j in range(n_words))
+        clf._vocab_index_ = {w: j for j, w in enumerate(clf.vocabulary_)}
+        # weights over six orders of magnitude, so the sum order shows
+        scale = 10.0 ** rng.uniform(-3, 3, size=(n_words, 1))
+        clf.weights_ = rng.normal(size=(n_words, n_classes)) * scale
+        clf.bias_ = rng.normal(size=n_classes)
+        return clf
+
+    @staticmethod
+    def _random_doc(rng, clf, length):
+        return tuple(clf.vocabulary_[j] if rng.random() < 0.8 else f"oov{j}"
+                     for j in rng.integers(0, len(clf.vocabulary_), length))
+
+    def test_many_equals_word_by_word_loop(self):
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            clf = self._random_model(rng, int(rng.integers(2, 8)),
+                                     int(rng.integers(1, 40)))
+            # mixed lengths 0..60 in one call
+            docs = [self._random_doc(rng, clf, int(rng.integers(0, 61)))
+                    for _ in range(int(rng.integers(1, 25)))]
+            expected = np.stack([bow_proba_by_loop(clf, d) for d in docs])
+            assert np.array_equal(clf.predict_proba_many(docs), expected)
+            assert np.array_equal(
+                np.stack([clf.predict_proba_words(d) for d in docs]), expected)
+
+    def test_empty_batch(self):
+        clf = train_bow(separable_corpus(), epochs=10)
+        assert clf.predict_proba_many([]).shape == (0, 2)
+
+
 class TestAccuracy:
     def test_perfect(self):
         corpus = separable_corpus()
@@ -160,6 +197,26 @@ class TestWrappers:
         counting.predict_proba_words(["good"])
         counting.predict_proba_many([["a"], ["b"], ["c"]])
         assert counting.calls == 4
+
+    def test_caching_sends_distinct_misses_in_one_call(self):
+        clf = train_bow(separable_corpus(), epochs=10)
+        calls = []
+
+        class Recording(Predictor):
+            classes_ = clf.classes_
+
+            def predict_proba_many(self, docs):
+                calls.append([tuple(d) for d in docs])
+                return clf.predict_proba_many(docs)
+
+        cached = CachingPredictor(Recording())
+        cached.predict_proba_words(["good"])
+        docs = [["good"], ["bad"], ["fine"], ["bad"], ["good"]]
+        got = cached.predict_proba_many(docs)
+        assert calls == [[("good",)], [("bad",), ("fine",)]]
+        assert np.array_equal(got, clf.predict_proba_many(docs))
+        cached.predict_proba_many(docs)
+        assert len(calls) == 2
 
     def test_caching_suppresses_repeat_calls(self):
         clf = train_bow(separable_corpus(), epochs=10)

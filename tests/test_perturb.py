@@ -9,6 +9,7 @@ from anchoragg.perturb import UnigramPerturbator, build_unigram_perturbator
 from anchoragg.seeding import stream_rng
 
 from conftest import make_corpus
+from oracles import unigram_fill_by_loop
 
 
 class TestBuildPool:
@@ -107,3 +108,24 @@ class TestSampling:
         doc = Document.from_text("0", "a b")
         with pytest.raises(ValueError):
             pert.sample_batch(doc, (5,), 1, stream_rng(0, "t"))
+
+
+class TestVectorizedFill:
+    def test_equals_choice_loop_and_leaves_same_stream(self):
+        for seed in range(2000):
+            r = np.random.default_rng(10**6 + seed)
+            size = int(r.integers(1, 60))
+            # some zero weights: the CDF has flat steps there
+            weights = r.random(size) * r.integers(0, 2, size)
+            weights[int(r.integers(0, size))] += 0.5
+            pert = UnigramPerturbator([f"p{i}" for i in range(size)], weights,
+                                      mask_prob=float(r.uniform(0.05, 1.0)))
+            m = int(r.integers(1, 30))
+            doc = Document.from_text("0", " ".join(f"t{i}" for i in range(m)))
+            keep = tuple(int(p) for p in r.choice(m, size=int(r.integers(0, min(m, 3) + 1)),
+                                                   replace=False))
+            n = int(r.integers(0, 25))
+            ours, theirs = stream_rng(seed, "fill"), stream_rng(seed, "fill")
+            assert pert.sample_batch(doc, keep, n, ours) == \
+                unigram_fill_by_loop(pert, doc, keep, n, theirs)
+            assert ours.random() == theirs.random()
