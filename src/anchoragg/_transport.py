@@ -6,8 +6,11 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
+import select
 import subprocess
 import threading
+import time
 from typing import Sequence
 
 
@@ -29,6 +32,7 @@ class JsonLinesTransport:
         self.error = error
         self.service = service
         self._proc = None
+        self._pending = b""  # bytes the child wrote past its last full line
         self._lock = threading.Lock()
 
     def roundtrip(self, request: dict) -> dict:
@@ -59,34 +63,58 @@ class JsonLinesTransport:
             raise self.error(f"{self.service} endpoint unreachable: {exc}") from exc
         raise self.error(f"{self.service} endpoint returned HTTP {status}")
 
-    def _exchange(self, request: dict) -> str:
+    def _exchange(self, request: dict) -> bytes:
         with self._lock:
             if self._proc is None or self._proc.poll() is not None:
                 self.close()
                 self._proc = subprocess.Popen(
-                    self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                    text=True, bufsize=1)
+                    self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+                self._pending = b""
             try:
-                self._proc.stdin.write(json.dumps(request) + "\n")
+                self._proc.stdin.write(json.dumps(request).encode("utf-8") + b"\n")
                 self._proc.stdin.flush()
-                line = self._proc.stdout.readline()
+                line = self._read_line()
             except OSError as exc:
                 self.close()
                 raise self.error(f"{self.service} subprocess failed: {exc}") from exc
+            if line is None:
+                self._end(grace=0)
+                raise self.error(f"{self.service} subprocess did not reply "
+                                 f"within {self.timeout} s")
             if not line:
                 self.close()  # reap the child now, not on the next request
                 raise self.error(f"{self.service} subprocess closed its stdout")
         return line
 
+    def _read_line(self) -> bytes | None:
+        """The child's next line; b"" at end of output, None when ``timeout``
+        seconds pass first. The deadline covers the whole line, so a child
+        that hangs mid-line cannot stall the caller either."""
+        deadline = time.monotonic() + self.timeout
+        fd = self._proc.stdout.fileno()  # read raw: select cannot see a buffer
+        while b"\n" not in self._pending:
+            left = deadline - time.monotonic()
+            if left <= 0 or not select.select([fd], [], [], left)[0]:
+                return None
+            chunk = os.read(fd, 1 << 16)
+            if not chunk:
+                return b""
+            self._pending += chunk
+        line, _, self._pending = self._pending.partition(b"\n")
+        return line
+
     def close(self) -> None:
         """End the child: close its stdin, wait 5 s for it to exit, then kill it."""
+        self._end(grace=5)
+
+    def _end(self, grace: float) -> None:
         proc, self._proc = self._proc, None
         if proc is None:
             return
         with contextlib.suppress(OSError):  # a dead child's unflushed pipe
             proc.stdin.close()
         try:
-            proc.wait(timeout=5)
+            proc.wait(timeout=grace)
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()

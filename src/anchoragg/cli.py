@@ -401,7 +401,9 @@ def cmd_anchors(args: argparse.Namespace) -> int:
                        batch_size=resolved["batch_size"],
                        max_samples=resolved["max_samples"])
     try:
-        stats = word_stats(corpus, {d.id: cached.predict(d) for d in corpus})
+        predicted = cached.predict_many(corpus.documents)
+        labels = {d.id: label for d, label in zip(corpus, predicted)}
+        stats = word_stats(corpus, labels)
         perturbator = build_unigram_perturbator(stats, zeta=resolved["zeta"],
                                                 mask_prob=resolved["mask_prob"])
         if resolved["class_label"]:
@@ -418,7 +420,7 @@ def cmd_anchors(args: argparse.Namespace) -> int:
             for doc in docs:
                 if len(doc.words) == 0:
                     continue
-                target = cached.predict(doc)
+                target = labels[doc.id]
                 decisions = anchors_of_document(
                     doc, predictor, perturbator, cfg,
                     threshold_for=lambda w: cfg.tau,

@@ -18,7 +18,7 @@ from typing import IO, Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Corpus, Document, tokenize
-from .model import CachingPredictor, Predictor
+from .model import Predictor, accuracy
 
 __all__ = [
     "TermList",
@@ -122,30 +122,61 @@ def aopc_k(terms: TermList, corpus: Corpus, predictor: Predictor, c: str
     """
     if len(terms) == 0:
         raise ValueError("empty term list")
-    k = len(terms)
-    docs = list(corpus)
-    predicted = np.argmax(predictor.predict_proba_many([d.words for d in docs]),
-                          axis=1) if docs else ()
-    class_docs = [d for d, j in zip(docs, predicted) if predictor.classes_[j] == c]
-    if not class_docs:
-        raise ValueError(f"no documents classified as {c!r}")
-    c_idx = predictor.class_index(c)
-    words = terms.words
-    term_set = set(words)
-    touched = [d for d in class_docs if not term_set.isdisjoint(d.words)]
-    drops = np.zeros(k)
-    if touched:
-        # per touched document: its words, then its k removal prefixes
-        rows = [remove_prefix(doc, words, i).words
-                for doc in touched for i in range(k + 1)]
-        probs = predictor.predict_proba_many(rows)[:, c_idx].reshape(len(touched), k + 1)
-        for row in probs:
-            for i in range(k):
-                drops[i] += row[0] - row[i + 1]
-    per_prefix = drops / len(class_docs)
-    value = float(per_prefix.sum() / (k + 1))
-    return AopcResult(value=value, per_prefix=tuple(per_prefix.tolist()),
-                      documents=len(class_docs))
+    return _AopcScorer(corpus, predictor, c).aopc(terms.words)
+
+
+class _AopcScorer:
+    """AOPC of term lists over one corpus, predictor and class.
+
+    The corpus is classified in one call, and a class document's probability
+    there is its prefix-0 score. A document's removal row changes only at the
+    terms it contains, so each row is keyed by the removed words the document
+    contains and scored once, for this list and every later one.
+    """
+
+    def __init__(self, corpus: Corpus, predictor: Predictor, c: str):
+        docs = list(corpus)
+        probs = predictor.predict_proba_many([d.words for d in docs]) if docs else ()
+        chosen = [i for i, row in enumerate(probs)
+                  if predictor.classes_[int(np.argmax(row))] == c]
+        if not chosen:
+            raise ValueError(f"no documents classified as {c!r}")
+        self._predictor = predictor
+        self._c_idx = predictor.class_index(c)
+        self._docs = [docs[i] for i in chosen]
+        self._word_sets = [frozenset(d.words) for d in self._docs]
+        # per class document: removed words it contains -> class probability
+        self._scores = [{frozenset(): float(probs[i][self._c_idx])} for i in chosen]
+
+    def aopc(self, words: Sequence[str]) -> AopcResult:
+        k = len(words)
+        plans = []  # per touched document: its row key at each prefix 0..k
+        missing: dict[tuple[int, frozenset[str]], tuple[str, ...]] = {}
+        for j, present in enumerate(self._word_sets):
+            if present.isdisjoint(words):
+                continue
+            removed = frozenset()
+            keys = [removed]
+            for i, w in enumerate(words, start=1):
+                if w in present:
+                    removed = removed | {w}
+                    if removed not in self._scores[j]:
+                        kept = remove_prefix(self._docs[j], words, i)
+                        missing[j, removed] = kept.words
+                keys.append(removed)
+            plans.append((j, keys))
+        if missing:
+            probs = self._predictor.predict_proba_many(list(missing.values()))
+            for (j, removed), p in zip(missing, probs[:, self._c_idx].tolist()):
+                self._scores[j][removed] = p
+        drops = np.zeros(k)
+        for j, keys in plans:
+            row = np.array([self._scores[j][key] for key in keys])
+            drops += row[0] - row[1:]
+        per_prefix = drops / len(self._docs)
+        value = float(per_prefix.sum() / (k + 1))
+        return AopcResult(value=value, per_prefix=tuple(per_prefix.tolist()),
+                          documents=len(self._docs))
 
 
 def shared_terms_ratio(a: TermList | Sequence[str], b: TermList | Sequence[str]
@@ -191,7 +222,7 @@ def append_drop(corpus: Corpus, predictor: Predictor, sentence: str,
         unknown = opposite - set(corpus.classes)
         if unknown:
             raise ValueError(f"unknown opposite labels: {sorted(unknown)}")
-    before = _accuracy(predictor, corpus.documents, corpus.labels)
+    before = accuracy(predictor, corpus)
     modified = []
     for doc in corpus:
         if corpus.labels[doc.id] not in opposite:
@@ -201,15 +232,10 @@ def append_drop(corpus: Corpus, predictor: Predictor, sentence: str,
         if max_chars is not None:
             text = text[:max_chars]
         modified.append(Document.from_text(doc.id, text))
-    after = _accuracy(predictor, modified, corpus.labels)
+    after = accuracy(predictor, Corpus(documents=tuple(modified),
+                                       labels=corpus.labels, classes=corpus.classes))
     return AppendDropResult(accuracy_before=before, accuracy_after=after,
                             drop_points=(before - after) * 100.0)
-
-
-def _accuracy(predictor: Predictor, documents: Sequence[Document],
-              labels: Mapping[str, str]) -> float:
-    hits = sum(1 for d in documents if predictor.predict(d) == labels[d.id])
-    return hits / len(documents)
 
 
 def quality_timeline(snapshots: Sequence[Mapping], corpus: Corpus,
@@ -217,19 +243,25 @@ def quality_timeline(snapshots: Sequence[Mapping], corpus: Corpus,
                      ) -> list[tuple[float, int, float]]:
     """Evaluate each snapshot's top-k list; returns (t_sec, calls, aopc) rows.
 
-    Removal prefixes repeat heavily across snapshots, so predictions run
-    through a content-keyed cache.
+    Snapshots repeat lists and removal rows heavily, so one scorer serves
+    them all and each distinct list is evaluated once. The scorer is built
+    at the first non-empty snapshot: a log without one makes no predictor
+    call.
     """
-    cached = CachingPredictor(predictor)
+    scorer = None
+    values: dict[tuple[str, ...], float] = {}
     rows = []
     for snap in snapshots:
         topk = snap["topk"]
         if not topk:
             continue
-        terms = TermList.from_pairs(c, "snapshot",
-                                    [(t["word"], float(t["score"])) for t in topk])
-        result = aopc_k(terms, corpus, cached, c)
-        rows.append((float(snap["t_sec"]), int(snap["calls"]), result.value))
+        pairs = [(t["word"], float(t["score"])) for t in topk]
+        words = TermList.from_pairs(c, "snapshot", pairs).words
+        if words not in values:
+            if scorer is None:
+                scorer = _AopcScorer(corpus, predictor, c)
+            values[words] = scorer.aopc(words).value
+        rows.append((float(snap["t_sec"]), int(snap["calls"]), values[words]))
     return rows
 
 

@@ -118,12 +118,13 @@ def order_documents(corpus: Corpus, predictor: Predictor, c: str
 
     Ties in confidence break by ascending document id.
     """
+    docs = list(corpus)
+    if not docs:
+        return []
+    probs = predictor.predict_proba_many([d.words for d in docs])
     c_idx = predictor.class_index(c)
-    chosen = []
-    for doc in corpus:
-        probs = predictor.predict_proba(doc)
-        if predictor.classes_[int(np.argmax(probs))] == c:
-            chosen.append((-float(probs[c_idx]), doc.id, doc))
+    chosen = [(-float(row[c_idx]), doc.id, doc) for doc, row in zip(docs, probs)
+              if predictor.classes_[int(np.argmax(row))] == c]
     chosen.sort(key=lambda item: (item[0], item[1]))
     return [doc for _, _, doc in chosen]
 
@@ -148,7 +149,8 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
     counting = CountingPredictor(predictor)
     cached = CachingPredictor(counting)
 
-    predicted = {doc.id: cached.predict(doc) for doc in corpus}
+    predicted = {d.id: label for d, label in
+                 zip(corpus, cached.predict_many(corpus.documents))}
     # external predictors learn their class set on first contact, so this
     # check has to come after the predictions
     if set(predictor.classes_) != set(corpus.classes):

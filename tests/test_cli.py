@@ -265,6 +265,63 @@ class TestExternalBackendsViaCli:
         assert len(terms) == 3
 
 
+    def test_topk_sends_the_corpus_in_batches(self, workspace):
+        import math
+        import sys as _sys
+
+        from anchoragg.corpus import load_corpus
+
+        assert run("synth", "--out", "c.jsonl", "--docs", "22", "--seed", "3") == 0
+        (workspace / "pred.py").write_text(
+            self.PRED.replace("    req = json.loads(line)\n",
+                              "    req = json.loads(line)\n"
+                              "    open('texts.log', 'a').write(line)\n"))
+        code = run("topk", "--corpus", "c.jsonl", "--format", "jsonl",
+                   "--external-cmd", f"{_sys.executable} pred.py",
+                   "--external-batch-size", "4",
+                   "--class", "pos", "--k", "3", "--agg", "sq", "--seed", "5",
+                   "--max-samples", "8", "--batch-size", "4", "--threads", "1")
+        assert code == 0
+        requests = [json.loads(l)["texts"]
+                    for l in (workspace / "texts.log").read_text().splitlines()]
+        corpus = load_corpus("c.jsonl", format="jsonl")
+        first = requests[:math.ceil(len(corpus) / 4)]
+        assert [t for texts in first for t in texts] == \
+            [" ".join(d.words) for d in corpus]
+        assert all(len(texts) > 1 for texts in requests)
+
+    def test_hung_service_exits_3(self, workspace, capsys):
+        import sys as _sys
+
+        assert run("synth", "--out", "c.jsonl", "--docs", "20", "--seed", "3") == 0
+        TermList.from_pairs("pos", "sq", [("gsig", 1.0)]).save("terms.json")
+        (workspace / "pred.py").write_text(
+            "import sys, time\nsys.stdin.readline()\ntime.sleep(60)\n")
+        code = run("eval-aopc", "--terms", "terms.json", "--corpus", "c.jsonl",
+                   "--format", "jsonl", "--timeout", "0.5",
+                   "--external-cmd", f"{_sys.executable} pred.py")
+        assert code == 3
+        assert "did not reply within 0.5 s" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy():
+    """Only training needs scipy; every other command skips its import."""
+    import subprocess
+    import sys as _sys
+    from pathlib import Path
+
+    import anchoragg
+
+    src = str(Path(anchoragg.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [_sys.executable, "-c",
+         "import sys, anchoragg, anchoragg.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        check=True)
+    assert out.stdout.strip() == "[]"
+
+
 class TestGoldenOutput:
     """A fixed baseline-profile run must reproduce its recorded outputs.
 
@@ -274,6 +331,7 @@ class TestGoldenOutput:
     """
 
     DIGEST = "acbe769022e0edd2261ab32a83c3af347aafa7c15a15c342a4076efbaac061e5"
+    EVAL_DIGEST = "5143f75c919cf93b5656351852b6f3ede2e933fe8d286ce7170671e5f8d43ecf"
 
     @staticmethod
     def _digest(ws) -> str:
@@ -290,7 +348,8 @@ class TestGoldenOutput:
         blob = json.dumps(content, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
-    def test_baseline_topk_digest(self, workspace):
+    @staticmethod
+    def _baseline_topk():
         assert run("synth", "--out", "c.jsonl", "--truth", "t.json",
                    "--docs", "40", "--seed", "1") == 0
         assert run("train", "--corpus", "c.jsonl", "--format", "jsonl",
@@ -301,4 +360,28 @@ class TestGoldenOutput:
                    "--seed", "7", "--threads", "1", "--terms", "terms.json",
                    "--snapshots", "snaps.jsonl", "--counts", "counts.jsonl",
                    "--trace", "trace.jsonl") == 0
+
+    def test_baseline_topk_digest(self, workspace):
+        self._baseline_topk()
         assert self._digest(workspace) == self.DIGEST
+
+    def test_eval_aopc_timeline_digest(self, workspace):
+        """``aopc.json`` and the timeline CSV without ``t_sec``, recorded
+        when every snapshot was scored on its own: the 22 snapshots hold 16
+        distinct lists, so memoized lists and removal rows must reproduce
+        every value bit for bit."""
+        import csv
+        import hashlib
+
+        self._baseline_topk()
+        assert run("eval-aopc", "--corpus", "c.jsonl", "--format", "jsonl",
+                   "--model", "m.json", "--terms", "terms.json",
+                   "--snapshots", "snaps.jsonl", "--class", "pos",
+                   "--out", "aopc.json", "--timeline-out", "timeline.csv") == 0
+        with open(workspace / "timeline.csv", newline="") as handle:
+            timeline = [row[1:] for row in csv.reader(handle)]
+        assert len(timeline) == 23
+        content = {"aopc": json.loads((workspace / "aopc.json").read_text()),
+                   "timeline": timeline}
+        blob = json.dumps(content, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == self.EVAL_DIGEST

@@ -5,7 +5,8 @@ from anchoragg.corpus import Document
 from anchoragg.eval import (TermList, aopc_k, append_drop, quality_timeline,
                             remove_prefix, shared_terms_ratio,
                             write_timeline_csv)
-from anchoragg.model import CachingPredictor, Predictor, train_bow
+from anchoragg.model import (CachingPredictor, CountingPredictor, Predictor,
+                             train_bow)
 
 from conftest import make_corpus
 from oracles import aopc_by_document
@@ -180,7 +181,9 @@ class TestAopc:
         finally:
             client.close()
         sizes = [int(n) for n in log.read_text().split()]
-        touched_rows = sum(1 for i in range(23) if i % 3) * 3
+        # the corpus once, then each of the 15 touched documents' two removal
+        # rows; their base rows come from the corpus call
+        touched_rows = sum(1 for i in range(23) if i % 3) * 2
         assert sizes[:math.ceil(23 / 4)] == [4] * 5 + [3]
         assert len(sizes) == math.ceil(23 / 4) + math.ceil(touched_rows / 4)
         assert sum(sizes) == 23 + touched_rows
@@ -270,8 +273,69 @@ class TestQualityTimeline:
         assert rows[0][2] == pytest.approx(rows[1][2])
 
     def test_empty_log(self):
+        class Refusing(DropPredictor):
+            def predict_proba_words(self, words):
+                raise AssertionError("a log without terms scores nothing")
+
         corpus = make_corpus([("0", "key pad", "pos")])
         assert quality_timeline([], corpus, DropPredictor(), "pos") == []
+        empty = [{"t_sec": 0.1, "calls": 0, "doc_index": 1, "topk": []}] * 3
+        assert quality_timeline(empty, corpus, Refusing(), "pos") == []
+
+    @staticmethod
+    def _snapshots(truth, corpus):
+        """~30 lists with repeats, shared prefixes, OOV and stop words, and
+        one empty ``topk``."""
+        rng = np.random.default_rng(3)
+        signal = list(truth.signal["pos"])
+        common = sorted({w for d in corpus.documents[:20] for w in d.words})
+        pool = list(dict.fromkeys(signal + common[:30]
+                                  + ["the", "and", "zz-unseen", "qq-unseen"]))
+        lists = [tuple(signal[:5]), tuple(signal[:5]), tuple(signal[:8]),
+                 ("the", "zz-unseen"), ("zz-unseen",), (), tuple(signal[:5])]
+        while len(lists) < 30:
+            if rng.random() < 0.3:  # extend or cut an earlier list
+                base = lists[int(rng.integers(len(lists)))]
+                extra = [w for w in rng.permutation(pool) if w not in base]
+                lists.append(base[:max(1, len(base) - 2)] + tuple(extra[:3]))
+            else:
+                size = int(rng.integers(1, 11))
+                lists.append(tuple(rng.choice(pool, size=size, replace=False)))
+        return [{"t_sec": 0.1 * n, "calls": 10 * n, "doc_index": n,
+                 "topk": [{"word": w, "score": 1.0 - i / 20} for i, w in enumerate(ws)]}
+                for n, ws in enumerate(lists)]
+
+    def test_equals_per_snapshot_oracle(self, planted200):
+        corpus, truth, clf = planted200
+        snaps = self._snapshots(truth, corpus)
+        rows = quality_timeline(snaps, corpus, clf, "pos")
+        expected = []
+        for snap in snaps:
+            words = [t["word"] for t in snap["topk"]]
+            if words:
+                per_prefix = aopc_by_document(words, corpus, clf, "pos")
+                expected.append((snap["t_sec"], snap["calls"],
+                                 float(per_prefix.sum() / (len(words) + 1))))
+        assert len(rows) == 29
+        assert rows == expected
+
+    def test_each_distinct_row_scored_once(self, planted200):
+        corpus, truth, clf = planted200
+        snaps = self._snapshots(truth, corpus)
+        class_docs = [d for d in corpus if clf.predict(d) == "pos"]
+        keys = set()
+        for snap in snaps:
+            words = [t["word"] for t in snap["topk"]]
+            for doc in class_docs:
+                for i in range(1, len(words) + 1):
+                    removed = frozenset(words[:i]).intersection(doc.words)
+                    if removed:
+                        keys.add((doc.id, removed))
+        once, twice = CountingPredictor(clf), CountingPredictor(clf)
+        rows = quality_timeline(snaps, corpus, once, "pos")
+        assert once.calls == len(corpus) + len(keys)
+        assert quality_timeline(snaps + snaps, corpus, twice, "pos") == rows + rows
+        assert twice.calls == once.calls
 
     def test_csv_output(self, tmp_path):
         path = tmp_path / "timeline.csv"
@@ -280,6 +344,29 @@ class TestQualityTimeline:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t_sec,calls,aopc"
         assert lines[1].startswith("0.1")
+
+
+class TestAppendDropCalls:
+    def test_two_batched_calls(self):
+        class Recording(Predictor):
+            def __init__(self, base):
+                self.base = base
+                self.classes_ = base.classes_
+                self.calls = []
+
+            def predict_proba_words(self, words):
+                self.calls.append("words")
+                return self.base.predict_proba_words(words)
+
+            def predict_proba_many(self, docs):
+                self.calls.append(("many", len(docs)))
+                return self.base.predict_proba_many(docs)
+
+        corpus, clf = TestAppendDrop()._trained()
+        pred = Recording(clf)
+        result = append_drop(corpus, pred, "happy joy happy joy happy joy", "pos")
+        assert pred.calls == [("many", 16), ("many", 16)]
+        assert result.accuracy_after == pytest.approx(0.5)
 
 
 class TestAppendDropOppositeSet:

@@ -138,6 +138,48 @@ class TestExternalPredictorSubprocess:
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
+    def test_hung_subprocess_times_out(self, monkeypatch):
+        import subprocess
+        import time
+
+        started = []
+
+        class Recorded(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", Recorded)
+        client = ExternalPredictorClient(
+            command=[sys.executable, "-c",
+                     "import sys, time; sys.stdin.readline(); time.sleep(60)"],
+            timeout=0.5)
+        t0 = time.monotonic()
+        with pytest.raises(ExternalPredictorError,
+                           match="did not reply within 0.5 s"):
+            client.predict_proba_words(["x"])
+        assert time.monotonic() - t0 < 5
+        assert client._transport._proc is None
+        (proc,) = started
+        assert proc.returncode is not None
+
+    def test_reply_split_across_writes(self):
+        script = ("import json, sys, time\n"
+                  "for line in sys.stdin:\n"
+                  "    reply = json.dumps({'probs': [[0.3, 0.7], [0.6, 0.4]],"
+                  " 'classes': ['neg', 'pos']})\n"
+                  "    sys.stdout.write(reply[:10]); sys.stdout.flush()\n"
+                  "    time.sleep(0.05)\n"
+                  "    sys.stdout.write(reply[10:] + '\\n'); sys.stdout.flush()\n")
+        client = ExternalPredictorClient(command=[sys.executable, "-c", script])
+        try:
+            for _ in range(2):
+                probs = client.predict_proba_many([["a"], ["b"]])
+                np.testing.assert_allclose(probs, [[0.3, 0.7], [0.6, 0.4]])
+        finally:
+            client.close()
+
+
 class TestExternalPredictorHttp:
     def test_row_alignment(self, http_server):
         def payload(request):
