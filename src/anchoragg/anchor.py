@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -154,10 +155,32 @@ def _sequential_tests(doc: Document, positions: list[int], taus: list[float],
     threshold or its budget is spent. Each generator is consumed as a test
     of its position alone would consume it, so decisions do not depend on
     which positions share a round.
+
+    Rows travel as word ids when the perturbator can write them
+    (``sample_ids``) and the predictor can score them
+    (``predict_proba_ids``); otherwise as tuples of words. Both paths draw
+    and score the same rows.
     """
     for tau_eff in taus:
         if not cfg.tau_floor <= tau_eff <= 1.0:
             raise ValueError(f"tau_eff {tau_eff} outside [{cfg.tau_floor}, 1]")
+    if hasattr(perturbator, "sample_ids") and hasattr(predictor, "predict_proba_ids"):
+        # id path: rows are (n, m) matrices of the predictor's word ids
+        doc_ids = predictor.encode(doc.words)
+        fill_ids = predictor.encode(perturbator.pool_words)
+
+        def draw(i: int, n: int) -> np.ndarray:
+            return perturbator.sample_ids(doc_ids, (positions[i],), n, rngs[i], fill_ids)
+
+        join, score = np.concatenate, predictor.predict_proba_ids
+    else:
+        def draw(i: int, n: int) -> list[tuple[str, ...]]:
+            return perturbator.sample_batch(doc, (positions[i],), n, rngs[i])
+
+        def join(drawn: list[list[tuple[str, ...]]]) -> list[tuple[str, ...]]:
+            return [row for sample in drawn for row in sample]
+
+        score = predictor.predict_proba_many
     successes = [0] * len(positions)
     decisions: list[AnchorDecision | None] = [None] * len(positions)
     active = list(range(len(positions)))
@@ -165,18 +188,15 @@ def _sequential_tests(doc: Document, positions: list[int], taus: list[float],
     while active:
         batch = min(cfg.batch_size, cfg.max_samples - trials)
         trials += batch
-
-        def draw(i: int) -> list[tuple[str, ...]]:
-            return perturbator.sample_batch(doc, (positions[i],), batch, rngs[i])
-
         hits = []
         per_call = max(1, ROUND_ROWS // batch)
         for start in range(0, len(active), per_call):
             group = active[start:start + per_call]
-            drawn = executor.map(draw, group) if executor else map(draw, group)
-            rows = [row for sample in drawn for row in sample]
+            batches = repeat(batch, len(group))
+            rows = join(list(executor.map(draw, group, batches) if executor
+                             else map(draw, group, batches)))
             labels = np.concatenate([
-                np.argmax(predictor.predict_proba_many(rows[j:j + ROUND_ROWS]), axis=1)
+                np.argmax(score(rows[j:j + ROUND_ROWS]), axis=1)
                 for j in range(0, len(rows), ROUND_ROWS)])
             hits.extend((labels == target_idx).reshape(len(group), batch).sum(axis=1))
         undecided = []

@@ -295,20 +295,9 @@ def cmd_topk(args: argparse.Namespace) -> int:
         freq_resolved = dict(resolved)
         freq_resolved["corpus"] = resolved["freq_corpus"]
         freq_stats = word_stats(_load_corpus_from(freq_resolved))
-    perturbator = None
     if resolved["perturb_endpoint"] and resolved["perturb_cmd"]:
         raise ConfigError("--perturb-endpoint and --perturb-cmd are exclusive")
-    if resolved["perturb_endpoint"] or resolved["perturb_cmd"]:
-        zeta = resolved["zeta"] if resolved["zeta"] is not None else 500
-        perturbator = ExternalPerturbatorClient(
-            endpoint=resolved["perturb_endpoint"],
-            command=shlex.split(resolved["perturb_cmd"])
-            if resolved["perturb_cmd"] else None,
-            zeta=zeta, mask_prob=resolved["mask_prob"],
-            timeout=resolved["timeout"])
     threads = resolved["threads"] or (os.cpu_count() or 1)
-    t_load = time.time()
-
     est = AnchorTopTerms(
         k=resolved["k"], aggregation=resolved["agg"], alpha=resolved["alpha"],
         target_class=resolved["class_label"], profile=resolved["profile"],
@@ -324,6 +313,16 @@ def cmd_topk(args: argparse.Namespace) -> int:
         seed=resolved["seed"], threads=threads,
         per_class_n_w=bool(resolved["per_class_nw"]),
         freq_stats=freq_stats)
+    perturbator = None
+    if resolved["perturb_endpoint"] or resolved["perturb_cmd"]:
+        # the profile's zeta unless --zeta overrides it
+        perturbator = ExternalPerturbatorClient(
+            endpoint=resolved["perturb_endpoint"],
+            command=shlex.split(resolved["perturb_cmd"])
+            if resolved["perturb_cmd"] else None,
+            zeta=est.resolved_settings()["zeta"], mask_prob=resolved["mask_prob"],
+            timeout=resolved["timeout"])
+    t_load = time.time()
 
     snapshot_handle = trace_handle = None
     snapshot_sink = trace_sink = None

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -38,7 +39,14 @@ MODEL_FORMAT_VERSION = 1
 
 
 class Predictor:
-    """Interface: a classifier over word sequences with class probabilities."""
+    """Interface: a classifier over word sequences with class probabilities.
+
+    A predictor may also offer an id path, which the anchor loop takes when
+    the perturbator can write ids (``sample_ids``): ``encode(words)`` maps
+    words to an integer id array, and ``predict_proba_ids(ids)`` scores an
+    ``(n, m)`` matrix of such ids as ``predict_proba_many`` scores the
+    corresponding word rows.
+    """
 
     classes_: tuple[str, ...]
 
@@ -187,28 +195,53 @@ class BowClassifier(ParamsMixin, Predictor):
         return self.predict_proba_many([words])[0]
 
     def predict_proba_many(self, docs: Sequence[Sequence[str]]) -> np.ndarray:
-        """Softmax of ``bias`` plus the weight rows of each document's words.
-
-        Rows of equal length are scored together, adding one word column at a
-        time: the same left-to-right sum per row as a word-by-word loop, so
-        results do not depend on how rows are batched. Out-of-vocabulary
-        words add an appended zero row.
-        """
+        """``predict_proba_ids`` of the encoded documents: each group of
+        equal-length documents is summed as one id matrix, so results do not
+        depend on how rows are batched."""
         check_fitted(self, ("weights_", "bias_", "classes_"))
-        index = self._vocab_index_
-        oov = len(self.vocabulary_)
-        Wz = np.vstack([self.weights_, np.zeros((1, len(self.classes_)))])
         lengths = np.fromiter(map(len, docs), dtype=np.intp, count=len(docs))
         logits = np.empty((len(docs), len(self.classes_)))
         for length in np.unique(lengths):
             rows = np.flatnonzero(lengths == length)
-            ids = np.asarray([index.get(w, oov) for r in rows for w in docs[r]],
-                             dtype=np.intp).reshape(rows.size, length)
-            acc = np.repeat(self.bias_[None, :], rows.size, axis=0)
-            for col in np.ascontiguousarray(ids.T):
-                acc += Wz.take(col, axis=0)
-            logits[rows] = acc
+            ids = self.encode([w for r in rows for w in docs[r]])
+            logits[rows] = self._logits(ids.reshape(rows.size, length))
         return _softmax(logits)
+
+    def encode(self, words: Sequence[str]) -> np.ndarray:
+        """Model ids of ``words``; an out-of-vocabulary word gets
+        ``len(vocabulary_)``, the id of the zero row ``predict_proba_ids``
+        appends to the weights."""
+        check_fitted(self, ("vocabulary_",))
+        return np.fromiter(map(self._vocab_index_.get, words,
+                               repeat(len(self.vocabulary_))),
+                           dtype=np.intp, count=len(words))
+
+    def predict_proba_ids(self, ids: np.ndarray) -> np.ndarray:
+        """Softmax of ``bias`` plus the weight rows of each row of ``ids``,
+        an ``(n, m)`` matrix of ``encode`` ids.
+
+        The rows are summed one word column at a time: the same left-to-right
+        sum per row as a word-by-word loop.
+        """
+        check_fitted(self, ("weights_", "bias_", "classes_"))
+        return _softmax(self._logits(ids))
+
+    def _logits(self, ids: np.ndarray) -> np.ndarray:
+        padded = self._padded_weights()
+        logits = np.repeat(self.bias_[None, :], len(ids), axis=0)
+        for col in np.ascontiguousarray(ids.T):
+            logits += padded.take(col, axis=0)
+        return logits
+
+    def _padded_weights(self) -> np.ndarray:
+        """``weights_`` with a zero row appended for out-of-vocabulary ids,
+        rebuilt only when ``weights_`` is no longer the array it came from."""
+        cached = self.__dict__.get("_padded_")
+        if cached is None or cached[0] is not self.weights_:
+            zeros = np.zeros((1, self.weights_.shape[1]))
+            cached = (self.weights_, np.vstack([self.weights_, zeros]))
+            self._padded_ = cached
+        return cached[1]
 
     def __getstate__(self):
         return self.__dict__
@@ -356,12 +389,19 @@ class ExternalPredictorClient(Predictor):
 
 
 class CountingPredictor(Predictor):
-    """Counts every probability evaluation; thread-safe."""
+    """Counts every probability evaluation; thread-safe.
+
+    Offers the id path (``encode``, ``predict_proba_ids``) only when its base
+    does, and counts an id row as it counts a word row.
+    """
 
     def __init__(self, base: Predictor):
         self.base = base
         self._lock = threading.Lock()
         self.calls = 0
+        if hasattr(base, "predict_proba_ids"):
+            self.encode = base.encode
+            self.predict_proba_ids = self._predict_proba_ids
 
     @property
     def classes_(self) -> tuple[str, ...]:  # type: ignore[override]
@@ -378,6 +418,10 @@ class CountingPredictor(Predictor):
     def predict_proba_many(self, docs: Sequence[Sequence[str]]) -> np.ndarray:
         self._bump(len(docs))
         return self.base.predict_proba_many(docs)
+
+    def _predict_proba_ids(self, ids: np.ndarray) -> np.ndarray:
+        self._bump(len(ids))
+        return self.base.predict_proba_ids(ids)
 
 
 class CachingPredictor(Predictor):

@@ -31,7 +31,9 @@ class Perturbator:
 
     Positions listed in ``keep`` are never altered and the output always has
     the same length as the input. Sampling is deterministic for a given
-    generator state.
+    generator state. A perturbator may also write word ids
+    (``UnigramPerturbator.sample_ids``); the anchor loop then exchanges ids
+    with a predictor that scores them.
     """
 
     def sample(self, doc: Document, keep: Iterable[int],
@@ -71,25 +73,43 @@ class UnigramPerturbator(Perturbator):
         self.mask_prob = float(mask_prob)
         self.zeta = int(zeta) if zeta is not None else len(pool_words)
 
-    def sample_batch(self, doc: Document, keep: Iterable[int], n: int,
-                     rng: np.random.Generator) -> list[tuple[str, ...]]:
-        m = len(doc.words)
+    def _draw(self, m: int, keep: Iterable[int], n: int, rng: np.random.Generator
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The masked slots of ``n`` rows of ``m`` positions, as row and
+        position arrays, and the pool index that fills each."""
         keep_set = set(keep)
         for pos in keep_set:
             if not 0 <= pos < m:
                 raise ValueError(f"keep position {pos} outside document of length {m}")
         free = np.asarray([i for i in range(m) if i not in keep_set], dtype=np.intp)
         if free.size == 0 or n == 0:
-            return [tuple(doc.words)] * n
+            none = np.empty(0, dtype=np.intp)
+            return none, none, none
         masks = rng.random((n, free.size)) < self.mask_prob
-        rows = np.empty((n, m), dtype=object)
-        rows[:] = doc.words
         # nonzero lists the masked slots row by row, the order the draws fill
-        masked_row, masked_col = np.nonzero(masks)
-        if masked_row.size:
-            picks = self._cdf.searchsorted(rng.random(masked_row.size), side="right")
-            rows[masked_row, free[masked_col]] = self.pool_words[picks]
+        masked_row, masked_col = masks.nonzero()
+        picks = self._cdf.searchsorted(rng.random(masked_row.size), side="right")
+        return masked_row, free[masked_col], picks
+
+    def sample_batch(self, doc: Document, keep: Iterable[int], n: int,
+                     rng: np.random.Generator) -> list[tuple[str, ...]]:
+        rows_at, positions, picks = self._draw(len(doc.words), keep, n, rng)
+        if not picks.size:
+            return [tuple(doc.words)] * n
+        rows = np.empty((n, len(doc.words)), dtype=object)
+        rows[:] = doc.words
+        rows[rows_at, positions] = self.pool_words[picks]
         return list(map(tuple, rows.tolist()))
+
+    def sample_ids(self, doc_ids: np.ndarray, keep: Iterable[int], n: int,
+                   rng: np.random.Generator, fill_ids: np.ndarray) -> np.ndarray:
+        """``sample_batch`` in ids: an ``(n, m)`` matrix drawn exactly as
+        ``sample_batch`` draws its rows, filled from ``fill_ids``, the ids of
+        ``pool_words``."""
+        rows_at, positions, picks = self._draw(len(doc_ids), keep, n, rng)
+        rows = np.asarray(doc_ids, dtype=np.intp)[None, :].repeat(n, axis=0)
+        rows[rows_at, positions] = fill_ids[picks]
+        return rows
 
 
 def build_unigram_perturbator(stats: WordStats, zeta: int = 500,

@@ -1,19 +1,22 @@
 import math
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import anchoragg
 from anchoragg.anchor import (ROUND_ROWS, AnchorConfig, adaptive_tau,
                               anchors_of_document, confidence_bounds,
                               estimate_token)
 from anchoragg.corpus import Document, word_stats
-from anchoragg.model import Predictor, train_bow
+from anchoragg.model import BowClassifier, Predictor, train_bow
 from anchoragg.perturb import UnigramPerturbator, build_unigram_perturbator
 from anchoragg.seeding import stream_rng
 from anchoragg.synth import SynthSpec, generate_planted_corpus
+from anchoragg.topk import AnchorTopTerms
 
 from conftest import (CoinPerturbator, ConstantPredictor, FlipWordPredictor,
                       PositionWordPredictor)
@@ -341,6 +344,118 @@ class TestRounds:
         assert max(recorder.batches) <= ROUND_ROWS
         # the first round's 6,000 rows go out in two calls
         assert sum(recorder.batches[:2]) == len(doc.words) * cfg.batch_size
+
+
+@pytest.fixture(scope="module")
+def trained_pair():
+    """A small planted corpus, its trained classifier and unigram pool."""
+    spec = SynthSpec(n_docs=30, n_fillers=40, n_singleton_docs=2)
+    corpus, _ = generate_planted_corpus(spec, seed=3)
+    clf = train_bow(corpus, epochs=100, learning_rate=0.3, seed=0)
+    return corpus, clf, build_unigram_perturbator(word_stats(corpus), zeta=50)
+
+
+class StringOnly(Predictor):
+    """Forwards only the string interface, as the benchmark tracer's
+    ``TracedPredictor`` does."""
+
+    def __init__(self, base):
+        self.base = base
+
+    @property
+    def classes_(self):
+        return self.base.classes_
+
+    def predict_proba_words(self, words):
+        return self.base.predict_proba_words(words)
+
+    def predict_proba_many(self, docs):
+        return self.base.predict_proba_many(docs)
+
+
+def _recording(clf):
+    """A copy of ``clf`` that records the row count of each
+    ``predict_proba_many`` call."""
+
+    class Recording(BowClassifier):
+        def predict_proba_many(self, docs):
+            self.many_rows.append(len(docs))
+            return super().predict_proba_many(docs)
+
+    rec = Recording()
+    rec.__dict__.update(clf.__dict__)
+    rec.many_rows = []
+    return rec
+
+
+def _topk_run(corpus, predictor, threads=1):
+    rows = []
+    est = AnchorTopTerms(k=5, target_class="pos", seed=3, threads=threads,
+                         max_samples=30)
+    est.fit(corpus, predictor, trace_sink=rows.append)
+    snapshots = [(s.calls, s.doc_index, s.topk) for s in est.snapshots_]
+    return est.terms_.items, rows, snapshots, est.calls_
+
+
+class TestIdPath:
+    """The built-in classifier and unigram pool exchange word ids; any
+    other pair exchanges words. Both make the same decisions."""
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_built_in_pair_scores_no_word_rows(self, trained_pair, threads):
+        corpus, clf, _ = trained_pair
+        rec = _recording(clf)
+        outputs = _topk_run(corpus, rec, threads)
+        # the corpus is classified once, in words; every sample goes as ids
+        assert rec.many_rows == [len(corpus)]
+        assert outputs[-1] > 10 * len(corpus)
+        assert outputs == _topk_run(corpus, clf, 1)
+
+    def test_anchor_loop_with_executor_scores_no_word_rows(self, trained_pair):
+        corpus, clf, pert = trained_pair
+        rec = _recording(clf)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            for doc in corpus.documents[:4]:
+                anchors_of_document(doc, rec, pert, AnchorConfig(),
+                                    threshold_for=lambda w: 0.9,
+                                    rng_for=lambda pos: stream_rng(2, doc.id, pos),
+                                    executor=pool)
+        assert rec.many_rows == [1] * 4  # the targets, predicted on the fly
+
+    def test_string_fallback_decides_the_same(self, trained_pair):
+        corpus, clf, _ = trained_pair
+        # equal terms, trace rows, snapshots and CountingPredictor.calls
+        assert _topk_run(corpus, StringOnly(clf)) == _topk_run(corpus, clf)
+
+    def test_external_predictor_decides_the_same(self, trained_pair, tmp_path):
+        import sys
+
+        from anchoragg.model import ExternalPredictorClient, save_model
+
+        corpus, clf, pert = trained_pair
+        save_model(clf, tmp_path / "m.json")
+        script = tmp_path / "bow_service.py"
+        script.write_text(
+            "import json, sys\n"
+            f"sys.path.insert(0, {str(Path(anchoragg.__file__).parents[1])!r})\n"
+            "from anchoragg.model import load_model\n"
+            f"clf = load_model({str(tmp_path / 'm.json')!r})\n"
+            "for line in sys.stdin:\n"
+            "    texts = json.loads(line)['texts']\n"
+            "    probs = clf.predict_proba_many([t.split() for t in texts])\n"
+            "    print(json.dumps({'probs': probs.tolist(),"
+            " 'classes': list(clf.classes_)}), flush=True)\n")
+        client = ExternalPredictorClient(command=[sys.executable, str(script)],
+                                         batch_size=ROUND_ROWS)
+        cfg = AnchorConfig(delta=0.3)
+        try:
+            for doc in corpus.documents[:3]:
+                run = lambda predictor: anchors_of_document(
+                    doc, predictor, pert, cfg, threshold_for=lambda w: 0.8,
+                    rng_for=lambda pos: stream_rng(5, doc.id, pos))
+                assert run(client) == run(clf)
+        finally:
+            client.close()
 
 
 class TestStatisticalSoundness:

@@ -265,6 +265,28 @@ class TestExternalBackendsViaCli:
         assert len(terms) == 3
 
 
+    @pytest.mark.parametrize("flags, zeta", [
+        (("--profile", "optimized"), 50),
+        (("--profile", "baseline"), 500),
+        (("--profile", "optimized", "--zeta", "7"), 7),
+    ])
+    def test_external_perturbator_gets_resolved_zeta(self, workspace, flags, zeta):
+        import sys as _sys
+
+        synth_and_train(workspace, docs=20, seed=3, epochs=50)
+        (workspace / "pert.py").write_text(
+            self.PERT.replace("    req = json.loads(line)\n",
+                              "    req = json.loads(line)\n"
+                              "    open('zeta.log', 'a').write(f\"{req['zeta']}\\n\")\n"))
+        code = run("topk", "--corpus", "c.jsonl", "--format", "jsonl",
+                   "--model", "m.json", "--perturb-cmd", f"{_sys.executable} pert.py",
+                   "--class", "pos", "--k", "3", "--seed", "5",
+                   "--max-samples", "2", "--batch-size", "2", "--min-freq", "1",
+                   "--threads", "1", *flags)
+        assert code == 0
+        sent = (workspace / "zeta.log").read_text().split()
+        assert sent and set(sent) == {str(zeta)}
+
     def test_topk_sends_the_corpus_in_batches(self, workspace):
         import math
         import sys as _sys
@@ -332,6 +354,7 @@ class TestGoldenOutput:
 
     DIGEST = "acbe769022e0edd2261ab32a83c3af347aafa7c15a15c342a4076efbaac061e5"
     EVAL_DIGEST = "5143f75c919cf93b5656351852b6f3ede2e933fe8d286ce7170671e5f8d43ecf"
+    ANCHORS_DIGEST = "d2b4cc7992629ecfed5de32bcf9759af437fca27c3be7cfcb9ab880377708fb7"
 
     @staticmethod
     def _digest(ws) -> str:
@@ -360,6 +383,20 @@ class TestGoldenOutput:
                    "--seed", "7", "--threads", "1", "--terms", "terms.json",
                    "--snapshots", "snaps.jsonl", "--counts", "counts.jsonl",
                    "--trace", "trace.jsonl") == 0
+
+    def test_anchors_trace_digest(self, workspace):
+        """sha256 of a docs-40 ``anchors --seed 7`` trace, recorded when
+        every sample was a tuple of words."""
+        import hashlib
+
+        assert run("synth", "--out", "c.jsonl", "--docs", "40", "--seed", "1") == 0
+        assert run("train", "--corpus", "c.jsonl", "--format", "jsonl",
+                   "--out", "m.json", "--seed", "0") == 0
+        assert run("anchors", "--corpus", "c.jsonl", "--format", "jsonl",
+                   "--model", "m.json", "--seed", "7", "--out", "anchors.jsonl") == 0
+        trace = (workspace / "anchors.jsonl").read_bytes()
+        assert len(trace.splitlines()) == 628
+        assert hashlib.sha256(trace).hexdigest() == self.ANCHORS_DIGEST
 
     def test_baseline_topk_digest(self, workspace):
         self._baseline_topk()

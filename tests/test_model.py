@@ -106,6 +106,18 @@ class TestPrediction:
         clf.bias_ = clf.bias_ * 3.7
         assert [clf.predict(d) for d in corpus] == before
 
+    def test_reassigned_weights_take_effect(self):
+        corpus = separable_corpus()
+        clf = train_bow(corpus, epochs=50, learning_rate=0.2)
+        docs = [d.words for d in corpus] + [("good", "unseen")]
+        before = clf.predict_proba_many(docs)
+        clf.weights_ = np.random.default_rng(0).normal(size=clf.weights_.shape)
+        expected = np.stack([bow_proba_by_loop(clf, d) for d in docs])
+        assert not np.array_equal(before, expected)
+        assert np.array_equal(clf.predict_proba_many(docs), expected)
+        ids = clf.encode(docs[0])[None, :]
+        assert np.array_equal(clf.predict_proba_ids(ids)[0], expected[0])
+
     def test_pure_function_of_tokens(self):
         clf = train_bow(separable_corpus(), epochs=50, learning_rate=0.2)
         d1 = Document.from_text("x", "good fine")
@@ -143,6 +155,26 @@ class TestBatchedScoring:
             assert np.array_equal(clf.predict_proba_many(docs), expected)
             assert np.array_equal(
                 np.stack([clf.predict_proba_words(d) for d in docs]), expected)
+
+    def test_ids_equal_word_by_word_loop(self):
+        for seed in range(200):
+            rng = np.random.default_rng(10**5 + seed)
+            clf = self._random_model(rng, int(rng.integers(2, 8)),
+                                     int(rng.integers(1, 40)))
+            m = int(rng.integers(0, 61))
+            docs = [self._random_doc(rng, clf, m)
+                    for _ in range(int(rng.integers(1, 25)))]
+            ids = np.stack([clf.encode(d) for d in docs])
+            expected = np.stack([bow_proba_by_loop(clf, d) for d in docs])
+            assert np.array_equal(clf.predict_proba_ids(ids), expected)
+            empty = np.empty((0, m), dtype=np.intp)
+            assert clf.predict_proba_ids(empty).shape == (0, len(clf.classes_))
+
+    def test_encode_maps_oov_to_zero_row(self):
+        clf = self._random_model(np.random.default_rng(1), 3, 5)
+        ids = clf.encode(["w4", "unseen", "w0"])
+        assert ids.dtype == np.intp and ids.tolist() == [4, 5, 0]
+        assert clf.encode([]).shape == (0,)
 
     def test_empty_batch(self):
         clf = train_bow(separable_corpus(), epochs=10)
@@ -197,6 +229,18 @@ class TestWrappers:
         counting.predict_proba_words(["good"])
         counting.predict_proba_many([["a"], ["b"], ["c"]])
         assert counting.calls == 4
+
+    def test_counting_offers_ids_only_when_base_does(self):
+        from conftest import ConstantPredictor
+
+        assert not hasattr(CountingPredictor(ConstantPredictor()), "predict_proba_ids")
+        clf = train_bow(separable_corpus(), epochs=10)
+        counting = CountingPredictor(clf)
+        ids = counting.encode(["good", "unseen"])
+        assert np.array_equal(ids, clf.encode(["good", "unseen"]))
+        probs = counting.predict_proba_ids(np.stack([ids] * 3))
+        assert counting.calls == 3
+        assert np.array_equal(probs, clf.predict_proba_many([["good", "unseen"]] * 3))
 
     def test_caching_sends_distinct_misses_in_one_call(self):
         clf = train_bow(separable_corpus(), epochs=10)

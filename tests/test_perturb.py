@@ -129,3 +129,30 @@ class TestVectorizedFill:
             assert pert.sample_batch(doc, keep, n, ours) == \
                 unigram_fill_by_loop(pert, doc, keep, n, theirs)
             assert ours.random() == theirs.random()
+
+    def test_sample_ids_equal_encoded_batch_and_leave_same_stream(self):
+        for seed in range(2000):
+            r = np.random.default_rng(2 * 10**6 + seed)
+            size = int(r.integers(1, 40))
+            weights = r.random(size) * r.integers(0, 2, size)
+            weights[int(r.integers(0, size))] += 0.5
+            pool = [f"p{i}" for i in range(size)]
+            pert = UnigramPerturbator(pool, weights,
+                                      mask_prob=float(r.uniform(0.05, 1.0)))
+            m = int(r.integers(1, 30))
+            doc = Document.from_text("0", " ".join(f"t{i}" for i in range(m)))
+            # a vocabulary holding part of the document and the pool; the
+            # rest is out of vocabulary
+            known = [w for w in doc.words + tuple(pool) if r.random() < 0.7]
+            index = {w: j for j, w in enumerate(known)}
+            encode = lambda words: np.asarray([index.get(w, len(known)) for w in words],
+                                              dtype=np.intp)
+            # empty and full keep sets included
+            keep = tuple(int(p) for p in r.permutation(m)[:int(r.integers(0, m + 1))])
+            n = int(r.integers(0, 25))
+            ours, theirs = stream_rng(seed, "ids"), stream_rng(seed, "ids")
+            ids = pert.sample_ids(encode(doc.words), keep, n, ours, encode(pool))
+            rows = pert.sample_batch(doc, keep, n, theirs)
+            assert ids.dtype == np.intp and ids.shape == (n, m)
+            assert ids.tolist() == [encode(row).tolist() for row in rows]
+            assert ours.random() == theirs.random()
