@@ -405,9 +405,17 @@ def rank_words(words: Sequence[str], values: np.ndarray, k: int | None = None
 
     NaN values mark excluded words and never rank.
     """
-    scored = [(w, float(v)) for w, v in zip(words, values) if not math.isnan(v)]
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return scored if k is None else scored[:k]
+    values = np.asarray(values, dtype=np.float64)
+    scored = np.flatnonzero(~np.isnan(values))
+    order = scored[np.argsort(-values[scored], kind="stable")]
+    if k is not None and 0 < k < order.size:
+        # the top k plus every word tied with the k-th, whose order the
+        # words decide
+        descending = -values[order]
+        order = order[:np.searchsorted(descending, descending[k - 1], side="right")]
+    ranked = sorted(((words[i], float(values[i])) for i in order.tolist()),
+                    key=lambda item: (-item[1], item[0]))
+    return ranked if k is None else ranked[:k]
 
 
 def dump_scores(handle: IO[str], counts: AnchorCounts, c: str,

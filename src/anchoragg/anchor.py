@@ -156,31 +156,42 @@ def _sequential_tests(doc: Document, positions: list[int], taus: list[float],
     of its position alone would consume it, so decisions do not depend on
     which positions share a round.
 
-    Rows travel as word ids when the perturbator can write them
-    (``sample_ids``) and the predictor can score them
-    (``predict_proba_ids``); otherwise as tuples of words. Both paths draw
-    and score the same rows.
+    A perturbator with ``sample_round`` draws each call's group of positions
+    in one step: as a matrix of the predictor's ids when it scores them
+    (``predict_proba_ids``), otherwise as a matrix of words, turned into
+    word tuples. Any other perturbator draws each position's batch with
+    ``sample_batch``, on ``executor`` when one is given. Every path draws and
+    scores the same rows.
     """
     for tau_eff in taus:
         if not cfg.tau_floor <= tau_eff <= 1.0:
             raise ValueError(f"tau_eff {tau_eff} outside [{cfg.tau_floor}, 1]")
-    if hasattr(perturbator, "sample_ids") and hasattr(predictor, "predict_proba_ids"):
-        # id path: rows are (n, m) matrices of the predictor's word ids
-        doc_ids = predictor.encode(doc.words)
-        fill_ids = predictor.encode(perturbator.pool_words)
+    if hasattr(perturbator, "sample_round"):
+        if hasattr(predictor, "predict_proba_ids"):
+            base = predictor.encode(doc.words)
+            fill = predictor.encode(perturbator.pool_words)
+            score = predictor.predict_proba_ids
+        else:
+            base, fill = np.asarray(doc.words, dtype=object), perturbator.pool_words
 
-        def draw(i: int, n: int) -> np.ndarray:
-            return perturbator.sample_ids(doc_ids, (positions[i],), n, rngs[i], fill_ids)
+            def score(rows: np.ndarray) -> np.ndarray:
+                return predictor.predict_proba_many(list(map(tuple, rows.tolist())))
 
-        join, score = np.concatenate, predictor.predict_proba_ids
+        def draw(group: list[int], n: int) -> np.ndarray:
+            return perturbator.sample_round(base, [positions[i] for i in group], n,
+                                            [rngs[i] for i in group], fill)
     else:
-        def draw(i: int, n: int) -> list[tuple[str, ...]]:
+        score = predictor.predict_proba_many
+
+        def draw_one(i: int, n: int) -> list[tuple[str, ...]]:
             return perturbator.sample_batch(doc, (positions[i],), n, rngs[i])
 
-        def join(drawn: list[list[tuple[str, ...]]]) -> list[tuple[str, ...]]:
+        def draw(group: list[int], n: int) -> list[tuple[str, ...]]:
+            batches = repeat(n, len(group))
+            drawn = (executor.map(draw_one, group, batches) if executor
+                     else map(draw_one, group, batches))
             return [row for sample in drawn for row in sample]
 
-        score = predictor.predict_proba_many
     successes = [0] * len(positions)
     decisions: list[AnchorDecision | None] = [None] * len(positions)
     active = list(range(len(positions)))
@@ -192,9 +203,7 @@ def _sequential_tests(doc: Document, positions: list[int], taus: list[float],
         per_call = max(1, ROUND_ROWS // batch)
         for start in range(0, len(active), per_call):
             group = active[start:start + per_call]
-            batches = repeat(batch, len(group))
-            rows = join(list(executor.map(draw, group, batches) if executor
-                             else map(draw, group, batches)))
+            rows = draw(group, batch)
             labels = np.concatenate([
                 np.argmax(score(rows[j:j + ROUND_ROWS]), axis=1)
                 for j in range(0, len(rows), ROUND_ROWS)])
@@ -237,7 +246,8 @@ def anchors_of_document(doc: Document, predictor: Predictor,
     ``threshold_for`` supplies the effective threshold per word (constant or
     adaptive); ``rng_for`` supplies the per-position generator, so the tokens'
     tests are independent and run together in rounds (see
-    ``_sequential_tests``); ``executor`` workers draw a round's batches.
+    ``_sequential_tests``); ``executor`` workers draw a round's batches when
+    the perturbator has no ``sample_round``.
     Words for which ``skip_word`` is true are not sampled and are recorded
     as non-anchors.
     """

@@ -42,7 +42,7 @@ class Predictor:
     """Interface: a classifier over word sequences with class probabilities.
 
     A predictor may also offer an id path, which the anchor loop takes when
-    the perturbator can write ids (``sample_ids``): ``encode(words)`` maps
+    the perturbator can write ids (``sample_round``): ``encode(words)`` maps
     words to an integer id array, and ``predict_proba_ids(ids)`` scores an
     ``(n, m)`` matrix of such ids as ``predict_proba_many`` scores the
     corresponding word rows.

@@ -31,9 +31,10 @@ class Perturbator:
 
     Positions listed in ``keep`` are never altered and the output always has
     the same length as the input. Sampling is deterministic for a given
-    generator state. A perturbator may also write word ids
-    (``UnigramPerturbator.sample_ids``); the anchor loop then exchanges ids
-    with a predictor that scores them.
+    generator state. A perturbator may also draw a whole round of a
+    document's tokens at once, as one matrix
+    (``UnigramPerturbator.sample_round``); the anchor loop then draws each
+    round in one call instead of one ``sample_batch`` call per token.
     """
 
     def sample(self, doc: Document, keep: Iterable[int],
@@ -73,32 +74,72 @@ class UnigramPerturbator(Perturbator):
         self.mask_prob = float(mask_prob)
         self.zeta = int(zeta) if zeta is not None else len(pool_words)
 
-    def _draw(self, m: int, keep: Iterable[int], n: int, rng: np.random.Generator
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The masked slots of ``n`` rows of ``m`` positions, as row and
-        position arrays, and the pool index that fills each."""
+    def sample_round(self, doc_ids: np.ndarray, positions: Sequence[int], n: int,
+                     rngs: Sequence[np.random.Generator], fill_ids: np.ndarray
+                     ) -> np.ndarray:
+        """Every position's batch of a round, drawn in one step.
+
+        Position ``positions[t]`` is kept and draws from ``rngs[t]``; the
+        result stacks, in that order, the ``(n, m)`` blocks that
+        ``sample_ids(doc_ids, (positions[t],), n, rngs[t], fill_ids)`` would
+        return, as one ``(len(positions) * n, m)`` matrix. Each generator is
+        consumed exactly as that call consumes it. ``doc_ids`` and
+        ``fill_ids`` may also be object arrays of the document's and the
+        pool's words; the rows then hold words.
+        """
+        m = len(doc_ids)
+        if len(positions) and not (0 <= min(positions) and max(positions) < m):
+            raise ValueError(f"keep position outside document of length {m}")
+        cols = np.arange(m - 1, dtype=np.intp)
+        kept = np.asarray(positions, dtype=np.intp).reshape(-1, 1)
+        return self._sample(np.asarray(doc_ids), cols + (cols >= kept), n, rngs, fill_ids)
+
+    def _sample(self, doc_ids: np.ndarray, free: np.ndarray, n: int,
+                rngs: Sequence[np.random.Generator], fill_ids: np.ndarray
+                ) -> np.ndarray:
+        """``n`` rows per generator; ``free[t]`` lists the positions that
+        generator ``t`` may mask.
+
+        Generator ``t`` draws the mask uniforms of its ``(n, f)`` block, row
+        by row, then one pick uniform per masked slot in that order; the
+        compare, the mask listing, the pool search and the fill run once for
+        all generators.
+        """
+        tokens, width = free.shape
+        rows = doc_ids[None, :].repeat(tokens * n, axis=0)
+        if width == 0 or n == 0:
+            return rows
+        uniforms = np.empty((tokens, n, width))
+        for rng, block in zip(rngs, uniforms):
+            rng.random(out=block)
+        # nonzero lists the masked slots generator by generator, row by row:
+        # the order each generator's picks fill them
+        masked_row, masked_col = (uniforms < self.mask_prob).reshape(
+            tokens * n, width).nonzero()
+        ends = masked_row.searchsorted(np.arange(n, (tokens + 1) * n, n))
+        pick_uniforms = np.empty(masked_row.size)
+        start = 0
+        for rng, end in zip(rngs, ends.tolist()):
+            rng.random(out=pick_uniforms[start:end])
+            start = end
+        picks = self._cdf.searchsorted(pick_uniforms, side="right")
+        rows[masked_row, free[masked_row // n, masked_col]] = fill_ids[picks]
+        return rows
+
+    @staticmethod
+    def _free(m: int, keep: Iterable[int]) -> np.ndarray:
+        """The positions outside ``keep``, as a one-row matrix."""
         keep_set = set(keep)
         for pos in keep_set:
             if not 0 <= pos < m:
                 raise ValueError(f"keep position {pos} outside document of length {m}")
-        free = np.asarray([i for i in range(m) if i not in keep_set], dtype=np.intp)
-        if free.size == 0 or n == 0:
-            none = np.empty(0, dtype=np.intp)
-            return none, none, none
-        masks = rng.random((n, free.size)) < self.mask_prob
-        # nonzero lists the masked slots row by row, the order the draws fill
-        masked_row, masked_col = masks.nonzero()
-        picks = self._cdf.searchsorted(rng.random(masked_row.size), side="right")
-        return masked_row, free[masked_col], picks
+        return np.asarray([[i for i in range(m) if i not in keep_set]], dtype=np.intp)
 
     def sample_batch(self, doc: Document, keep: Iterable[int], n: int,
                      rng: np.random.Generator) -> list[tuple[str, ...]]:
-        rows_at, positions, picks = self._draw(len(doc.words), keep, n, rng)
-        if not picks.size:
-            return [tuple(doc.words)] * n
-        rows = np.empty((n, len(doc.words)), dtype=object)
-        rows[:] = doc.words
-        rows[rows_at, positions] = self.pool_words[picks]
+        words = np.asarray(doc.words, dtype=object)
+        rows = self._sample(words, self._free(len(words), keep), n, (rng,),
+                            self.pool_words)
         return list(map(tuple, rows.tolist()))
 
     def sample_ids(self, doc_ids: np.ndarray, keep: Iterable[int], n: int,
@@ -106,10 +147,8 @@ class UnigramPerturbator(Perturbator):
         """``sample_batch`` in ids: an ``(n, m)`` matrix drawn exactly as
         ``sample_batch`` draws its rows, filled from ``fill_ids``, the ids of
         ``pool_words``."""
-        rows_at, positions, picks = self._draw(len(doc_ids), keep, n, rng)
-        rows = np.asarray(doc_ids, dtype=np.intp)[None, :].repeat(n, axis=0)
-        rows[rows_at, positions] = fill_ids[picks]
-        return rows
+        doc_ids = np.asarray(doc_ids, dtype=np.intp)
+        return self._sample(doc_ids, self._free(len(doc_ids), keep), n, (rng,), fill_ids)
 
 
 def build_unigram_perturbator(stats: WordStats, zeta: int = 500,

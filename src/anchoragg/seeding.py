@@ -10,17 +10,25 @@ results do not depend on scheduling or worker count.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = ["stream_rng", "stream_seed"]
 
 
-def _key_words(key: str | int) -> list[int]:
+def _key_words(key: str | int) -> tuple[int, ...]:
     if isinstance(key, int):
-        return [key & 0xFFFFFFFF, (key >> 32) & 0xFFFFFFFF]
+        return key & 0xFFFFFFFF, (key >> 32) & 0xFFFFFFFF
+    return _str_words(key)
+
+
+# a document's streams share their string keys ("perturb", the document id),
+# so each is hashed once, not once per position
+@lru_cache(maxsize=4096)
+def _str_words(key: str) -> tuple[int, ...]:
     digest = hashlib.sha256(key.encode("utf-8")).digest()
-    return [int.from_bytes(digest[i:i + 4], "little") for i in range(0, 16, 4)]
+    return tuple(int.from_bytes(digest[i:i + 4], "little") for i in range(0, 16, 4))
 
 
 def stream_seed(root_seed: int, *keys: str | int) -> np.random.SeedSequence:

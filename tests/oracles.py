@@ -221,6 +221,34 @@ def unigram_fill_by_loop(pert, doc, keep, n, rng) -> list[tuple[str, ...]]:
     return out
 
 
+def sample_round_by_token(pert, doc_ids, positions, n, rngs, fill_ids) -> np.ndarray:
+    """A round's rows drawn one token at a time, as a test of each token
+    alone draws them: mask coins for the token's free positions,
+    ``rng.choice`` for the fills, the blocks stacked in token order."""
+    doc_ids = np.asarray(doc_ids, dtype=np.intp)
+    blocks = [np.empty((0, doc_ids.size), dtype=np.intp)]
+    for pos, rng in zip(positions, rngs):
+        block = np.tile(doc_ids, (n, 1))
+        free = np.asarray([i for i in range(doc_ids.size) if i != pos], dtype=np.intp)
+        if free.size and n:
+            masks = rng.random((n, free.size)) < pert.mask_prob
+            total = int(masks.sum())
+            if total:
+                draws = rng.choice(len(fill_ids), size=total, p=pert.pool_weights)
+                rows, cols = masks.nonzero()
+                block[rows, free[cols]] = fill_ids[draws]
+        blocks.append(block)
+    return np.concatenate(blocks)
+
+
+def rank_words_by_sort(words, values, k=None) -> list[tuple[str, float]]:
+    """(word, score) pairs sorted by descending score then word, NaN left
+    out, cut to the first k."""
+    scored = [(w, float(v)) for w, v in zip(words, values) if not math.isnan(v)]
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return scored if k is None else scored[:k]
+
+
 def sequential_test_by_token(doc, position, predictor, perturbator, cfg,
                              tau_eff, rng, target_idx):
     """(is_anchor, successes, trials) of one token, tested on its own:

@@ -10,7 +10,7 @@ from anchoragg.corpus import Token, word_stats
 
 from conftest import make_corpus
 from oracles import (closed_form_estimates, grid_max_loglik,
-                     grid_max_loglik_brute, loglik)
+                     grid_max_loglik_brute, loglik, rank_words_by_sort)
 
 
 def decision(word, position, anchor):
@@ -295,6 +295,23 @@ class TestRanking:
     def test_nan_excluded_entirely(self):
         ranked = rank_words(("a", "b"), np.array([np.nan, 0.5]))
         assert ranked == [("b", 0.5)]
+
+    def test_signed_zeros_tie(self):
+        ranked = rank_words(("b", "c", "a"), np.array([0.0, -1.0, -0.0]))
+        assert repr(ranked) == repr([("a", -0.0), ("b", 0.0), ("c", -1.0)])
+
+    def test_equals_sort_for_any_word_order(self):
+        for seed in range(500):
+            r = np.random.default_rng(seed)
+            size = int(r.integers(0, 80))
+            # distinct words in no particular order
+            words = tuple(f"w{j}" for j in r.permutation(3 * size)[:size])
+            # few distinct values, so ties are common, NaN and both zeros included
+            values = r.choice([np.nan, 0.0, -0.0, 1.0, 0.25, -2.0, np.inf, -np.inf,
+                               float(r.random())], size)
+            for k in (None, 1, int(r.integers(0, size + 3))):
+                ranked = rank_words(words, values, k)
+                assert repr(ranked) == repr(rank_words_by_sort(words, values, k))
 
 
 class TestInvariantBundle:

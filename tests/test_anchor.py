@@ -458,6 +458,40 @@ class TestIdPath:
             client.close()
 
 
+class ExecutorSpy:
+    """Counts ``map`` calls and runs them in the calling thread."""
+
+    def __init__(self):
+        self.maps = 0
+
+    def map(self, fn, *iterables):
+        self.maps += 1
+        return map(fn, *iterables)
+
+
+class TestRoundKernelPath:
+    """With ``UnigramPerturbator`` a round's group is one kernel call, on the
+    id path and the word path alike: no draw goes to an executor."""
+
+    def test_threads_change_nothing_on_the_word_path(self, trained_pair):
+        # the id path's thread check is test_built_in_pair_scores_no_word_rows
+        corpus, clf, _ = trained_pair
+        assert _topk_run(corpus, StringOnly(clf), 4) == _topk_run(corpus, StringOnly(clf), 1)
+
+    @pytest.mark.parametrize("wrap", [lambda clf: clf, StringOnly])
+    def test_executor_gets_no_work(self, trained_pair, wrap):
+        corpus, clf, pert = trained_pair
+        # a perturbator without the kernel maps every round's draws
+        for perturbator, uses_executor in ((pert, False), (CoinPerturbator(0.9), True)):
+            spy = ExecutorSpy()
+            for doc in corpus.documents[:4]:
+                anchors_of_document(doc, wrap(clf), perturbator, AnchorConfig(),
+                                    threshold_for=lambda w: 0.9,
+                                    rng_for=lambda pos: stream_rng(2, doc.id, pos),
+                                    executor=spy)
+            assert (spy.maps > 0) == uses_executor
+
+
 class TestStatisticalSoundness:
     def test_wrong_decision_rate_within_bound(self):
         # pairs with exactly known precision; tau=0.95, delta=0.1

@@ -9,7 +9,7 @@ from anchoragg.perturb import UnigramPerturbator, build_unigram_perturbator
 from anchoragg.seeding import stream_rng
 
 from conftest import make_corpus
-from oracles import unigram_fill_by_loop
+from oracles import sample_round_by_token, unigram_fill_by_loop
 
 
 class TestBuildPool:
@@ -156,3 +156,48 @@ class TestVectorizedFill:
             assert ids.dtype == np.intp and ids.shape == (n, m)
             assert ids.tolist() == [encode(row).tolist() for row in rows]
             assert ours.random() == theirs.random()
+
+
+class TestRoundKernel:
+    """``sample_round`` draws a group of tokens in one step, exactly as
+    one-token draws from each token's own generator."""
+
+    def test_equals_per_token_draws_and_leaves_same_streams(self):
+        seen = set()
+        for seed in range(2000):
+            r = np.random.default_rng(3 * 10**6 + seed)
+            size = int(r.integers(1, 40))
+            weights = r.random(size) * r.integers(0, 2, size)
+            weights[int(r.integers(0, size))] += 0.5
+            mask_prob = float(r.choice([1.0, 0.05, r.uniform(0.05, 1.0)]))
+            pert = UnigramPerturbator([f"p{i}" for i in range(size)], weights,
+                                      mask_prob=mask_prob)
+            m = 1 if seed % 10 == 0 else int(r.integers(2, 61))
+            n = int(r.choice([1, 10, r.integers(0, 25)]))
+            positions = r.permutation(m)[:int(r.integers(1, min(m, 40) + 1))].tolist()
+            doc_ids = r.integers(0, 100, m).astype(np.intp)
+            fill_ids = r.integers(0, 100, size).astype(np.intp)
+            ours = [stream_rng(seed, "round", p) for p in positions]
+            theirs = [stream_rng(seed, "round", p) for p in positions]
+            rows = pert.sample_round(doc_ids, positions, n, ours, fill_ids)
+            assert rows.dtype == np.intp
+            assert np.array_equal(
+                rows, sample_round_by_token(pert, doc_ids, positions, n, theirs, fill_ids))
+            assert [g.random() for g in ours] == [g.random() for g in theirs]
+            seen |= {("m", min(m, 2)), ("n", n), ("mask_prob", mask_prob),
+                     ("tokens", len(positions)), ("zero weight", bool((weights == 0).any()))}
+            if m > 2:
+                seen |= {("kept", "first" if p == 0 else "last" if p == m - 1 else "middle")
+                         for p in positions}
+        assert {("m", 1), ("m", 2), ("n", 1), ("n", 10), ("mask_prob", 1.0),
+                ("mask_prob", 0.05), ("tokens", 1), ("tokens", 40),
+                ("zero weight", True), ("kept", "first"), ("kept", "last"),
+                ("kept", "middle")} <= seen
+
+    def test_kept_position_out_of_range(self):
+        pert = UnigramPerturbator(["z"], [1.0], mask_prob=0.5)
+        ids = np.arange(3, dtype=np.intp)
+        for positions in ([3], [0, -1]):
+            with pytest.raises(ValueError):
+                pert.sample_round(ids, positions, 2, [stream_rng(0, "t")] * len(positions),
+                                  np.zeros(1, dtype=np.intp))
