@@ -35,6 +35,10 @@ __all__ = [
     "dump_scores",
 ]
 
+# the mixture weight of ``pr`` and the frequency bar of ``av_minfreq``
+DEFAULT_ALPHA = 0.5
+DEFAULT_MIN_FREQ = 5
+
 
 class AnchorCounts:
     """Per-(word, class) anchor and non-anchor occurrence tallies.
@@ -283,7 +287,7 @@ class GH(Aggregation):
 class GPr(Aggregation):
     name = "pr"
 
-    def __init__(self, stats: WordStats | None = None, alpha: float = 0.5):
+    def __init__(self, stats: WordStats | None = None, alpha: float = DEFAULT_ALPHA):
         super().__init__(stats)
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha out of (0, 1]: {alpha}")
@@ -379,7 +383,8 @@ AGGREGATION_KINDS = ("sq", "av", "av_minfreq", "h", "pr", "base", "pr_inverse")
 
 
 def make_aggregation(kind: str, *, stats: WordStats | None = None,
-                     alpha: float = 0.5, min_freq: int = 5) -> Aggregation:
+                     alpha: float = DEFAULT_ALPHA,
+                     min_freq: int = DEFAULT_MIN_FREQ) -> Aggregation:
     """Build an aggregation by name; parameters apply where the kind uses them."""
     if kind == "sq":
         return GSq(stats)

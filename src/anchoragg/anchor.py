@@ -11,9 +11,7 @@ a document are tested together, in rounds that share predictor calls.
 from __future__ import annotations
 
 import math
-from concurrent.futures import Executor
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -145,8 +143,8 @@ def estimate_token(doc: Document, position: int, predictor: Predictor,
 
 def _sequential_tests(doc: Document, positions: list[int], taus: list[float],
                       rngs: list[np.random.Generator], predictor: Predictor,
-                      perturbator: Perturbator, cfg: AnchorConfig, target_idx: int,
-                      executor: Executor | None = None) -> list[AnchorDecision]:
+                      perturbator: Perturbator, cfg: AnchorConfig, target_idx: int
+                      ) -> list[AnchorDecision]:
     """The sequential test of each position, all moving in rounds.
 
     In every round each undecided position draws its next batch from its own
@@ -160,8 +158,7 @@ def _sequential_tests(doc: Document, positions: list[int], taus: list[float],
     in one step: as a matrix of the predictor's ids when it scores them
     (``predict_proba_ids``), otherwise as a matrix of words, turned into
     word tuples. Any other perturbator draws each position's batch with
-    ``sample_batch``, on ``executor`` when one is given. Every path draws and
-    scores the same rows.
+    ``sample_batch``. Every path draws and scores the same rows.
     """
     for tau_eff in taus:
         if not cfg.tau_floor <= tau_eff <= 1.0:
@@ -183,14 +180,9 @@ def _sequential_tests(doc: Document, positions: list[int], taus: list[float],
     else:
         score = predictor.predict_proba_many
 
-        def draw_one(i: int, n: int) -> list[tuple[str, ...]]:
-            return perturbator.sample_batch(doc, (positions[i],), n, rngs[i])
-
         def draw(group: list[int], n: int) -> list[tuple[str, ...]]:
-            batches = repeat(n, len(group))
-            drawn = (executor.map(draw_one, group, batches) if executor
-                     else map(draw_one, group, batches))
-            return [row for sample in drawn for row in sample]
+            return [row for i in group for row in
+                    perturbator.sample_batch(doc, (positions[i],), n, rngs[i])]
 
     successes = [0] * len(positions)
     decisions: list[AnchorDecision | None] = [None] * len(positions)
@@ -239,15 +231,13 @@ def anchors_of_document(doc: Document, predictor: Predictor,
                         threshold_for: Callable[[str], float],
                         rng_for: Callable[[int], np.random.Generator],
                         skip_word: Callable[[str], bool] | None = None,
-                        target: str | None = None,
-                        executor: Executor | None = None) -> list[AnchorDecision]:
+                        target: str | None = None) -> list[AnchorDecision]:
     """One anchor decision per token of the document, in position order.
 
     ``threshold_for`` supplies the effective threshold per word (constant or
     adaptive); ``rng_for`` supplies the per-position generator, so the tokens'
     tests are independent and run together in rounds (see
-    ``_sequential_tests``); ``executor`` workers draw a round's batches when
-    the perturbator has no ``sample_round``.
+    ``_sequential_tests``).
     Words for which ``skip_word`` is true are not sampled and are recorded
     as non-anchors.
     """
@@ -262,7 +252,7 @@ def anchors_of_document(doc: Document, predictor: Predictor,
     tested = _sequential_tests(
         doc, sampled, [thresholds[doc.words[p]] for p in sampled],
         [rng_for(p) for p in sampled], predictor, perturbator, cfg,
-        predictor.class_index(target), executor)
+        predictor.class_index(target))
     decisions = dict(zip(sampled, tested))
     return [decisions[p] if p in decisions else _skipped_decision(doc, p, thresholds[w])
             for p, w in enumerate(doc.words)]

@@ -14,21 +14,23 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
-import os
 import shlex
 import sys
 import time
 from pathlib import Path
 
 from . import __version__
+from ._validation import check_positive_int, check_probability
 from .aggregate import AGGREGATION_KINDS, dump_scores, make_aggregation
 from .anchor import AnchorConfig, anchors_of_document
 from .corpus import Corpus, load_corpus, load_stopwords, word_stats
 from .eval import (TermList, aopc_k, quality_timeline, shared_terms_ratio,
                    write_timeline_csv)
-from .model import (CachingPredictor, CountingPredictor, ExternalPredictorClient,
-                    accuracy, load_model, save_model, train_bow)
+from .model import (BowClassifier, CachingPredictor, CountingPredictor,
+                    ExternalPredictorClient, accuracy, load_model, save_model,
+                    train_bow)
 from .perturb import ExternalPerturbatorClient, build_unigram_perturbator
 from .seeding import stream_rng
 from .synth import SynthSpec, generate_planted_corpus
@@ -82,6 +84,14 @@ def _merge_config(args: argparse.Namespace, config: dict,
         if value is not None:
             resolved[key] = value
     return resolved
+
+
+def _defaults(func, *names: str, **dests: str) -> dict:
+    """The library's defaults for the parameters ``names`` of ``func``, and
+    for those ``dests`` maps to their flag's dest, keyed by dest."""
+    params = inspect.signature(func).parameters
+    return {dest: params[name].default
+            for name, dest in {**{n: n for n in names}, **dests}.items()}
 
 
 def _write_manifest(path: Path, command: str, resolved: dict, started: float,
@@ -153,12 +163,13 @@ def _build_predictor(resolved: dict):
 
 
 _CORPUS_DEFAULTS = {
-    "corpus": None, "format": "csv", "text_field": "text",
-    "label_field": "label", "max_chars": 200,
+    "corpus": None,
+    **_defaults(load_corpus, "format", "text_field", "label_field", "max_chars"),
 }
 _PREDICTOR_DEFAULTS = {
     "model": None, "external_endpoint": None, "external_cmd": None,
-    "timeout": 30.0, "external_batch_size": 32, "external_in_flight": 1,
+    **_defaults(ExternalPredictorClient, "timeout", batch_size="external_batch_size",
+                max_in_flight="external_in_flight"),
 }
 
 
@@ -183,8 +194,9 @@ def _add_predictor_flags(p: argparse.ArgumentParser):
 
 _TRAIN_DEFAULTS = {
     **_CORPUS_DEFAULTS,
-    "out": None, "epochs": 800, "learning_rate": 0.3, "l2": 5e-4,
-    "seed": 0, "val_fraction": 0.0, "manifest": None,
+    "out": None,
+    **_defaults(BowClassifier, "epochs", "learning_rate", "l2", "seed", "val_fraction"),
+    "manifest": None,
 }
 
 
@@ -219,8 +231,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 # -- synth -------------------------------------------------------------------
 
 _SYNTH_DEFAULTS = {
-    "out": None, "truth": None, "docs": 500, "signal_words": 10,
-    "noise": 0.1, "seed": 0, "manifest": None,
+    "out": None, "truth": None,
+    **_defaults(SynthSpec, "noise", n_docs="docs", n_signal="signal_words"),
+    **_defaults(generate_planted_corpus, "seed"), "manifest": None,
 }
 
 
@@ -250,17 +263,18 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 # -- topk --------------------------------------------------------------------
 
+# the AnchorTopTerms parameters that are topk flags, mapped to their dest
+_TOPK_PARAMS = {name: name for name in (
+    "k", "alpha", "profile", "tau", "delta", "batch_size", "max_samples", "omega",
+    "tau_floor", "zeta", "mask_prob", "min_freq", "candidate_filtering",
+    "stop_rare_filtering", "sample_fraction")} | {
+    "target_class": "class_label", "aggregation": "agg",
+    "adaptive_threshold": "adaptive_tau", "per_class_n_w": "per_class_nw"}
 _TOPK_DEFAULTS = {
     **_CORPUS_DEFAULTS, **_PREDICTOR_DEFAULTS,
-    "class_label": None, "k": 20, "agg": "pr", "alpha": 0.5,
-    "profile": "baseline", "seed": None,
-    "tau": 0.95, "delta": None, "batch_size": 10, "max_samples": 100,
-    "omega": 0.4, "tau_floor": 0.55, "zeta": None, "mask_prob": 0.5,
-    "min_freq": 5, "stopword_file": None, "freq_corpus": None,
+    **_defaults(AnchorTopTerms, **_TOPK_PARAMS), "seed": None, "stopword_file": None, "freq_corpus": None,
     "perturb_endpoint": None, "perturb_cmd": None,
-    "candidate_filtering": None, "stop_rare_filtering": None,
-    "adaptive_tau": None, "per_class_nw": False, "sample_fraction": None,
-    "threads": 0,
+    "threads": 0,  # accepted and ignored, see AnytimeOptions.threads
     "terms": None, "snapshots": None, "counts": None, "trace": None,
     "manifest": None,
 }
@@ -272,12 +286,14 @@ def cmd_topk(args: argparse.Namespace) -> int:
         raise ConfigError("--seed is required for topk runs")
     if not resolved["class_label"]:
         raise ConfigError("--class is required")
-    if resolved["agg"] not in AGGREGATION_KINDS:
-        raise ConfigError(f"unknown aggregation {resolved['agg']!r} "
-                          f"(expected one of {AGGREGATION_KINDS})")
-    if resolved["profile"] not in PROFILE_NAMES:
-        raise ConfigError(f"unknown profile {resolved['profile']!r} "
-                          f"(expected one of {PROFILE_NAMES})")
+    if resolved["perturb_endpoint"] and resolved["perturb_cmd"]:
+        raise ConfigError("--perturb-endpoint and --perturb-cmd are exclusive")
+    est = AnchorTopTerms(seed=resolved["seed"], **{
+        name: resolved[dest] for name, dest in _TOPK_PARAMS.items()})
+    try:
+        est.check_params()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     started = time.time()
     corpus = _load_corpus_from(resolved)
     if resolved["class_label"] not in corpus.classes:
@@ -295,24 +311,7 @@ def cmd_topk(args: argparse.Namespace) -> int:
         freq_resolved = dict(resolved)
         freq_resolved["corpus"] = resolved["freq_corpus"]
         freq_stats = word_stats(_load_corpus_from(freq_resolved))
-    if resolved["perturb_endpoint"] and resolved["perturb_cmd"]:
-        raise ConfigError("--perturb-endpoint and --perturb-cmd are exclusive")
-    threads = resolved["threads"] or (os.cpu_count() or 1)
-    est = AnchorTopTerms(
-        k=resolved["k"], aggregation=resolved["agg"], alpha=resolved["alpha"],
-        target_class=resolved["class_label"], profile=resolved["profile"],
-        tau=resolved["tau"], delta=resolved["delta"],
-        batch_size=resolved["batch_size"], max_samples=resolved["max_samples"],
-        omega=resolved["omega"], tau_floor=resolved["tau_floor"],
-        zeta=resolved["zeta"], mask_prob=resolved["mask_prob"],
-        min_freq=resolved["min_freq"], stopwords=stopwords,
-        candidate_filtering=resolved["candidate_filtering"],
-        stop_rare_filtering=resolved["stop_rare_filtering"],
-        adaptive_threshold=resolved["adaptive_tau"],
-        sample_fraction=resolved["sample_fraction"],
-        seed=resolved["seed"], threads=threads,
-        per_class_n_w=bool(resolved["per_class_nw"]),
-        freq_stats=freq_stats)
+    est.set_params(stopwords=stopwords, freq_stats=freq_stats)
     perturbator = None
     if resolved["perturb_endpoint"] or resolved["perturb_cmd"]:
         # the profile's zeta unless --zeta overrides it
@@ -379,8 +378,9 @@ def cmd_topk(args: argparse.Namespace) -> int:
 
 _ANCHORS_DEFAULTS = {
     **_CORPUS_DEFAULTS, **_PREDICTOR_DEFAULTS,
-    "class_label": None, "tau": 0.95, "delta": 0.1, "batch_size": 10,
-    "max_samples": 100, "zeta": 500, "mask_prob": 0.5, "seed": None,
+    "class_label": None,
+    **_defaults(AnchorConfig, "tau", "delta", "batch_size", "max_samples"),
+    **_defaults(build_unigram_perturbator, "zeta", "mask_prob"), "seed": None,
     "out": None, "limit": None, "manifest": None,
 }
 
@@ -391,14 +391,19 @@ def cmd_anchors(args: argparse.Namespace) -> int:
         raise ConfigError("--seed is required")
     if not resolved["out"]:
         raise ConfigError("--out is required")
+    try:
+        cfg = AnchorConfig(tau=resolved["tau"], delta=resolved["delta"],
+                           batch_size=resolved["batch_size"],
+                           max_samples=resolved["max_samples"])
+        check_positive_int(resolved["zeta"], "zeta")
+        check_probability(resolved["mask_prob"], "mask_prob", open_high=False)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     started = time.time()
     corpus = _load_corpus_from(resolved)
     base = _build_predictor(resolved)
     predictor = CountingPredictor(base)
     cached = CachingPredictor(predictor)
-    cfg = AnchorConfig(tau=resolved["tau"], delta=resolved["delta"],
-                       batch_size=resolved["batch_size"],
-                       max_samples=resolved["max_samples"])
     try:
         predicted = cached.predict_many(corpus.documents)
         labels = {d.id: label for d, label in zip(corpus, predicted)}
@@ -630,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-class-nw", dest="per_class_nw",
                    action="store_true", default=None)
     p.add_argument("--sample-fraction", dest="sample_fraction", type=float)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help="accepted and ignored")
     p.add_argument("--terms")
     p.add_argument("--snapshots")
     p.add_argument("--counts")

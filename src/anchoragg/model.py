@@ -94,8 +94,8 @@ class BowClassifier(ParamsMixin, Predictor):
     kept, otherwise the final epoch wins.
     """
 
-    def __init__(self, epochs: int = 400, learning_rate: float = 0.15,
-                 l2: float = 1e-4, seed: int = 0, val_fraction: float = 0.0):
+    def __init__(self, epochs: int = 800, learning_rate: float = 0.3,
+                 l2: float = 5e-4, seed: int = 0, val_fraction: float = 0.0):
         self.epochs = epochs
         self.learning_rate = learning_rate
         self.l2 = l2
@@ -252,14 +252,12 @@ class BowClassifier(ParamsMixin, Predictor):
             self._vocab_index_ = {w: j for j, w in enumerate(self.vocabulary_)}
 
 
-def train_bow(corpus: Corpus, *, epochs: int = 400, learning_rate: float = 0.15,
-              l2: float = 1e-4, seed: int = 0,
-              val_fraction: float = 0.0) -> BowClassifier:
-    """Train the built-in classifier on a labeled corpus."""
+def train_bow(corpus: Corpus, **params) -> BowClassifier:
+    """Train the built-in classifier on a labeled corpus; ``params`` are
+    ``BowClassifier``'s keyword arguments, with its defaults."""
     if len(corpus) == 0:
         raise ValueError("corpus is empty")
-    clf = BowClassifier(epochs=epochs, learning_rate=learning_rate, l2=l2,
-                        seed=seed, val_fraction=val_fraction)
+    clf = BowClassifier(**params)
     docs = [d.words for d in corpus]
     labels = [corpus.labels[d.id] for d in corpus]
     return clf.fit(docs, labels)

@@ -25,6 +25,10 @@ __all__ = [
     "build_unigram_perturbator",
 ]
 
+# the pool size and the masking rate every perturbator and front end default to
+DEFAULT_ZETA = 500
+DEFAULT_MASK_PROB = 0.5
+
 
 class Perturbator:
     """Interface: sample perturbed variants of a document.
@@ -56,7 +60,7 @@ class UnigramPerturbator(Perturbator):
     """
 
     def __init__(self, pool_words: Sequence[str], pool_weights: Sequence[float],
-                 mask_prob: float = 0.5, zeta: int | None = None):
+                 mask_prob: float = DEFAULT_MASK_PROB, zeta: int | None = None):
         if len(pool_words) == 0:
             raise ValueError("empty replacement pool")
         if len(pool_words) != len(pool_weights):
@@ -151,8 +155,9 @@ class UnigramPerturbator(Perturbator):
         return self._sample(doc_ids, self._free(len(doc_ids), keep), n, (rng,), fill_ids)
 
 
-def build_unigram_perturbator(stats: WordStats, zeta: int = 500,
-                              mask_prob: float = 0.5) -> UnigramPerturbator:
+def build_unigram_perturbator(stats: WordStats, zeta: int = DEFAULT_ZETA,
+                              mask_prob: float = DEFAULT_MASK_PROB
+                              ) -> UnigramPerturbator:
     """Pool of the ``zeta`` most frequent corpus words, weighted by count.
 
     Frequency ties are broken lexicographically so the pool is deterministic.
@@ -185,7 +190,8 @@ class ExternalPerturbatorClient(Perturbator):
 
     def __init__(self, endpoint: str | None = None,
                  command: Sequence[str] | None = None,
-                 zeta: int = 500, mask_prob: float = 0.5, timeout: float = 30.0):
+                 zeta: int = DEFAULT_ZETA, mask_prob: float = DEFAULT_MASK_PROB,
+                 timeout: float = 30.0):
         check_probability(mask_prob, "mask_prob", open_low=True, open_high=False)
         self._transport = JsonLinesTransport(endpoint, command, timeout,
                                              ExternalPerturbatorError, "perturbator")

@@ -15,30 +15,30 @@ point yields a valid, improving answer. Optimizations on top:
   partial probabilistic score is already high;
 - document sampling: run on a uniform subset of the corpus.
 
-Token estimations inside a document are independent and move in rounds
-whose perturbation draws may run on a thread pool; tallies, selection,
-filtering, and snapshots are applied in document order by the single
-reducer, so outputs are identical for any worker count.
+Token estimations inside a document are independent and move in rounds;
+tallies, selection, filtering, and snapshots are applied in document order,
+so a run's outputs depend only on its inputs and seed.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ._validation import ParamsMixin, check_positive_int
-from .aggregate import (AnchorCounts, Aggregation, GAv, GPr, make_aggregation,
-                        rank_words)
+from ._validation import (ParamsMixin, check_fraction, check_positive_int,
+                          check_probability)
+from .aggregate import (DEFAULT_ALPHA, DEFAULT_MIN_FREQ, AnchorCounts,
+                        Aggregation, GAv, GPr, make_aggregation, rank_words)
 from .anchor import AnchorConfig, AnchorDecision, adaptive_tau, anchors_of_document
 from .corpus import (Corpus, Document, WordStats, default_stopwords,
                      filter_candidates, sample_documents, word_stats)
 from .eval import TermList
 from .model import CachingPredictor, CountingPredictor, Predictor
-from .perturb import Perturbator, build_unigram_perturbator
+from .perturb import (DEFAULT_MASK_PROB, DEFAULT_ZETA, Perturbator,
+                      build_unigram_perturbator)
 from .seeding import stream_rng
 
 __all__ = [
@@ -65,8 +65,10 @@ class AnytimeOptions:
     candidate_filtering: bool = False
     stop_rare_filtering: bool = False
     adaptive_threshold: bool = False
-    min_freq: int = 5
+    min_freq: int = DEFAULT_MIN_FREQ
     stopwords: frozenset[str] | None = None
+    # accepted and ignored: every draw runs in the calling thread, where it
+    # costs less than a pool task; the benchmark (bench/) still passes it
     threads: int = 1
     per_class_n_w: bool = False
     freq_stats: WordStats | None = None
@@ -188,12 +190,9 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
         [freq_stats.class_count.get(c, {}).get(w, 0) if options.per_class_n_w
          else freq_stats.total_count.get(w, 0) for w in words], dtype=np.int64)
 
-    pr_for_threshold = aggregation if isinstance(aggregation, GPr) \
-        else GPr(stats, alpha=0.5)
+    pr_for_threshold = aggregation if isinstance(aggregation, GPr) else GPr(stats)
 
     filtered_mask = np.zeros(vocab_size, dtype=bool)
-    executor = ThreadPoolExecutor(max_workers=options.threads) \
-        if options.threads > 1 else None
     snapshots: list[Snapshot] = []
     selection: list[tuple[str, float]] = []
     t0 = time.monotonic()
@@ -205,49 +204,45 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
         if snapshot_sink is not None:
             snapshot_sink(snap)
 
-    try:
-        for i, doc in enumerate(ordered, start=1):
-            if len(doc.words) == 0:
-                counts.ingest([], c, doc.id)
-                take_snapshot(i)
-                continue
-
-            if aggregation.needs_anchors:
-                decisions = _estimate_document(
-                    doc, counting, perturbator, cfg, c, counts, n_w,
-                    pr_for_threshold, candidate_mask, filtered_mask, index,
-                    options, root_seed, executor)
-                counts.ingest(decisions, c, doc.id)
-                if trace_sink is not None:
-                    for d in decisions:
-                        trace_sink(d.to_row(doc.id))
-            else:
-                counts.ingest([], c, doc.id)
-
-            for w in doc.words:
-                remaining[index[w]] -= 1
-
-            values = aggregation.rank_values(counts, c)
-            domain = candidate_mask & ~filtered_mask
-            masked = np.where(domain, values, np.nan)
-            selection = rank_words(words, masked, k)
-
-            if (options.candidate_filtering and aggregation.filterable
-                    and len(selection) == k):
-                w_min_score = selection[-1][1]
-                in_selection = np.zeros(vocab_size, dtype=bool)
-                for w, _ in selection:
-                    in_selection[index[w]] = True
-                bounds = aggregation.upper_bounds(counts, c, remaining)
-                # vectorized form of should_filter over all candidates
-                with np.errstate(invalid="ignore"):
-                    prune = domain & ~in_selection & (bounds < w_min_score)
-                filtered_mask |= prune
-
+    for i, doc in enumerate(ordered, start=1):
+        if len(doc.words) == 0:
+            counts.ingest([], c, doc.id)
             take_snapshot(i)
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+            continue
+
+        if aggregation.needs_anchors:
+            decisions = _estimate_document(
+                doc, counting, perturbator, cfg, c, counts, n_w,
+                pr_for_threshold, candidate_mask, filtered_mask, index,
+                options, root_seed)
+            counts.ingest(decisions, c, doc.id)
+            if trace_sink is not None:
+                for d in decisions:
+                    trace_sink(d.to_row(doc.id))
+        else:
+            counts.ingest([], c, doc.id)
+
+        for w in doc.words:
+            remaining[index[w]] -= 1
+
+        values = aggregation.rank_values(counts, c)
+        domain = candidate_mask & ~filtered_mask
+        masked = np.where(domain, values, np.nan)
+        selection = rank_words(words, masked, k)
+
+        if (options.candidate_filtering and aggregation.filterable
+                and len(selection) == k):
+            w_min_score = selection[-1][1]
+            in_selection = np.zeros(vocab_size, dtype=bool)
+            for w, _ in selection:
+                in_selection[index[w]] = True
+            bounds = aggregation.upper_bounds(counts, c, remaining)
+            # vectorized form of should_filter over all candidates
+            with np.errstate(invalid="ignore"):
+                prune = domain & ~in_selection & (bounds < w_min_score)
+            filtered_mask |= prune
+
+        take_snapshot(i)
 
     terms = TermList.from_pairs(c, aggregation.describe(), selection)
     final_scores = {w: s for w, s in
@@ -263,8 +258,8 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
 
 def _estimate_document(doc, counting, perturbator, cfg, c, counts, n_w,
                        pr_agg, candidate_mask, filtered_mask, index,
-                       options: AnytimeOptions, root_seed: int,
-                       executor) -> list[AnchorDecision]:
+                       options: AnytimeOptions, root_seed: int
+                       ) -> list[AnchorDecision]:
     """Anchor-estimate one document against the state committed so far."""
     if options.adaptive_threshold:
         pseudo = pr_agg.rank_values(counts, c)
@@ -286,8 +281,7 @@ def _estimate_document(doc, counting, perturbator, cfg, c, counts, n_w,
         return stream_rng(root_seed, "perturb", doc.id, position)
 
     return anchors_of_document(doc, counting, perturbator, cfg, threshold_for,
-                               rng_for, skip_word=skip_word, target=c,
-                               executor=executor)
+                               rng_for, skip_word=skip_word, target=c)
 
 
 # -- optimization profiles ---------------------------------------------------
@@ -306,11 +300,11 @@ _PROFILES: dict[str, dict] = {
 PROFILE_NAMES = tuple(_PROFILES)
 
 _PROFILE_DEFAULTS = {
-    "zeta": 500,
-    "delta": 0.1,
-    "adaptive_threshold": False,
-    "candidate_filtering": False,
-    "stop_rare_filtering": False,
+    "zeta": DEFAULT_ZETA,
+    "delta": AnchorConfig.delta,
+    "adaptive_threshold": AnytimeOptions.adaptive_threshold,
+    "candidate_filtering": AnytimeOptions.candidate_filtering,
+    "stop_rare_filtering": AnytimeOptions.stop_rare_filtering,
     "sample_fraction": 1.0,
 }
 
@@ -318,9 +312,9 @@ _PROFILE_DEFAULTS = {
 def optimization_profile(name: str) -> dict:
     """Parameter overlay for a named optimization profile.
 
-    Every profile starts from the unoptimized defaults (zeta=500, delta=0.1,
-    constant threshold, no filtering, full corpus) and overrides the fields
-    it optimizes.
+    Every profile starts from the unoptimized defaults (the default pool
+    size and delta, constant threshold, no filtering, full corpus) and
+    overrides the fields it optimizes.
     """
     if name not in _PROFILES:
         raise ValueError(f"unknown profile {name!r} (expected one of {PROFILE_NAMES})")
@@ -332,6 +326,7 @@ def optimization_profile(name: str) -> dict:
 # -- estimator-style front end ----------------------------------------------
 
 
+@dataclass(eq=False)
 class AnchorTopTerms(ParamsMixin):
     """Fit-style front end over the anytime driver.
 
@@ -341,43 +336,28 @@ class AnchorTopTerms(ParamsMixin):
     profile overlay; ``None`` means "take the profile's value".
     """
 
-    def __init__(self, k: int = 20, aggregation: str = "pr", alpha: float = 0.5,
-                 target_class: str | None = None, profile: str = "baseline",
-                 tau: float = 0.95, delta: float | None = None,
-                 batch_size: int = 10, max_samples: int = 100,
-                 omega: float = 0.4, tau_floor: float = 0.55,
-                 zeta: int | None = None, mask_prob: float = 0.5,
-                 min_freq: int = 5, stopwords: frozenset[str] | None = None,
-                 candidate_filtering: bool | None = None,
-                 stop_rare_filtering: bool | None = None,
-                 adaptive_threshold: bool | None = None,
-                 sample_fraction: float | None = None,
-                 seed: int = 0, threads: int = 1,
-                 per_class_n_w: bool = False,
-                 freq_stats: WordStats | None = None):
-        self.k = k
-        self.aggregation = aggregation
-        self.alpha = alpha
-        self.target_class = target_class
-        self.profile = profile
-        self.tau = tau
-        self.delta = delta
-        self.batch_size = batch_size
-        self.max_samples = max_samples
-        self.omega = omega
-        self.tau_floor = tau_floor
-        self.zeta = zeta
-        self.mask_prob = mask_prob
-        self.min_freq = min_freq
-        self.stopwords = stopwords
-        self.candidate_filtering = candidate_filtering
-        self.stop_rare_filtering = stop_rare_filtering
-        self.adaptive_threshold = adaptive_threshold
-        self.sample_fraction = sample_fraction
-        self.seed = seed
-        self.threads = threads
-        self.per_class_n_w = per_class_n_w
-        self.freq_stats = freq_stats
+    k: int = 20
+    aggregation: str = "pr"
+    alpha: float = DEFAULT_ALPHA
+    target_class: str | None = None
+    profile: str = "baseline"
+    tau: float = AnchorConfig.tau
+    delta: float | None = None
+    batch_size: int = AnchorConfig.batch_size
+    max_samples: int = AnchorConfig.max_samples
+    omega: float = AnchorConfig.omega
+    tau_floor: float = AnchorConfig.tau_floor
+    zeta: int | None = None
+    mask_prob: float = DEFAULT_MASK_PROB
+    min_freq: int = AnytimeOptions.min_freq
+    stopwords: frozenset[str] | None = None
+    candidate_filtering: bool | None = None
+    stop_rare_filtering: bool | None = None
+    adaptive_threshold: bool | None = None
+    sample_fraction: float | None = None
+    seed: int = 0
+    per_class_n_w: bool = AnytimeOptions.per_class_n_w
+    freq_stats: WordStats | None = None
 
     def resolved_settings(self) -> dict:
         overlay = optimization_profile(self.profile)
@@ -388,16 +368,28 @@ class AnchorTopTerms(ParamsMixin):
                 overlay[name] = value
         return overlay
 
+    def check_params(self) -> tuple[dict, AnchorConfig, Aggregation]:
+        """Resolved settings, anchor config and aggregation; raises
+        ValueError on a value out of range, before any data is read."""
+        settings = self.resolved_settings()
+        check_positive_int(self.k, "k")
+        check_positive_int(settings["zeta"], "zeta")
+        check_probability(self.mask_prob, "mask_prob", open_high=False)
+        check_fraction(settings["sample_fraction"], "sample_fraction")
+        cfg = AnchorConfig(tau=self.tau, delta=settings["delta"],
+                           batch_size=self.batch_size, max_samples=self.max_samples,
+                           omega=self.omega, tau_floor=self.tau_floor)
+        aggregation = make_aggregation(self.aggregation, alpha=self.alpha,
+                                       min_freq=self.min_freq)
+        return settings, cfg, aggregation
+
     def fit(self, corpus: Corpus, predictor: Predictor,
             perturbator: Perturbator | None = None,
             snapshot_sink: Callable[[Snapshot], None] | None = None,
             trace_sink: Callable[[dict], None] | None = None) -> "AnchorTopTerms":
         if self.target_class is None:
             raise ValueError("target_class must be set before fit")
-        settings = self.resolved_settings()
-        cfg = AnchorConfig(tau=self.tau, delta=settings["delta"],
-                           batch_size=self.batch_size, max_samples=self.max_samples,
-                           omega=self.omega, tau_floor=self.tau_floor)
+        settings, cfg, aggregation = self.check_params()
         run_corpus = corpus
         if settings["sample_fraction"] < 1.0:
             run_corpus = sample_documents(corpus, settings["sample_fraction"],
@@ -406,15 +398,12 @@ class AnchorTopTerms(ParamsMixin):
         if perturbator is None:
             perturbator = build_unigram_perturbator(
                 stats, zeta=settings["zeta"], mask_prob=self.mask_prob)
-        aggregation = make_aggregation(self.aggregation, alpha=self.alpha,
-                                       min_freq=self.min_freq)
         options = AnytimeOptions(
             candidate_filtering=settings["candidate_filtering"],
             stop_rare_filtering=settings["stop_rare_filtering"],
             adaptive_threshold=settings["adaptive_threshold"],
             min_freq=self.min_freq, stopwords=self.stopwords,
-            threads=self.threads, per_class_n_w=self.per_class_n_w,
-            freq_stats=self.freq_stats)
+            per_class_n_w=self.per_class_n_w, freq_stats=self.freq_stats)
         result = run_anytime(run_corpus, predictor, perturbator, cfg,
                              aggregation, self.k, self.target_class, options,
                              root_seed=self.seed, snapshot_sink=snapshot_sink,

@@ -269,11 +269,12 @@ class TestCriterion8Determinism:
                          "--epochs", "300", "--seed", "1"]) == 0
         first = self._run_cli(tmp_path, "a")
         second = self._run_cli(tmp_path, "b")
+        # --threads is accepted and ignored: a run with 4 changes nothing
         threaded = self._run_cli(tmp_path, "c", threads="4")
         ok = first == second == threaded
-        report(8, "determinism across runs and thread counts", ok,
+        report(8, "determinism across runs; --threads changes nothing", ok,
                "terms, counts, and snapshot logs identical "
-               "(wall-clock fields excluded), threads 1 vs 4")
+               "(wall-clock fields excluded), --threads 1 vs 4")
 
 
 class TestCriterion9AdaptiveThresholdClamp:

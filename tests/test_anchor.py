@@ -1,5 +1,4 @@
 import math
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -233,21 +232,6 @@ class TestAnchorsOfDocument:
         with pytest.raises(ValueError):
             self._run(doc, ConstantPredictor(), CoinPerturbator(1.0))
 
-    def test_executor_matches_serial(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        doc = Document.from_text("0", "a b c d e f g h")
-        pred, pert = FlipWordPredictor(), CoinPerturbator(0.85)
-        cfg = AnchorConfig()
-        serial = self._run(doc, pred, pert, cfg)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            parallel = anchors_of_document(
-                doc, pred, pert, cfg,
-                threshold_for=lambda w: cfg.tau,
-                rng_for=lambda pos: stream_rng(3, "doc", doc.id, pos),
-                executor=pool)
-        assert serial == parallel
-
 
 class CallRecorder(Predictor):
     """Passes calls through and records the row count of each batch call."""
@@ -271,12 +255,12 @@ class TestRounds:
 
     @staticmethod
     def _check_against_oracle(doc, pred, pert, cfg, threshold_for,
-                              skip=None, executor=None, recorder=None):
+                              skip=None, recorder=None):
         rng_for = lambda pos: stream_rng(11, "rounds", doc.id, pos)
         target = pred.predict(doc)
         decisions = anchors_of_document(doc, recorder or pred, pert, cfg,
                                         threshold_for, rng_for, skip_word=skip,
-                                        target=target, executor=executor)
+                                        target=target)
         assert [d.token.position for d in decisions] == list(range(len(doc.words)))
         for pos, (word, d) in enumerate(zip(doc.words, decisions)):
             assert d.tau_eff == threshold_for(word)
@@ -312,13 +296,6 @@ class TestRounds:
         for doc in corpus.documents[:6]:
             self._check_against_oracle(doc, clf, pert, cfg, lambda w: 0.8,
                                        skip=lambda w: len(w) < 3)
-
-    def test_executor_draws_match_oracle(self):
-        doc = Document.from_text("d", "a b c d e f g h")
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            self._check_against_oracle(doc, FlipWordPredictor(),
-                                       CoinPerturbator(0.9), AnchorConfig(),
-                                       lambda w: 0.9, executor=pool)
 
     def test_one_predictor_call_per_round(self):
         doc = Document.from_text("d", "a b c d e f g h i j k l")
@@ -388,10 +365,10 @@ def _recording(clf):
     return rec
 
 
-def _topk_run(corpus, predictor, threads=1):
+def _topk_run(corpus, predictor, batch_size=AnchorConfig.batch_size):
     rows = []
-    est = AnchorTopTerms(k=5, target_class="pos", seed=3, threads=threads,
-                         max_samples=30)
+    est = AnchorTopTerms(k=5, target_class="pos", seed=3, max_samples=30,
+                         batch_size=batch_size)
     est.fit(corpus, predictor, trace_sink=rows.append)
     snapshots = [(s.calls, s.doc_index, s.topk) for s in est.snapshots_]
     return est.terms_.items, rows, snapshots, est.calls_
@@ -401,26 +378,16 @@ class TestIdPath:
     """The built-in classifier and unigram pool exchange word ids; any
     other pair exchanges words. Both make the same decisions."""
 
-    @pytest.mark.parametrize("threads", [1, 4])
-    def test_built_in_pair_scores_no_word_rows(self, trained_pair, threads):
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    def test_built_in_pair_scores_no_word_rows(self, trained_pair, batch_size):
         corpus, clf, _ = trained_pair
         rec = _recording(clf)
-        outputs = _topk_run(corpus, rec, threads)
-        # the corpus is classified once, in words; every sample goes as ids
+        outputs = _topk_run(corpus, rec, batch_size)
+        # the corpus is classified once, in words; every sample goes as ids,
+        # however few rows a round draws per token
         assert rec.many_rows == [len(corpus)]
         assert outputs[-1] > 10 * len(corpus)
-        assert outputs == _topk_run(corpus, clf, 1)
-
-    def test_anchor_loop_with_executor_scores_no_word_rows(self, trained_pair):
-        corpus, clf, pert = trained_pair
-        rec = _recording(clf)
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            for doc in corpus.documents[:4]:
-                anchors_of_document(doc, rec, pert, AnchorConfig(),
-                                    threshold_for=lambda w: 0.9,
-                                    rng_for=lambda pos: stream_rng(2, doc.id, pos),
-                                    executor=pool)
-        assert rec.many_rows == [1] * 4  # the targets, predicted on the fly
+        assert outputs == _topk_run(corpus, clf, batch_size)
 
     def test_string_fallback_decides_the_same(self, trained_pair):
         corpus, clf, _ = trained_pair
@@ -458,38 +425,40 @@ class TestIdPath:
             client.close()
 
 
-class ExecutorSpy:
-    """Counts ``map`` calls and runs them in the calling thread."""
+def _spy_on_sample_batch(perturbator) -> list[tuple[int, ...]]:
+    """Record the ``keep`` of every ``sample_batch`` call of ``perturbator``."""
+    keeps = []
+    draw = perturbator.sample_batch
 
-    def __init__(self):
-        self.maps = 0
+    def spy(doc, keep, n, rng):
+        keeps.append(tuple(keep))
+        return draw(doc, keep, n, rng)
 
-    def map(self, fn, *iterables):
-        self.maps += 1
-        return map(fn, *iterables)
+    perturbator.sample_batch = spy
+    return keeps
 
 
 class TestRoundKernelPath:
     """With ``UnigramPerturbator`` a round's group is one kernel call, on the
-    id path and the word path alike: no draw goes to an executor."""
-
-    def test_threads_change_nothing_on_the_word_path(self, trained_pair):
-        # the id path's thread check is test_built_in_pair_scores_no_word_rows
-        corpus, clf, _ = trained_pair
-        assert _topk_run(corpus, StringOnly(clf), 4) == _topk_run(corpus, StringOnly(clf), 1)
+    id path and the word path alike: no token draws through ``sample_batch``.
+    A perturbator without the kernel draws each token's batch of each round
+    with one ``sample_batch`` call."""
 
     @pytest.mark.parametrize("wrap", [lambda clf: clf, StringOnly])
-    def test_executor_gets_no_work(self, trained_pair, wrap):
-        corpus, clf, pert = trained_pair
-        # a perturbator without the kernel maps every round's draws
-        for perturbator, uses_executor in ((pert, False), (CoinPerturbator(0.9), True)):
-            spy = ExecutorSpy()
+    def test_sample_batch_only_without_the_kernel(self, trained_pair, wrap):
+        corpus, clf, _ = trained_pair
+        cfg = AnchorConfig()
+        kernel = build_unigram_perturbator(word_stats(corpus), zeta=50)
+        for perturbator, per_token in ((kernel, False), (CoinPerturbator(0.9), True)):
+            keeps = _spy_on_sample_batch(perturbator)
+            rounds = 0
             for doc in corpus.documents[:4]:
-                anchors_of_document(doc, wrap(clf), perturbator, AnchorConfig(),
-                                    threshold_for=lambda w: 0.9,
-                                    rng_for=lambda pos: stream_rng(2, doc.id, pos),
-                                    executor=spy)
-            assert (spy.maps > 0) == uses_executor
+                decisions = anchors_of_document(
+                    doc, wrap(clf), perturbator, cfg, threshold_for=lambda w: 0.9,
+                    rng_for=lambda pos: stream_rng(2, doc.id, pos))
+                rounds += sum(d.samples_used // cfg.batch_size for d in decisions)
+            assert len(keeps) == (rounds if per_token else 0)
+            assert all(len(keep) == 1 for keep in keeps)
 
 
 class TestStatisticalSoundness:

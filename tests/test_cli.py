@@ -1,10 +1,13 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from anchoragg.cli import main
+from anchoragg.corpus import load_corpus
 from anchoragg.eval import TermList
+from anchoragg.model import save_model, train_bow
 
 
 @pytest.fixture
@@ -39,6 +42,13 @@ class TestTrain:
         assert run("train", "--corpus", "c.jsonl", "--format", "jsonl",
                    "--out", "m2.json", "--epochs", "250", "--seed", "1") == 0
         assert (workspace / "m.json").read_text() == (workspace / "m2.json").read_text()
+
+    def test_no_training_flags_train_the_library_default_model(self, workspace):
+        assert run("synth", "--out", "c.jsonl", "--docs", "40", "--seed", "1") == 0
+        assert run("train", "--corpus", "c.jsonl", "--format", "jsonl",
+                   "--out", "m.json") == 0
+        save_model(train_bow(load_corpus("c.jsonl", "jsonl"), seed=0), "lib.json")
+        assert (workspace / "m.json").read_text() == (workspace / "lib.json").read_text()
 
 
 class TestSynth:
@@ -143,6 +153,73 @@ class TestTopk:
                    "--seed", "2", "--max-samples", "10", "--terms", "big.json")
         assert code == 0
         assert "exceeds" in capsys.readouterr().err
+
+
+class TestSettings:
+    @staticmethod
+    def _config(name):
+        return json.loads(Path(name).read_text())["config"]
+
+    def test_required_flags_resolve_the_recorded_defaults(self, workspace):
+        """Each command's configuration from its required flags alone, as the
+        CLI resolved it when it still wrote every default out itself."""
+        assert run("synth", "--out", "s.jsonl") == 0
+        assert self._config("s.jsonl.manifest.json") == {
+            "out": "s.jsonl", "truth": None, "docs": 500, "signal_words": 10,
+            "noise": 0.1, "seed": 0, "manifest": None}
+        assert run("synth", "--out", "c.jsonl", "--docs", "40", "--seed", "1") == 0
+        corpus = {"corpus": "c.jsonl", "format": "jsonl", "text_field": "text",
+                  "label_field": "label", "max_chars": 200}
+        assert run("train", *("--corpus", "c.jsonl", "--format", "jsonl"),
+                   "--out", "m.json") == 0
+        assert self._config("m.json.manifest.json") == {
+            **corpus, "out": "m.json", "epochs": 800, "learning_rate": 0.3,
+            "l2": 5e-4, "seed": 0, "val_fraction": 0.0, "manifest": None}
+        inputs = {**corpus, "model": "m.json", "external_endpoint": None,
+                  "external_cmd": None, "timeout": 30.0, "external_batch_size": 32,
+                  "external_in_flight": 1}
+        required = ("--corpus", "c.jsonl", "--format", "jsonl", "--model", "m.json",
+                    "--seed", "7")
+        assert run("topk", *required, "--class", "pos") == 0
+        assert self._config("run.manifest.json") == {
+            **inputs, "class_label": "pos", "k": 20, "agg": "pr", "alpha": 0.5,
+            "profile": "baseline", "seed": 7, "tau": 0.95, "delta": None,
+            "batch_size": 10, "max_samples": 100, "omega": 0.4, "tau_floor": 0.55,
+            "zeta": None, "mask_prob": 0.5, "min_freq": 5, "stopword_file": None,
+            "freq_corpus": None, "perturb_endpoint": None, "perturb_cmd": None,
+            "candidate_filtering": None, "stop_rare_filtering": None,
+            "adaptive_tau": None, "per_class_nw": False, "sample_fraction": None,
+            "threads": 0, "terms": None, "snapshots": None, "counts": None,
+            "trace": None, "manifest": None}
+        assert run("anchors", *required, "--out", "a.jsonl") == 0
+        assert self._config("a.jsonl.manifest.json") == {
+            **inputs, "class_label": None, "tau": 0.95, "delta": 0.1,
+            "batch_size": 10, "max_samples": 100, "zeta": 500, "mask_prob": 0.5,
+            "seed": 7, "out": "a.jsonl", "limit": None, "manifest": None}
+
+    OUT_OF_RANGE = [
+        ("topk", "--batch-size", "0", "batch_size and max_samples must be >= 1"),
+        ("topk", "--max-samples", "0", "batch_size and max_samples must be >= 1"),
+        ("topk", "--tau", "1.5", "tau out of (0, 1]: 1.5"),
+        ("topk", "--mask-prob", "0", "mask_prob out of range: 0.0"),
+        ("topk", "--zeta", "0", "zeta must be a positive integer, got 0"),
+        ("topk", "--k", "0", "k must be a positive integer, got 0"),
+        ("topk", "--sample-fraction", "0", "sample_fraction must be in (0, 1], got 0.0"),
+        ("topk", "--alpha", "-1", "alpha out of (0, 1]: -1.0"),
+        ("anchors", "--batch-size", "0", "batch_size and max_samples must be >= 1"),
+    ]
+
+    @pytest.mark.parametrize("command, flag, value, message", OUT_OF_RANGE,
+                             ids=[f"{c} {f} {v}" for c, f, v, _ in OUT_OF_RANGE])
+    def test_out_of_range_value_is_a_config_error(self, workspace, capsys, command,
+                                                  flag, value, message):
+        synth_and_train(workspace, docs=40, epochs=50)
+        capsys.readouterr()
+        out = ("--out", "a.jsonl") if command == "anchors" else ()
+        assert run(command, "--corpus", "c.jsonl", "--format", "jsonl",
+                   "--model", "m.json", "--class", "pos", "--seed", "7", *out,
+                   flag, value) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestAnchorsCommand:

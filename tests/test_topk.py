@@ -158,14 +158,6 @@ class TestRunAnytime:
         assert a.calls == b.calls
         assert [s.topk for s in a.snapshots] == [s.topk for s in b.snapshots]
 
-    def test_threads_do_not_change_results(self):
-        corpus = anchor_test_corpus()
-        a = small_run(corpus, FlipWordPredictor(), seed=3, threads=1)
-        b = small_run(corpus, FlipWordPredictor(), seed=3, threads=4)
-        assert a.terms == b.terms
-        assert a.calls == b.calls
-        assert [s.topk for s in a.snapshots] == [s.topk for s in b.snapshots]
-
     def test_filtering_reduces_calls(self):
         corpus = anchor_test_corpus()
         plain = small_run(corpus, FlipWordPredictor(), seed=5, k=1)
