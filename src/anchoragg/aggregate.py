@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import json
 import math
-from typing import IO, Iterable, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .anchor import AnchorDecision
 from .corpus import WordStats
+
+if TYPE_CHECKING:
+    from .anchor import AnchorDecision
 
 __all__ = [
     "AnchorCounts",

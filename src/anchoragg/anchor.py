@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .corpus import Document, Token
-from .model import Predictor
-from .perturb import Perturbator
+
+if TYPE_CHECKING:
+    from .model import Predictor
+    from .perturb import Perturbator
 
 __all__ = [
     "AnchorConfig",

@@ -7,6 +7,10 @@ a manifest JSON capturing the resolved configuration, versions, timings, and
 predictor-call totals, which is sufficient to re-execute the run
 bit-identically (wall-clock fields aside).
 
+Each command imports the modules it runs, and reads its defaults from their
+signatures, when it runs: ``eval-aopc`` loads no sampling code, and no command
+loads the external-service transport unless it builds a client.
+
 Exit codes: 0 success, 2 configuration/input error, 3 runtime failure.
 """
 
@@ -20,21 +24,12 @@ import shlex
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from ._validation import check_positive_int, check_probability
-from .aggregate import AGGREGATION_KINDS, dump_scores, make_aggregation
-from .anchor import AnchorConfig, anchors_of_document
-from .corpus import Corpus, load_corpus, load_stopwords, word_stats
-from .eval import (TermList, aopc_k, quality_timeline, shared_terms_ratio,
-                   write_timeline_csv)
-from .model import (BowClassifier, CachingPredictor, CountingPredictor,
-                    ExternalPredictorClient, accuracy, load_model, save_model,
-                    train_bow)
-from .perturb import ExternalPerturbatorClient, build_unigram_perturbator
-from .seeding import stream_rng
-from .synth import SynthSpec, generate_planted_corpus
-from .topk import PROFILE_NAMES, AnchorTopTerms, order_documents
+
+if TYPE_CHECKING:
+    from .corpus import Corpus
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -117,6 +112,8 @@ def _manifest_path(resolved: dict, primary_out: str | None) -> Path:
 
 
 def _load_corpus_from(resolved: dict) -> Corpus:
+    from .corpus import load_corpus
+
     if not resolved.get("corpus"):
         raise ConfigError("--corpus is required")
     path = Path(resolved["corpus"])
@@ -132,13 +129,16 @@ def _load_corpus_from(resolved: dict) -> Corpus:
 
 
 def _close_clients(*clients) -> None:
-    """Close the external service clients among ``clients``."""
+    """Close the external service clients among ``clients``: those with a
+    ``close`` method."""
     for client in clients:
-        if isinstance(client, (ExternalPredictorClient, ExternalPerturbatorClient)):
+        if hasattr(client, "close"):
             client.close()
 
 
 def _build_predictor(resolved: dict):
+    from .model import ExternalPredictorClient, load_model
+
     sources = [resolved.get("model"), resolved.get("external_endpoint"),
                resolved.get("external_cmd")]
     if sum(1 for s in sources if s) != 1:
@@ -162,15 +162,20 @@ def _build_predictor(resolved: dict):
                                    batch_size=resolved["external_batch_size"])
 
 
-_CORPUS_DEFAULTS = {
-    "corpus": None,
-    **_defaults(load_corpus, "format", "text_field", "label_field", "max_chars"),
-}
-_PREDICTOR_DEFAULTS = {
-    "model": None, "external_endpoint": None, "external_cmd": None,
-    **_defaults(ExternalPredictorClient, "timeout", batch_size="external_batch_size",
-                max_in_flight="external_in_flight"),
-}
+def _corpus_defaults() -> dict:
+    from .corpus import load_corpus
+
+    return {"corpus": None, **_defaults(load_corpus, "format", "text_field",
+                                        "label_field", "max_chars")}
+
+
+def _predictor_defaults() -> dict:
+    from .model import ExternalPredictorClient
+
+    return {"model": None, "external_endpoint": None, "external_cmd": None,
+            **_defaults(ExternalPredictorClient, "timeout",
+                        batch_size="external_batch_size",
+                        max_in_flight="external_in_flight")}
 
 
 def _add_corpus_flags(p: argparse.ArgumentParser):
@@ -192,16 +197,14 @@ def _add_predictor_flags(p: argparse.ArgumentParser):
 
 # -- train -------------------------------------------------------------------
 
-_TRAIN_DEFAULTS = {
-    **_CORPUS_DEFAULTS,
-    "out": None,
-    **_defaults(BowClassifier, "epochs", "learning_rate", "l2", "seed", "val_fraction"),
-    "manifest": None,
-}
-
-
 def cmd_train(args: argparse.Namespace) -> int:
-    resolved = _merge_config(args, _load_config_file(args.config), _TRAIN_DEFAULTS)
+    from .model import BowClassifier, accuracy, save_model, train_bow
+
+    resolved = _merge_config(args, _load_config_file(args.config), {
+        **_corpus_defaults(), "out": None,
+        **_defaults(BowClassifier, "epochs", "learning_rate", "l2", "seed",
+                    "val_fraction"),
+        "manifest": None})
     if not resolved["out"]:
         raise ConfigError("--out is required")
     started = time.time()
@@ -230,15 +233,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 # -- synth -------------------------------------------------------------------
 
-_SYNTH_DEFAULTS = {
-    "out": None, "truth": None,
-    **_defaults(SynthSpec, "noise", n_docs="docs", n_signal="signal_words"),
-    **_defaults(generate_planted_corpus, "seed"), "manifest": None,
-}
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
-    resolved = _merge_config(args, _load_config_file(args.config), _SYNTH_DEFAULTS)
+    from .synth import SynthSpec, generate_planted_corpus
+
+    resolved = _merge_config(args, _load_config_file(args.config), {
+        "out": None, "truth": None,
+        **_defaults(SynthSpec, "noise", n_docs="docs", n_signal="signal_words"),
+        **_defaults(generate_planted_corpus, "seed"), "manifest": None})
     if not resolved["out"]:
         raise ConfigError("--out is required")
     started = time.time()
@@ -270,18 +271,21 @@ _TOPK_PARAMS = {name: name for name in (
     "stop_rare_filtering", "sample_fraction")} | {
     "target_class": "class_label", "aggregation": "agg",
     "adaptive_threshold": "adaptive_tau", "per_class_n_w": "per_class_nw"}
-_TOPK_DEFAULTS = {
-    **_CORPUS_DEFAULTS, **_PREDICTOR_DEFAULTS,
-    **_defaults(AnchorTopTerms, **_TOPK_PARAMS), "seed": None, "stopword_file": None, "freq_corpus": None,
-    "perturb_endpoint": None, "perturb_cmd": None,
-    "threads": 0,  # accepted and ignored, see AnytimeOptions.threads
-    "terms": None, "snapshots": None, "counts": None, "trace": None,
-    "manifest": None,
-}
 
 
 def cmd_topk(args: argparse.Namespace) -> int:
-    resolved = _merge_config(args, _load_config_file(args.config), _TOPK_DEFAULTS)
+    from .aggregate import dump_scores, make_aggregation
+    from .corpus import load_stopwords, word_stats
+    from .topk import AnchorTopTerms
+
+    resolved = _merge_config(args, _load_config_file(args.config), {
+        **_corpus_defaults(), **_predictor_defaults(),
+        **_defaults(AnchorTopTerms, **_TOPK_PARAMS), "seed": None,
+        "stopword_file": None, "freq_corpus": None,
+        "perturb_endpoint": None, "perturb_cmd": None,
+        "threads": 0,  # accepted and ignored, see AnytimeOptions.threads
+        "terms": None, "snapshots": None, "counts": None, "trace": None,
+        "manifest": None})
     if resolved["seed"] is None:
         raise ConfigError("--seed is required for topk runs")
     if not resolved["class_label"]:
@@ -314,6 +318,8 @@ def cmd_topk(args: argparse.Namespace) -> int:
     est.set_params(stopwords=stopwords, freq_stats=freq_stats)
     perturbator = None
     if resolved["perturb_endpoint"] or resolved["perturb_cmd"]:
+        from .perturb import ExternalPerturbatorClient
+
         # the profile's zeta unless --zeta overrides it
         perturbator = ExternalPerturbatorClient(
             endpoint=resolved["perturb_endpoint"],
@@ -376,22 +382,27 @@ def cmd_topk(args: argparse.Namespace) -> int:
 
 # -- anchors (per-document trace) ---------------------------------------------
 
-_ANCHORS_DEFAULTS = {
-    **_CORPUS_DEFAULTS, **_PREDICTOR_DEFAULTS,
-    "class_label": None,
-    **_defaults(AnchorConfig, "tau", "delta", "batch_size", "max_samples"),
-    **_defaults(build_unigram_perturbator, "zeta", "mask_prob"), "seed": None,
-    "out": None, "limit": None, "manifest": None,
-}
-
-
 def cmd_anchors(args: argparse.Namespace) -> int:
-    resolved = _merge_config(args, _load_config_file(args.config), _ANCHORS_DEFAULTS)
+    from ._validation import check_positive_int, check_probability
+    from .anchor import AnchorConfig, anchors_of_document
+    from .corpus import word_stats
+    from .model import CachingPredictor, CountingPredictor
+    from .perturb import build_unigram_perturbator
+    from .seeding import stream_rng
+    from .topk import order_documents
+
+    resolved = _merge_config(args, _load_config_file(args.config), {
+        **_corpus_defaults(), **_predictor_defaults(), "class_label": None,
+        **_defaults(AnchorConfig, "tau", "delta", "batch_size", "max_samples"),
+        **_defaults(build_unigram_perturbator, "zeta", "mask_prob"), "seed": None,
+        "out": None, "limit": None, "manifest": None})
     if resolved["seed"] is None:
         raise ConfigError("--seed is required")
     if not resolved["out"]:
         raise ConfigError("--out is required")
     try:
+        if resolved["limit"] is not None:
+            check_positive_int(resolved["limit"], "limit")
         cfg = AnchorConfig(tau=resolved["tau"], delta=resolved["delta"],
                            batch_size=resolved["batch_size"],
                            max_samples=resolved["max_samples"])
@@ -446,15 +457,14 @@ def cmd_anchors(args: argparse.Namespace) -> int:
 
 # -- eval-aopc ----------------------------------------------------------------
 
-_EVAL_DEFAULTS = {
-    **_CORPUS_DEFAULTS, **_PREDICTOR_DEFAULTS,
-    "terms": None, "class_label": None, "out": None,
-    "snapshots": None, "timeline_out": None, "manifest": None,
-}
-
-
 def cmd_eval_aopc(args: argparse.Namespace) -> int:
-    resolved = _merge_config(args, _load_config_file(args.config), _EVAL_DEFAULTS)
+    from .eval import TermList, aopc_k, quality_timeline, write_timeline_csv
+    from .model import CachingPredictor
+
+    resolved = _merge_config(args, _load_config_file(args.config), {
+        **_corpus_defaults(), **_predictor_defaults(),
+        "terms": None, "class_label": None, "out": None,
+        "snapshots": None, "timeline_out": None, "manifest": None})
     if not resolved["terms"] and not resolved["snapshots"]:
         raise ConfigError("--terms or --snapshots is required")
     started = time.time()
@@ -499,22 +509,22 @@ def cmd_eval_aopc(args: argparse.Namespace) -> int:
     finally:
         _close_clients(base)
 
-    _write_manifest(_manifest_path(resolved, resolved["out"]), "eval-aopc",
-                    resolved, started, {}, {"aopc": payload.get("value")})
+    # beside the AOPC file, else beside the timeline CSV
+    _write_manifest(_manifest_path(resolved, resolved["out"] or payload.get("timeline")),
+                    "eval-aopc", resolved, started, {}, {"aopc": payload.get("value")})
     print(json.dumps(payload))
     return EXIT_OK
 
 
 # -- compare ------------------------------------------------------------------
 
-_COMPARE_DEFAULTS = {
-    **_CORPUS_DEFAULTS, **_PREDICTOR_DEFAULTS,
-    "class_label": None, "out_prefix": None, "manifest": None,
-}
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
-    resolved = _merge_config(args, _load_config_file(args.config), _COMPARE_DEFAULTS)
+    from .eval import TermList, aopc_k, shared_terms_ratio
+    from .model import CachingPredictor
+
+    resolved = _merge_config(args, _load_config_file(args.config), {
+        **_corpus_defaults(), **_predictor_defaults(),
+        "class_label": None, "out_prefix": None, "manifest": None})
     if len(args.term_files) < 1:
         raise ConfigError("at least one terms file is required")
     lists = []
@@ -606,9 +616,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_predictor_flags(p)
     p.add_argument("--class", dest="class_label")
     p.add_argument("--k", type=int)
-    p.add_argument("--agg", choices=AGGREGATION_KINDS)
+    # the library checks --agg and --profile, and names the valid values
+    p.add_argument("--agg", help="aggregation kind (README: Aggregations)")
     p.add_argument("--alpha", type=float)
-    p.add_argument("--profile", choices=PROFILE_NAMES)
+    p.add_argument("--profile", help="optimization profile "
+                   "(README: Optimization profiles)")
     p.add_argument("--seed", type=int)
     p.add_argument("--tau", type=float)
     p.add_argument("--delta", type=float)

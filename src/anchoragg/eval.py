@@ -131,7 +131,8 @@ class _AopcScorer:
     The corpus is classified in one call, and a class document's probability
     there is its prefix-0 score. A document's removal row changes only at the
     terms it contains, so each row is keyed by the removed words the document
-    contains and scored once, for this list and every later one.
+    contains, as a bitmask over the document's distinct words, and scored
+    once, for this list and every later one.
     """
 
     def __init__(self, corpus: Corpus, predictor: Predictor, c: str):
@@ -144,35 +145,44 @@ class _AopcScorer:
         self._predictor = predictor
         self._c_idx = predictor.class_index(c)
         self._docs = [docs[i] for i in chosen]
-        self._word_sets = [frozenset(d.words) for d in self._docs]
-        # per class document: removed words it contains -> class probability
-        self._scores = [{frozenset(): float(probs[i][self._c_idx])} for i in chosen]
+        # word -> (class document, the word's bit in that document), in
+        # document order
+        self._postings: dict[str, list[tuple[int, int]]] = {}
+        for j, doc in enumerate(self._docs):
+            for b, w in enumerate(dict.fromkeys(doc.words)):
+                self._postings.setdefault(w, []).append((j, 1 << b))
+        # per class document: mask of the removed words -> class probability
+        self._scores = [{0: float(probs[i][self._c_idx])} for i in chosen]
 
     def aopc(self, words: Sequence[str]) -> AopcResult:
         k = len(words)
-        plans = []  # per touched document: its row key at each prefix 0..k
-        missing: dict[tuple[int, frozenset[str]], tuple[str, ...]] = {}
-        for j, present in enumerate(self._word_sets):
-            if present.isdisjoint(words):
-                continue
-            removed = frozenset()
-            keys = [removed]
-            for i, w in enumerate(words, start=1):
-                if w in present:
-                    removed = removed | {w}
-                    if removed not in self._scores[j]:
-                        kept = remove_prefix(self._docs[j], words, i)
-                        missing[j, removed] = kept.words
-                keys.append(removed)
-            plans.append((j, keys))
+        masks: dict[int, int] = {}  # touched document -> its mask so far
+        events = []  # (document, prefix, mask) at each listed word it contains
+        for i, w in enumerate(words, start=1):
+            for j, bit in self._postings.get(w, ()):
+                masks[j] = mask = masks.get(j, 0) | bit
+                events.append((j, i, mask))
+        missing = sorted(e for e in events if e[2] not in self._scores[e[0]])
         if missing:
-            probs = self._predictor.predict_proba_many(list(missing.values()))
-            for (j, removed), p in zip(missing, probs[:, self._c_idx].tolist()):
-                self._scores[j][removed] = p
-        drops = np.zeros(k)
-        for j, keys in plans:
-            row = np.array([self._scores[j][key] for key in keys])
-            drops += row[0] - row[1:]
+            probs = self._predictor.predict_proba_many(
+                [remove_prefix(self._docs[j], words, i).words for j, i, _ in missing])
+            for (j, _, mask), p in zip(missing, probs[:, self._c_idx].tolist()):
+                self._scores[j][mask] = p
+        # a touched document's row holds its base score, then the score of
+        # its latest mask at each prefix; rows are summed in document order
+        row_of = {j: r for r, j in enumerate(sorted(masks))}
+        n = len(row_of)
+        latest = np.zeros((n, k + 1), dtype=np.intp)
+        latest[:, 0] = np.arange(n)
+        if events:
+            latest[[row_of[j] for j, _, _ in events], [i for _, i, _ in events]] = \
+                np.arange(n, n + len(events))
+        np.maximum.accumulate(latest, axis=1, out=latest)
+        values = np.array([self._scores[j][0] for j in row_of]
+                          + [self._scores[j][mask] for j, _, mask in events])
+        rows = values[latest]
+        drops = np.cumsum(np.vstack([np.zeros(k), rows[:, :1] - rows[:, 1:]]),
+                          axis=0)[-1]
         per_prefix = drops / len(self._docs)
         value = float(per_prefix.sum() / (k + 1))
         return AopcResult(value=value, per_prefix=tuple(per_prefix.tolist()),

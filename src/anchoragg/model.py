@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from ._transport import JsonLinesTransport
 from ._validation import ParamsMixin, check_fitted
 from .corpus import Corpus, Document
 
@@ -328,6 +326,10 @@ class ExternalPredictorClient(Predictor):
                  command: Sequence[str] | None = None,
                  timeout: float = 30.0, batch_size: int = 32,
                  max_in_flight: int = 1):
+        # imported here, as the HTTP pool's concurrent.futures below: the
+        # transport loads subprocess, which only an external client needs
+        from ._transport import JsonLinesTransport
+
         self._transport = JsonLinesTransport(endpoint, command, timeout,
                                              ExternalPredictorError, "predictor")
         self.batch_size = max(1, int(batch_size))
@@ -367,6 +369,8 @@ class ExternalPredictorClient(Predictor):
         chunks = [texts[i:i + self.batch_size]
                   for i in range(0, len(texts), self.batch_size)]
         if self._transport.endpoint and self.max_in_flight > 1 and len(chunks) > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
                 results = list(pool.map(self._request, chunks))
         else:

@@ -13,7 +13,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._transport import JsonLinesTransport
 from ._validation import check_probability, check_positive_int
 from .corpus import Document, WordStats
 
@@ -193,6 +192,10 @@ class ExternalPerturbatorClient(Perturbator):
                  zeta: int = DEFAULT_ZETA, mask_prob: float = DEFAULT_MASK_PROB,
                  timeout: float = 30.0):
         check_probability(mask_prob, "mask_prob", open_low=True, open_high=False)
+        # imported here: the transport loads subprocess, which only an
+        # external client needs
+        from ._transport import JsonLinesTransport
+
         self._transport = JsonLinesTransport(endpoint, command, timeout,
                                              ExternalPerturbatorError, "perturbator")
         self.zeta = int(zeta)

@@ -375,6 +375,7 @@ class AnchorTopTerms(ParamsMixin):
         check_positive_int(self.k, "k")
         check_positive_int(settings["zeta"], "zeta")
         check_probability(self.mask_prob, "mask_prob", open_high=False)
+        check_positive_int(self.min_freq, "min_freq")
         check_fraction(settings["sample_fraction"], "sample_fraction")
         cfg = AnchorConfig(tau=self.tau, delta=settings["delta"],
                            batch_size=self.batch_size, max_samples=self.max_samples,

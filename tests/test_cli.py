@@ -4,10 +4,12 @@ from pathlib import Path
 
 import pytest
 
+from anchoragg.aggregate import AGGREGATION_KINDS
 from anchoragg.cli import main
 from anchoragg.corpus import load_corpus
 from anchoragg.eval import TermList
 from anchoragg.model import save_model, train_bow
+from anchoragg.topk import PROFILE_NAMES
 
 
 @pytest.fixture
@@ -206,7 +208,14 @@ class TestSettings:
         ("topk", "--k", "0", "k must be a positive integer, got 0"),
         ("topk", "--sample-fraction", "0", "sample_fraction must be in (0, 1], got 0.0"),
         ("topk", "--alpha", "-1", "alpha out of (0, 1]: -1.0"),
+        ("topk", "--min-freq", "0", "min_freq must be a positive integer, got 0"),
+        ("topk", "--agg", "bogus",
+         f"unknown aggregation kind 'bogus' (expected one of {AGGREGATION_KINDS})"),
+        ("topk", "--profile", "bogus",
+         f"unknown profile 'bogus' (expected one of {PROFILE_NAMES})"),
         ("anchors", "--batch-size", "0", "batch_size and max_samples must be >= 1"),
+        ("anchors", "--limit", "0", "limit must be a positive integer, got 0"),
+        ("anchors", "--limit", "-1", "limit must be a positive integer, got -1"),
     ]
 
     @pytest.mark.parametrize("command, flag, value, message", OUT_OF_RANGE,
@@ -277,6 +286,18 @@ class TestTimelineAndFreqCorpus:
         lines = (workspace / "timeline.csv").read_text().strip().splitlines()
         assert lines[0] == "t_sec,calls,aopc"
         assert len(lines) > 1
+
+    def test_manifest_beside_the_timeline_without_out(self, workspace):
+        synth_and_train(workspace, docs=40, epochs=50)
+        TestTopk()._topk()
+        eval_aopc = ("eval-aopc", "--snapshots", "snaps.jsonl", "--class", "pos",
+                     "--corpus", "c.jsonl", "--format", "jsonl", "--model", "m.json")
+        assert run(*eval_aopc) == 0
+        assert json.loads(Path("snaps.jsonl.csv.manifest.json").read_text())[
+            "command"] == "eval-aopc"
+        assert run(*eval_aopc, "--timeline-out", "t.csv") == 0
+        assert Path("t.csv.manifest.json").exists()
+        assert not Path("run.manifest.json").exists()
 
     def test_freq_corpus_feeds_rare_threshold(self, workspace):
         synth_and_train(workspace)
@@ -403,22 +424,61 @@ class TestExternalBackendsViaCli:
         assert "did not reply within 0.5 s" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_out_scipy():
-    """Only training needs scipy; every other command skips its import."""
-    import subprocess
-    import sys as _sys
-    from pathlib import Path
+class TestImportFootprint:
+    """The modules a command loads, run in a fresh interpreter: each loads
+    what it runs, scipy is left to training, and the transport, subprocess
+    and concurrent.futures to the external clients."""
 
-    import anchoragg
+    @staticmethod
+    def _modules(code: str) -> set[str]:
+        import subprocess
+        import sys
 
-    src = str(Path(anchoragg.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [_sys.executable, "-c",
-         "import sys, anchoragg, anchoragg.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
-        check=True)
-    assert out.stdout.strip() == "[]"
+        import anchoragg
+
+        src = str(Path(anchoragg.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c",
+             f"import json, sys\n{code}\nprint(json.dumps(sorted(sys.modules)))"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            check=True)
+        return set(json.loads(out.stdout.splitlines()[-1]))
+
+    def _run(self, *argv) -> set[str]:
+        return self._modules("from anchoragg.cli import main\n"
+                             f"assert main({list(argv)!r}) == 0")
+
+    EXTERNAL = {"anchoragg._transport", "subprocess", "concurrent.futures", "scipy"}
+
+    def test_eval_aopc_loads_no_sampling_code(self, workspace):
+        synth_and_train(workspace, docs=40, epochs=50)
+        TestTopk()._topk()
+        loaded = self._run("eval-aopc", "--terms", "terms.json", "--snapshots",
+                           "snaps.jsonl", "--class", "pos", "--corpus", "c.jsonl",
+                           "--format", "jsonl", "--model", "m.json", "--out", "a.json")
+        assert "anchoragg.eval" in loaded
+        sampling = {f"anchoragg.{m}" for m in ("topk", "anchor", "perturb", "aggregate",
+                                               "synth", "seeding")}
+        assert loaded.isdisjoint(sampling | self.EXTERNAL)
+
+    def test_topk_loads_no_transport(self, workspace):
+        synth_and_train(workspace, docs=40, epochs=50)
+        loaded = self._run("topk", "--corpus", "c.jsonl", "--format", "jsonl",
+                           "--model", "m.json", "--class", "pos", "--seed", "7",
+                           "--max-samples", "10", "--profile", "optimized")
+        assert "anchoragg.topk" in loaded
+        assert loaded.isdisjoint(self.EXTERNAL | {"anchoragg.synth"})
+
+    def test_public_names_resolve_on_first_use(self):
+        assert not any(m.startswith("anchoragg.")
+                       for m in self._modules("import anchoragg"))
+        import anchoragg
+
+        assert set(anchoragg.__all__) <= set(dir(anchoragg))
+        for name in anchoragg.__all__:
+            assert getattr(anchoragg, name) is not None
+        with pytest.raises(AttributeError, match="no attribute 'bogus'"):
+            anchoragg.bogus  # noqa: B018
 
 
 class TestGoldenOutput:

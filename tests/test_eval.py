@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anchoragg.corpus import Document
+from anchoragg.corpus import Corpus, Document
 from anchoragg.eval import (TermList, aopc_k, append_drop, quality_timeline,
                             remove_prefix, shared_terms_ratio,
                             write_timeline_csv)
@@ -15,6 +15,21 @@ from oracles import aopc_by_document
 def terms(words, start=1.0):
     return TermList.from_pairs("pos", "test",
                                [(w, start - i * 0.1) for i, w in enumerate(words)])
+
+
+def with_long_document(corpus, truth, clf):
+    """``corpus`` plus a ``pos`` document of 80 distinct words, each signal
+    word twice; returns it with lists that reach past the document's 64th
+    distinct word, permute one word set, or name only words in no document."""
+    signal = list(truth.signal["pos"])
+    fillers = [w for w in clf.vocabulary_ if w not in signal][:70]
+    long_doc = Document.from_text("long", " ".join(signal * 2 + fillers))
+    assert len(set(long_doc.words)) == 80 and clf.predict(long_doc) == "pos"
+    corpus = Corpus.from_documents([*corpus, long_doc], {**corpus.labels, "long": "pos"})
+    word_set = signal[:3] + fillers[60:63]
+    lists = [fillers[50:70], signal[:2] + fillers[66:], ("zz-unseen", "qq-unseen"),
+             word_set, word_set[::-1], word_set[3:] + word_set[:3]]
+    return corpus, [tuple(ws) for ws in lists]
 
 
 class TestTermList:
@@ -148,12 +163,29 @@ class TestAopc:
 
     def test_equals_per_document_scoring(self, planted200):
         corpus, truth, clf = planted200
-        words = list(truth.signal["pos"][:6]) + ["the", "zz-unseen"]
-        tl = TermList.from_pairs("pos", "test",
-                                 [(w, 1.0 - i / 10) for i, w in enumerate(words)])
-        result = aopc_k(tl, corpus, clf, "pos")
-        assert np.array_equal(result.per_prefix,
-                              aopc_by_document(tl.words, corpus, clf, "pos"))
+        words = tuple(truth.signal["pos"][:6]) + ("the", "zz-unseen")
+        corpus, lists = with_long_document(corpus, truth, clf)
+        class_docs = [d for d in corpus if clf.predict(d) == "pos"]
+
+        class Recording(Predictor):
+            classes_ = clf.classes_
+
+            def predict_proba_many(self, docs):
+                sent.append([tuple(d) for d in docs])
+                return clf.predict_proba_many(docs)
+
+        for ws in [words, words] + lists:
+            tl = TermList.from_pairs("pos", "test",
+                                     [(w, 1.0 - i / 100) for i, w in enumerate(ws)])
+            sent = []
+            result = aopc_k(tl, corpus, Recording(), "pos")
+            assert np.array_equal(result.per_prefix,
+                                  aopc_by_document(tl.words, corpus, clf, "pos"))
+            # the corpus, then every removal row in one call, by document
+            # and prefix
+            rows = [remove_prefix(d, ws, i).words for d in class_docs
+                    for i in range(1, len(ws) + 1) if ws[i - 1] in d.words]
+            assert sent[1:] == ([rows] if rows else [])
 
     def test_external_requests_follow_batch_size(self, tmp_path):
         import math
@@ -308,6 +340,11 @@ class TestQualityTimeline:
     def test_equals_per_snapshot_oracle(self, planted200):
         corpus, truth, clf = planted200
         snaps = self._snapshots(truth, corpus)
+        corpus, lists = with_long_document(corpus, truth, clf)
+        extra = lists + lists[:2]  # two lists evaluated twice
+        snaps += [{"t_sec": 5.0 + n, "calls": 500 + n, "doc_index": 50 + n,
+                   "topk": [{"word": w, "score": 1.0 - i / 100} for i, w in enumerate(ws)]}
+                  for n, ws in enumerate(extra)]
         rows = quality_timeline(snaps, corpus, clf, "pos")
         expected = []
         for snap in snaps:
@@ -316,7 +353,7 @@ class TestQualityTimeline:
                 per_prefix = aopc_by_document(words, corpus, clf, "pos")
                 expected.append((snap["t_sec"], snap["calls"],
                                  float(per_prefix.sum() / (len(words) + 1))))
-        assert len(rows) == 29
+        assert len(rows) == 29 + len(extra)
         assert rows == expected
 
     def test_each_distinct_row_scored_once(self, planted200):

@@ -277,6 +277,13 @@ class TestEstimatorFrontEnd:
         assert settings["candidate_filtering"] is False
         assert settings["zeta"] == 50  # untouched overlay field remains
 
+    @pytest.mark.parametrize("profile", PROFILE_NAMES)
+    def test_min_freq_below_one_rejected_under_every_profile(self, profile):
+        # checked with the other settings, before any data is read
+        est = AnchorTopTerms(target_class="pos", profile=profile, min_freq=0)
+        with pytest.raises(ValueError, match="min_freq must be a positive integer"):
+            est.check_params()
+
     def test_sampled_profile_shrinks_corpus(self):
         corpus = anchor_test_corpus()
         est = AnchorTopTerms(k=2, aggregation="sq", target_class="pos",
