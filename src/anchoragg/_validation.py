@@ -30,6 +30,13 @@ def check_probability(value: float, name: str, *, open_low: bool = True,
     return float(value)
 
 
+def check_positive(value: float, name: str, *, zero_ok: bool = False) -> float:
+    if not (value >= 0 if zero_ok else value > 0):
+        bound = "non-negative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+    return float(value)
+
+
 def check_positive_int(value: int, name: str) -> int:
     if int(value) != value or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")

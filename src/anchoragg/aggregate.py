@@ -215,7 +215,9 @@ class GAv(Aggregation):
     def __init__(self, stats: WordStats | None = None, min_freq: int | None = None):
         super().__init__(stats)
         self.min_freq = min_freq
-        self._excluded_cache: tuple[int, np.ndarray] | None = None
+        # keyed by the counts table itself, compared with ``is``: an id could
+        # be reused by a later table once this one is freed
+        self._excluded_cache: tuple[AnchorCounts, np.ndarray] | None = None
 
     @property
     def name(self):  # type: ignore[override]
@@ -226,9 +228,9 @@ class GAv(Aggregation):
             return None
         if self.stats is None:
             raise ValueError("min_freq filtering requires word statistics")
-        if self._excluded_cache is None or self._excluded_cache[0] != id(counts):
+        if self._excluded_cache is None or self._excluded_cache[0] is not counts:
             freq = np.asarray([self.stats.n_w(w) for w in counts.words])
-            self._excluded_cache = (id(counts), freq < self.min_freq)
+            self._excluded_cache = (counts, freq < self.min_freq)
         return self._excluded_cache[1]
 
     def _share(self, counts, c, a_plus):
@@ -344,19 +346,20 @@ class GBase(Aggregation):
 
     def __init__(self, stats: WordStats | None = None):
         super().__init__(stats)
-        self._cache: tuple[int, str, np.ndarray] | None = None
+        # keyed by the counts table itself, as GAv's exclusion mask
+        self._cache: tuple[AnchorCounts, str, np.ndarray] | None = None
 
     def rank_values(self, counts, c):
         if self.stats is None:
             raise ValueError("base aggregation requires word statistics")
-        if self._cache is not None and self._cache[:2] == (id(counts), c):
+        if self._cache is not None and self._cache[0] is counts and self._cache[1] == c:
             return self._cache[2]
         df_class = self.stats.doc_freq_class[c]
         values = np.empty(len(counts.words))
         for i, w in enumerate(counts.words):
             total = self.stats.doc_freq_total.get(w, 0)
             values[i] = df_class.get(w, 0) / total if total else np.nan
-        self._cache = (id(counts), c, values)
+        self._cache = (counts, c, values)
         return values
 
     def _raw_bounds(self, counts, c, remaining):

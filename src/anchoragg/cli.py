@@ -23,6 +23,7 @@ import json
 import shlex
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -55,38 +56,74 @@ def _load_config_file(path: str | None) -> dict:
     return payload
 
 
-def _merge_config(args: argparse.Namespace, config: dict,
-                  defaults: dict) -> dict:
-    """flags > config file > defaults; unknown config keys are rejected, and
-    so is a value whose type is not its flag's. A float flag takes an int
-    too, and null is taken where the default is null."""
-    unknown = set(config) - set(defaults)
+def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
+    """The command's settings, one per option of its parser but ``--help``
+    and ``--config`` (the keys of ``args.config_types``): flags > config
+    file > ``defaults`` > None. Unknown config keys are rejected, and so is
+    a value whose type is not its flag's. A float flag takes an int too, and
+    null is taken where the default is null."""
+    config = _load_config_file(args.config)
+    unknown = set(config) - set(args.config_types)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    resolved = {key: defaults.get(key) for key in args.config_types}
     for key, value in config.items():
         expected = args.config_types[key]
         allowed = (int, float) if expected is float else (expected,)
-        if defaults[key] is None:
+        if resolved[key] is None:
             allowed += (type(None),)
         if not isinstance(value, allowed) or (isinstance(value, bool)
                                               and expected is not bool):
             raise ConfigError(f"config key {key!r} takes {expected.__name__}, "
                               f"got {value!r}")
-    resolved = dict(defaults)
     resolved.update(config)
-    for key in defaults:
-        value = getattr(args, key, None)
+    for key in args.config_types:
+        value = getattr(args, key)
         if value is not None:
             resolved[key] = value
     return resolved
 
 
-def _defaults(func, *names: str, **dests: str) -> dict:
-    """The library's defaults for the parameters ``names`` of ``func``, and
-    for those ``dests`` maps to their flag's dest, keyed by dest."""
-    params = inspect.signature(func).parameters
-    return {dest: params[name].default
-            for name, dest in {**{n: n for n in names}, **dests}.items()}
+def _same(*names: str) -> dict[str, str]:
+    return {name: name for name in names}
+
+
+# library parameters that are CLI settings, mapped to their setting's dest;
+# each command reads its defaults and passes its arguments through these
+_CORPUS_PARAMS = _same("format", "text_field", "label_field", "max_chars")
+_CLIENT_PARAMS = {"timeout": "timeout", "batch_size": "external_batch_size",
+                  "max_in_flight": "external_in_flight"}
+_TRAIN_PARAMS = _same("epochs", "learning_rate", "l2", "seed", "val_fraction")
+_SYNTH_PARAMS = {"n_docs": "docs", "n_signal": "signal_words", "noise": "noise"}
+_TOPK_PARAMS = _same(
+    "k", "alpha", "profile", "tau", "delta", "batch_size", "max_samples", "omega",
+    "tau_floor", "zeta", "mask_prob", "min_freq", "candidate_filtering",
+    "stop_rare_filtering", "sample_fraction") | {
+    "target_class": "class_label", "aggregation": "agg",
+    "adaptive_threshold": "adaptive_tau", "per_class_n_w": "per_class_nw"}
+_ANCHOR_PARAMS = _same("tau", "delta", "batch_size", "max_samples")
+_PERTURB_PARAMS = _same("zeta", "mask_prob")
+
+
+def _defaults(func, params: dict[str, str]) -> dict:
+    """The library's defaults for the parameters of ``func`` in ``params``,
+    keyed by their dest."""
+    signature = inspect.signature(func).parameters
+    return {dest: signature[name].default for name, dest in params.items()}
+
+
+def _kwargs(resolved: dict, params: dict[str, str]) -> dict:
+    """The resolved settings of ``params``, keyed by parameter name."""
+    return {name: resolved[dest] for name, dest in params.items()}
+
+
+@contextmanager
+def _config_errors():
+    """A ValueError raised inside is a configuration error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _write_manifest(path: Path, command: str, resolved: dict, started: float,
@@ -111,6 +148,12 @@ def _manifest_path(resolved: dict, primary_out: str | None) -> Path:
     return Path("run.manifest.json")
 
 
+def _corpus_defaults() -> dict:
+    from .corpus import load_corpus
+
+    return _defaults(load_corpus, _CORPUS_PARAMS)
+
+
 def _load_corpus_from(resolved: dict) -> Corpus:
     from .corpus import load_corpus
 
@@ -120,10 +163,7 @@ def _load_corpus_from(resolved: dict) -> Corpus:
     if not path.exists():
         raise ConfigError(f"corpus file not found: {path}")
     try:
-        return load_corpus(path, format=resolved["format"],
-                           text_field=resolved["text_field"],
-                           label_field=resolved["label_field"],
-                           max_chars=resolved["max_chars"])
+        return load_corpus(path, **_kwargs(resolved, _CORPUS_PARAMS))
     except (ValueError, OSError) as exc:
         raise ConfigError(f"cannot load corpus: {exc}") from exc
 
@@ -136,15 +176,46 @@ def _close_clients(*clients) -> None:
             client.close()
 
 
-def _build_predictor(resolved: dict):
-    from .model import ExternalPredictorClient, load_model
+def _check_class(c: str, corpus: Corpus) -> None:
+    if c not in corpus.classes:
+        raise ConfigError(f"class {c!r} not in corpus classes {corpus.classes}")
 
-    sources = [resolved.get("model"), resolved.get("external_endpoint"),
-               resolved.get("external_cmd")]
+
+def _load_terms(path: str):
+    from .eval import TermList
+
+    p = Path(path)
+    if not p.exists():
+        raise ConfigError(f"terms file not found: {p}")
+    try:
+        return TermList.load(p)
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(f"malformed terms file {p}: {exc}") from exc
+
+
+def _predictor_defaults() -> dict:
+    from .model import ExternalPredictorClient
+
+    return _defaults(ExternalPredictorClient, _CLIENT_PARAMS)
+
+
+def _check_predictor(resolved: dict) -> None:
+    """The predictor settings' errors, before any input is read."""
+    from .model import ExternalPredictorClient
+
+    sources = [resolved["model"], resolved["external_endpoint"],
+               resolved["external_cmd"]]
     if sum(1 for s in sources if s) != 1:
         raise ConfigError("exactly one of --model / --external-endpoint / "
                           "--external-cmd is required")
-    if resolved.get("model"):
+    with _config_errors():
+        ExternalPredictorClient.check_params(**_kwargs(resolved, _CLIENT_PARAMS))
+
+
+def _build_predictor(resolved: dict):
+    from .model import ExternalPredictorClient, load_model
+
+    if resolved["model"]:
         path = Path(resolved["model"])
         if not path.exists():
             raise ConfigError(f"model file not found: {path}")
@@ -152,47 +223,10 @@ def _build_predictor(resolved: dict):
             return load_model(path)
         except ValueError as exc:
             raise ConfigError(f"cannot load model: {exc}") from exc
-    if resolved.get("external_endpoint"):
-        return ExternalPredictorClient(endpoint=resolved["external_endpoint"],
-                                       timeout=resolved["timeout"],
-                                       batch_size=resolved["external_batch_size"],
-                                       max_in_flight=resolved["external_in_flight"])
-    return ExternalPredictorClient(command=shlex.split(resolved["external_cmd"]),
-                                   timeout=resolved["timeout"],
-                                   batch_size=resolved["external_batch_size"])
-
-
-def _corpus_defaults() -> dict:
-    from .corpus import load_corpus
-
-    return {"corpus": None, **_defaults(load_corpus, "format", "text_field",
-                                        "label_field", "max_chars")}
-
-
-def _predictor_defaults() -> dict:
-    from .model import ExternalPredictorClient
-
-    return {"model": None, "external_endpoint": None, "external_cmd": None,
-            **_defaults(ExternalPredictorClient, "timeout",
-                        batch_size="external_batch_size",
-                        max_in_flight="external_in_flight")}
-
-
-def _add_corpus_flags(p: argparse.ArgumentParser):
-    p.add_argument("--corpus")
-    p.add_argument("--format", choices=["csv", "jsonl"])
-    p.add_argument("--text-field", dest="text_field")
-    p.add_argument("--label-field", dest="label_field")
-    p.add_argument("--max-chars", dest="max_chars", type=int)
-
-
-def _add_predictor_flags(p: argparse.ArgumentParser):
-    p.add_argument("--model")
-    p.add_argument("--external-endpoint", dest="external_endpoint")
-    p.add_argument("--external-cmd", dest="external_cmd")
-    p.add_argument("--timeout", type=float)
-    p.add_argument("--external-batch-size", dest="external_batch_size", type=int)
-    p.add_argument("--external-in-flight", dest="external_in_flight", type=int)
+    command = shlex.split(resolved["external_cmd"]) if resolved["external_cmd"] else None
+    return ExternalPredictorClient(endpoint=resolved["external_endpoint"],
+                                   command=command,
+                                   **_kwargs(resolved, _CLIENT_PARAMS))
 
 
 # -- train -------------------------------------------------------------------
@@ -200,23 +234,18 @@ def _add_predictor_flags(p: argparse.ArgumentParser):
 def cmd_train(args: argparse.Namespace) -> int:
     from .model import BowClassifier, accuracy, save_model, train_bow
 
-    resolved = _merge_config(args, _load_config_file(args.config), {
-        **_corpus_defaults(), "out": None,
-        **_defaults(BowClassifier, "epochs", "learning_rate", "l2", "seed",
-                    "val_fraction"),
-        "manifest": None})
+    resolved = _merge_config(args, {**_corpus_defaults(),
+                                    **_defaults(BowClassifier, _TRAIN_PARAMS)})
     if not resolved["out"]:
         raise ConfigError("--out is required")
+    params = _kwargs(resolved, _TRAIN_PARAMS)
+    with _config_errors():
+        BowClassifier(**params).check_params()
     started = time.time()
     corpus = _load_corpus_from(resolved)
     t_load = time.time()
-    try:
-        clf = train_bow(corpus, epochs=resolved["epochs"],
-                        learning_rate=resolved["learning_rate"],
-                        l2=resolved["l2"], seed=resolved["seed"],
-                        val_fraction=resolved["val_fraction"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    with _config_errors():
+        clf = train_bow(corpus, **params)
     t_train = time.time()
     save_model(clf, resolved["out"])
     acc = accuracy(clf, corpus)
@@ -236,18 +265,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     from .synth import SynthSpec, generate_planted_corpus
 
-    resolved = _merge_config(args, _load_config_file(args.config), {
-        "out": None, "truth": None,
-        **_defaults(SynthSpec, "noise", n_docs="docs", n_signal="signal_words"),
-        **_defaults(generate_planted_corpus, "seed"), "manifest": None})
+    resolved = _merge_config(args, {
+        **_defaults(SynthSpec, _SYNTH_PARAMS),
+        **_defaults(generate_planted_corpus, _same("seed"))})
     if not resolved["out"]:
         raise ConfigError("--out is required")
     started = time.time()
-    try:
-        spec = SynthSpec(n_docs=resolved["docs"], n_signal=resolved["signal_words"],
-                         noise=resolved["noise"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    with _config_errors():
+        spec = SynthSpec(**_kwargs(resolved, _SYNTH_PARAMS))
     corpus, truth = generate_planted_corpus(spec, seed=resolved["seed"])
     with open(resolved["out"], "w", encoding="utf-8") as handle:
         for doc in corpus:
@@ -264,45 +289,28 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 # -- topk --------------------------------------------------------------------
 
-# the AnchorTopTerms parameters that are topk flags, mapped to their dest
-_TOPK_PARAMS = {name: name for name in (
-    "k", "alpha", "profile", "tau", "delta", "batch_size", "max_samples", "omega",
-    "tau_floor", "zeta", "mask_prob", "min_freq", "candidate_filtering",
-    "stop_rare_filtering", "sample_fraction")} | {
-    "target_class": "class_label", "aggregation": "agg",
-    "adaptive_threshold": "adaptive_tau", "per_class_n_w": "per_class_nw"}
-
-
 def cmd_topk(args: argparse.Namespace) -> int:
-    from .aggregate import dump_scores, make_aggregation
+    from .aggregate import dump_scores
     from .corpus import load_stopwords, word_stats
     from .topk import AnchorTopTerms
 
-    resolved = _merge_config(args, _load_config_file(args.config), {
+    resolved = _merge_config(args, {
         **_corpus_defaults(), **_predictor_defaults(),
-        **_defaults(AnchorTopTerms, **_TOPK_PARAMS), "seed": None,
-        "stopword_file": None, "freq_corpus": None,
-        "perturb_endpoint": None, "perturb_cmd": None,
-        "threads": 0,  # accepted and ignored, see AnytimeOptions.threads
-        "terms": None, "snapshots": None, "counts": None, "trace": None,
-        "manifest": None})
+        **_defaults(AnchorTopTerms, _TOPK_PARAMS),
+        "threads": 0})  # accepted and ignored, see AnytimeOptions.threads
     if resolved["seed"] is None:
         raise ConfigError("--seed is required for topk runs")
     if not resolved["class_label"]:
         raise ConfigError("--class is required")
     if resolved["perturb_endpoint"] and resolved["perturb_cmd"]:
         raise ConfigError("--perturb-endpoint and --perturb-cmd are exclusive")
-    est = AnchorTopTerms(seed=resolved["seed"], **{
-        name: resolved[dest] for name, dest in _TOPK_PARAMS.items()})
-    try:
+    _check_predictor(resolved)
+    est = AnchorTopTerms(seed=resolved["seed"], **_kwargs(resolved, _TOPK_PARAMS))
+    with _config_errors():
         est.check_params()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     started = time.time()
     corpus = _load_corpus_from(resolved)
-    if resolved["class_label"] not in corpus.classes:
-        raise ConfigError(f"class {resolved['class_label']!r} not in corpus "
-                          f"classes {corpus.classes}")
+    _check_class(resolved["class_label"], corpus)
     predictor = _build_predictor(resolved)
     stopwords = None
     if resolved["stopword_file"]:
@@ -352,18 +360,15 @@ def cmd_topk(args: argparse.Namespace) -> int:
         _close_clients(predictor, perturbator)
     t_run = time.time()
 
-    if resolved["k"] > len(est.result_.candidates):
-        print(f"warning: k={resolved['k']} exceeds the {len(est.result_.candidates)} "
+    res = est.result_
+    if resolved["k"] > len(res.candidates):
+        print(f"warning: k={resolved['k']} exceeds the {len(res.candidates)} "
               "candidate words; emitting the full ranking", file=sys.stderr)
     if resolved["terms"]:
         est.terms_.save(resolved["terms"])
     if resolved["counts"]:
-        res = est.result_
-        aggregation = make_aggregation(resolved["agg"], stats=res.stats,
-                                       alpha=resolved["alpha"],
-                                       min_freq=resolved["min_freq"])
         with open(resolved["counts"], "w", encoding="utf-8") as handle:
-            dump_scores(handle, res.counts, resolved["class_label"], aggregation,
+            dump_scores(handle, res.counts, resolved["class_label"], res.aggregation,
                         words=sorted(res.candidates))
 
     _write_manifest(
@@ -371,8 +376,8 @@ def cmd_topk(args: argparse.Namespace) -> int:
         "topk", resolved, started,
         {"load": t_load - started, "run": t_run - t_load},
         {"predictor_calls": est.calls_,
-         "documents_processed": est.result_.documents_processed,
-         "filtered_words": len(est.result_.filtered),
+         "documents_processed": res.documents_processed,
+         "filtered_words": len(res.filtered),
          "resolved_profile": est.resolved_settings(),
          "terms": [{"word": w, "score": s} for w, s in est.terms_.items]})
     for word, score in est.terms_.items:
@@ -391,27 +396,25 @@ def cmd_anchors(args: argparse.Namespace) -> int:
     from .seeding import stream_rng
     from .topk import order_documents
 
-    resolved = _merge_config(args, _load_config_file(args.config), {
-        **_corpus_defaults(), **_predictor_defaults(), "class_label": None,
-        **_defaults(AnchorConfig, "tau", "delta", "batch_size", "max_samples"),
-        **_defaults(build_unigram_perturbator, "zeta", "mask_prob"), "seed": None,
-        "out": None, "limit": None, "manifest": None})
+    resolved = _merge_config(args, {
+        **_corpus_defaults(), **_predictor_defaults(),
+        **_defaults(AnchorConfig, _ANCHOR_PARAMS),
+        **_defaults(build_unigram_perturbator, _PERTURB_PARAMS)})
     if resolved["seed"] is None:
         raise ConfigError("--seed is required")
     if not resolved["out"]:
         raise ConfigError("--out is required")
-    try:
+    _check_predictor(resolved)
+    with _config_errors():
         if resolved["limit"] is not None:
             check_positive_int(resolved["limit"], "limit")
-        cfg = AnchorConfig(tau=resolved["tau"], delta=resolved["delta"],
-                           batch_size=resolved["batch_size"],
-                           max_samples=resolved["max_samples"])
+        cfg = AnchorConfig(**_kwargs(resolved, _ANCHOR_PARAMS))
         check_positive_int(resolved["zeta"], "zeta")
         check_probability(resolved["mask_prob"], "mask_prob", open_high=False)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     started = time.time()
     corpus = _load_corpus_from(resolved)
+    if resolved["class_label"]:
+        _check_class(resolved["class_label"], corpus)
     base = _build_predictor(resolved)
     predictor = CountingPredictor(base)
     cached = CachingPredictor(predictor)
@@ -419,11 +422,9 @@ def cmd_anchors(args: argparse.Namespace) -> int:
         predicted = cached.predict_many(corpus.documents)
         labels = {d.id: label for d, label in zip(corpus, predicted)}
         stats = word_stats(corpus, labels)
-        perturbator = build_unigram_perturbator(stats, zeta=resolved["zeta"],
-                                                mask_prob=resolved["mask_prob"])
+        perturbator = build_unigram_perturbator(stats,
+                                                **_kwargs(resolved, _PERTURB_PARAMS))
         if resolved["class_label"]:
-            if resolved["class_label"] not in corpus.classes:
-                raise ConfigError(f"class {resolved['class_label']!r} not in corpus")
             docs = order_documents(corpus, cached, resolved["class_label"])
         else:
             docs = [d for d in corpus if len(d.words)]
@@ -458,32 +459,25 @@ def cmd_anchors(args: argparse.Namespace) -> int:
 # -- eval-aopc ----------------------------------------------------------------
 
 def cmd_eval_aopc(args: argparse.Namespace) -> int:
-    from .eval import TermList, aopc_k, quality_timeline, write_timeline_csv
+    from .eval import aopc_k, quality_timeline, write_timeline_csv
     from .model import CachingPredictor
 
-    resolved = _merge_config(args, _load_config_file(args.config), {
-        **_corpus_defaults(), **_predictor_defaults(),
-        "terms": None, "class_label": None, "out": None,
-        "snapshots": None, "timeline_out": None, "manifest": None})
+    resolved = _merge_config(args, {**_corpus_defaults(), **_predictor_defaults()})
     if not resolved["terms"] and not resolved["snapshots"]:
         raise ConfigError("--terms or --snapshots is required")
+    if resolved["snapshots"] and not resolved["class_label"]:
+        raise ConfigError("--class is required with --snapshots")
+    _check_predictor(resolved)
+    terms = _load_terms(resolved["terms"]) if resolved["terms"] else None
     started = time.time()
     corpus = _load_corpus_from(resolved)
     base = _build_predictor(resolved)
     predictor = CachingPredictor(base)
     payload = {}
     try:
-        if resolved["terms"]:
-            terms_path = Path(resolved["terms"])
-            if not terms_path.exists():
-                raise ConfigError(f"terms file not found: {terms_path}")
-            try:
-                terms = TermList.load(terms_path)
-            except (ValueError, KeyError) as exc:
-                raise ConfigError(f"malformed terms file: {exc}") from exc
+        if terms is not None:
             c = resolved["class_label"] or terms.class_label
-            if c not in corpus.classes:
-                raise ConfigError(f"class {c!r} not in corpus classes {corpus.classes}")
+            _check_class(c, corpus)
             result = aopc_k(terms, corpus, predictor, c)
             payload = {"class": c, "agg": terms.aggregation, "k": len(terms),
                        "value": result.value, "per_prefix": list(result.per_prefix),
@@ -493,8 +487,6 @@ def cmd_eval_aopc(args: argparse.Namespace) -> int:
                                                  encoding="utf-8")
 
         if resolved["snapshots"]:
-            if not resolved["class_label"]:
-                raise ConfigError("--class is required with --snapshots")
             snap_path = Path(resolved["snapshots"])
             if not snap_path.exists():
                 raise ConfigError(f"snapshot log not found: {snap_path}")
@@ -519,23 +511,14 @@ def cmd_eval_aopc(args: argparse.Namespace) -> int:
 # -- compare ------------------------------------------------------------------
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from .eval import TermList, aopc_k, shared_terms_ratio
+    from .eval import aopc_k, shared_terms_ratio
     from .model import CachingPredictor
 
-    resolved = _merge_config(args, _load_config_file(args.config), {
-        **_corpus_defaults(), **_predictor_defaults(),
-        "class_label": None, "out_prefix": None, "manifest": None})
+    resolved = _merge_config(args, {**_corpus_defaults(), **_predictor_defaults()})
     if len(args.term_files) < 1:
         raise ConfigError("at least one terms file is required")
-    lists = []
-    for path in args.term_files:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"terms file not found: {p}")
-        try:
-            lists.append((p.stem, TermList.load(p)))
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(f"malformed terms file {p}: {exc}") from exc
+    _check_predictor(resolved)
+    lists = [(Path(path).stem, _load_terms(path)) for path in args.term_files]
     started = time.time()
     corpus = _load_corpus_from(resolved)
     base = _build_predictor(resolved)
@@ -547,8 +530,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     try:
         for name, terms in lists:
             c = resolved["class_label"] or terms.class_label
-            if c not in corpus.classes:
-                raise ConfigError(f"class {c!r} not in corpus classes {corpus.classes}")
+            _check_class(c, corpus)
             aopc_rows.append((name, terms.aggregation, c,
                               aopc_k(terms, corpus, predictor, c).value))
     finally:
@@ -579,6 +561,32 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+def _add_flags(p: argparse.ArgumentParser, *flags: str, type=None) -> None:
+    """Options whose dest is the flag's name, as argparse derives it."""
+    for flag in flags:
+        p.add_argument(flag, type=type)
+
+
+def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
+    _add_flags(p, "--corpus", "--text-field", "--label-field")
+    p.add_argument("--format", choices=["csv", "jsonl"])
+    _add_flags(p, "--max-chars", type=int)
+
+
+def _add_predictor_flags(p: argparse.ArgumentParser) -> None:
+    """The predictor's settings, and the class whose predictions it explains."""
+    _add_flags(p, "--model", "--external-endpoint", "--external-cmd")
+    _add_flags(p, "--timeout", type=float)
+    _add_flags(p, "--external-batch-size", "--external-in-flight", type=int)
+    p.add_argument("--class", dest="class_label")
+
+
+def _add_anchor_flags(p: argparse.ArgumentParser) -> None:
+    """The anchor test's and the perturbation's settings, and the seed."""
+    _add_flags(p, "--seed", "--batch-size", "--max-samples", "--zeta", type=int)
+    _add_flags(p, "--tau", "--delta", "--mask-prob", type=float)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anchoragg",
@@ -588,115 +596,73 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train the built-in bag-of-words classifier")
-    p.add_argument("--config")
     _add_corpus_flags(p)
-    p.add_argument("--out")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--l2", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--val-fraction", dest="val_fraction", type=float)
-    p.add_argument("--manifest")
+    _add_flags(p, "--out")
+    _add_flags(p, "--epochs", "--seed", type=int)
+    _add_flags(p, "--learning-rate", "--l2", "--val-fraction", type=float)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("synth", help="generate a planted-signal corpus")
-    p.add_argument("--config")
-    p.add_argument("--out")
-    p.add_argument("--truth")
-    p.add_argument("--docs", type=int)
-    p.add_argument("--signal-words", dest="signal_words", type=int)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--manifest")
+    _add_flags(p, "--out", "--truth")
+    _add_flags(p, "--docs", "--signal-words", "--seed", type=int)
+    _add_flags(p, "--noise", type=float)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("topk", help="anytime top-k impactful words")
-    p.add_argument("--config")
     _add_corpus_flags(p)
     _add_predictor_flags(p)
-    p.add_argument("--class", dest="class_label")
-    p.add_argument("--k", type=int)
+    _add_anchor_flags(p)
+    _add_flags(p, "--k", "--min-freq", type=int)
     # the library checks --agg and --profile, and names the valid values
     p.add_argument("--agg", help="aggregation kind (README: Aggregations)")
-    p.add_argument("--alpha", type=float)
     p.add_argument("--profile", help="optimization profile "
                    "(README: Optimization profiles)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--max-samples", dest="max_samples", type=int)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--tau-floor", dest="tau_floor", type=float)
-    p.add_argument("--zeta", type=int)
-    p.add_argument("--mask-prob", dest="mask_prob", type=float)
-    p.add_argument("--min-freq", dest="min_freq", type=int)
-    p.add_argument("--stopword-file", dest="stopword_file")
-    p.add_argument("--freq-corpus", dest="freq_corpus",
+    _add_flags(p, "--alpha", "--omega", "--tau-floor", "--sample-fraction",
+               type=float)
+    p.add_argument("--stopword-file")
+    p.add_argument("--freq-corpus",
                    help="corpus whose counts feed the rare-word threshold")
-    p.add_argument("--perturb-endpoint", dest="perturb_endpoint",
+    p.add_argument("--perturb-endpoint",
                    help="HTTP endpoint of an external perturbator service")
-    p.add_argument("--perturb-cmd", dest="perturb_cmd",
+    p.add_argument("--perturb-cmd",
                    help="subprocess command speaking the perturbator protocol")
-    p.add_argument("--candidate-filtering", dest="candidate_filtering",
-                   action="store_true", default=None)
-    p.add_argument("--stop-rare-filtering", dest="stop_rare_filtering",
-                   action="store_true", default=None)
-    p.add_argument("--adaptive-tau", dest="adaptive_tau",
-                   action="store_true", default=None)
-    p.add_argument("--per-class-nw", dest="per_class_nw",
-                   action="store_true", default=None)
-    p.add_argument("--sample-fraction", dest="sample_fraction", type=float)
+    for flag in ("--candidate-filtering", "--stop-rare-filtering", "--adaptive-tau",
+                 "--per-class-nw"):
+        p.add_argument(flag, action="store_true", default=None)
     p.add_argument("--threads", type=int, help="accepted and ignored")
-    p.add_argument("--terms")
-    p.add_argument("--snapshots")
-    p.add_argument("--counts")
-    p.add_argument("--trace")
-    p.add_argument("--manifest")
+    _add_flags(p, "--terms", "--snapshots", "--counts", "--trace")
     p.set_defaults(func=cmd_topk)
 
     p = sub.add_parser("anchors", help="per-token anchor decisions as JSONL")
-    p.add_argument("--config")
     _add_corpus_flags(p)
     _add_predictor_flags(p)
-    p.add_argument("--class", dest="class_label")
-    p.add_argument("--tau", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--max-samples", dest="max_samples", type=int)
-    p.add_argument("--zeta", type=int)
-    p.add_argument("--mask-prob", dest="mask_prob", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--limit", type=int)
-    p.add_argument("--out")
-    p.add_argument("--manifest")
+    _add_anchor_flags(p)
+    _add_flags(p, "--limit", type=int)
+    _add_flags(p, "--out")
     p.set_defaults(func=cmd_anchors)
 
     p = sub.add_parser("eval-aopc", help="probability-drop quality of a term list")
-    p.add_argument("--config")
     _add_corpus_flags(p)
     _add_predictor_flags(p)
-    p.add_argument("--terms")
-    p.add_argument("--class", dest="class_label")
-    p.add_argument("--out")
+    _add_flags(p, "--terms", "--out")
     p.add_argument("--snapshots", help="snapshot log to score as a timeline")
-    p.add_argument("--timeline-out", dest="timeline_out")
-    p.add_argument("--manifest")
+    _add_flags(p, "--timeline-out")
     p.set_defaults(func=cmd_eval_aopc)
 
     p = sub.add_parser("compare", help="shared-terms matrix and quality table")
     p.add_argument("term_files", nargs="*")
-    p.add_argument("--config")
     _add_corpus_flags(p)
     _add_predictor_flags(p)
-    p.add_argument("--class", dest="class_label")
-    p.add_argument("--out-prefix", dest="out_prefix")
-    p.add_argument("--manifest")
+    _add_flags(p, "--out-prefix")
     p.set_defaults(func=cmd_compare)
 
-    for p in sub.choices.values():  # the type a config value takes per key
-        p.set_defaults(config_types={a.dest: bool if a.nargs == 0 else (a.type or str)
-                                     for a in p._actions})
+    for p in sub.choices.values():
+        _add_flags(p, "--config", "--manifest")
+        # the type a config value takes, per setting: every option's dest
+        # but --help's and --config's
+        p.set_defaults(config_types={
+            a.dest: bool if a.nargs == 0 else (a.type or str) for a in p._actions
+            if a.option_strings and a.dest not in ("help", "config")})
     return parser
 
 

@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._validation import ParamsMixin, check_fitted
+from ._validation import (ParamsMixin, check_fitted, check_positive,
+                          check_positive_int, check_probability)
 from .corpus import Corpus, Document
 
 __all__ = [
@@ -108,29 +109,31 @@ class BowClassifier(ParamsMixin, Predictor):
 
     # -- fitting ---------------------------------------------------------
 
+    def check_params(self) -> None:
+        """Raise ValueError on a setting out of range, before any data is
+        read."""
+        check_positive_int(self.epochs, "epochs")
+        # a zero learning rate leaves the weights at zero
+        check_positive(self.learning_rate, "learning_rate", zero_ok=True)
+        check_positive(self.l2, "l2", zero_ok=True)
+        check_probability(self.val_fraction, "val_fraction", open_low=False)
+
     def _count_matrix(self, docs: Sequence[Sequence[str]]):
         # imported here: only training needs scipy, and importing it costs
         # every other command ~85 ms and ~15 MB of start-up
         from scipy import sparse
 
-        vocab = self._vocab_index_
-        rows, cols, vals = [], [], []
-        for i, words in enumerate(docs):
-            local: dict[int, int] = {}
-            for w in words:
-                j = vocab.get(w)
-                if j is not None:
-                    local[j] = local.get(j, 0) + 1
-            for j, v in local.items():
-                rows.append(i)
-                cols.append(j)
-                vals.append(v)
+        # one entry per token: the matrix sums a document's repeated words;
+        # every word is in the vocabulary ``fit`` just built
+        lengths = np.fromiter(map(len, docs), dtype=np.intp, count=len(docs))
+        ids = self.encode([w for words in docs for w in words])
         return sparse.csr_matrix(
-            (np.asarray(vals, dtype=np.float64), (rows, cols)),
+            (np.ones(ids.size), (np.repeat(np.arange(len(docs)), lengths), ids)),
             shape=(len(docs), len(self.vocabulary_)),
         )
 
     def fit(self, docs: Sequence[Sequence[str]], y: Sequence[str]) -> "BowClassifier":
+        self.check_params()
         docs = [tuple(d) for d in docs]
         y = list(y)
         if len(docs) != len(y):
@@ -326,16 +329,25 @@ class ExternalPredictorClient(Predictor):
                  command: Sequence[str] | None = None,
                  timeout: float = 30.0, batch_size: int = 32,
                  max_in_flight: int = 1):
+        self.check_params(timeout, batch_size, max_in_flight)
         # imported here, as the HTTP pool's concurrent.futures below: the
         # transport loads subprocess, which only an external client needs
         from ._transport import JsonLinesTransport
 
         self._transport = JsonLinesTransport(endpoint, command, timeout,
                                              ExternalPredictorError, "predictor")
-        self.batch_size = max(1, int(batch_size))
-        self.max_in_flight = max(1, int(max_in_flight))
+        self.batch_size = int(batch_size)
+        self.max_in_flight = int(max_in_flight)
         self.classes_ = None
         self._lock = threading.Lock()
+
+    @staticmethod
+    def check_params(timeout: float, batch_size: int, max_in_flight: int) -> None:
+        """Raise ValueError on a setting out of range, before any connection.
+        The messages name the settings as the CLI's config keys do."""
+        check_positive(timeout, "timeout")
+        check_positive_int(batch_size, "external_batch_size")
+        check_positive_int(max_in_flight, "external_in_flight")
 
     def _request(self, texts: list[str]) -> np.ndarray:
         payload = self._transport.roundtrip({"texts": texts})

@@ -40,11 +40,6 @@ class Perturbator:
     round in one call instead of one ``sample_batch`` call per token.
     """
 
-    def sample(self, doc: Document, keep: Iterable[int],
-               rng: np.random.Generator) -> Document:
-        words = self.sample_batch(doc, keep, 1, rng)[0]
-        return Document(id=doc.id, words=words, raw_text=" ".join(words))
-
     def sample_batch(self, doc: Document, keep: Iterable[int], n: int,
                      rng: np.random.Generator) -> list[tuple[str, ...]]:
         raise NotImplementedError
@@ -80,15 +75,15 @@ class UnigramPerturbator(Perturbator):
     def sample_round(self, doc_ids: np.ndarray, positions: Sequence[int], n: int,
                      rngs: Sequence[np.random.Generator], fill_ids: np.ndarray
                      ) -> np.ndarray:
-        """Every position's batch of a round, drawn in one step.
+        """Every position's batch of a round, drawn in one step, in ids.
 
-        Position ``positions[t]`` is kept and draws from ``rngs[t]``; the
-        result stacks, in that order, the ``(n, m)`` blocks that
-        ``sample_ids(doc_ids, (positions[t],), n, rngs[t], fill_ids)`` would
-        return, as one ``(len(positions) * n, m)`` matrix. Each generator is
-        consumed exactly as that call consumes it. ``doc_ids`` and
-        ``fill_ids`` may also be object arrays of the document's and the
-        pool's words; the rows then hold words.
+        ``doc_ids`` are the ids of the document's words and ``fill_ids``
+        those of ``pool_words``, in one id space. Block ``t``, rows ``t * n`` to
+        ``(t + 1) * n``, holds the ids of the rows that
+        ``sample_batch(doc, (positions[t],), n, rngs[t])`` draws, and each
+        generator is consumed exactly as that call consumes it. ``doc_ids``
+        and ``fill_ids`` may also be object arrays of the words themselves;
+        the rows then hold words.
         """
         m = len(doc_ids)
         if len(positions) and not (0 <= min(positions) and max(positions) < m):
@@ -144,14 +139,6 @@ class UnigramPerturbator(Perturbator):
         rows = self._sample(words, self._free(len(words), keep), n, (rng,),
                             self.pool_words)
         return list(map(tuple, rows.tolist()))
-
-    def sample_ids(self, doc_ids: np.ndarray, keep: Iterable[int], n: int,
-                   rng: np.random.Generator, fill_ids: np.ndarray) -> np.ndarray:
-        """``sample_batch`` in ids: an ``(n, m)`` matrix drawn exactly as
-        ``sample_batch`` draws its rows, filled from ``fill_ids``, the ids of
-        ``pool_words``."""
-        doc_ids = np.asarray(doc_ids, dtype=np.intp)
-        return self._sample(doc_ids, self._free(len(doc_ids), keep), n, (rng,), fill_ids)
 
 
 def build_unigram_perturbator(stats: WordStats, zeta: int = DEFAULT_ZETA,

@@ -22,6 +22,7 @@ so a run's outputs depend only on its inputs and seed.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -104,6 +105,9 @@ class AnytimeResult:
     candidates: frozenset[str]
     documents_processed: int
     stats: WordStats
+    # the run's own copy of the aggregation passed in, bound to the run's
+    # statistics: it scores ``counts`` as the run did
+    aggregation: Aggregation
 
 
 def should_filter(upper_bound: float, w_min_score: float, heap_full: bool) -> bool:
@@ -142,7 +146,8 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
     The final selection equals the offline top-k of the same aggregation on
     the full counts whenever candidate filtering is off. Aggregations that
     need no anchor sampling (``base``) skip estimation entirely and their
-    tallies stay empty.
+    tallies stay empty. The run scores with a copy of ``aggregation``, so one
+    aggregation may be passed to several runs.
     """
     check_positive_int(k, "k")
     if c not in corpus.classes:
@@ -160,6 +165,7 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
                          f"corpus classes {corpus.classes}")
     stats = word_stats(corpus, label_map=predicted)
     freq_stats = options.freq_stats if options.freq_stats is not None else stats
+    aggregation = copy.copy(aggregation)
     if aggregation.stats is None:
         aggregation.stats = freq_stats if isinstance(aggregation, GAv) else stats
 
@@ -253,7 +259,8 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
         terms=terms, snapshots=snapshots, counts=counts, calls=counting.calls,
         scores=final_scores,
         filtered=frozenset(w for w, m in zip(words, filtered_mask) if m),
-        candidates=candidates, documents_processed=len(ordered), stats=stats)
+        candidates=candidates, documents_processed=len(ordered), stats=stats,
+        aggregation=aggregation)
 
 
 def _estimate_document(doc, counting, perturbator, cfg, c, counts, n_w,

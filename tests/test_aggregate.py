@@ -140,6 +140,20 @@ class TestSimpleAggregations:
         # in no document: no share defined, excluded from ranking
         assert math.isnan(score("base", counts, "absent", "c", stats=stats))
 
+    @pytest.mark.parametrize("kind", ["av_minfreq", "base"])
+    def test_new_table_never_scored_from_a_freed_tables_cache(self, kind):
+        """The caches hold the table they were built for: a new table can
+        take the id of a freed one and still gets its own values."""
+        stats = word_stats(make_corpus([("0", "x x y", "c0"), ("1", "y y z", "c1")]))
+        agg = make_aggregation(kind, stats=stats, min_freq=2)
+        vocabularies = (["v", "x"], ["x", "y"], ["v", "y", "z"], ["y", "z"])
+        for i in range(40):
+            counts = AnchorCounts(vocabularies[i % len(vocabularies)], ("c0", "c1"))
+            expected = make_aggregation(kind, stats=stats, min_freq=2).rank_values(
+                counts, "c0")
+            np.testing.assert_array_equal(agg.rank_values(counts, "c0"), expected)
+            del counts
+
 
 class TestProbModel:
     def test_alpha_one_collapses_to_anchor_share(self):

@@ -216,19 +216,56 @@ class TestSettings:
         ("anchors", "--batch-size", "0", "batch_size and max_samples must be >= 1"),
         ("anchors", "--limit", "0", "limit must be a positive integer, got 0"),
         ("anchors", "--limit", "-1", "limit must be a positive integer, got -1"),
+        ("train", "--epochs", "0", "epochs must be a positive integer, got 0"),
+        ("train", "--epochs", "-2", "epochs must be a positive integer, got -2"),
+        ("train", "--val-fraction", "-0.5", "val_fraction out of range: -0.5"),
+        ("train", "--val-fraction", "1", "val_fraction out of range: 1.0"),
+        ("train", "--learning-rate", "-1",
+         "learning_rate must be non-negative, got -1.0"),
+        ("train", "--l2", "-0.1", "l2 must be non-negative, got -0.1"),
+        ("topk", "--external-batch-size", "0",
+         "external_batch_size must be a positive integer, got 0"),
+        ("topk", "--external-in-flight", "0",
+         "external_in_flight must be a positive integer, got 0"),
+        ("topk", "--timeout", "0", "timeout must be positive, got 0.0"),
+        ("anchors", "--timeout", "-1", "timeout must be positive, got -1.0"),
     ]
 
     @pytest.mark.parametrize("command, flag, value, message", OUT_OF_RANGE,
                              ids=[f"{c} {f} {v}" for c, f, v, _ in OUT_OF_RANGE])
     def test_out_of_range_value_is_a_config_error(self, workspace, capsys, command,
                                                   flag, value, message):
-        synth_and_train(workspace, docs=40, epochs=50)
-        capsys.readouterr()
-        out = ("--out", "a.jsonl") if command == "anchors" else ()
-        assert run(command, "--corpus", "c.jsonl", "--format", "jsonl",
-                   "--model", "m.json", "--class", "pos", "--seed", "7", *out,
-                   flag, value) == 2
+        """Exit 2 before the corpus loads: the corpus file does not exist."""
+        required = {"train": ("--out", "m.json"),
+                    "topk": ("--model", "m.json", "--class", "pos", "--seed", "7"),
+                    "anchors": ("--model", "m.json", "--seed", "7", "--out", "a.jsonl")}
+        assert run(command, "--corpus", "missing.jsonl", "--format", "jsonl",
+                   *required[command], flag, value) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_every_option_is_a_recorded_setting(self, workspace):
+        """Each command's manifest records one setting per option of its
+        parser, --help and --config aside."""
+        import argparse
+
+        from anchoragg.cli import build_parser
+
+        commands = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        synth_and_train(workspace, docs=40, epochs=50)
+        TestTopk()._topk()
+        inputs = ("--corpus", "c.jsonl", "--format", "jsonl", "--model", "m.json")
+        assert run("anchors", *inputs, "--seed", "7", "--limit", "1",
+                   "--out", "a.jsonl") == 0
+        assert run("eval-aopc", *inputs, "--terms", "terms.json", "--out", "e.json") == 0
+        assert run("compare", "terms.json", *inputs, "--out-prefix", "cmp") == 0
+        manifests = {"synth": "c.jsonl", "train": "m.json", "topk": "run.json",
+                     "anchors": "a.jsonl", "eval-aopc": "e.json", "compare": "cmp.json"}
+        assert set(manifests) == set(commands)
+        for command, out in manifests.items():
+            path = out if out == "run.json" else f"{out}.manifest.json"
+            dests = {a.dest for a in commands[command]._actions if a.option_strings}
+            assert set(self._config(path)) == dests - {"help", "config"}, command
 
 
 class TestAnchorsCommand:
@@ -307,6 +344,22 @@ class TestTimelineAndFreqCorpus:
                    "--profile", "optimized", "--freq-corpus", "c.jsonl",
                    "--terms", "tf.json")
         assert code == 0
+
+    def test_counts_score_as_the_run_under_a_frequency_corpus(self, workspace):
+        """--counts writes the scores the run ranked by: ``av_minfreq`` bars
+        words by their counts in --freq-corpus, not in --corpus."""
+        synth_and_train(workspace, docs=40, epochs=50)
+        assert run("synth", "--out", "f.jsonl", "--docs", "150", "--seed", "5") == 0
+        assert run("topk", "--corpus", "c.jsonl", "--format", "jsonl",
+                   "--model", "m.json", "--class", "pos", "--k", "5",
+                   "--agg", "av_minfreq", "--min-freq", "3", "--seed", "2",
+                   "--max-samples", "10", "--freq-corpus", "f.jsonl",
+                   "--terms", "terms.json", "--counts", "counts.jsonl") == 0
+        scores = {row["word"]: row["score"] for row in
+                  map(json.loads, Path("counts.jsonl").read_text().splitlines())}
+        terms = TermList.load("terms.json")
+        assert len(terms) == 5
+        assert [scores[w] for w, _ in terms.items] == [s for _, s in terms.items]
 
     def test_per_class_nw_flag(self, workspace):
         synth_and_train(workspace, docs=40)

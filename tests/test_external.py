@@ -244,8 +244,8 @@ class TestExternalPerturbator:
                                            zeta=50, mask_prob=1.0)
         try:
             doc = Document.from_text("0", "a b")
-            out = client.sample(doc, keep=(0,), rng=stream_rng(0, "x"))
-            assert out.words == ("a", "z")
+            out = client.sample_batch(doc, (0,), 1, stream_rng(0, "x"))[0]
+            assert out == ("a", "z")
         finally:
             client.close()
 
@@ -259,7 +259,7 @@ class TestExternalPerturbator:
         client = ExternalPerturbatorClient(endpoint=url, mask_prob=1.0)
         doc = Document.from_text("0", "x")
         rng = stream_rng(5, "w")
-        words = [client.sample(doc, (), rng).words[0] for _ in range(400)]
+        words = [client.sample_batch(doc, (), 1, rng)[0][0] for _ in range(400)]
         share = words.count("u") / len(words)
         assert 0.65 <= share <= 0.85  # 3:1 weighting
 
@@ -274,8 +274,8 @@ class TestExternalPerturbator:
         url = http_server(payload)
         client = ExternalPerturbatorClient(endpoint=url, mask_prob=1.0)
         doc = Document.from_text("0", "a b c")
-        out = client.sample(doc, keep=(1,), rng=stream_rng(1, "k"))
-        assert out.words[1] == "b"
+        out = client.sample_batch(doc, (1,), 1, stream_rng(1, "k"))[0]
+        assert out[1] == "b"
         assert all(1 not in masked for masked in seen)
 
     def test_candidate_count_mismatch(self, http_server):
@@ -283,7 +283,7 @@ class TestExternalPerturbator:
         client = ExternalPerturbatorClient(endpoint=url, mask_prob=1.0)
         doc = Document.from_text("0", "a b")
         with pytest.raises(ExternalPerturbatorError, match="candidate lists"):
-            client.sample(doc, (), stream_rng(2, "m"))
+            client.sample_batch(doc, (), 1, stream_rng(2, "m"))
 
     def test_zeta_violation(self, http_server):
         def payload(request):
@@ -294,12 +294,12 @@ class TestExternalPerturbator:
         client = ExternalPerturbatorClient(endpoint=url, zeta=2, mask_prob=1.0)
         doc = Document.from_text("0", "a")
         with pytest.raises(ExternalPerturbatorError, match="exceeds zeta"):
-            client.sample(doc, (), stream_rng(3, "z"))
+            client.sample_batch(doc, (), 1, stream_rng(3, "z"))
 
     def test_empty_candidates_keep_original(self, http_server):
         url = http_server(lambda request: {
             "candidates": [[] for _ in request["masked_positions"]]})
         client = ExternalPerturbatorClient(endpoint=url, mask_prob=1.0)
         doc = Document.from_text("0", "a b")
-        out = client.sample(doc, (), stream_rng(4, "e"))
-        assert out.words == ("a", "b")
+        out = client.sample_batch(doc, (), 1, stream_rng(4, "e"))[0]
+        assert out == ("a", "b")

@@ -49,14 +49,14 @@ class TestSampling:
     def test_keep_all_positions_identity(self):
         pert = self._pert(["z"], [1.0], 1.0)
         doc = Document.from_text("0", "a b c")
-        out = pert.sample(doc, keep=(0, 1, 2), rng=stream_rng(0, "t"))
-        assert out.words == ("a", "b", "c")
+        out = pert.sample_batch(doc, (0, 1, 2), 1, stream_rng(0, "t"))[0]
+        assert out == ("a", "b", "c")
 
     def test_forced_replacement(self):
         pert = self._pert(["z"], [1.0], 1.0)
         doc = Document.from_text("0", "a b")
-        out = pert.sample(doc, keep=(0,), rng=stream_rng(0, "t"))
-        assert out.words == ("a", "z")
+        out = pert.sample_batch(doc, (0,), 1, stream_rng(0, "t"))[0]
+        assert out == ("a", "z")
 
     def test_deterministic_with_fresh_identical_rng(self):
         pert = self._pert(["x", "y", "z"], [3.0, 2.0, 1.0], 0.5)
@@ -131,6 +131,8 @@ class TestVectorizedFill:
             assert ours.random() == theirs.random()
 
     def test_sample_ids_equal_encoded_batch_and_leave_same_stream(self):
+        """``sample_round`` in ids draws, block by block, the encoded rows of
+        ``sample_batch`` with that block's position kept."""
         for seed in range(2000):
             r = np.random.default_rng(2 * 10**6 + seed)
             size = int(r.integers(1, 40))
@@ -147,15 +149,16 @@ class TestVectorizedFill:
             index = {w: j for j, w in enumerate(known)}
             encode = lambda words: np.asarray([index.get(w, len(known)) for w in words],
                                               dtype=np.intp)
-            # empty and full keep sets included
-            keep = tuple(int(p) for p in r.permutation(m)[:int(r.integers(0, m + 1))])
+            positions = r.permutation(m)[:int(r.integers(1, m + 1))].tolist()
             n = int(r.integers(0, 25))
-            ours, theirs = stream_rng(seed, "ids"), stream_rng(seed, "ids")
-            ids = pert.sample_ids(encode(doc.words), keep, n, ours, encode(pool))
-            rows = pert.sample_batch(doc, keep, n, theirs)
-            assert ids.dtype == np.intp and ids.shape == (n, m)
+            ours = [stream_rng(seed, "ids", p) for p in positions]
+            theirs = [stream_rng(seed, "ids", p) for p in positions]
+            ids = pert.sample_round(encode(doc.words), positions, n, ours, encode(pool))
+            rows = [row for p, rng in zip(positions, theirs)
+                    for row in pert.sample_batch(doc, (p,), n, rng)]
+            assert ids.dtype == np.intp and ids.shape == (len(positions) * n, m)
             assert ids.tolist() == [encode(row).tolist() for row in rows]
-            assert ours.random() == theirs.random()
+            assert [g.random() for g in ours] == [g.random() for g in theirs]
 
 
 class TestRoundKernel:

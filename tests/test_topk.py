@@ -145,6 +145,21 @@ class TestRunAnytime:
                                  agg.rank_values(result.counts, "pos"), 4)
             assert [w for w, _ in offline] == list(result.terms.words)
 
+    def test_one_aggregation_reused_across_runs_ranks_as_a_fresh_one(self):
+        """Each run scores with its own statistics, not with those of an
+        earlier run the same aggregation object was passed to."""
+        from anchoragg.model import train_bow
+        from anchoragg.synth import SynthSpec, generate_planted_corpus
+
+        shared = make_aggregation("base")
+        for docs, seed in ((40, 1), (150, 5)):
+            corpus, _ = generate_planted_corpus(SynthSpec(n_docs=docs), seed=seed)
+            clf = train_bow(corpus, epochs=200)
+            pert = build_unigram_perturbator(word_stats(corpus))
+            run = lambda agg: run_anytime(corpus, clf, pert, AnchorConfig(), agg, 5, "pos")
+            assert run(shared).terms == run(make_aggregation("base")).terms
+        assert shared.stats is None
+
     def test_k_covers_all_candidates(self):
         corpus = anchor_test_corpus()
         result = small_run(corpus, FlipWordPredictor(), k=500)
