@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 _SUBMODULE_NAMES = {
     "aggregate": ("AGGREGATION_KINDS", "AnchorCounts", "log_likelihood",
                   "make_aggregation", "rank_words"),
-    "anchor": ("AnchorConfig", "AnchorDecision", "PrecisionEstimate", "adaptive_tau",
+    "anchor": ("AnchorConfig", "AnchorDecision", "PrecisionEstimate",
                "anchors_of_document", "confidence_bounds", "estimate_token"),
     "corpus": ("CandidateSet", "Corpus", "Document", "Token", "WordStats",
                "default_stopwords", "filter_candidates", "load_corpus",

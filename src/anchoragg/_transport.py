@@ -69,28 +69,46 @@ class JsonLinesTransport:
                 self.close()
                 self._proc = subprocess.Popen(
                     self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+                # written raw, so a child that stops reading cannot block us
+                os.set_blocking(self._proc.stdin.fileno(), False)
                 self._pending = b""
+            deadline = time.monotonic() + self.timeout
             try:
-                self._proc.stdin.write(json.dumps(request).encode("utf-8") + b"\n")
-                self._proc.stdin.flush()
-                line = self._read_line()
+                sent = self._write(json.dumps(request).encode("utf-8") + b"\n",
+                                   deadline)
+                line = self._read_line(deadline) if sent else None
             except OSError as exc:
                 self.close()
                 raise self.error(f"{self.service} subprocess failed: {exc}") from exc
             if line is None:
                 self._end(grace=0)
-                raise self.error(f"{self.service} subprocess did not reply "
+                raise self.error(f"{self.service} subprocess did not "
+                                 f"{'reply' if sent else 'read its request'} "
                                  f"within {self.timeout} s")
             if not line:
                 self.close()  # reap the child now, not on the next request
                 raise self.error(f"{self.service} subprocess closed its stdout")
         return line
 
-    def _read_line(self) -> bytes | None:
-        """The child's next line; b"" at end of output, None when ``timeout``
-        seconds pass first. The deadline covers the whole line, so a child
-        that hangs mid-line cannot stall the caller either."""
-        deadline = time.monotonic() + self.timeout
+    def _write(self, data: bytes, deadline: float) -> bool:
+        """Write ``data`` to the child's stdin; False when ``deadline`` passes
+        first. A request the pipe has room for goes out in one write, with
+        no wait; a larger one waits only while the pipe is full."""
+        fd = self._proc.stdin.fileno()
+        view = memoryview(data)
+        while view:
+            try:
+                view = view[os.write(fd, view):]
+            except BlockingIOError:
+                left = deadline - time.monotonic()
+                if left <= 0 or not select.select([], [fd], [], left)[1]:
+                    return False
+        return True
+
+    def _read_line(self, deadline: float) -> bytes | None:
+        """The child's next line; b"" at end of output, None when
+        ``deadline`` passes first. The deadline covers the whole line, so a
+        child that hangs mid-line cannot stall the caller either."""
         fd = self._proc.stdout.fileno()  # read raw: select cannot see a buffer
         while b"\n" not in self._pending:
             left = deadline - time.monotonic()

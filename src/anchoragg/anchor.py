@@ -27,7 +27,6 @@ __all__ = [
     "PrecisionEstimate",
     "AnchorDecision",
     "confidence_bounds",
-    "adaptive_tau",
     "estimate_token",
     "anchors_of_document",
 ]
@@ -45,8 +44,6 @@ class AnchorConfig:
     delta: float = 0.1
     batch_size: int = 10
     max_samples: int = 100
-    omega: float = 0.4
-    tau_floor: float = 0.55
 
     def __post_init__(self):
         if not 0.0 < self.tau <= 1.0:
@@ -55,10 +52,6 @@ class AnchorConfig:
             raise ValueError(f"delta out of (0, 1): {self.delta}")
         if self.batch_size < 1 or self.max_samples < 1:
             raise ValueError("batch_size and max_samples must be >= 1")
-        if self.tau_floor > self.tau:
-            raise ValueError(f"tau_floor {self.tau_floor} above tau {self.tau}")
-        if self.omega < 0:
-            raise ValueError(f"omega must be non-negative: {self.omega}")
 
 
 @dataclass(frozen=True)
@@ -78,7 +71,6 @@ class AnchorDecision:
     is_anchor: bool
     estimate: PrecisionEstimate | None
     samples_used: int
-    tau_eff: float
     skipped: bool = field(default=False)
 
     def to_row(self, doc_id: str) -> dict:
@@ -108,22 +100,8 @@ def confidence_bounds(successes: int, trials: int, delta: float) -> tuple[float,
     return max(0.0, point - half), min(1.0, point + half)
 
 
-def adaptive_tau(cfg: AnchorConfig, pseudo_gpr: float, n_w: int) -> float:
-    """Relax the precision threshold for words already seen as anchors.
-
-    Returns tau - omega * pseudo_gpr / n_w, clamped to [tau_floor, tau].
-    A zero pseudo-score leaves tau unchanged.
-    """
-    if n_w < 1:
-        raise ValueError(f"n_w must be >= 1, got {n_w}")
-    if pseudo_gpr < 0:
-        raise ValueError(f"pseudo_gpr must be non-negative, got {pseudo_gpr}")
-    relaxed = cfg.tau - cfg.omega * pseudo_gpr / n_w
-    return min(cfg.tau, max(cfg.tau_floor, relaxed))
-
-
 def estimate_token(doc: Document, position: int, predictor: Predictor,
-                   perturbator: Perturbator, cfg: AnchorConfig, tau_eff: float,
+                   perturbator: Perturbator, cfg: AnchorConfig,
                    rng: np.random.Generator,
                    target: str | None = None) -> AnchorDecision:
     """Sequentially test whether keeping one token preserves the prediction.
@@ -131,19 +109,19 @@ def estimate_token(doc: Document, position: int, predictor: Predictor,
     Perturbation samples are drawn in batches with the token's position held
     fixed; a sample succeeds when the predictor assigns it the same class as
     the unperturbed document (``target``, predicted on the fly when absent).
-    Stops early once the lower bound reaches ``tau_eff`` (anchor) or the
+    Stops early once the lower bound reaches ``cfg.tau`` (anchor) or the
     upper bound falls below it (non-anchor); at budget exhaustion the point
-    estimate against ``tau_eff`` decides.
+    estimate against ``cfg.tau`` decides.
     """
     if not 0 <= position < len(doc.words):
         raise ValueError(f"position {position} outside document {doc.id!r}")
     if target is None:
         target = predictor.predict(doc)
-    return _sequential_tests(doc, [position], [tau_eff], [rng], predictor,
-                             perturbator, cfg, predictor.class_index(target))[0]
+    return _sequential_tests(doc, [position], [rng], predictor, perturbator, cfg,
+                             predictor.class_index(target))[0]
 
 
-def _sequential_tests(doc: Document, positions: list[int], taus: list[float],
+def _sequential_tests(doc: Document, positions: list[int],
                       rngs: list[np.random.Generator], predictor: Predictor,
                       perturbator: Perturbator, cfg: AnchorConfig, target_idx: int
                       ) -> list[AnchorDecision]:
@@ -151,8 +129,8 @@ def _sequential_tests(doc: Document, positions: list[int], taus: list[float],
 
     In every round each undecided position draws its next batch from its own
     generator, and the round's rows are scored in predictor calls of at most
-    ``ROUND_ROWS`` rows. A position leaves once its bound clears its
-    threshold or its budget is spent. Each generator is consumed as a test
+    ``ROUND_ROWS`` rows. A position leaves once its bound clears
+    ``cfg.tau`` or its budget is spent. Each generator is consumed as a test
     of its position alone would consume it, so decisions do not depend on
     which positions share a round.
 
@@ -162,9 +140,6 @@ def _sequential_tests(doc: Document, positions: list[int], taus: list[float],
     word tuples. Any other perturbator draws each position's batch with
     ``sample_batch``. Every path draws and scores the same rows.
     """
-    for tau_eff in taus:
-        if not cfg.tau_floor <= tau_eff <= 1.0:
-            raise ValueError(f"tau_eff {tau_eff} outside [{cfg.tau_floor}, 1]")
     if hasattr(perturbator, "sample_round"):
         if hasattr(predictor, "predict_proba_ids"):
             base = predictor.encode(doc.words)
@@ -205,41 +180,37 @@ def _sequential_tests(doc: Document, positions: list[int], taus: list[float],
         undecided = []
         for i, hit in zip(active, hits):
             successes[i] += int(hit)
-            tau_eff = taus[i]
             lower, upper = confidence_bounds(successes[i], trials, cfg.delta)
-            if lower < tau_eff <= upper and trials < cfg.max_samples:
+            if lower < cfg.tau <= upper and trials < cfg.max_samples:
                 undecided.append(i)
                 continue
             point = successes[i] / trials
             estimate = PrecisionEstimate(successes=successes[i], trials=trials,
                                          point=point, lower=lower, upper=upper)
             # certified either way by the bounds, else by the point estimate
-            is_anchor = lower >= tau_eff or (upper >= tau_eff and point >= tau_eff)
+            is_anchor = lower >= cfg.tau or (upper >= cfg.tau and point >= cfg.tau)
             decisions[i] = AnchorDecision(
                 token=Token(doc.words[positions[i]], positions[i]), is_anchor=is_anchor,
-                estimate=estimate, samples_used=trials, tau_eff=tau_eff)
+                estimate=estimate, samples_used=trials)
         active = undecided
     return decisions
 
 
-def _skipped_decision(doc: Document, position: int, tau_eff: float) -> AnchorDecision:
+def _skipped_decision(doc: Document, position: int) -> AnchorDecision:
     return AnchorDecision(token=Token(doc.words[position], position),
                           is_anchor=False, estimate=None, samples_used=0,
-                          tau_eff=tau_eff, skipped=True)
+                          skipped=True)
 
 
 def anchors_of_document(doc: Document, predictor: Predictor,
                         perturbator: Perturbator, cfg: AnchorConfig,
-                        threshold_for: Callable[[str], float],
                         rng_for: Callable[[int], np.random.Generator],
                         skip_word: Callable[[str], bool] | None = None,
                         target: str | None = None) -> list[AnchorDecision]:
     """One anchor decision per token of the document, in position order.
 
-    ``threshold_for`` supplies the effective threshold per word (constant or
-    adaptive); ``rng_for`` supplies the per-position generator, so the tokens'
-    tests are independent and run together in rounds (see
-    ``_sequential_tests``).
+    ``rng_for`` supplies the per-position generator, so the tokens' tests are
+    independent and run together in rounds (see ``_sequential_tests``).
     Words for which ``skip_word`` is true are not sampled and are recorded
     as non-anchors.
     """
@@ -248,13 +219,11 @@ def anchors_of_document(doc: Document, predictor: Predictor,
     if target is None:
         target = predictor.predict(doc)
 
-    thresholds = {w: threshold_for(w) for w in set(doc.words)}
     sampled = [p for p, w in enumerate(doc.words)
                if skip_word is None or not skip_word(w)]
     tested = _sequential_tests(
-        doc, sampled, [thresholds[doc.words[p]] for p in sampled],
-        [rng_for(p) for p in sampled], predictor, perturbator, cfg,
+        doc, sampled, [rng_for(p) for p in sampled], predictor, perturbator, cfg,
         predictor.class_index(target))
     decisions = dict(zip(sampled, tested))
-    return [decisions[p] if p in decisions else _skipped_decision(doc, p, thresholds[w])
-            for p, w in enumerate(doc.words)]
+    return [decisions[p] if p in decisions else _skipped_decision(doc, p)
+            for p in range(len(doc.words))]

@@ -96,11 +96,9 @@ _CLIENT_PARAMS = {"timeout": "timeout", "batch_size": "external_batch_size",
 _TRAIN_PARAMS = _same("epochs", "learning_rate", "l2", "seed", "val_fraction")
 _SYNTH_PARAMS = {"n_docs": "docs", "n_signal": "signal_words", "noise": "noise"}
 _TOPK_PARAMS = _same(
-    "k", "alpha", "profile", "tau", "delta", "batch_size", "max_samples", "omega",
-    "tau_floor", "zeta", "mask_prob", "min_freq", "candidate_filtering",
-    "stop_rare_filtering", "sample_fraction") | {
-    "target_class": "class_label", "aggregation": "agg",
-    "adaptive_threshold": "adaptive_tau", "per_class_n_w": "per_class_nw"}
+    "k", "alpha", "profile", "tau", "delta", "batch_size", "max_samples", "zeta",
+    "mask_prob", "min_freq", "candidate_filtering", "stop_rare_filtering",
+    "sample_fraction") | {"target_class": "class_label", "aggregation": "agg"}
 _ANCHOR_PARAMS = _same("tau", "delta", "batch_size", "max_samples")
 _PERTURB_PARAMS = _same("zeta", "mask_prob")
 
@@ -439,7 +437,6 @@ def cmd_anchors(args: argparse.Namespace) -> int:
                 target = labels[doc.id]
                 decisions = anchors_of_document(
                     doc, predictor, perturbator, cfg,
-                    threshold_for=lambda w: cfg.tau,
                     rng_for=lambda pos, d=doc: stream_rng(seed, "perturb", d.id, pos),
                     target=target)
                 for dec in decisions:
@@ -617,8 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agg", help="aggregation kind (README: Aggregations)")
     p.add_argument("--profile", help="optimization profile "
                    "(README: Optimization profiles)")
-    _add_flags(p, "--alpha", "--omega", "--tau-floor", "--sample-fraction",
-               type=float)
+    _add_flags(p, "--alpha", "--sample-fraction", type=float)
     p.add_argument("--stopword-file")
     p.add_argument("--freq-corpus",
                    help="corpus whose counts feed the rare-word threshold")
@@ -626,8 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="HTTP endpoint of an external perturbator service")
     p.add_argument("--perturb-cmd",
                    help="subprocess command speaking the perturbator protocol")
-    for flag in ("--candidate-filtering", "--stop-rare-filtering", "--adaptive-tau",
-                 "--per-class-nw"):
+    for flag in ("--candidate-filtering", "--stop-rare-filtering"):
         p.add_argument(flag, action="store_true", default=None)
     p.add_argument("--threads", type=int, help="accepted and ignored")
     _add_flags(p, "--terms", "--snapshots", "--counts", "--trace")

@@ -96,9 +96,6 @@ class Corpus:
     def __iter__(self):
         return iter(self.documents)
 
-    def label_of(self, doc_id: str) -> str:
-        return self.labels[doc_id]
-
     def total_tokens(self) -> int:
         return sum(len(d) for d in self.documents)
 

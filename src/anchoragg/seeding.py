@@ -3,8 +3,8 @@
 Every random draw in the package flows from a single integer root seed,
 expanded into independent named streams. Stream identity is built from the
 root seed plus a sequence of string/int keys (e.g. ``("perturb", doc_id,
-position)``), so parallel workers own disjoint deterministic streams and
-results do not depend on scheduling or worker count.
+position)``), so each token's test owns its own stream and its draws do not
+depend on which other tokens are tested, or in what order.
 """
 
 from __future__ import annotations

@@ -11,10 +11,9 @@ point yields a valid, improving answer. Optimizations on top:
   below the current k-th pseudo-score;
 - stop-word / rare-word filtering: never sample tokens outside the
   candidate set, tallying them as non-anchors;
-- adaptive precision threshold: relax the anchor threshold for words whose
-  partial probabilistic score is already high;
 - document sampling: run on a uniform subset of the corpus.
 
+Every anchor test decides against the one threshold ``AnchorConfig.tau``.
 Token estimations inside a document are independent and move in rounds;
 tallies, selection, filtering, and snapshots are applied in document order,
 so a run's outputs depend only on its inputs and seed.
@@ -32,8 +31,8 @@ import numpy as np
 from ._validation import (ParamsMixin, check_fraction, check_positive_int,
                           check_probability)
 from .aggregate import (DEFAULT_ALPHA, DEFAULT_MIN_FREQ, AnchorCounts,
-                        Aggregation, GAv, GPr, make_aggregation, rank_words)
-from .anchor import AnchorConfig, AnchorDecision, adaptive_tau, anchors_of_document
+                        Aggregation, GAv, make_aggregation, rank_words)
+from .anchor import AnchorConfig, anchors_of_document
 from .corpus import (Corpus, Document, WordStats, default_stopwords,
                      filter_candidates, sample_documents, word_stats)
 from .eval import TermList
@@ -59,20 +58,20 @@ class AnytimeOptions:
     """Switches for the run; profiles are overlays over these fields.
 
     ``freq_stats`` optionally supplies the word statistics that feed the
-    rare-word threshold and the adaptive-threshold occurrence counts (e.g.
+    rare-word thresholds of stop/rare skipping and of ``av_minfreq`` (e.g.
     counts over a training split instead of the aggregation corpus).
     """
 
     candidate_filtering: bool = False
     stop_rare_filtering: bool = False
-    adaptive_threshold: bool = False
     min_freq: int = DEFAULT_MIN_FREQ
     stopwords: frozenset[str] | None = None
-    # accepted and ignored: every draw runs in the calling thread, where it
-    # costs less than a pool task; the benchmark (bench/) still passes it
-    threads: int = 1
-    per_class_n_w: bool = False
     freq_stats: WordStats | None = None
+    # accepted and ignored, because the benchmark (bench/) still passes them:
+    # every draw runs in the calling thread, where it costs less than a pool
+    # task, and every anchor test uses the one threshold ``AnchorConfig.tau``
+    threads: int = 1
+    adaptive_threshold: bool = False
 
 
 @dataclass(frozen=True)
@@ -110,12 +109,15 @@ class AnytimeResult:
     aggregation: Aggregation
 
 
-def should_filter(upper_bound: float, w_min_score: float, heap_full: bool) -> bool:
+def should_filter(upper_bound, w_min_score: float, heap_full: bool):
     """Permanently drop a word when even its optimistic bound cannot beat
     the current k-th pseudo-score. Strict inequality: a bound exactly equal
-    to the k-th score keeps the word alive; nothing filters before the
-    selection is full."""
-    return heap_full and bool(upper_bound < w_min_score)
+    to the k-th score keeps the word alive, and so does a NaN bound; nothing
+    filters before the selection is full. Elementwise over an array of
+    bounds; a scalar bound gives a bool."""
+    with np.errstate(invalid="ignore"):
+        below = np.less(upper_bound, w_min_score)
+    return heap_full and (below if below.ndim else below.item())
 
 
 def order_documents(corpus: Corpus, predictor: Predictor, c: str
@@ -192,12 +194,6 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
         for w in doc.words:
             remaining[index[w]] += 1
 
-    n_w = np.asarray(
-        [freq_stats.class_count.get(c, {}).get(w, 0) if options.per_class_n_w
-         else freq_stats.total_count.get(w, 0) for w in words], dtype=np.int64)
-
-    pr_for_threshold = aggregation if isinstance(aggregation, GPr) else GPr(stats)
-
     filtered_mask = np.zeros(vocab_size, dtype=bool)
     snapshots: list[Snapshot] = []
     selection: list[tuple[str, float]] = []
@@ -216,11 +212,13 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
             take_snapshot(i)
             continue
 
+        # words outside the domain are not sampled and tally as non-anchors
+        domain = candidate_mask & ~filtered_mask
         if aggregation.needs_anchors:
-            decisions = _estimate_document(
-                doc, counting, perturbator, cfg, c, counts, n_w,
-                pr_for_threshold, candidate_mask, filtered_mask, index,
-                options, root_seed)
+            decisions = anchors_of_document(
+                doc, counting, perturbator, cfg,
+                lambda p, d=doc: stream_rng(root_seed, "perturb", d.id, p),
+                skip_word=lambda w: not domain[index[w]], target=c)
             counts.ingest(decisions, c, doc.id)
             if trace_sink is not None:
                 for d in decisions:
@@ -232,7 +230,6 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
             remaining[index[w]] -= 1
 
         values = aggregation.rank_values(counts, c)
-        domain = candidate_mask & ~filtered_mask
         masked = np.where(domain, values, np.nan)
         selection = rank_words(words, masked, k)
 
@@ -243,10 +240,8 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
             for w, _ in selection:
                 in_selection[index[w]] = True
             bounds = aggregation.upper_bounds(counts, c, remaining)
-            # vectorized form of should_filter over all candidates
-            with np.errstate(invalid="ignore"):
-                prune = domain & ~in_selection & (bounds < w_min_score)
-            filtered_mask |= prune
+            filtered_mask |= domain & ~in_selection & should_filter(
+                bounds, w_min_score, heap_full=True)
 
         take_snapshot(i)
 
@@ -263,45 +258,16 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
         aggregation=aggregation)
 
 
-def _estimate_document(doc, counting, perturbator, cfg, c, counts, n_w,
-                       pr_agg, candidate_mask, filtered_mask, index,
-                       options: AnytimeOptions, root_seed: int
-                       ) -> list[AnchorDecision]:
-    """Anchor-estimate one document against the state committed so far."""
-    if options.adaptive_threshold:
-        pseudo = pr_agg.rank_values(counts, c)
-
-        def threshold_for(word: str) -> float:
-            j = index[word]
-            return adaptive_tau(cfg, max(0.0, float(pseudo[j])), max(1, int(n_w[j])))
-    else:
-        def threshold_for(word: str) -> float:
-            return cfg.tau
-
-    def skip_word(word: str) -> bool:
-        j = index[word]
-        if filtered_mask[j]:
-            return True
-        return options.stop_rare_filtering and not candidate_mask[j]
-
-    def rng_for(position: int):
-        return stream_rng(root_seed, "perturb", doc.id, position)
-
-    return anchors_of_document(doc, counting, perturbator, cfg, threshold_for,
-                               rng_for, skip_word=skip_word, target=c)
-
-
 # -- optimization profiles ---------------------------------------------------
 
 _PROFILES: dict[str, dict] = {
     "baseline": {},
     "delta_relaxed": {"delta": 0.3},
     "masking": {"zeta": 50},
-    "adaptive_tau": {"adaptive_threshold": True},
     "filtered": {"candidate_filtering": True},
     "sampled": {"sample_fraction": 0.5},
-    "optimized": {"zeta": 50, "delta": 0.3, "adaptive_threshold": True,
-                  "candidate_filtering": True, "stop_rare_filtering": True},
+    "optimized": {"zeta": 50, "delta": 0.3, "candidate_filtering": True,
+                  "stop_rare_filtering": True},
 }
 
 PROFILE_NAMES = tuple(_PROFILES)
@@ -309,6 +275,7 @@ PROFILE_NAMES = tuple(_PROFILES)
 _PROFILE_DEFAULTS = {
     "zeta": DEFAULT_ZETA,
     "delta": AnchorConfig.delta,
+    # no profile sets it; kept because the benchmark (bench/) reads it
     "adaptive_threshold": AnytimeOptions.adaptive_threshold,
     "candidate_filtering": AnytimeOptions.candidate_filtering,
     "stop_rare_filtering": AnytimeOptions.stop_rare_filtering,
@@ -320,7 +287,7 @@ def optimization_profile(name: str) -> dict:
     """Parameter overlay for a named optimization profile.
 
     Every profile starts from the unoptimized defaults (the default pool
-    size and delta, constant threshold, no filtering, full corpus) and
+    size and delta, no filtering, full corpus) and
     overrides the fields it optimizes.
     """
     if name not in _PROFILES:
@@ -352,24 +319,20 @@ class AnchorTopTerms(ParamsMixin):
     delta: float | None = None
     batch_size: int = AnchorConfig.batch_size
     max_samples: int = AnchorConfig.max_samples
-    omega: float = AnchorConfig.omega
-    tau_floor: float = AnchorConfig.tau_floor
     zeta: int | None = None
     mask_prob: float = DEFAULT_MASK_PROB
     min_freq: int = AnytimeOptions.min_freq
     stopwords: frozenset[str] | None = None
     candidate_filtering: bool | None = None
     stop_rare_filtering: bool | None = None
-    adaptive_threshold: bool | None = None
     sample_fraction: float | None = None
     seed: int = 0
-    per_class_n_w: bool = AnytimeOptions.per_class_n_w
     freq_stats: WordStats | None = None
 
     def resolved_settings(self) -> dict:
         overlay = optimization_profile(self.profile)
         for name in ("delta", "zeta", "candidate_filtering", "stop_rare_filtering",
-                     "adaptive_threshold", "sample_fraction"):
+                     "sample_fraction"):
             value = getattr(self, name)
             if value is not None:
                 overlay[name] = value
@@ -385,8 +348,7 @@ class AnchorTopTerms(ParamsMixin):
         check_positive_int(self.min_freq, "min_freq")
         check_fraction(settings["sample_fraction"], "sample_fraction")
         cfg = AnchorConfig(tau=self.tau, delta=settings["delta"],
-                           batch_size=self.batch_size, max_samples=self.max_samples,
-                           omega=self.omega, tau_floor=self.tau_floor)
+                           batch_size=self.batch_size, max_samples=self.max_samples)
         aggregation = make_aggregation(self.aggregation, alpha=self.alpha,
                                        min_freq=self.min_freq)
         return settings, cfg, aggregation
@@ -409,9 +371,8 @@ class AnchorTopTerms(ParamsMixin):
         options = AnytimeOptions(
             candidate_filtering=settings["candidate_filtering"],
             stop_rare_filtering=settings["stop_rare_filtering"],
-            adaptive_threshold=settings["adaptive_threshold"],
             min_freq=self.min_freq, stopwords=self.stopwords,
-            per_class_n_w=self.per_class_n_w, freq_stats=self.freq_stats)
+            freq_stats=self.freq_stats)
         result = run_anytime(run_corpus, predictor, perturbator, cfg,
                              aggregation, self.k, self.target_class, options,
                              root_seed=self.seed, snapshot_sink=snapshot_sink,

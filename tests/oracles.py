@@ -250,9 +250,10 @@ def rank_words_by_sort(words, values, k=None) -> list[tuple[str, float]]:
 
 
 def sequential_test_by_token(doc, position, predictor, perturbator, cfg,
-                             tau_eff, rng, target_idx):
+                             rng, target_idx):
     """(is_anchor, successes, trials) of one token, tested on its own:
-    batches until a Hoeffding bound clears ``tau_eff`` or the budget ends."""
+    batches until a Hoeffding bound clears ``cfg.tau`` or the budget ends."""
+    tau = cfg.tau
     successes = trials = 0
     while trials < cfg.max_samples:
         batch = min(cfg.batch_size, cfg.max_samples - trials)
@@ -262,11 +263,11 @@ def sequential_test_by_token(doc, position, predictor, perturbator, cfg,
         trials += batch
         half = math.sqrt(math.log(2.0 / cfg.delta) / (2.0 * trials))
         point = successes / trials
-        if max(0.0, point - half) >= tau_eff:
+        if max(0.0, point - half) >= tau:
             return True, successes, trials
-        if min(1.0, point + half) < tau_eff:
+        if min(1.0, point + half) < tau:
             return False, successes, trials
-    return successes / trials >= tau_eff, successes, trials
+    return successes / trials >= tau, successes, trials
 
 
 def aopc_by_document(words, corpus, predictor, c) -> np.ndarray:

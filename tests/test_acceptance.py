@@ -14,12 +14,14 @@ import pytest
 
 from anchoragg.aggregate import (AnchorCounts, GPr, _q_raw_vector, make_aggregation,
                                  rank_words)
-from anchoragg.anchor import AnchorConfig, adaptive_tau, estimate_token
+from anchoragg.anchor import AnchorConfig, estimate_token
 from anchoragg.cli import main as cli_main
-from anchoragg.corpus import Document
+from anchoragg.corpus import Document, load_corpus, word_stats
 from anchoragg.eval import TermList, aopc_k, shared_terms_ratio
-from anchoragg.model import CachingPredictor, accuracy
-from anchoragg.topk import AnchorTopTerms
+from anchoragg.model import CachingPredictor, accuracy, load_model
+from anchoragg.perturb import build_unigram_perturbator
+from anchoragg.topk import (AnchorTopTerms, AnytimeOptions, optimization_profile,
+                            run_anytime)
 
 from conftest import FlipWordPredictor, CoinPerturbator
 from oracles import closed_form_estimates, grid_max_loglik, loglik
@@ -131,7 +133,7 @@ class TestCriterion4EstimatorSoundness:
             wrong = 0
             for r in range(reps):
                 d = estimate_token(doc, 0, pred, CoinPerturbator(pi), cfg,
-                                   cfg.tau, np.random.default_rng((r, int(pi * 100))))
+                                   np.random.default_rng((r, int(pi * 100))))
                 truth_anchor = pi >= cfg.tau
                 wrong += int(d.is_anchor != truth_anchor)
             rates[pi] = wrong / reps
@@ -261,6 +263,25 @@ class TestCriterion8Determinism:
         return ((ws / f"terms_{tag}.json").read_text(),
                 (ws / f"counts_{tag}.jsonl").read_text(), stripped)
 
+    @staticmethod
+    def _run_library(ws, **ignored):
+        """The CLI run above through the library, as the benchmark's tracer
+        builds it from the profile, with ``ignored`` options added."""
+        corpus = load_corpus(ws / "c.jsonl", "jsonl")
+        settings = optimization_profile("optimized")
+        perturbator = build_unigram_perturbator(word_stats(corpus),
+                                                zeta=settings["zeta"])
+        options = AnytimeOptions(candidate_filtering=settings["candidate_filtering"],
+                                 stop_rare_filtering=settings["stop_rare_filtering"],
+                                 **ignored)
+        res = run_anytime(corpus, load_model(ws / "m.json"), perturbator,
+                          AnchorConfig(delta=settings["delta"], max_samples=20),
+                          make_aggregation("pr"), 5, "pos", options, root_seed=17)
+        counts = {c: (res.counts.a_plus[c].tolist(), res.counts.a_minus[c].tolist())
+                  for c in res.counts.classes}
+        snapshots = [(s.calls, s.doc_index, s.topk) for s in res.snapshots]
+        return res.terms.items, counts, snapshots
+
     def test_identical_runs_and_thread_invariance(self, tmp_path):
         assert cli_main(["synth", "--out", str(tmp_path / "c.jsonl"),
                          "--docs", "120", "--seed", "6"]) == 0
@@ -271,25 +292,12 @@ class TestCriterion8Determinism:
         second = self._run_cli(tmp_path, "b")
         # --threads is accepted and ignored: a run with 4 changes nothing
         threaded = self._run_cli(tmp_path, "c", threads="4")
-        ok = first == second == threaded
-        report(8, "determinism across runs; --threads changes nothing", ok,
+        # the options the benchmark still passes are accepted and ignored
+        plain = self._run_library(tmp_path)
+        vestiges = self._run_library(tmp_path, adaptive_threshold=True, threads=4)
+        ok = first == second == threaded and plain == vestiges
+        report(8, "determinism across runs; --threads and adaptive_threshold "
+               "change nothing", ok,
                "terms, counts, and snapshot logs identical "
-               "(wall-clock fields excluded), --threads 1 vs 4")
-
-
-class TestCriterion9AdaptiveThresholdClamp:
-    def test_clamp_bounds(self):
-        cfg = AnchorConfig(tau=0.95, delta=0.1, omega=0.4, tau_floor=0.55)
-        rng = np.random.default_rng(3)
-        worst = (1.0, 0.0)
-        for _ in range(20_000):
-            pseudo = float(rng.uniform(0, 1) if rng.random() < 0.5
-                           else rng.uniform(0, 1e6))
-            n_w = int(rng.integers(1, 10**9))
-            value = adaptive_tau(cfg, pseudo, n_w)
-            assert 0.55 <= value <= 0.95
-            worst = (min(worst[0], value), max(worst[1], value))
-        assert adaptive_tau(cfg, 1.0, 1) == pytest.approx(0.55)
-        assert adaptive_tau(cfg, 0.0, 1) == 0.95
-        report(9, "adaptive threshold clamped to [0.55, tau]", True,
-               f"20k random inputs, range observed [{worst[0]:.3f}, {worst[1]:.3f}]")
+               "(wall-clock fields excluded), --threads 1 vs 4, "
+               "AnytimeOptions(adaptive_threshold=True, threads=4) vs defaults")

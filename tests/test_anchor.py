@@ -3,13 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import anchoragg
-from anchoragg.anchor import (ROUND_ROWS, AnchorConfig, adaptive_tau,
-                              anchors_of_document, confidence_bounds,
-                              estimate_token)
+from anchoragg.anchor import (ROUND_ROWS, AnchorConfig, anchors_of_document,
+                              confidence_bounds, estimate_token)
 from anchoragg.corpus import Document, word_stats
 from anchoragg.model import BowClassifier, Predictor, train_bow
 from anchoragg.perturb import UnigramPerturbator, build_unigram_perturbator
@@ -55,32 +52,6 @@ class TestConfidenceBounds:
             confidence_bounds(0, 0, 0.1)
 
 
-class TestAdaptiveTau:
-    CFG = AnchorConfig(tau=0.95, delta=0.1, omega=0.4, tau_floor=0.55)
-
-    def test_zero_score_leaves_tau(self):
-        assert adaptive_tau(self.CFG, 0.0, 10) == 0.95
-
-    def test_floor_at_full_relaxation(self):
-        assert adaptive_tau(self.CFG, 1.0, 1) == pytest.approx(0.55)
-
-    def test_mid_relaxation(self):
-        # 0.95 - 0.4 * 0.5 = 0.75
-        assert adaptive_tau(self.CFG, 0.5, 1) == pytest.approx(0.75)
-
-    @given(st.floats(0, 1e6, allow_nan=False), st.integers(1, 10**9))
-    @settings(max_examples=300, deadline=None)
-    def test_clamped_to_floor_and_tau(self, pseudo, n_w):
-        value = adaptive_tau(self.CFG, pseudo, n_w)
-        assert 0.55 <= value <= 0.95
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            adaptive_tau(self.CFG, -0.1, 5)
-        with pytest.raises(ValueError):
-            adaptive_tau(self.CFG, 0.1, 0)
-
-
 class TestEstimateToken:
     def test_constant_predictor_every_token_anchor(self):
         doc = Document.from_text("0", "one two three")
@@ -88,8 +59,7 @@ class TestEstimateToken:
         pert = UnigramPerturbator(["zz"], [1.0], mask_prob=0.5)
         pred = ConstantPredictor()
         for pos in range(3):
-            d = estimate_token(doc, pos, pred, pert, cfg, cfg.tau,
-                               stream_rng(0, "t", pos))
+            d = estimate_token(doc, pos, pred, pert, cfg, stream_rng(0, "t", pos))
             assert d.is_anchor
             assert d.estimate.point == 1.0
 
@@ -98,8 +68,7 @@ class TestEstimateToken:
         doc = Document.from_text("0", "x other words")
         pred = PositionWordPredictor("x", 0)
         pert = UnigramPerturbator(["noise"], [1.0], mask_prob=1.0)
-        d = estimate_token(doc, 0, pred, pert, AnchorConfig(), 0.95,
-                           stream_rng(1, "t"))
+        d = estimate_token(doc, 0, pred, pert, AnchorConfig(), stream_rng(1, "t"))
         assert d.is_anchor and d.estimate.point == 1.0
 
     def test_destroyed_key_position_no_anchor(self):
@@ -109,7 +78,7 @@ class TestEstimateToken:
         pred = PositionWordPredictor("x", 0)
         pert = UnigramPerturbator(["noise"], [1.0], mask_prob=1.0)
         rng = stream_rng(2, "t")
-        d = estimate_token(doc, 1, pred, pert, AnchorConfig(), 0.95, rng)
+        d = estimate_token(doc, 1, pred, pert, AnchorConfig(), rng)
         assert not d.is_anchor
         assert d.estimate.point == 0.0
         # Monte Carlo oracle agrees the analytic precision is 0
@@ -123,8 +92,7 @@ class TestEstimateToken:
         pert = UnigramPerturbator(["noise"], [1.0], mask_prob=0.5)
         est = mc_precision(doc, 1, pred, pert, stream_rng(4, "mc"), 100_000)
         assert abs(est - 0.5) <= 3 * math.sqrt(0.25 / 100_000)
-        d = estimate_token(doc, 1, pred, pert, AnchorConfig(), 0.95,
-                           stream_rng(5, "t"))
+        d = estimate_token(doc, 1, pred, pert, AnchorConfig(), stream_rng(5, "t"))
         assert not d.is_anchor
 
     def test_determinism(self):
@@ -132,32 +100,31 @@ class TestEstimateToken:
         pred = FlipWordPredictor()
         pert = CoinPerturbator(0.7)
         cfg = AnchorConfig()
-        runs = [estimate_token(doc, 0, pred, pert, cfg, 0.95,
-                               stream_rng(9, "s")) for _ in range(2)]
+        runs = [estimate_token(doc, 0, pred, pert, cfg, stream_rng(9, "s"))
+                for _ in range(2)]
         assert runs[0] == runs[1]
 
     def test_early_stop_spends_fewer_samples_on_clear_non_anchor(self):
         doc = Document.from_text("0", "a b")
         pred = FlipWordPredictor()
         cfg = AnchorConfig()
-        d = estimate_token(doc, 0, pred, CoinPerturbator(0.05), cfg, 0.95,
+        d = estimate_token(doc, 0, pred, CoinPerturbator(0.05), cfg,
                            stream_rng(10, "s"))
         assert not d.is_anchor
         assert d.samples_used <= 2 * cfg.batch_size
 
     def test_monotone_in_threshold(self):
-        # with the same rng stream, lowering tau_eff never turns an anchor
+        # with the same rng stream, lowering tau never turns an anchor
         # decision into a non-anchor
         doc = Document.from_text("0", "a b")
         pred = FlipWordPredictor()
-        cfg = AnchorConfig()
         for pi in (0.3, 0.6, 0.9, 0.97, 1.0):
             pert = CoinPerturbator(pi)
             decisions = {}
-            for tau_eff in (0.55, 0.75, 0.95):
-                d = estimate_token(doc, 0, pred, pert, cfg, tau_eff,
+            for tau in (0.55, 0.75, 0.95):
+                d = estimate_token(doc, 0, pred, pert, AnchorConfig(tau=tau),
                                    stream_rng(77, "mono", int(pi * 100)))
-                decisions[tau_eff] = d.is_anchor
+                decisions[tau] = d.is_anchor
             if decisions[0.95]:
                 assert decisions[0.75] and decisions[0.55]
             if decisions[0.75]:
@@ -171,7 +138,7 @@ class TestEstimateToken:
         means = []
         for delta in (0.05, 0.1, 0.3):
             cfg = AnchorConfig(delta=delta)
-            used = [estimate_token(doc, 0, pred, pert, cfg, 0.95,
+            used = [estimate_token(doc, 0, pred, pert, cfg,
                                    stream_rng(500 + r, "econ")).samples_used
                     for r in range(120)]
             means.append(np.mean(used))
@@ -184,9 +151,10 @@ class TestEstimateToken:
         pert = CoinPerturbator(1.0)
         cfg = AnchorConfig()
         with pytest.raises(ValueError):
-            estimate_token(doc, 5, pred, pert, cfg, 0.95, stream_rng(0, "x"))
-        with pytest.raises(ValueError):
-            estimate_token(doc, 0, pred, pert, cfg, 0.2, stream_rng(0, "x"))
+            estimate_token(doc, 5, pred, pert, cfg, stream_rng(0, "x"))
+        for tau in (0.0, -0.2, 1.2):
+            with pytest.raises(ValueError, match="tau out of"):
+                AnchorConfig(tau=tau)
 
 
 class TestAnchorsOfDocument:
@@ -194,7 +162,6 @@ class TestAnchorsOfDocument:
         cfg = cfg or AnchorConfig()
         return anchors_of_document(
             doc, pred, pert, cfg,
-            threshold_for=lambda w: cfg.tau,
             rng_for=lambda pos: stream_rng(3, "doc", doc.id, pos),
             skip_word=skip)
 
@@ -215,17 +182,6 @@ class TestAnchorsOfDocument:
         assert decisions[0].is_anchor and not decisions[0].skipped
         assert decisions[1].skipped and not decisions[1].is_anchor
         assert decisions[1].samples_used == 0
-
-    def test_adaptive_zero_scores_equal_constant_mode(self):
-        doc = Document.from_text("0", "a b c")
-        cfg = AnchorConfig()
-        pred, pert = FlipWordPredictor(), CoinPerturbator(0.9)
-        const = self._run(doc, pred, pert, cfg)
-        adaptive = anchors_of_document(
-            doc, pred, pert, cfg,
-            threshold_for=lambda w: adaptive_tau(cfg, 0.0, 7),
-            rng_for=lambda pos: stream_rng(3, "doc", doc.id, pos))
-        assert const == adaptive
 
     def test_empty_document_rejected(self):
         doc = Document(id="0", words=(), raw_text="")
@@ -254,36 +210,31 @@ class TestRounds:
     as testing each token on its own stream."""
 
     @staticmethod
-    def _check_against_oracle(doc, pred, pert, cfg, threshold_for,
-                              skip=None, recorder=None):
+    def _check_against_oracle(doc, pred, pert, cfg, skip=None, recorder=None):
         rng_for = lambda pos: stream_rng(11, "rounds", doc.id, pos)
         target = pred.predict(doc)
         decisions = anchors_of_document(doc, recorder or pred, pert, cfg,
-                                        threshold_for, rng_for, skip_word=skip,
-                                        target=target)
+                                        rng_for, skip_word=skip, target=target)
         assert [d.token.position for d in decisions] == list(range(len(doc.words)))
         for pos, (word, d) in enumerate(zip(doc.words, decisions)):
-            assert d.tau_eff == threshold_for(word)
             if skip is not None and skip(word):
                 assert d.skipped and d.samples_used == 0
                 continue
             expected = sequential_test_by_token(
-                doc, pos, pred, pert, cfg, threshold_for(word), rng_for(pos),
-                pred.class_index(target))
+                doc, pos, pred, pert, cfg, rng_for(pos), pred.class_index(target))
             assert (d.is_anchor, d.estimate.successes, d.samples_used) == expected
         return decisions
 
     def test_early_stops_thresholds_and_skips(self):
         doc = Document.from_text("d", "a b c d e a b skip f g c")
-        cfg = AnchorConfig(batch_size=7, max_samples=60)
-        taus = {"a": 0.55, "b": 0.7, "c": 0.8, "d": 0.9, "e": 0.95, "f": 1.0,
-                "g": 0.6, "skip": 0.95}
         stops = set()
-        for pi in (0.2, 0.5, 0.7, 0.85, 0.93, 1.0):
-            decisions = self._check_against_oracle(
-                doc, FlipWordPredictor(), CoinPerturbator(pi), cfg, taus.get,
-                skip=lambda w: w == "skip")
-            stops |= {d.samples_used for d in decisions if not d.skipped}
+        for tau in (0.55, 0.7, 0.8, 0.9, 0.95, 1.0):
+            cfg = AnchorConfig(tau=tau, batch_size=7, max_samples=60)
+            for pi in (0.2, 0.5, 0.7, 0.85, 0.93, 1.0):
+                decisions = self._check_against_oracle(
+                    doc, FlipWordPredictor(), CoinPerturbator(pi), cfg,
+                    skip=lambda w: w == "skip")
+                stops |= {d.samples_used for d in decisions if not d.skipped}
         # decisions at the first look, in between and at the budget
         assert {7, 60} <= stops and len(stops) > 3
 
@@ -292,10 +243,9 @@ class TestRounds:
         corpus, _ = generate_planted_corpus(spec, seed=3)
         clf = train_bow(corpus, epochs=100, learning_rate=0.3, seed=0)
         pert = build_unigram_perturbator(word_stats(corpus), zeta=50)
-        cfg = AnchorConfig(delta=0.3)
+        cfg = AnchorConfig(tau=0.8, delta=0.3)
         for doc in corpus.documents[:6]:
-            self._check_against_oracle(doc, clf, pert, cfg, lambda w: 0.8,
-                                       skip=lambda w: len(w) < 3)
+            self._check_against_oracle(doc, clf, pert, cfg, skip=lambda w: len(w) < 3)
 
     def test_one_predictor_call_per_round(self):
         doc = Document.from_text("d", "a b c d e f g h i j k l")
@@ -303,7 +253,6 @@ class TestRounds:
                     AnchorConfig(batch_size=7, max_samples=100)):
             pred = CallRecorder(FlipWordPredictor())
             anchors_of_document(doc, pred, CoinPerturbator(0.9), cfg,
-                                threshold_for=lambda w: cfg.tau,
                                 rng_for=lambda pos: stream_rng(4, "calls", pos),
                                 target="pos")
             assert len(pred.batches) <= math.ceil(cfg.max_samples / cfg.batch_size)
@@ -314,10 +263,10 @@ class TestRounds:
         doc = Document.from_text("long", words)
         pred = FlipWordPredictor()
         recorder = CallRecorder(pred)
-        cfg = AnchorConfig()
+        cfg = AnchorConfig(tau=0.9)
         assert len(doc.words) * cfg.batch_size > ROUND_ROWS
         self._check_against_oracle(doc, pred, CoinPerturbator(0.9), cfg,
-                                   lambda w: 0.9, recorder=recorder)
+                                   recorder=recorder)
         assert max(recorder.batches) <= ROUND_ROWS
         # the first round's 6,000 rows go out in two calls
         assert sum(recorder.batches[:2]) == len(doc.words) * cfg.batch_size
@@ -414,11 +363,11 @@ class TestIdPath:
             " 'classes': list(clf.classes_)}), flush=True)\n")
         client = ExternalPredictorClient(command=[sys.executable, str(script)],
                                          batch_size=ROUND_ROWS)
-        cfg = AnchorConfig(delta=0.3)
+        cfg = AnchorConfig(tau=0.8, delta=0.3)
         try:
             for doc in corpus.documents[:3]:
                 run = lambda predictor: anchors_of_document(
-                    doc, predictor, pert, cfg, threshold_for=lambda w: 0.8,
+                    doc, predictor, pert, cfg,
                     rng_for=lambda pos: stream_rng(5, doc.id, pos))
                 assert run(client) == run(clf)
         finally:
@@ -447,14 +396,14 @@ class TestRoundKernelPath:
     @pytest.mark.parametrize("wrap", [lambda clf: clf, StringOnly])
     def test_sample_batch_only_without_the_kernel(self, trained_pair, wrap):
         corpus, clf, _ = trained_pair
-        cfg = AnchorConfig()
+        cfg = AnchorConfig(tau=0.9)
         kernel = build_unigram_perturbator(word_stats(corpus), zeta=50)
         for perturbator, per_token in ((kernel, False), (CoinPerturbator(0.9), True)):
             keeps = _spy_on_sample_batch(perturbator)
             rounds = 0
             for doc in corpus.documents[:4]:
                 decisions = anchors_of_document(
-                    doc, wrap(clf), perturbator, cfg, threshold_for=lambda w: 0.9,
+                    doc, wrap(clf), perturbator, cfg,
                     rng_for=lambda pos: stream_rng(2, doc.id, pos))
                 rounds += sum(d.samples_used // cfg.batch_size for d in decisions)
             assert len(keeps) == (rounds if per_token else 0)
@@ -473,6 +422,6 @@ class TestStatisticalSoundness:
             wrong = 0
             for r in range(reps):
                 d = estimate_token(doc, 0, pred, CoinPerturbator(pi), cfg,
-                                   cfg.tau, stream_rng(r, "sound", int(pi * 100)))
+                                   stream_rng(r, "sound", int(pi * 100)))
                 wrong += int(d.is_anchor)  # true precision is below tau
             assert wrong / reps <= limit

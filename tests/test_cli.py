@@ -140,7 +140,8 @@ class TestTopk:
         base = {"corpus": "c.jsonl", "format": "jsonl", "model": "m.json",
                 "class_label": "pos", "seed": 5, "max_samples": 10,
                 "terms": "t.json"}
-        for key, value in (("k", "20"), ("adaptive_tau", 1), ("alpha", True)):
+        for key, value in (("k", "20"), ("candidate_filtering", 1),
+                           ("alpha", True)):
             (workspace / "cfg.json").write_text(json.dumps({**base, key: value}))
             assert run("topk", "--config", "cfg.json") == 2
             assert f"config key {key!r}" in capsys.readouterr().err
@@ -186,13 +187,12 @@ class TestSettings:
         assert self._config("run.manifest.json") == {
             **inputs, "class_label": "pos", "k": 20, "agg": "pr", "alpha": 0.5,
             "profile": "baseline", "seed": 7, "tau": 0.95, "delta": None,
-            "batch_size": 10, "max_samples": 100, "omega": 0.4, "tau_floor": 0.55,
-            "zeta": None, "mask_prob": 0.5, "min_freq": 5, "stopword_file": None,
-            "freq_corpus": None, "perturb_endpoint": None, "perturb_cmd": None,
+            "batch_size": 10, "max_samples": 100, "zeta": None, "mask_prob": 0.5,
+            "min_freq": 5, "stopword_file": None, "freq_corpus": None,
+            "perturb_endpoint": None, "perturb_cmd": None,
             "candidate_filtering": None, "stop_rare_filtering": None,
-            "adaptive_tau": None, "per_class_nw": False, "sample_fraction": None,
-            "threads": 0, "terms": None, "snapshots": None, "counts": None,
-            "trace": None, "manifest": None}
+            "sample_fraction": None, "threads": 0, "terms": None, "snapshots": None,
+            "counts": None, "trace": None, "manifest": None}
         assert run("anchors", *required, "--out", "a.jsonl") == 0
         assert self._config("a.jsonl.manifest.json") == {
             **inputs, "class_label": None, "tau": 0.95, "delta": 0.1,
@@ -360,14 +360,6 @@ class TestTimelineAndFreqCorpus:
         terms = TermList.load("terms.json")
         assert len(terms) == 5
         assert [scores[w] for w, _ in terms.items] == [s for _, s in terms.items]
-
-    def test_per_class_nw_flag(self, workspace):
-        synth_and_train(workspace, docs=40)
-        code = run("topk", "--corpus", "c.jsonl", "--format", "jsonl",
-                   "--model", "m.json", "--class", "pos", "--k", "3",
-                   "--agg", "pr", "--seed", "2", "--max-samples", "10",
-                   "--adaptive-tau", "--per-class-nw", "--terms", "tp.json")
-        assert code == 0
 
 
 class TestExternalBackendsViaCli:

@@ -42,6 +42,22 @@ def predictor_script(tmp_path):
 
 
 @pytest.fixture
+def started(monkeypatch):
+    """Every child process the test starts, in order."""
+    import subprocess
+
+    children = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            children.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return children
+
+
+@pytest.fixture
 def perturbator_script(tmp_path):
     path = tmp_path / "fake_perturbator.py"
     path.write_text(PERTURBATOR_SCRIPT, encoding="utf-8")
@@ -110,19 +126,10 @@ class TestExternalPredictorSubprocess:
         with pytest.raises(ExternalPredictorError):
             client.predict_proba_words(["x"])
 
-    def test_dead_subprocess_is_reaped_at_once(self, monkeypatch):
+    def test_dead_subprocess_is_reaped_at_once(self, started):
         import gc
-        import subprocess
         import warnings
 
-        started = []
-
-        class Recorded(subprocess.Popen):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                started.append(self)
-
-        monkeypatch.setattr(subprocess, "Popen", Recorded)
         client = ExternalPredictorClient(
             command=[sys.executable, "-c", "import sys; sys.exit(0)"])
         with warnings.catch_warnings(record=True) as caught:
@@ -137,19 +144,9 @@ class TestExternalPredictorSubprocess:
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
-
-    def test_hung_subprocess_times_out(self, monkeypatch):
-        import subprocess
+    def test_hung_subprocess_times_out(self, started):
         import time
 
-        started = []
-
-        class Recorded(subprocess.Popen):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                started.append(self)
-
-        monkeypatch.setattr(subprocess, "Popen", Recorded)
         client = ExternalPredictorClient(
             command=[sys.executable, "-c",
                      "import sys, time; sys.stdin.readline(); time.sleep(60)"],
@@ -162,6 +159,42 @@ class TestExternalPredictorSubprocess:
         assert client._transport._proc is None
         (proc,) = started
         assert proc.returncode is not None
+
+    def test_child_that_stops_reading_times_out(self, started):
+        import time
+
+        client = ExternalPredictorClient(
+            command=[sys.executable, "-c", "import time; time.sleep(60)"],
+            timeout=0.5)
+        words = ["filler"] * 40_000  # a request of 280 KB, over the pipe buffer
+        raised = []
+
+        def request():
+            try:
+                client.predict_proba_words(words)
+            except ExternalPredictorError as exc:
+                raised.append(exc)
+
+        worker = threading.Thread(target=request, daemon=True)
+        t0 = time.monotonic()
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive(), "a blocked write hung the client"
+        assert time.monotonic() - t0 < 5
+        (exc,) = raised
+        assert "did not read its request within 0.5 s" in str(exc)
+        assert client._transport._proc is None
+        (proc,) = started
+        assert proc.returncode is not None
+
+    def test_request_larger_than_the_pipe(self, predictor_script):
+        client = ExternalPredictorClient(command=predictor_script, timeout=10)
+        try:
+            probs = client.predict_proba_many([["good"] + ["filler"] * 40_000,
+                                               ["bad"] * 50_000])
+            np.testing.assert_allclose(probs, [[0.1, 0.9], [0.8, 0.2]])
+        finally:
+            client.close()
 
     def test_reply_split_across_writes(self):
         script = ("import json, sys, time\n"

@@ -225,7 +225,6 @@ class TestProfiles:
         overlay = optimization_profile("baseline")
         assert overlay["zeta"] == 500
         assert overlay["delta"] == 0.1
-        assert overlay["adaptive_threshold"] is False
         assert overlay["candidate_filtering"] is False
         assert overlay["stop_rare_filtering"] is False
 
@@ -238,14 +237,12 @@ class TestProfiles:
         overlay = optimization_profile("optimized")
         assert overlay["zeta"] == 50
         assert overlay["delta"] == 0.3
-        assert overlay["adaptive_threshold"] is True
         assert overlay["candidate_filtering"] is True
         assert overlay["stop_rare_filtering"] is True
 
     def test_delta_relaxed_and_sampled(self):
         assert optimization_profile("delta_relaxed")["delta"] == 0.3
         assert optimization_profile("sampled")["sample_fraction"] == 0.5
-        assert optimization_profile("adaptive_tau")["adaptive_threshold"] is True
         assert optimization_profile("filtered")["candidate_filtering"] is True
 
     def test_unknown_profile(self):
@@ -258,6 +255,8 @@ class TestProfiles:
             assert set(overlay) == {"zeta", "delta", "adaptive_threshold",
                                     "candidate_filtering", "stop_rare_filtering",
                                     "sample_fraction"}
+            # read by the benchmark, set by no profile
+            assert overlay["adaptive_threshold"] is False
 
 
 class TestEstimatorFrontEnd:
@@ -347,3 +346,12 @@ class TestShouldFilter:
 
     def test_strictly_below_filters(self):
         assert should_filter(0.4999, 0.5, heap_full=True) is True
+
+    def test_nan_bound_never_filters(self):
+        assert should_filter(float("nan"), 0.5, heap_full=True) is False
+
+    def test_elementwise_over_bounds(self):
+        bounds = np.array([0.4999, 0.5, 0.7, np.nan])
+        assert should_filter(bounds, 0.5, heap_full=True).tolist() == [
+            True, False, False, False]
+        assert not np.any(should_filter(bounds, 0.5, heap_full=False))
