@@ -38,9 +38,12 @@ class JsonLinesTransport:
     def roundtrip(self, request: dict) -> dict:
         reply = self._post(request) if self.endpoint else self._exchange(request)
         try:
-            return json.loads(reply)
+            payload = json.loads(reply)
         except ValueError as exc:
             raise self.error(f"{self.service} response is not JSON") from exc
+        if not isinstance(payload, dict):
+            raise self.error(f"{self.service} response is not a JSON object")
+        return payload
 
     def _post(self, request: dict) -> bytes:
         # lazy: urllib.request adds ~27 ms and ~1.8 MB to every start-up

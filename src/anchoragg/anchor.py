@@ -134,32 +134,26 @@ def _sequential_tests(doc: Document, positions: list[int],
     of its position alone would consume it, so decisions do not depend on
     which positions share a round.
 
-    A perturbator with ``sample_round`` draws each call's group of positions
-    in one step: as a matrix of the predictor's ids when it scores them
-    (``predict_proba_ids``), otherwise as a matrix of words, turned into
-    word tuples. Any other perturbator draws each position's batch with
-    ``sample_batch``. Every path draws and scores the same rows.
+    Every call scores the predictor's ids (``encode``) with
+    ``predict_proba_ids``. A perturbator with ``sample_round`` draws each
+    call's group of positions in one step, from the document's and the
+    pool's ids, encoded once; any other draws each position's batch with
+    ``sample_batch``, and the group's words are encoded in one call. Both
+    paths draw the same rows.
     """
     if hasattr(perturbator, "sample_round"):
-        if hasattr(predictor, "predict_proba_ids"):
-            base = predictor.encode(doc.words)
-            fill = predictor.encode(perturbator.pool_words)
-            score = predictor.predict_proba_ids
-        else:
-            base, fill = np.asarray(doc.words, dtype=object), perturbator.pool_words
-
-            def score(rows: np.ndarray) -> np.ndarray:
-                return predictor.predict_proba_many(list(map(tuple, rows.tolist())))
+        base = predictor.encode(doc.words)
+        fill = predictor.encode(perturbator.pool_words)
 
         def draw(group: list[int], n: int) -> np.ndarray:
             return perturbator.sample_round(base, [positions[i] for i in group], n,
                                             [rngs[i] for i in group], fill)
     else:
-        score = predictor.predict_proba_many
-
-        def draw(group: list[int], n: int) -> list[tuple[str, ...]]:
-            return [row for i in group for row in
-                    perturbator.sample_batch(doc, (positions[i],), n, rngs[i])]
+        def draw(group: list[int], n: int) -> np.ndarray:
+            words = [w for i in group for row in
+                     perturbator.sample_batch(doc, (positions[i],), n, rngs[i])
+                     for w in row]
+            return predictor.encode(words).reshape(-1, len(doc.words))
 
     successes = [0] * len(positions)
     decisions: list[AnchorDecision | None] = [None] * len(positions)
@@ -174,7 +168,7 @@ def _sequential_tests(doc: Document, positions: list[int],
             group = active[start:start + per_call]
             rows = draw(group, batch)
             labels = np.concatenate([
-                np.argmax(score(rows[j:j + ROUND_ROWS]), axis=1)
+                np.argmax(predictor.predict_proba_ids(rows[j:j + ROUND_ROWS]), axis=1)
                 for j in range(0, len(rows), ROUND_ROWS)])
             hits.extend((labels == target_idx).reshape(len(group), batch).sum(axis=1))
         undecided = []

@@ -2,9 +2,9 @@
 wire-protocol client for external models.
 
 Every predictor exposes ``classes_`` and ``predict_proba_words``; documents
-are scored through their token sequence, so the anchor sampling loop can
-feed perturbed word tuples directly. Probability vectors align with
-``classes_`` and sum to one.
+are scored through their token sequence, and the anchor sampling loop scores
+perturbed rows as id matrices (``predict_proba_ids``). Probability vectors
+align with ``classes_`` and sum to one.
 """
 
 from __future__ import annotations
@@ -40,11 +40,10 @@ MODEL_FORMAT_VERSION = 1
 class Predictor:
     """Interface: a classifier over word sequences with class probabilities.
 
-    A predictor may also offer an id path, which the anchor loop takes when
-    the perturbator can write ids (``sample_round``): ``encode(words)`` maps
-    words to an integer id array, and ``predict_proba_ids(ids)`` scores an
-    ``(n, m)`` matrix of such ids as ``predict_proba_many`` scores the
-    corresponding word rows.
+    The anchor loop scores rows through ``encode(words)``, a 1-D id array,
+    and ``predict_proba_ids(ids)``, which scores an ``(n, m)`` id matrix as
+    ``predict_proba_many`` scores the corresponding word rows. By default
+    the ids are the words themselves; ``BowClassifier`` uses vocabulary ids.
     """
 
     classes_: tuple[str, ...]
@@ -54,6 +53,12 @@ class Predictor:
 
     def predict_proba_many(self, docs: Sequence[Sequence[str]]) -> np.ndarray:
         return np.stack([self.predict_proba_words(w) for w in docs])
+
+    def encode(self, words: Sequence[str]) -> np.ndarray:
+        return np.asarray(words, dtype=object)
+
+    def predict_proba_ids(self, ids: np.ndarray) -> np.ndarray:
+        return self.predict_proba_many(list(map(tuple, ids.tolist())))
 
     def predict_proba(self, doc: Document) -> np.ndarray:
         return self.predict_proba_words(doc.words)
@@ -353,6 +358,8 @@ class ExternalPredictorClient(Predictor):
         payload = self._transport.roundtrip({"texts": texts})
         if "probs" not in payload or "classes" not in payload:
             raise ExternalPredictorError("response lacks probs/classes fields")
+        if not isinstance(payload["classes"], list):
+            raise ExternalPredictorError("classes is not a list")
         classes = tuple(payload["classes"])
         with self._lock:
             if self.classes_ is None:
@@ -360,7 +367,10 @@ class ExternalPredictorClient(Predictor):
             elif classes != self.classes_:
                 raise ExternalPredictorError(
                     f"predictor changed classes mid-session: {classes} != {self.classes_}")
-        probs = np.asarray(payload["probs"], dtype=np.float64)
+        try:
+            probs = np.asarray(payload["probs"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ExternalPredictorError("probs is not a matrix of numbers") from exc
         if probs.ndim != 2 or probs.shape[0] != len(texts) \
                 or probs.shape[1] != len(classes):
             raise ExternalPredictorError(
@@ -403,19 +413,12 @@ class ExternalPredictorClient(Predictor):
 
 
 class CountingPredictor(Predictor):
-    """Counts every probability evaluation; thread-safe.
-
-    Offers the id path (``encode``, ``predict_proba_ids``) only when its base
-    does, and counts an id row as it counts a word row.
-    """
+    """Counts every row it scores, an id row as a word row; thread-safe."""
 
     def __init__(self, base: Predictor):
         self.base = base
         self._lock = threading.Lock()
         self.calls = 0
-        if hasattr(base, "predict_proba_ids"):
-            self.encode = base.encode
-            self.predict_proba_ids = self._predict_proba_ids
 
     @property
     def classes_(self) -> tuple[str, ...]:  # type: ignore[override]
@@ -433,7 +436,10 @@ class CountingPredictor(Predictor):
         self._bump(len(docs))
         return self.base.predict_proba_many(docs)
 
-    def _predict_proba_ids(self, ids: np.ndarray) -> np.ndarray:
+    def encode(self, words: Sequence[str]) -> np.ndarray:
+        return self.base.encode(words)
+
+    def predict_proba_ids(self, ids: np.ndarray) -> np.ndarray:
         self._bump(len(ids))
         return self.base.predict_proba_ids(ids)
 

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._validation import check_probability, check_positive_int
+from ._validation import check_positive, check_positive_int, check_probability
 from .corpus import Document, WordStats
 
 __all__ = [
@@ -168,10 +168,10 @@ class ExternalPerturbatorClient(Perturbator):
     Request:  ``{"text": string, "masked_positions": [int, ...], "zeta": int}``
     Response: ``{"candidates": [[{"word": string, "weight": float}, ...], ...]}``
     with one candidate list per masked position, each of at most ``zeta``
-    entries with non-negative weights. The mask pattern is drawn locally;
-    the service owns the fill distribution (and may condition or iterate
-    internally). Candidates are not cached: each sample is a fresh draw over
-    a fresh mask pattern.
+    entries with finite, non-negative weights. The mask pattern is drawn
+    locally; the service owns the fill distribution (and may condition or
+    iterate internally). Candidates are not cached: each sample is a fresh
+    draw over a fresh mask pattern.
     """
 
     def __init__(self, endpoint: str | None = None,
@@ -179,13 +179,14 @@ class ExternalPerturbatorClient(Perturbator):
                  zeta: int = DEFAULT_ZETA, mask_prob: float = DEFAULT_MASK_PROB,
                  timeout: float = 30.0):
         check_probability(mask_prob, "mask_prob", open_low=True, open_high=False)
+        self.zeta = check_positive_int(zeta, "zeta")
+        check_positive(timeout, "timeout")
         # imported here: the transport loads subprocess, which only an
         # external client needs
         from ._transport import JsonLinesTransport
 
         self._transport = JsonLinesTransport(endpoint, command, timeout,
                                              ExternalPerturbatorError, "perturbator")
-        self.zeta = int(zeta)
         self.mask_prob = float(mask_prob)
 
     def _candidates(self, doc: Document, masked: list[int]) -> list[list[tuple[str, float]]]:
@@ -197,6 +198,8 @@ class ExternalPerturbatorClient(Perturbator):
         if "candidates" not in payload:
             raise ExternalPerturbatorError("response lacks candidates field")
         rows = payload["candidates"]
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            raise ExternalPerturbatorError("candidates is not a list of lists")
         if len(rows) != len(masked):
             raise ExternalPerturbatorError(
                 f"{len(rows)} candidate lists for {len(masked)} masked positions")
@@ -204,9 +207,15 @@ class ExternalPerturbatorClient(Perturbator):
         for row in rows:
             if len(row) > self.zeta:
                 raise ExternalPerturbatorError("candidate list exceeds zeta")
-            pairs = [(str(e["word"]), float(e["weight"])) for e in row]
-            if any(w < 0 for _, w in pairs):
-                raise ExternalPerturbatorError("negative candidate weight")
+            try:
+                pairs = [(str(e["word"]), float(e["weight"])) for e in row]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ExternalPerturbatorError(
+                    "candidate entries must be objects with word and weight") from exc
+            # NaN fails the comparison
+            if not all(0 <= w < np.inf for _, w in pairs):
+                raise ExternalPerturbatorError(
+                    "candidate weights must be finite and non-negative")
             out.append(pairs)
         return out
 

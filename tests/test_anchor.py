@@ -324,8 +324,9 @@ def _topk_run(corpus, predictor, batch_size=AnchorConfig.batch_size):
 
 
 class TestIdPath:
-    """The built-in classifier and unigram pool exchange word ids; any
-    other pair exchanges words. Both make the same decisions."""
+    """Every sample row is scored by ``predict_proba_ids``: in vocabulary ids
+    for the built-in classifier, in words for a predictor that scores only
+    words. Both make the same decisions."""
 
     @pytest.mark.parametrize("batch_size", [1, 4])
     def test_built_in_pair_scores_no_word_rows(self, trained_pair, batch_size):
@@ -337,6 +338,34 @@ class TestIdPath:
         assert rec.many_rows == [len(corpus)]
         assert outputs[-1] > 10 * len(corpus)
         assert outputs == _topk_run(corpus, clf, batch_size)
+
+    def test_per_token_path_scores_no_word_rows(self, trained_pair):
+        corpus, clf, _ = trained_pair
+        rec = _recording(clf)
+        # each class's strongest word, leading three-word documents: one
+        # planted word of the other class can flip them
+        gap = clf.weights_[:, 1] - clf.weights_[:, 0]
+        strongest = [clf.vocabulary_[j] for j in (np.argmin(gap), np.argmax(gap))]
+        docs = [Document.from_text(d.id, " ".join([strongest[i % 2], *d.words[:2]]))
+                for i, d in enumerate(corpus.documents[:6])]
+        targets = rec.predict_many(docs)
+        assert rec.many_rows == [len(docs)]
+        cfg = AnchorConfig(tau=0.8, delta=0.3, max_samples=40)
+        decided = set()
+        for doc, target in zip(docs, targets):
+            rng_for = lambda pos: stream_rng(6, doc.id, pos)
+            for pi in (0.5, 0.9):
+                pert = CoinPerturbator(pi, strongest[1 - clf.class_index(target)])
+                decisions = anchors_of_document(doc, rec, pert, cfg, rng_for,
+                                                target=target)
+                for pos, d in enumerate(decisions):
+                    assert (d.is_anchor, d.estimate.successes, d.samples_used) == \
+                        sequential_test_by_token(doc, pos, clf, pert, cfg, rng_for(pos),
+                                                 clf.class_index(target))
+                    decided.add(d.is_anchor)
+        assert decided == {True, False}
+        # after the documents are classified, every sample went as ids
+        assert rec.many_rows == [len(docs)]
 
     def test_string_fallback_decides_the_same(self, trained_pair):
         corpus, clf, _ = trained_pair
@@ -388,8 +417,8 @@ def _spy_on_sample_batch(perturbator) -> list[tuple[int, ...]]:
 
 
 class TestRoundKernelPath:
-    """With ``UnigramPerturbator`` a round's group is one kernel call, on the
-    id path and the word path alike: no token draws through ``sample_batch``.
+    """With ``UnigramPerturbator`` a round's group is one kernel call, in
+    vocabulary ids and in words alike: no token draws through ``sample_batch``.
     A perturbator without the kernel draws each token's batch of each round
     with one ``sample_batch`` call."""
 

@@ -213,6 +213,48 @@ class TestExternalPredictorSubprocess:
             client.close()
 
 
+def _replying(reply: str) -> list[str]:
+    """A child that answers every request line with ``reply``."""
+    return [sys.executable, "-c",
+            f"import sys\nfor line in sys.stdin:\n    print({reply!r}, flush=True)\n"]
+
+
+class TestMalformedReplies:
+    """A reply that is JSON but breaks the protocol raises the client's own
+    error, from a subprocess child as from any service."""
+
+    @pytest.mark.parametrize("reply, match", [
+        ("null", "not a JSON object"),
+        ("[1, 2]", "not a JSON object"),
+        ('{"probs": [[0.5, 0.5], [1.0]], "classes": ["a", "b"]}', "probs is not"),
+        ('{"probs": [["x", "y"]], "classes": ["a", "b"]}', "probs is not"),
+        ('{"probs": [[0.5, 0.5]], "classes": null}', "classes is not a list"),
+        ('{"probs": [[0.5, 0.5]], "classes": "ab"}', "classes is not a list"),
+    ])
+    def test_predictor(self, reply, match):
+        client = ExternalPredictorClient(command=_replying(reply))
+        try:
+            with pytest.raises(ExternalPredictorError, match=match):
+                client.predict_proba_words(["x"])
+        finally:
+            client.close()
+
+    @pytest.mark.parametrize("reply, match", [
+        ("null", "not a JSON object"),
+        ('{"candidates": null}', "not a list of lists"),
+        ('{"candidates": [5]}', "not a list of lists"),
+        ('{"candidates": [{"word": "u", "weight": 1.0}]}', "not a list of lists"),
+    ])
+    def test_perturbator(self, reply, match):
+        client = ExternalPerturbatorClient(command=_replying(reply), mask_prob=1.0)
+        try:
+            with pytest.raises(ExternalPerturbatorError, match=match):
+                client.sample_batch(Document.from_text("0", "a"), (), 1,
+                                    stream_rng(0, "null"))
+        finally:
+            client.close()
+
+
 class TestExternalPredictorHttp:
     def test_row_alignment(self, http_server):
         def payload(request):
@@ -336,3 +378,31 @@ class TestExternalPerturbator:
         doc = Document.from_text("0", "a b")
         out = client.sample_batch(doc, (), 1, stream_rng(4, "e"))[0]
         assert out == ("a", "b")
+
+    @pytest.mark.parametrize("entry, match", [
+        ({"word": "u", "weight": float("nan")}, "finite and non-negative"),
+        ({"word": "u", "weight": float("inf")}, "finite and non-negative"),
+        ({"word": "u", "weight": -1.0}, "finite and non-negative"),
+        ({"w": "x"}, "objects with word and weight"),
+        ({"word": "u"}, "objects with word and weight"),
+        ({"word": "u", "weight": "heavy"}, "objects with word and weight"),
+        (["x"], "objects with word and weight"),
+        ("x", "objects with word and weight"),
+    ])
+    def test_malformed_candidate(self, http_server, entry, match):
+        url = http_server(lambda request: {
+            "candidates": [[entry] for _ in request["masked_positions"]]})
+        client = ExternalPerturbatorClient(endpoint=url, mask_prob=1.0)
+        doc = Document.from_text("0", "a b")
+        with pytest.raises(ExternalPerturbatorError, match=match):
+            client.sample_batch(doc, (), 1, stream_rng(5, "c"))
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"zeta": 0}, "zeta"), ({"zeta": 2.5}, "zeta"), ({"zeta": -3}, "zeta"),
+        ({"timeout": 0}, "timeout"), ({"timeout": -1}, "timeout"),
+    ])
+    def test_settings_checked_before_any_child(self, perturbator_script, started,
+                                               kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            ExternalPerturbatorClient(command=perturbator_script, **kwargs)
+        assert started == []

@@ -230,17 +230,26 @@ class TestWrappers:
         counting.predict_proba_many([["a"], ["b"], ["c"]])
         assert counting.calls == 4
 
-    def test_counting_offers_ids_only_when_base_does(self):
-        from conftest import ConstantPredictor
-
-        assert not hasattr(CountingPredictor(ConstantPredictor()), "predict_proba_ids")
+    def test_counting_forwards_ids_for_any_base(self):
         clf = train_bow(separable_corpus(), epochs=10)
-        counting = CountingPredictor(clf)
-        ids = counting.encode(["good", "unseen"])
-        assert np.array_equal(ids, clf.encode(["good", "unseen"]))
-        probs = counting.predict_proba_ids(np.stack([ids] * 3))
-        assert counting.calls == 3
-        assert np.array_equal(probs, clf.predict_proba_many([["good", "unseen"]] * 3))
+
+        class WordsOnly(Predictor):
+            classes_ = clf.classes_
+
+            def predict_proba_many(self, docs):
+                return clf.predict_proba_many(docs)
+
+        words = ["good", "unseen"]
+        expected = clf.predict_proba_many([words] * 3)
+        for base in (WordsOnly(), clf):
+            counting = CountingPredictor(base)
+            ids = counting.encode(words)
+            assert np.array_equal(ids, base.encode(words))
+            probs = counting.predict_proba_ids(np.stack([ids] * 3))
+            assert counting.calls == 3
+            assert np.array_equal(probs, expected)
+        # a word-only base's ids are its words
+        assert CountingPredictor(WordsOnly()).encode(words).tolist() == words
 
     def test_caching_sends_distinct_misses_in_one_call(self):
         clf = train_bow(separable_corpus(), epochs=10)
