@@ -21,9 +21,9 @@ _SUBMODULE_NAMES = {
                "load_stopwords", "sample_documents", "tokenize", "word_stats"),
     "eval": ("AopcResult", "AppendDropResult", "TermList", "aopc_k", "append_drop",
              "quality_timeline", "remove_prefix", "shared_terms_ratio"),
-    "model": ("BowClassifier", "CachingPredictor", "CountingPredictor",
-              "ExternalPredictorClient", "ExternalPredictorError", "Predictor",
-              "accuracy", "load_model", "save_model", "train_bow"),
+    "model": ("BowClassifier", "CachingPredictor", "ExternalPredictorClient",
+              "ExternalPredictorError", "Predictor", "accuracy", "load_model",
+              "save_model", "train_bow"),
     "perturb": ("ExternalPerturbatorClient", "ExternalPerturbatorError", "Perturbator",
                 "UnigramPerturbator", "build_unigram_perturbator"),
     "seeding": ("stream_rng", "stream_seed"),

@@ -91,8 +91,7 @@ def _same(*names: str) -> dict[str, str]:
 # library parameters that are CLI settings, mapped to their setting's dest;
 # each command reads its defaults and passes its arguments through these
 _CORPUS_PARAMS = _same("format", "text_field", "label_field", "max_chars")
-_CLIENT_PARAMS = {"timeout": "timeout", "batch_size": "external_batch_size",
-                  "max_in_flight": "external_in_flight"}
+_CLIENT_PARAMS = {"timeout": "timeout", "batch_size": "external_batch_size"}
 _TRAIN_PARAMS = _same("epochs", "learning_rate", "l2", "seed", "val_fraction")
 _SYNTH_PARAMS = {"n_docs": "docs", "n_signal": "signal_words", "noise": "noise"}
 _TOPK_PARAMS = _same(
@@ -179,16 +178,28 @@ def _check_class(c: str, corpus: Corpus) -> None:
         raise ConfigError(f"class {c!r} not in corpus classes {corpus.classes}")
 
 
-def _load_terms(path: str):
-    from .eval import TermList
-
+def _load_file(path: str | Path, what: str, parse):
+    """``parse(path)``; a missing file, or one that ``parse`` rejects, is a
+    configuration error naming ``what``."""
     p = Path(path)
     if not p.exists():
-        raise ConfigError(f"terms file not found: {p}")
+        raise ConfigError(f"{what} not found: {p}")
     try:
-        return TermList.load(p)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"malformed terms file {p}: {exc}") from exc
+        return parse(p)
+    except KeyError as exc:
+        raise ConfigError(f"malformed {what} {p}: lacks {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {what} {p}: {exc}") from exc
+
+
+def _snapshot_rows(path: Path) -> list[dict]:
+    """The rows of a ``topk --snapshots`` log, with the fields a timeline
+    reads."""
+    rows = [json.loads(line) for line in
+            path.read_text(encoding="utf-8").splitlines() if line]
+    return [{"t_sec": float(row["t_sec"]), "calls": int(row["calls"]),
+             "topk": [{"word": t["word"], "score": float(t["score"])}
+                      for t in row["topk"]]} for row in rows]
 
 
 def _predictor_defaults() -> dict:
@@ -389,7 +400,7 @@ def cmd_anchors(args: argparse.Namespace) -> int:
     from ._validation import check_positive_int, check_probability
     from .anchor import AnchorConfig, anchors_of_document
     from .corpus import word_stats
-    from .model import CachingPredictor, CountingPredictor
+    from .model import CachingPredictor
     from .perturb import build_unigram_perturbator
     from .seeding import stream_rng
     from .topk import order_documents
@@ -413,12 +424,13 @@ def cmd_anchors(args: argparse.Namespace) -> int:
     corpus = _load_corpus_from(resolved)
     if resolved["class_label"]:
         _check_class(resolved["class_label"], corpus)
-    base = _build_predictor(resolved)
-    predictor = CountingPredictor(base)
+    predictor = _build_predictor(resolved)
     cached = CachingPredictor(predictor)
     try:
         predicted = cached.predict_many(corpus.documents)
         labels = {d.id: label for d, label in zip(corpus, predicted)}
+        # predictor rows: one per distinct document, then each decision's samples
+        calls = len({d.words for d in corpus})
         stats = word_stats(corpus, labels)
         perturbator = build_unigram_perturbator(stats,
                                                 **_kwargs(resolved, _PERTURB_PARAMS))
@@ -439,16 +451,17 @@ def cmd_anchors(args: argparse.Namespace) -> int:
                     doc, predictor, perturbator, cfg,
                     rng_for=lambda pos, d=doc: stream_rng(seed, "perturb", d.id, pos),
                     target=target)
+                calls += sum(dec.samples_used for dec in decisions)
                 for dec in decisions:
                     handle.write(json.dumps(dec.to_row(doc.id)) + "\n")
                     rows += 1
                 handle.flush()
     finally:
-        _close_clients(base)
+        _close_clients(predictor)
     _write_manifest(_manifest_path(resolved, resolved["out"]), "anchors",
                     resolved, started, {},
                     {"documents": len(docs), "tokens": rows,
-                     "predictor_calls": predictor.calls})
+                     "predictor_calls": calls})
     print(f"wrote {rows} token decisions -> {resolved['out']}")
     return EXIT_OK
 
@@ -456,7 +469,7 @@ def cmd_anchors(args: argparse.Namespace) -> int:
 # -- eval-aopc ----------------------------------------------------------------
 
 def cmd_eval_aopc(args: argparse.Namespace) -> int:
-    from .eval import aopc_k, quality_timeline, write_timeline_csv
+    from .eval import TermList, aopc_k, quality_timeline, write_timeline_csv
     from .model import CachingPredictor
 
     resolved = _merge_config(args, {**_corpus_defaults(), **_predictor_defaults()})
@@ -465,7 +478,8 @@ def cmd_eval_aopc(args: argparse.Namespace) -> int:
     if resolved["snapshots"] and not resolved["class_label"]:
         raise ConfigError("--class is required with --snapshots")
     _check_predictor(resolved)
-    terms = _load_terms(resolved["terms"]) if resolved["terms"] else None
+    terms = _load_file(resolved["terms"], "terms file", TermList.load) \
+        if resolved["terms"] else None
     started = time.time()
     corpus = _load_corpus_from(resolved)
     base = _build_predictor(resolved)
@@ -485,10 +499,7 @@ def cmd_eval_aopc(args: argparse.Namespace) -> int:
 
         if resolved["snapshots"]:
             snap_path = Path(resolved["snapshots"])
-            if not snap_path.exists():
-                raise ConfigError(f"snapshot log not found: {snap_path}")
-            snaps = [json.loads(line) for line in
-                     snap_path.read_text(encoding="utf-8").splitlines() if line]
+            snaps = _load_file(snap_path, "snapshot log", _snapshot_rows)
             rows = quality_timeline(snaps, corpus, predictor,
                                     resolved["class_label"])
             target = Path(resolved["timeline_out"] or (str(snap_path) + ".csv"))
@@ -508,14 +519,15 @@ def cmd_eval_aopc(args: argparse.Namespace) -> int:
 # -- compare ------------------------------------------------------------------
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from .eval import aopc_k, shared_terms_ratio
+    from .eval import TermList, aopc_k, shared_terms_ratio
     from .model import CachingPredictor
 
     resolved = _merge_config(args, {**_corpus_defaults(), **_predictor_defaults()})
     if len(args.term_files) < 1:
         raise ConfigError("at least one terms file is required")
     _check_predictor(resolved)
-    lists = [(Path(path).stem, _load_terms(path)) for path in args.term_files]
+    lists = [(Path(path).stem, _load_file(path, "terms file", TermList.load))
+             for path in args.term_files]
     started = time.time()
     corpus = _load_corpus_from(resolved)
     base = _build_predictor(resolved)
@@ -574,7 +586,7 @@ def _add_predictor_flags(p: argparse.ArgumentParser) -> None:
     """The predictor's settings, and the class whose predictions it explains."""
     _add_flags(p, "--model", "--external-endpoint", "--external-cmd")
     _add_flags(p, "--timeout", type=float)
-    _add_flags(p, "--external-batch-size", "--external-in-flight", type=int)
+    _add_flags(p, "--external-batch-size", type=int)
     p.add_argument("--class", dest="class_label")
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "BowClassifier",
     "ExternalPredictorClient",
     "ExternalPredictorError",
-    "CountingPredictor",
     "CachingPredictor",
     "train_bow",
     "accuracy",
@@ -297,18 +296,27 @@ def save_model(clf: BowClassifier, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> BowClassifier:
+    """The classifier a ``save_model`` file holds; a file that is not one
+    raises ValueError naming the field or hyperparameter at fault."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError("model file must hold a JSON object")
     version = payload.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version: {version!r}")
-    clf = BowClassifier(**payload.get("hyperparams", {}))
+    missing = {"classes", "vocabulary", "weights", "bias"} - set(payload)
+    if missing:
+        raise ValueError(f"model file lacks {', '.join(sorted(missing))}")
+    clf = BowClassifier().set_params(**payload.get("hyperparams", {}))
     clf.classes_ = tuple(payload["classes"])
     clf.vocabulary_ = tuple(payload["vocabulary"])
     clf._vocab_index_ = {w: j for j, w in enumerate(clf.vocabulary_)}
     clf.weights_ = np.asarray(payload["weights"], dtype=np.float64)
     clf.bias_ = np.asarray(payload["bias"], dtype=np.float64)
-    if clf.weights_.shape != (len(clf.vocabulary_), len(clf.classes_)):
-        raise ValueError("model file weight shape does not match vocabulary/classes")
+    if clf.weights_.shape != (len(clf.vocabulary_), len(clf.classes_)) \
+            or clf.bias_.shape != (len(clf.classes_),):
+        raise ValueError("model file weight or bias shape does not match "
+                         "vocabulary/classes")
     return clf
 
 
@@ -332,41 +340,40 @@ class ExternalPredictorClient(Predictor):
 
     def __init__(self, endpoint: str | None = None,
                  command: Sequence[str] | None = None,
-                 timeout: float = 30.0, batch_size: int = 32,
-                 max_in_flight: int = 1):
-        self.check_params(timeout, batch_size, max_in_flight)
-        # imported here, as the HTTP pool's concurrent.futures below: the
-        # transport loads subprocess, which only an external client needs
+                 timeout: float = 30.0, batch_size: int = 32):
+        self.check_params(timeout, batch_size)
+        # imported here: the transport loads subprocess, which only an
+        # external client needs
         from ._transport import JsonLinesTransport
 
         self._transport = JsonLinesTransport(endpoint, command, timeout,
                                              ExternalPredictorError, "predictor")
         self.batch_size = int(batch_size)
-        self.max_in_flight = int(max_in_flight)
         self.classes_ = None
-        self._lock = threading.Lock()
 
     @staticmethod
-    def check_params(timeout: float, batch_size: int, max_in_flight: int) -> None:
+    def check_params(timeout: float, batch_size: int) -> None:
         """Raise ValueError on a setting out of range, before any connection.
         The messages name the settings as the CLI's config keys do."""
         check_positive(timeout, "timeout")
         check_positive_int(batch_size, "external_batch_size")
-        check_positive_int(max_in_flight, "external_in_flight")
 
     def _request(self, texts: list[str]) -> np.ndarray:
         payload = self._transport.roundtrip({"texts": texts})
         if "probs" not in payload or "classes" not in payload:
             raise ExternalPredictorError("response lacks probs/classes fields")
-        if not isinstance(payload["classes"], list):
-            raise ExternalPredictorError("classes is not a list")
-        classes = tuple(payload["classes"])
-        with self._lock:
-            if self.classes_ is None:
-                self.classes_ = classes
-            elif classes != self.classes_:
-                raise ExternalPredictorError(
-                    f"predictor changed classes mid-session: {classes} != {self.classes_}")
+        classes = payload["classes"]
+        if not (isinstance(classes, list)
+                and all(isinstance(name, str) for name in classes)
+                and len(set(classes)) == len(classes)):
+            raise ExternalPredictorError(
+                f"classes is not a list of distinct strings: {classes!r}")
+        classes = tuple(classes)
+        if self.classes_ is None:
+            self.classes_ = classes
+        elif classes != self.classes_:
+            raise ExternalPredictorError(
+                f"predictor changed classes mid-session: {classes} != {self.classes_}")
         try:
             probs = np.asarray(payload["probs"], dtype=np.float64)
         except (TypeError, ValueError) as exc:
@@ -388,16 +395,9 @@ class ExternalPredictorClient(Predictor):
         texts = list(texts)
         if not texts:
             return np.zeros((0, 0))
-        chunks = [texts[i:i + self.batch_size]
-                  for i in range(0, len(texts), self.batch_size)]
-        if self._transport.endpoint and self.max_in_flight > 1 and len(chunks) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
-                results = list(pool.map(self._request, chunks))
-        else:
-            results = [self._request(chunk) for chunk in chunks]
-        return np.concatenate(results, axis=0)
+        return np.concatenate([self._request(texts[i:i + self.batch_size])
+                               for i in range(0, len(texts), self.batch_size)],
+                              axis=0)
 
     def predict_proba_words(self, words: Sequence[str]) -> np.ndarray:
         return self.predict_proba_texts([" ".join(words)])[0]
@@ -410,38 +410,6 @@ class ExternalPredictorClient(Predictor):
 
 
 # -- wrappers --------------------------------------------------------------
-
-
-class CountingPredictor(Predictor):
-    """Counts every row it scores, an id row as a word row; thread-safe."""
-
-    def __init__(self, base: Predictor):
-        self.base = base
-        self._lock = threading.Lock()
-        self.calls = 0
-
-    @property
-    def classes_(self) -> tuple[str, ...]:  # type: ignore[override]
-        return self.base.classes_
-
-    def _bump(self, n: int):
-        with self._lock:
-            self.calls += n
-
-    def predict_proba_words(self, words: Sequence[str]) -> np.ndarray:
-        self._bump(1)
-        return self.base.predict_proba_words(words)
-
-    def predict_proba_many(self, docs: Sequence[Sequence[str]]) -> np.ndarray:
-        self._bump(len(docs))
-        return self.base.predict_proba_many(docs)
-
-    def encode(self, words: Sequence[str]) -> np.ndarray:
-        return self.base.encode(words)
-
-    def predict_proba_ids(self, ids: np.ndarray) -> np.ndarray:
-        self._bump(len(ids))
-        return self.base.predict_proba_ids(ids)
 
 
 class CachingPredictor(Predictor):

@@ -36,7 +36,7 @@ from .anchor import AnchorConfig, anchors_of_document
 from .corpus import (Corpus, Document, WordStats, default_stopwords,
                      filter_candidates, sample_documents, word_stats)
 from .eval import TermList
-from .model import CachingPredictor, CountingPredictor, Predictor
+from .model import CachingPredictor, Predictor
 from .perturb import (DEFAULT_MASK_PROB, DEFAULT_ZETA, Perturbator,
                       build_unigram_perturbator)
 from .seeding import stream_rng
@@ -155,11 +155,11 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
     if c not in corpus.classes:
         raise ValueError(f"unknown class {c!r}")
 
-    counting = CountingPredictor(predictor)
-    cached = CachingPredictor(counting)
-
+    cached = CachingPredictor(predictor)
     predicted = {d.id: label for d, label in
                  zip(corpus, cached.predict_many(corpus.documents))}
+    # predictor rows: one per distinct document, then each decision's samples
+    calls = len({d.words for d in corpus})
     # external predictors learn their class set on first contact, so this
     # check has to come after the predictions
     if set(predictor.classes_) != set(corpus.classes):
@@ -200,7 +200,7 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
     t0 = time.monotonic()
 
     def take_snapshot(i: int):
-        snap = Snapshot(t_sec=time.monotonic() - t0, calls=counting.calls,
+        snap = Snapshot(t_sec=time.monotonic() - t0, calls=calls,
                         doc_index=i, topk=tuple(selection))
         snapshots.append(snap)
         if snapshot_sink is not None:
@@ -216,10 +216,11 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
         domain = candidate_mask & ~filtered_mask
         if aggregation.needs_anchors:
             decisions = anchors_of_document(
-                doc, counting, perturbator, cfg,
+                doc, predictor, perturbator, cfg,
                 lambda p, d=doc: stream_rng(root_seed, "perturb", d.id, p),
                 skip_word=lambda w: not domain[index[w]], target=c)
             counts.ingest(decisions, c, doc.id)
+            calls += sum(d.samples_used for d in decisions)
             if trace_sink is not None:
                 for d in decisions:
                     trace_sink(d.to_row(doc.id))
@@ -251,7 +252,7 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
                                                aggregation.rank_values(counts, c),
                                                np.nan))}
     return AnytimeResult(
-        terms=terms, snapshots=snapshots, counts=counts, calls=counting.calls,
+        terms=terms, snapshots=snapshots, counts=counts, calls=calls,
         scores=final_scores,
         filtered=frozenset(w for w, m in zip(words, filtered_mask) if m),
         candidates=candidates, documents_processed=len(ordered), stats=stats,

@@ -32,6 +32,26 @@ class ConstantPredictor(Predictor):
         return self._probs.copy()
 
 
+class RowRecorder(Predictor):
+    """Forwards to ``base`` and counts every row it scores, as words or ids."""
+
+    def __init__(self, base):
+        self.base = base
+        self.classes_ = base.classes_
+        self.rows = 0
+
+    def predict_proba_many(self, docs):
+        self.rows += len(docs)
+        return self.base.predict_proba_many(docs)
+
+    def encode(self, words):
+        return self.base.encode(words)
+
+    def predict_proba_ids(self, ids):
+        self.rows += len(ids)
+        return self.base.predict_proba_ids(ids)
+
+
 class PositionWordPredictor(Predictor):
     """Class ``hit`` iff a specific word sits at a specific position."""
 

@@ -369,7 +369,7 @@ class TestIdPath:
 
     def test_string_fallback_decides_the_same(self, trained_pair):
         corpus, clf, _ = trained_pair
-        # equal terms, trace rows, snapshots and CountingPredictor.calls
+        # equal terms, trace rows, snapshots and calls
         assert _topk_run(corpus, StringOnly(clf)) == _topk_run(corpus, clf)
 
     def test_external_predictor_decides_the_same(self, trained_pair, tmp_path):

@@ -130,10 +130,13 @@ class TestTopk:
                    "--terms", "t2.json") == 0
         assert len(TermList.load("t2.json")) == 3
 
-    def test_unknown_config_key(self, workspace):
+    def test_unknown_config_key(self, workspace, capsys):
         synth_and_train(workspace)
-        (workspace / "cfg.json").write_text(json.dumps({"bogus_key": 1}))
-        assert run("topk", "--config", "cfg.json") == 2
+        # external_in_flight was a setting once; it is unknown now
+        for key in ("bogus_key", "external_in_flight"):
+            (workspace / "cfg.json").write_text(json.dumps({key: 1}))
+            assert run("topk", "--config", "cfg.json") == 2
+            assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
 
     def test_config_value_of_wrong_type(self, workspace, capsys):
         synth_and_train(workspace, docs=40)
@@ -179,8 +182,7 @@ class TestSettings:
             **corpus, "out": "m.json", "epochs": 800, "learning_rate": 0.3,
             "l2": 5e-4, "seed": 0, "val_fraction": 0.0, "manifest": None}
         inputs = {**corpus, "model": "m.json", "external_endpoint": None,
-                  "external_cmd": None, "timeout": 30.0, "external_batch_size": 32,
-                  "external_in_flight": 1}
+                  "external_cmd": None, "timeout": 30.0, "external_batch_size": 32}
         required = ("--corpus", "c.jsonl", "--format", "jsonl", "--model", "m.json",
                     "--seed", "7")
         assert run("topk", *required, "--class", "pos") == 0
@@ -225,8 +227,6 @@ class TestSettings:
         ("train", "--l2", "-0.1", "l2 must be non-negative, got -0.1"),
         ("topk", "--external-batch-size", "0",
          "external_batch_size must be a positive integer, got 0"),
-        ("topk", "--external-in-flight", "0",
-         "external_in_flight must be a positive integer, got 0"),
         ("topk", "--timeout", "0", "timeout must be positive, got 0.0"),
         ("anchors", "--timeout", "-1", "timeout must be positive, got -1.0"),
     ]
@@ -279,6 +279,27 @@ class TestAnchorsCommand:
         assert len({r["doc"] for r in rows}) == 3
         assert all(isinstance(r["anchor"], bool) for r in rows)
 
+    def test_predictor_calls_are_documents_plus_samples(self, workspace):
+        """The manifest's count is the distinct documents classified plus
+        the samples of every trace row, and the rows the service scored."""
+        import sys as _sys
+
+        assert run("synth", "--out", "c.jsonl", "--docs", "20", "--seed", "3") == 0
+        corpus = load_corpus("c.jsonl", format="jsonl")
+        (workspace / "pred.py").write_text(
+            TestExternalBackendsViaCli.PRED.replace(
+                "    req = json.loads(line)\n",
+                "    req = json.loads(line)\n"
+                "    open('rows.log', 'a').write(f\"{len(req['texts'])}\\n\")\n"))
+        assert run("anchors", "--corpus", "c.jsonl", "--format", "jsonl",
+                   "--external-cmd", f"{_sys.executable} pred.py", "--seed", "2",
+                   "--max-samples", "20", "--limit", "4", "--out", "anch.jsonl") == 0
+        rows = [json.loads(l) for l in open("anch.jsonl")]
+        calls = json.loads(Path("anch.jsonl.manifest.json").read_text())[
+            "predictor_calls"]
+        assert calls == len({d.words for d in corpus}) + sum(r["samples"] for r in rows)
+        assert calls == sum(map(int, Path("rows.log").read_text().split()))
+
 
 class TestEvalAndCompare:
     def test_eval_aopc(self, workspace):
@@ -310,6 +331,48 @@ class TestEvalAndCompare:
                    "--format", "jsonl", "--model", "m.json") == 2
         assert run("compare", "bad.json", "--corpus", "c.jsonl",
                    "--format", "jsonl", "--model", "m.json") == 2
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.pop("bias"), "model file lacks bias"),
+        (lambda m: m.pop("classes"), "model file lacks classes"),
+        (lambda m: m["hyperparams"].update(bogus=1), "invalid parameter 'bogus'"),
+    ], ids=["no bias", "no classes", "unknown hyperparameter"])
+    @pytest.mark.parametrize("command", ["topk", "eval-aopc"])
+    def test_model_file(self, workspace, capsys, edit, message, command):
+        synth_and_train(workspace, docs=20, epochs=20)
+        TermList.from_pairs("pos", "sq", [("gsig", 1.0)]).save("terms.json")
+        model = json.loads(Path("m.json").read_text())
+        edit(model)
+        Path("m.json").write_text(json.dumps(model))
+        flags = {"topk": ("--class", "pos", "--seed", "7"),
+                 "eval-aopc": ("--terms", "terms.json")}[command]
+        assert run(command, "--corpus", "c.jsonl", "--format", "jsonl",
+                   "--model", "m.json", *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load model: ") and message in err
+
+    @pytest.mark.parametrize("line, message", [
+        ("{not json", "Expecting property name"),
+        ('{"t_sec": 0.1, "calls": 5}', "lacks 'topk'"),
+        ('{"calls": 5, "topk": []}', "lacks 't_sec'"),
+        ('{"t_sec": 0.1, "topk": []}', "lacks 'calls'"),
+        ('{"t_sec": 0.1, "calls": 5, "topk": [{"score": 1}]}', "lacks 'word'"),
+        ('[1, 2]', "list indices must be integers"),
+    ])
+    def test_snapshot_log(self, workspace, capsys, line, message):
+        synth_and_train(workspace, docs=20, epochs=20)
+        good = {"t_sec": 0.0, "calls": 1, "doc_index": 1,
+                "topk": [{"word": "gsig", "score": 1.0}]}
+        Path("snaps.jsonl").write_text(json.dumps(good) + "\n" + line + "\n")
+        assert run("eval-aopc", "--corpus", "c.jsonl", "--format", "jsonl",
+                   "--model", "m.json", "--snapshots", "snaps.jsonl",
+                   "--class", "pos") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed snapshot log snaps.jsonl: ")
+        assert message in err
+        assert not Path("snaps.jsonl.csv").exists()
 
 
 class TestTimelineAndFreqCorpus:
@@ -471,8 +534,8 @@ class TestExternalBackendsViaCli:
 
 class TestImportFootprint:
     """The modules a command loads, run in a fresh interpreter: each loads
-    what it runs, scipy is left to training, and the transport, subprocess
-    and concurrent.futures to the external clients."""
+    what it runs, scipy is left to training, the transport and subprocess to
+    the external clients, and no command loads a thread pool."""
 
     @staticmethod
     def _modules(code: str) -> set[str]:
@@ -513,6 +576,18 @@ class TestImportFootprint:
                            "--max-samples", "10", "--profile", "optimized")
         assert "anchoragg.topk" in loaded
         assert loaded.isdisjoint(self.EXTERNAL | {"anchoragg.synth"})
+
+    def test_external_topk_loads_no_thread_pool(self, workspace):
+        import sys as _sys
+
+        assert run("synth", "--out", "c.jsonl", "--docs", "20", "--seed", "3") == 0
+        (workspace / "pred.py").write_text(TestExternalBackendsViaCli.PRED)
+        loaded = self._run("topk", "--corpus", "c.jsonl", "--format", "jsonl",
+                           "--external-cmd", f"{_sys.executable} pred.py",
+                           "--external-batch-size", "4", "--class", "pos",
+                           "--seed", "5", "--max-samples", "4")
+        assert "anchoragg._transport" in loaded
+        assert "concurrent.futures" not in loaded
 
     def test_public_names_resolve_on_first_use(self):
         assert not any(m.startswith("anchoragg.")

@@ -5,10 +5,9 @@ from anchoragg.corpus import Corpus, Document
 from anchoragg.eval import (TermList, aopc_k, append_drop, quality_timeline,
                             remove_prefix, shared_terms_ratio,
                             write_timeline_csv)
-from anchoragg.model import (CachingPredictor, CountingPredictor, Predictor,
-                             train_bow)
+from anchoragg.model import CachingPredictor, Predictor, train_bow
 
-from conftest import make_corpus
+from conftest import RowRecorder, make_corpus
 from oracles import aopc_by_document
 
 
@@ -368,11 +367,11 @@ class TestQualityTimeline:
                     removed = frozenset(words[:i]).intersection(doc.words)
                     if removed:
                         keys.add((doc.id, removed))
-        once, twice = CountingPredictor(clf), CountingPredictor(clf)
+        once, twice = RowRecorder(clf), RowRecorder(clf)
         rows = quality_timeline(snaps, corpus, once, "pos")
-        assert once.calls == len(corpus) + len(keys)
+        assert once.rows == len(corpus) + len(keys)
         assert quality_timeline(snaps + snaps, corpus, twice, "pos") == rows + rows
-        assert twice.calls == once.calls
+        assert twice.rows == once.rows
 
     def test_csv_output(self, tmp_path):
         path = tmp_path / "timeline.csv"

@@ -230,6 +230,9 @@ class TestMalformedReplies:
         ('{"probs": [["x", "y"]], "classes": ["a", "b"]}', "probs is not"),
         ('{"probs": [[0.5, 0.5]], "classes": null}', "classes is not a list"),
         ('{"probs": [[0.5, 0.5]], "classes": "ab"}', "classes is not a list"),
+        ('{"probs": [[0.5, 0.5]], "classes": [1, 2]}', "not a list of distinct strings"),
+        ('{"probs": [[0.5, 0.5]], "classes": ["pos", "pos"]}',
+         "not a list of distinct strings"),
     ])
     def test_predictor(self, reply, match):
         client = ExternalPredictorClient(command=_replying(reply))
@@ -263,8 +266,7 @@ class TestExternalPredictorHttp:
             return {"probs": probs, "classes": ["cold", "hot"]}
 
         url = http_server(payload)
-        client = ExternalPredictorClient(endpoint=url, batch_size=3,
-                                         max_in_flight=2)
+        client = ExternalPredictorClient(endpoint=url, batch_size=3)
         texts = [f"doc {i} {'hot' if i % 2 else 'mild'}" for i in range(10)]
         probs = client.predict_proba_texts(texts)
         expected = [0.8 if i % 2 else 0.3 for i in range(10)]

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from anchoragg.corpus import Document
-from anchoragg.model import (BowClassifier, CachingPredictor, CountingPredictor,
-                             Predictor, accuracy, load_model, save_model,
-                             train_bow)
+from anchoragg.model import (BowClassifier, CachingPredictor, Predictor,
+                             accuracy, load_model, save_model, train_bow)
 
 from conftest import make_corpus
 from oracles import bow_proba_by_loop, gd_steps_by_hand
@@ -220,17 +219,32 @@ class TestModelFile:
         with pytest.raises(ValueError, match="format version"):
             load_model(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        *[(lambda m, k=key: m.pop(k), f"model file lacks {key}")
+          for key in ("classes", "vocabulary", "weights", "bias")],
+        (lambda m: m["hyperparams"].update(bogus=1),
+         "invalid parameter 'bogus' for BowClassifier"),
+        (lambda m: m.update(bias=[0.0]), "bias shape does not match"),
+    ], ids=["no classes", "no vocabulary", "no weights", "no bias",
+            "unknown hyperparameter", "short bias"])
+    def test_malformed_file_names_the_fault(self, tmp_path, edit, message):
+        path = tmp_path / "model.json"
+        save_model(train_bow(separable_corpus(), epochs=5), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        edit(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            load_model(path)
+
+    def test_file_not_an_object(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[1]", encoding="utf-8")
+        with pytest.raises(ValueError, match="must hold a JSON object"):
+            load_model(path)
+
 
 class TestWrappers:
-    def test_counting(self):
-        corpus = separable_corpus()
-        clf = train_bow(corpus, epochs=10)
-        counting = CountingPredictor(clf)
-        counting.predict_proba_words(["good"])
-        counting.predict_proba_many([["a"], ["b"], ["c"]])
-        assert counting.calls == 4
-
-    def test_counting_forwards_ids_for_any_base(self):
+    def test_ids_score_as_words_for_any_base(self):
         clf = train_bow(separable_corpus(), epochs=10)
 
         class WordsOnly(Predictor):
@@ -241,15 +255,12 @@ class TestWrappers:
 
         words = ["good", "unseen"]
         expected = clf.predict_proba_many([words] * 3)
+        # a word-only predictor's default ids are its words
+        assert WordsOnly().encode(words).tolist() == words
         for base in (WordsOnly(), clf):
-            counting = CountingPredictor(base)
-            ids = counting.encode(words)
-            assert np.array_equal(ids, base.encode(words))
-            probs = counting.predict_proba_ids(np.stack([ids] * 3))
-            assert counting.calls == 3
-            assert np.array_equal(probs, expected)
-        # a word-only base's ids are its words
-        assert CountingPredictor(WordsOnly()).encode(words).tolist() == words
+            ids = base.encode(words)
+            assert np.array_equal(base.predict_proba_ids(np.stack([ids] * 3)),
+                                  expected)
 
     def test_caching_sends_distinct_misses_in_one_call(self):
         clf = train_bow(separable_corpus(), epochs=10)
@@ -273,8 +284,16 @@ class TestWrappers:
 
     def test_caching_suppresses_repeat_calls(self):
         clf = train_bow(separable_corpus(), epochs=10)
-        counting = CountingPredictor(clf)
-        cached = CachingPredictor(counting)
+        rows = []
+
+        class Recording(Predictor):
+            classes_ = clf.classes_
+
+            def predict_proba_many(self, docs):
+                rows.extend(docs)
+                return clf.predict_proba_many(docs)
+
+        cached = CachingPredictor(Recording())
         for _ in range(5):
             cached.predict_proba_words(["good", "fine"])
-        assert counting.calls == 1
+        assert len(rows) == 1

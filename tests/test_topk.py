@@ -5,13 +5,16 @@ import pytest
 
 from anchoragg.aggregate import make_aggregation, rank_words
 from anchoragg.anchor import AnchorConfig
-from anchoragg.corpus import word_stats
+from anchoragg.corpus import Corpus, Document, word_stats
+from anchoragg.model import train_bow
 from anchoragg.perturb import build_unigram_perturbator
+from anchoragg.synth import SynthSpec, generate_planted_corpus
 from anchoragg.topk import (AnchorTopTerms, AnytimeOptions, PROFILE_NAMES,
                             optimization_profile, order_documents, run_anytime,
                             should_filter)
 
-from conftest import ConstantPredictor, FlipWordPredictor, make_corpus
+from conftest import (ConstantPredictor, FlipWordPredictor, RowRecorder,
+                      make_corpus)
 from test_aggregate import counts_from
 
 
@@ -148,9 +151,6 @@ class TestRunAnytime:
     def test_one_aggregation_reused_across_runs_ranks_as_a_fresh_one(self):
         """Each run scores with its own statistics, not with those of an
         earlier run the same aggregation object was passed to."""
-        from anchoragg.model import train_bow
-        from anchoragg.synth import SynthSpec, generate_planted_corpus
-
         shared = make_aggregation("base")
         for docs, seed in ((40, 1), (150, 5)):
             corpus, _ = generate_planted_corpus(SynthSpec(n_docs=docs), seed=seed)
@@ -218,6 +218,43 @@ class TestRunAnytime:
         with pytest.raises(ValueError, match="unknown class"):
             run_anytime(corpus, FlipWordPredictor(), pert, AnchorConfig(),
                         make_aggregation("sq"), 1, "nope")
+
+
+class TestCallCount:
+    """A run counts its predictor rows from its own decisions: one per
+    distinct document classified, plus the samples of every trace row."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        corpus, _ = generate_planted_corpus(SynthSpec(n_docs=40), seed=1)
+        return corpus, train_bow(corpus, epochs=100)
+
+    @pytest.mark.parametrize("profile, agg, twin", [
+        ("baseline", "pr", False), ("optimized", "pr", False),
+        ("baseline", "base", False), ("baseline", "sq", True)])
+    def test_distinct_documents_plus_trace_samples(self, trained, profile, agg,
+                                                    twin):
+        corpus, clf = trained
+        if twin:
+            # a second document with the words of a classified one
+            first = order_documents(corpus, clf, "pos")[0]
+            corpus = Corpus.from_documents(
+                [*corpus, Document("twin", first.words, first.raw_text)],
+                {**corpus.labels, "twin": corpus.labels[first.id]})
+        distinct = len({d.words for d in corpus})
+        assert distinct == len(corpus) - twin
+        rows, recorder = [], RowRecorder(clf)
+        est = AnchorTopTerms(k=5, aggregation=agg, target_class="pos",
+                             profile=profile, seed=3, max_samples=30)
+        est.fit(corpus, recorder, trace_sink=rows.append)
+        samples = dict.fromkeys((d.id for d in corpus), 0)
+        for row in rows:
+            samples[row["doc"]] += row["samples"]
+        ordered = order_documents(corpus, clf, "pos")
+        expected = distinct + np.cumsum([samples[d.id] for d in ordered])
+        assert [s.calls for s in est.snapshots_] == expected.tolist()
+        assert est.calls_ == expected[-1] == recorder.rows
+        assert (est.calls_ == distinct) == (agg == "base")
 
 
 class TestProfiles:
