@@ -16,7 +16,7 @@ _SUBMODULE_NAMES = {
                   "make_aggregation", "rank_words"),
     "anchor": ("AnchorConfig", "AnchorDecision", "PrecisionEstimate",
                "anchors_of_document", "confidence_bounds", "estimate_token"),
-    "corpus": ("CandidateSet", "Corpus", "Document", "Token", "WordStats",
+    "corpus": ("Corpus", "Document", "Token", "WordStats",
                "default_stopwords", "filter_candidates", "load_corpus",
                "load_stopwords", "sample_documents", "tokenize", "word_stats"),
     "eval": ("AopcResult", "AppendDropResult", "TermList", "aopc_k", "append_drop",
@@ -26,11 +26,11 @@ _SUBMODULE_NAMES = {
               "save_model", "train_bow"),
     "perturb": ("ExternalPerturbatorClient", "ExternalPerturbatorError", "Perturbator",
                 "UnigramPerturbator", "build_unigram_perturbator"),
-    "seeding": ("stream_rng", "stream_seed"),
+    "seeding": ("stream_rng", "stream_seed", "token_streams"),
     "synth": ("PlantedTruth", "SynthSpec", "generate_planted_corpus", "planted_label"),
     "topk": ("AnchorTopTerms", "AnytimeOptions", "AnytimeResult", "PROFILE_NAMES",
-             "Snapshot", "optimization_profile", "order_documents", "run_anytime",
-             "should_filter"),
+             "Snapshot", "classify_corpus", "optimization_profile", "order_documents",
+             "run_anytime", "should_filter"),
 }
 # public name -> the submodule that defines it
 _SUBMODULE_OF = {name: module for module, names in _SUBMODULE_NAMES.items()

@@ -134,27 +134,11 @@ def _sequential_tests(doc: Document, positions: list[int],
     of its position alone would consume it, so decisions do not depend on
     which positions share a round.
 
-    Every call scores the predictor's ids (``encode``) with
-    ``predict_proba_ids``. A perturbator with ``sample_round`` draws each
-    call's group of positions in one step, from the document's and the
-    pool's ids, encoded once; any other draws each position's batch with
-    ``sample_batch``, and the group's words are encoded in one call. Both
-    paths draw the same rows.
+    Each predictor call's group of positions is drawn by one ``draw`` of the
+    perturbator's ``sampler``, in the predictor's ids (``encode``), and
+    scored with ``predict_proba_ids``.
     """
-    if hasattr(perturbator, "sample_round"):
-        base = predictor.encode(doc.words)
-        fill = predictor.encode(perturbator.pool_words)
-
-        def draw(group: list[int], n: int) -> np.ndarray:
-            return perturbator.sample_round(base, [positions[i] for i in group], n,
-                                            [rngs[i] for i in group], fill)
-    else:
-        def draw(group: list[int], n: int) -> np.ndarray:
-            words = [w for i in group for row in
-                     perturbator.sample_batch(doc, (positions[i],), n, rngs[i])
-                     for w in row]
-            return predictor.encode(words).reshape(-1, len(doc.words))
-
+    draw = perturbator.sampler(doc, predictor.encode)
     successes = [0] * len(positions)
     decisions: list[AnchorDecision | None] = [None] * len(positions)
     active = list(range(len(positions)))
@@ -166,7 +150,7 @@ def _sequential_tests(doc: Document, positions: list[int],
         per_call = max(1, ROUND_ROWS // batch)
         for start in range(0, len(active), per_call):
             group = active[start:start + per_call]
-            rows = draw(group, batch)
+            rows = draw([positions[i] for i in group], batch, [rngs[i] for i in group])
             labels = np.concatenate([
                 np.argmax(predictor.predict_proba_ids(rows[j:j + ROUND_ROWS]), axis=1)
                 for j in range(0, len(rows), ROUND_ROWS)])

@@ -194,12 +194,16 @@ def _load_file(path: str | Path, what: str, parse):
 
 def _snapshot_rows(path: Path) -> list[dict]:
     """The rows of a ``topk --snapshots`` log, with the fields a timeline
-    reads."""
+    reads; a row whose top-k lists a word twice raises ValueError."""
     rows = [json.loads(line) for line in
             path.read_text(encoding="utf-8").splitlines() if line]
-    return [{"t_sec": float(row["t_sec"]), "calls": int(row["calls"]),
+    rows = [{"t_sec": float(row["t_sec"]), "calls": int(row["calls"]),
              "topk": [{"word": t["word"], "score": float(t["score"])}
                       for t in row["topk"]]} for row in rows]
+    for row in rows:
+        if len({t["word"] for t in row["topk"]}) != len(row["topk"]):
+            raise ValueError(f"the top-k at t_sec {row['t_sec']} lists a word twice")
+    return rows
 
 
 def _predictor_defaults() -> dict:
@@ -321,12 +325,8 @@ def cmd_topk(args: argparse.Namespace) -> int:
     corpus = _load_corpus_from(resolved)
     _check_class(resolved["class_label"], corpus)
     predictor = _build_predictor(resolved)
-    stopwords = None
-    if resolved["stopword_file"]:
-        path = Path(resolved["stopword_file"])
-        if not path.exists():
-            raise ConfigError(f"stop-word file not found: {path}")
-        stopwords = load_stopwords(path)
+    stopwords = _load_file(resolved["stopword_file"], "stop-word file",
+                           load_stopwords) if resolved["stopword_file"] else None
     freq_stats = None
     if resolved["freq_corpus"]:
         freq_resolved = dict(resolved)
@@ -400,10 +400,9 @@ def cmd_anchors(args: argparse.Namespace) -> int:
     from ._validation import check_positive_int, check_probability
     from .anchor import AnchorConfig, anchors_of_document
     from .corpus import word_stats
-    from .model import CachingPredictor
     from .perturb import build_unigram_perturbator
-    from .seeding import stream_rng
-    from .topk import order_documents
+    from .seeding import token_streams
+    from .topk import classify_corpus, order_documents
 
     resolved = _merge_config(args, {
         **_corpus_defaults(), **_predictor_defaults(),
@@ -425,32 +424,21 @@ def cmd_anchors(args: argparse.Namespace) -> int:
     if resolved["class_label"]:
         _check_class(resolved["class_label"], corpus)
     predictor = _build_predictor(resolved)
-    cached = CachingPredictor(predictor)
     try:
-        predicted = cached.predict_many(corpus.documents)
-        labels = {d.id: label for d, label in zip(corpus, predicted)}
-        # predictor rows: one per distinct document, then each decision's samples
-        calls = len({d.words for d in corpus})
+        cached, labels, calls = classify_corpus(corpus, predictor)
         stats = word_stats(corpus, labels)
         perturbator = build_unigram_perturbator(stats,
                                                 **_kwargs(resolved, _PERTURB_PARAMS))
-        if resolved["class_label"]:
-            docs = order_documents(corpus, cached, resolved["class_label"])
-        else:
-            docs = [d for d in corpus if len(d.words)]
-        if resolved["limit"]:
-            docs = docs[:resolved["limit"]]
-        seed = resolved["seed"]
+        docs = order_documents(corpus, cached, resolved["class_label"]) \
+            if resolved["class_label"] else corpus.documents
+        docs = [d for d in docs if d.words][:resolved["limit"]]
         rows = 0
         with open(resolved["out"], "w", encoding="utf-8") as handle:
             for doc in docs:
-                if len(doc.words) == 0:
-                    continue
-                target = labels[doc.id]
                 decisions = anchors_of_document(
                     doc, predictor, perturbator, cfg,
-                    rng_for=lambda pos, d=doc: stream_rng(seed, "perturb", d.id, pos),
-                    target=target)
+                    rng_for=token_streams(resolved["seed"], doc.id),
+                    target=labels[doc.id])
                 calls += sum(dec.samples_used for dec in decisions)
                 for dec in decisions:
                     handle.write(json.dumps(dec.to_row(doc.id)) + "\n")

@@ -12,7 +12,7 @@ import csv
 import json
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -26,7 +26,6 @@ __all__ = [
     "Document",
     "Corpus",
     "WordStats",
-    "CandidateSet",
     "tokenize",
     "load_corpus",
     "load_stopwords",
@@ -268,31 +267,16 @@ def word_stats(corpus: Corpus,
     )
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """Words eligible for top-k scoring after stop-word and rarity filtering."""
-
-    words: frozenset[str]
-    stopwords: frozenset[str] = field(default_factory=frozenset)
-    min_freq: int = 1
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.words
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-
 def filter_candidates(stats: WordStats, stopwords: Iterable[str] = (),
-                      min_freq: int = 1) -> CandidateSet:
-    """Drop stop-words and words occurring fewer than ``min_freq`` times."""
+                      min_freq: int = 1) -> frozenset[str]:
+    """The vocabulary without stop-words and words occurring fewer than
+    ``min_freq`` times."""
     check_positive_int(min_freq, "min_freq")
     stop = frozenset(w.lower() for w in stopwords)
-    kept = frozenset(
+    return frozenset(
         w for w in stats.vocabulary
         if w not in stop and stats.total_count[w] >= min_freq
     )
-    return CandidateSet(words=kept, stopwords=stop, min_freq=min_freq)
 
 
 def sample_documents(corpus: Corpus, fraction: float,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -40,7 +40,6 @@ class TermList:
     class_label: str
     aggregation: str
     items: tuple[tuple[str, float], ...]
-    ties: tuple[tuple[str, ...], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         words = [w for w, _ in self.items]
@@ -54,13 +53,8 @@ class TermList:
     @classmethod
     def from_pairs(cls, class_label: str, aggregation: str,
                    pairs: Iterable[tuple[str, float]]) -> "TermList":
-        items = tuple(sorted(pairs, key=lambda p: (-p[1], p[0])))
-        by_score: dict[float, list[str]] = {}
-        for w, s in items:
-            by_score.setdefault(s, []).append(w)
-        ties = tuple(tuple(ws) for ws in by_score.values() if len(ws) > 1)
         return cls(class_label=class_label, aggregation=aggregation,
-                   items=items, ties=ties)
+                   items=tuple(sorted(pairs, key=lambda p: (-p[1], p[0]))))
 
     @property
     def words(self) -> tuple[str, ...]:

@@ -248,14 +248,6 @@ class BowClassifier(ParamsMixin, Predictor):
             self._padded_ = cached
         return cached[1]
 
-    def __getstate__(self):
-        return self.__dict__
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        if self.vocabulary_ is not None and "_vocab_index_" not in self.__dict__:
-            self._vocab_index_ = {w: j for j, w in enumerate(self.vocabulary_)}
-
 
 def train_bow(corpus: Corpus, **params) -> BowClassifier:
     """Train the built-in classifier on a labeled corpus; ``params`` are
@@ -295,6 +287,12 @@ def save_model(clf: BowClassifier, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
+def _distinct_strings(value) -> bool:
+    """Whether ``value`` is a valid class or vocabulary list: distinct strings."""
+    return (isinstance(value, list) and all(isinstance(v, str) for v in value)
+            and len(set(value)) == len(value))
+
+
 def load_model(path: str | Path) -> BowClassifier:
     """The classifier a ``save_model`` file holds; a file that is not one
     raises ValueError naming the field or hyperparameter at fault."""
@@ -307,7 +305,13 @@ def load_model(path: str | Path) -> BowClassifier:
     missing = {"classes", "vocabulary", "weights", "bias"} - set(payload)
     if missing:
         raise ValueError(f"model file lacks {', '.join(sorted(missing))}")
-    clf = BowClassifier().set_params(**payload.get("hyperparams", {}))
+    hyperparams = payload.get("hyperparams", {})
+    if not isinstance(hyperparams, dict):
+        raise ValueError(f"model file hyperparams is not an object: {hyperparams!r}")
+    for key in ("classes", "vocabulary"):
+        if not _distinct_strings(payload[key]):
+            raise ValueError(f"model file {key} is not a list of distinct strings")
+    clf = BowClassifier().set_params(**hyperparams)
     clf.classes_ = tuple(payload["classes"])
     clf.vocabulary_ = tuple(payload["vocabulary"])
     clf._vocab_index_ = {w: j for j, w in enumerate(clf.vocabulary_)}
@@ -363,9 +367,7 @@ class ExternalPredictorClient(Predictor):
         if "probs" not in payload or "classes" not in payload:
             raise ExternalPredictorError("response lacks probs/classes fields")
         classes = payload["classes"]
-        if not (isinstance(classes, list)
-                and all(isinstance(name, str) for name in classes)
-                and len(set(classes)) == len(classes)):
+        if not _distinct_strings(classes):
             raise ExternalPredictorError(
                 f"classes is not a list of distinct strings: {classes!r}")
         classes = tuple(classes)

@@ -9,7 +9,7 @@ service can supply context-aware candidates instead.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -34,15 +34,34 @@ class Perturbator:
 
     Positions listed in ``keep`` are never altered and the output always has
     the same length as the input. Sampling is deterministic for a given
-    generator state. A perturbator may also draw a whole round of a
-    document's tokens at once, as one matrix
-    (``UnigramPerturbator.sample_round``); the anchor loop then draws each
-    round in one call instead of one ``sample_batch`` call per token.
+    generator state.
     """
 
     def sample_batch(self, doc: Document, keep: Iterable[int], n: int,
                      rng: np.random.Generator) -> list[tuple[str, ...]]:
         raise NotImplementedError
+
+    def sampler(self, doc: Document, encode: Callable) -> Callable[..., np.ndarray]:
+        """``draw(positions, n, rngs)``: one matrix of the ``encode`` ids of the
+        rows that ``sample_batch(doc, (positions[t],), n, rngs[t])`` draws,
+        block ``t`` of ``n`` rows after block ``t - 1``, each generator
+        consumed as that call consumes it. By default ``draw`` makes those
+        calls and encodes their words in one call."""
+        def draw(positions, n, rngs):
+            words = [w for pos, rng in zip(positions, rngs)
+                     for row in self.sample_batch(doc, (pos,), n, rng) for w in row]
+            return encode(words).reshape(-1, len(doc.words))
+        return draw
+
+
+def _free(m: int, keep: Iterable[int]) -> list[int]:
+    """The positions of an ``m``-word document outside ``keep``; a keep
+    position outside the document raises ValueError."""
+    keep_set = set(keep)
+    for pos in keep_set:
+        if not 0 <= pos < m:
+            raise ValueError(f"keep position {pos} outside document of length {m}")
+    return [i for i in range(m) if i not in keep_set]
 
 
 class UnigramPerturbator(Perturbator):
@@ -75,15 +94,12 @@ class UnigramPerturbator(Perturbator):
     def sample_round(self, doc_ids: np.ndarray, positions: Sequence[int], n: int,
                      rngs: Sequence[np.random.Generator], fill_ids: np.ndarray
                      ) -> np.ndarray:
-        """Every position's batch of a round, drawn in one step, in ids.
+        """Every position's batch of a round, drawn in one step, in ids: the
+        matrix ``Perturbator.sampler``'s ``draw`` returns.
 
         ``doc_ids`` are the ids of the document's words and ``fill_ids``
-        those of ``pool_words``, in one id space. Block ``t``, rows ``t * n`` to
-        ``(t + 1) * n``, holds the ids of the rows that
-        ``sample_batch(doc, (positions[t],), n, rngs[t])`` draws, and each
-        generator is consumed exactly as that call consumes it. ``doc_ids``
-        and ``fill_ids`` may also be object arrays of the words themselves;
-        the rows then hold words.
+        those of ``pool_words``, in one id space. They may also be object
+        arrays of the words themselves; the rows then hold words.
         """
         m = len(doc_ids)
         if len(positions) and not (0 <= min(positions) and max(positions) < m):
@@ -124,20 +140,18 @@ class UnigramPerturbator(Perturbator):
         rows[masked_row, free[masked_row // n, masked_col]] = fill_ids[picks]
         return rows
 
-    @staticmethod
-    def _free(m: int, keep: Iterable[int]) -> np.ndarray:
-        """The positions outside ``keep``, as a one-row matrix."""
-        keep_set = set(keep)
-        for pos in keep_set:
-            if not 0 <= pos < m:
-                raise ValueError(f"keep position {pos} outside document of length {m}")
-        return np.asarray([[i for i in range(m) if i not in keep_set]], dtype=np.intp)
+    def sampler(self, doc: Document, encode: Callable) -> Callable[..., np.ndarray]:
+        """One ``sample_round`` per ``draw``, from the document and the pool
+        encoded once."""
+        doc_ids, fill_ids = encode(doc.words), encode(self.pool_words)
+        return lambda positions, n, rngs: self.sample_round(doc_ids, positions, n,
+                                                            rngs, fill_ids)
 
     def sample_batch(self, doc: Document, keep: Iterable[int], n: int,
                      rng: np.random.Generator) -> list[tuple[str, ...]]:
         words = np.asarray(doc.words, dtype=object)
-        rows = self._sample(words, self._free(len(words), keep), n, (rng,),
-                            self.pool_words)
+        free = np.asarray([_free(len(words), keep)], dtype=np.intp)
+        rows = self._sample(words, free, n, (rng,), self.pool_words)
         return list(map(tuple, rows.tolist()))
 
 
@@ -221,9 +235,7 @@ class ExternalPerturbatorClient(Perturbator):
 
     def sample_batch(self, doc: Document, keep: Iterable[int], n: int,
                      rng: np.random.Generator) -> list[tuple[str, ...]]:
-        m = len(doc.words)
-        keep_set = set(keep)
-        free = [i for i in range(m) if i not in keep_set]
+        free = _free(len(doc.words), keep)
         out = []
         for _ in range(n):
             masked = [i for i in free if rng.random() < self.mask_prob]

@@ -2,19 +2,20 @@
 
 Every random draw in the package flows from a single integer root seed,
 expanded into independent named streams. Stream identity is built from the
-root seed plus a sequence of string/int keys (e.g. ``("perturb", doc_id,
-position)``), so each token's test owns its own stream and its draws do not
-depend on which other tokens are tested, or in what order.
+root seed plus a sequence of string/int keys. Each token's anchor test owns
+its own stream (``token_streams``), so its draws do not depend on which other
+tokens are tested, or in what order.
 """
 
 from __future__ import annotations
 
 import hashlib
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
-__all__ = ["stream_rng", "stream_seed"]
+__all__ = ["stream_rng", "stream_seed", "token_streams"]
 
 
 def _key_words(key: str | int) -> tuple[int, ...]:
@@ -42,3 +43,9 @@ def stream_seed(root_seed: int, *keys: str | int) -> np.random.SeedSequence:
 def stream_rng(root_seed: int, *keys: str | int) -> np.random.Generator:
     """Fresh PCG64 generator for the named stream."""
     return np.random.Generator(np.random.PCG64(stream_seed(root_seed, *keys)))
+
+
+def token_streams(root_seed: int, doc_id: str) -> Callable[[int], np.random.Generator]:
+    """The generator of each token position of document ``doc_id``: the
+    stream that position's anchor test draws from."""
+    return partial(stream_rng, root_seed, "perturb", doc_id)

@@ -39,12 +39,13 @@ from .eval import TermList
 from .model import CachingPredictor, Predictor
 from .perturb import (DEFAULT_MASK_PROB, DEFAULT_ZETA, Perturbator,
                       build_unigram_perturbator)
-from .seeding import stream_rng
+from .seeding import stream_rng, token_streams
 
 __all__ = [
     "AnytimeOptions",
     "Snapshot",
     "AnytimeResult",
+    "classify_corpus",
     "order_documents",
     "run_anytime",
     "optimization_profile",
@@ -120,6 +121,23 @@ def should_filter(upper_bound, w_min_score: float, heap_full: bool):
     return heap_full and (below if below.ndim else below.item())
 
 
+def classify_corpus(corpus: Corpus, predictor: Predictor
+                    ) -> tuple[CachingPredictor, dict[str, str], int]:
+    """The predictor behind a cache, its label of each document id, and the
+    predictor rows those labels cost: one per distinct document.
+
+    Raises ValueError when the predictor's classes are not the corpus's.
+    """
+    cached = CachingPredictor(predictor)
+    predicted = dict(zip((d.id for d in corpus), cached.predict_many(corpus.documents)))
+    # external predictors learn their class set on first contact, so this
+    # check has to come after the predictions
+    if set(predictor.classes_) != set(corpus.classes):
+        raise ValueError(f"predictor classes {predictor.classes_} do not match "
+                         f"corpus classes {corpus.classes}")
+    return cached, predicted, len({d.words for d in corpus})
+
+
 def order_documents(corpus: Corpus, predictor: Predictor, c: str
                     ) -> list[Document]:
     """Documents the predictor assigns to class c, most confident first.
@@ -155,16 +173,7 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
     if c not in corpus.classes:
         raise ValueError(f"unknown class {c!r}")
 
-    cached = CachingPredictor(predictor)
-    predicted = {d.id: label for d, label in
-                 zip(corpus, cached.predict_many(corpus.documents))}
-    # predictor rows: one per distinct document, then each decision's samples
-    calls = len({d.words for d in corpus})
-    # external predictors learn their class set on first contact, so this
-    # check has to come after the predictions
-    if set(predictor.classes_) != set(corpus.classes):
-        raise ValueError(f"predictor classes {predictor.classes_} do not match "
-                         f"corpus classes {corpus.classes}")
+    cached, predicted, calls = classify_corpus(corpus, predictor)
     stats = word_stats(corpus, label_map=predicted)
     freq_stats = options.freq_stats if options.freq_stats is not None else stats
     aggregation = copy.copy(aggregation)
@@ -174,8 +183,8 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
     stopwords = options.stopwords if options.stopwords is not None \
         else default_stopwords()
     if options.stop_rare_filtering:
-        eligible = filter_candidates(freq_stats, stopwords, options.min_freq).words
-        candidates = frozenset(w for w in stats.vocabulary if w in eligible)
+        candidates = stats.vocabulary & filter_candidates(freq_stats, stopwords,
+                                                          options.min_freq)
     else:
         candidates = frozenset(stats.vocabulary)
 
@@ -217,7 +226,7 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
         if aggregation.needs_anchors:
             decisions = anchors_of_document(
                 doc, predictor, perturbator, cfg,
-                lambda p, d=doc: stream_rng(root_seed, "perturb", d.id, p),
+                token_streams(root_seed, doc.id),
                 skip_word=lambda w: not domain[index[w]], target=c)
             counts.ingest(decisions, c, doc.id)
             calls += sum(d.samples_used for d in decisions)

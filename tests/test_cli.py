@@ -301,6 +301,41 @@ class TestAnchorsCommand:
         assert calls == sum(map(int, Path("rows.log").read_text().split()))
 
 
+    def test_empty_document_of_the_class_is_not_counted(self, workspace):
+        """An empty document is dropped before --limit: the manifest counts
+        the documents written."""
+        from anchoragg.model import load_model
+
+        synth_and_train(workspace, docs=40, epochs=50)
+        label = load_model("m.json").predict_words(())
+        with open("c.jsonl", "a") as handle:
+            handle.write(json.dumps({"id": "empty", "text": "", "label": label}) + "\n")
+        for limit, written in (((), None), (("--limit", "1"), 1)):
+            assert run("anchors", "--corpus", "c.jsonl", "--format", "jsonl",
+                       "--model", "m.json", "--class", label, "--seed", "2",
+                       "--max-samples", "10", *limit, "--out", "a.jsonl") == 0
+            docs = {json.loads(l)["doc"] for l in open("a.jsonl")}
+            manifest = json.loads(Path("a.jsonl.manifest.json").read_text())
+            assert manifest["documents"] == len(docs) == (written or len(docs))
+            assert "empty" not in docs
+
+    @pytest.mark.parametrize("command, out", [("topk", "--terms"), ("anchors", "--out")])
+    def test_model_of_other_classes_names_both_class_sets(self, workspace, capsys,
+                                                          command, out):
+        synth_and_train(workspace, docs=20, epochs=20)
+        renamed = {"pos": "yes", "neg": "no"}
+        rows = [json.loads(l) for l in open("c.jsonl")]
+        with open("yn.jsonl", "w") as handle:
+            for row in rows:
+                handle.write(json.dumps({**row, "label": renamed[row["label"]]}) + "\n")
+        assert run(command, "--corpus", "yn.jsonl", "--format", "jsonl",
+                   "--model", "m.json", "--class", "yes", "--seed", "2",
+                   "--max-samples", "10", out, "out.json") == 3
+        assert capsys.readouterr().err == (
+            "runtime failure: predictor classes ('neg', 'pos') do not match "
+            "corpus classes ('no', 'yes')\n")
+
+
 class TestEvalAndCompare:
     def test_eval_aopc(self, workspace):
         synth_and_train(workspace)
@@ -338,7 +373,12 @@ class TestMalformedInputs:
         (lambda m: m.pop("bias"), "model file lacks bias"),
         (lambda m: m.pop("classes"), "model file lacks classes"),
         (lambda m: m["hyperparams"].update(bogus=1), "invalid parameter 'bogus'"),
-    ], ids=["no bias", "no classes", "unknown hyperparameter"])
+        (lambda m: m.update(hyperparams=[1]), "hyperparams is not an object"),
+        (lambda m: m.update(classes="np"), "classes is not a list of distinct strings"),
+        (lambda m: m["vocabulary"].__setitem__(1, m["vocabulary"][0]),
+         "vocabulary is not a list of distinct strings"),
+    ], ids=["no bias", "no classes", "unknown hyperparameter", "hyperparams a list",
+            "classes a string", "repeated word"])
     @pytest.mark.parametrize("command", ["topk", "eval-aopc"])
     def test_model_file(self, workspace, capsys, edit, message, command):
         synth_and_train(workspace, docs=20, epochs=20)
@@ -360,6 +400,8 @@ class TestMalformedInputs:
         ('{"t_sec": 0.1, "topk": []}', "lacks 'calls'"),
         ('{"t_sec": 0.1, "calls": 5, "topk": [{"score": 1}]}', "lacks 'word'"),
         ('[1, 2]', "list indices must be integers"),
+        ('{"t_sec": 0.1, "calls": 5, "topk": [{"word": "gsig", "score": 1},'
+         ' {"word": "gsig", "score": 0.5}]}', "at t_sec 0.1 lists a word twice"),
     ])
     def test_snapshot_log(self, workspace, capsys, line, message):
         synth_and_train(workspace, docs=20, epochs=20)
@@ -407,6 +449,37 @@ class TestTimelineAndFreqCorpus:
                    "--profile", "optimized", "--freq-corpus", "c.jsonl",
                    "--terms", "tf.json")
         assert code == 0
+
+    def test_stopword_file_keeps_its_words_out(self, workspace):
+        """--stopword-file replaces the shipped list: a planted word it names
+        is neither a candidate (the --counts rows) nor a term."""
+        from anchoragg.synth import PlantedTruth
+
+        synth_and_train(workspace, docs=40, epochs=50)
+
+        def candidates_and_terms(*flags):
+            assert run("topk", "--corpus", "c.jsonl", "--format", "jsonl",
+                       "--model", "m.json", "--class", "pos", "--k", "5",
+                       "--seed", "2", "--max-samples", "10", "--stop-rare-filtering",
+                       "--terms", "terms.json", "--counts", "counts.jsonl",
+                       *flags) == 0
+            words = {json.loads(l)["word"] for l in open("counts.jsonl")}
+            return words, TermList.load("terms.json").words
+
+        words, terms = candidates_and_terms()
+        planted = terms[0]
+        assert planted in PlantedTruth.load("t.json").signal["pos"] and planted in words
+        Path("stop.txt").write_text(f"# planted\n{planted.upper()}\n")
+        words, terms = candidates_and_terms("--stopword-file", "stop.txt")
+        assert planted not in words and planted not in terms
+
+    def test_missing_stopword_file(self, workspace, capsys):
+        synth_and_train(workspace, docs=20, epochs=20)
+        assert run("topk", "--corpus", "c.jsonl", "--format", "jsonl",
+                   "--model", "m.json", "--class", "pos", "--seed", "2",
+                   "--stopword-file", "missing.txt") == 2
+        assert capsys.readouterr().err == \
+            "error: stop-word file not found: missing.txt\n"
 
     def test_counts_score_as_the_run_under_a_frequency_corpus(self, workspace):
         """--counts writes the scores the run ranked by: ``av_minfreq`` bars

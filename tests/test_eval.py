@@ -35,7 +35,6 @@ class TestTermList:
     def test_sorted_and_ties_recorded(self):
         tl = TermList.from_pairs("pos", "x", [("b", 0.5), ("a", 0.5), ("c", 0.9)])
         assert tl.words == ("c", "a", "b")
-        assert tl.ties == (("a", "b"),)
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):

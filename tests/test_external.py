@@ -355,6 +355,15 @@ class TestExternalPerturbator:
         assert out[1] == "b"
         assert all(1 not in masked for masked in seen)
 
+    def test_keep_position_outside_document(self):
+        """Rejected before any request, as ``UnigramPerturbator`` rejects it:
+        the endpoint is unreachable."""
+        client = ExternalPerturbatorClient(endpoint="http://127.0.0.1:9/",
+                                           mask_prob=1.0, timeout=0.2)
+        doc = Document.from_text("0", "a b c")
+        with pytest.raises(ValueError, match="keep position 9 outside document"):
+            client.sample_batch(doc, (9,), 1, stream_rng(0, "k"))
+
     def test_candidate_count_mismatch(self, http_server):
         url = http_server(lambda request: {"candidates": []})
         client = ExternalPerturbatorClient(endpoint=url, mask_prob=1.0)

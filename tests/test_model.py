@@ -225,8 +225,14 @@ class TestModelFile:
         (lambda m: m["hyperparams"].update(bogus=1),
          "invalid parameter 'bogus' for BowClassifier"),
         (lambda m: m.update(bias=[0.0]), "bias shape does not match"),
+        (lambda m: m.update(hyperparams=[1]), "hyperparams is not an object"),
+        (lambda m: m.update(classes="".join(m["classes"])),
+         "classes is not a list of distinct strings"),
+        (lambda m: m["vocabulary"].__setitem__(1, m["vocabulary"][0]),
+         "vocabulary is not a list of distinct strings"),
     ], ids=["no classes", "no vocabulary", "no weights", "no bias",
-            "unknown hyperparameter", "short bias"])
+            "unknown hyperparameter", "short bias", "hyperparams a list",
+            "classes a string", "repeated word"])
     def test_malformed_file_names_the_fault(self, tmp_path, edit, message):
         path = tmp_path / "model.json"
         save_model(train_bow(separable_corpus(), epochs=5), path)
@@ -235,6 +241,16 @@ class TestModelFile:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ValueError, match=message):
             load_model(path)
+
+    def test_pickle_roundtrip_predicts_the_same(self):
+        import pickle
+
+        corpus = separable_corpus()
+        clf = train_bow(corpus, epochs=20)
+        clone = pickle.loads(pickle.dumps(clf))
+        docs = [d.words for d in corpus] + [("unseen", "words")]
+        assert np.array_equal(clone.predict_proba_many(docs),
+                              clf.predict_proba_many(docs))
 
     def test_file_not_an_object(self, tmp_path):
         path = tmp_path / "model.json"
