@@ -11,6 +11,12 @@ Each command imports the modules it runs, and reads its defaults from their
 signatures, when it runs: ``eval-aopc`` loads no sampling code, and no command
 loads the external-service transport unless it builds a client.
 
+Three rules keep each decision in one place: every input file is read
+through ``_load_file``; each command closes its service clients and output
+handles through the one ``ExitStack`` that ``main`` hands it; and each
+subparser declares its required flags and output paths in ``set_defaults``,
+which ``_merge_config`` checks before any input is read.
+
 Exit codes: 0 success, 2 configuration/input error, 3 runtime failure.
 """
 
@@ -23,7 +29,8 @@ import json
 import shlex
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, closing, contextmanager
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -41,18 +48,27 @@ class ConfigError(Exception):
     """Bad flags, missing files, malformed inputs."""
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _load_file(path: str | Path, what: str, parse):
+    """``parse(path)``; a missing file, one that cannot be read (a directory,
+    say), or one that ``parse`` rejects is a configuration error naming
+    ``what``."""
     p = Path(path)
     if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError(f"{what} not found: {p}")
     try:
-        payload = json.loads(p.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        return parse(p)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {p}: {exc}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"malformed {what} {p}: lacks {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {what} {p}: {exc}") from exc
+
+
+def _json_object(path: Path) -> dict:
+    payload = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
-        raise ConfigError("config file must hold a JSON object")
+        raise ValueError("not a JSON object")
     return payload
 
 
@@ -61,8 +77,11 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     and ``--config`` (the keys of ``args.config_types``): flags > config
     file > ``defaults`` > None. Unknown config keys are rejected, and so is
     a value whose type is not its flag's. A float flag takes an int too, and
-    null is taken where the default is null."""
-    config = _load_config_file(args.config)
+    null is taken where the default is null. A required setting that is
+    unset or empty, and an output whose directory does not exist, are
+    configuration errors."""
+    config = _load_file(args.config, "config file", _json_object) \
+        if args.config else {}
     unknown = set(config) - set(args.config_types)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -81,6 +100,13 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         value = getattr(args, key)
         if value is not None:
             resolved[key] = value
+    for flag, dest in args.required.items():
+        if resolved[dest] is None or resolved[dest] == "":
+            raise ConfigError(f"{flag} is required")
+    for flag, dest in args.outputs.items():
+        if resolved[dest] and not Path(resolved[dest]).parent.is_dir():
+            raise ConfigError(f"{flag} directory not found: "
+                              f"{Path(resolved[dest]).parent}")
     return resolved
 
 
@@ -151,26 +177,12 @@ def _corpus_defaults() -> dict:
     return _defaults(load_corpus, _CORPUS_PARAMS)
 
 
-def _load_corpus_from(resolved: dict) -> Corpus:
+def _load_corpus(resolved: dict, key: str = "corpus") -> Corpus:
+    """The corpus at setting ``key``'s path, read with the corpus settings."""
     from .corpus import load_corpus
 
-    if not resolved.get("corpus"):
-        raise ConfigError("--corpus is required")
-    path = Path(resolved["corpus"])
-    if not path.exists():
-        raise ConfigError(f"corpus file not found: {path}")
-    try:
-        return load_corpus(path, **_kwargs(resolved, _CORPUS_PARAMS))
-    except (ValueError, OSError) as exc:
-        raise ConfigError(f"cannot load corpus: {exc}") from exc
-
-
-def _close_clients(*clients) -> None:
-    """Close the external service clients among ``clients``: those with a
-    ``close`` method."""
-    for client in clients:
-        if hasattr(client, "close"):
-            client.close()
+    return _load_file(resolved[key], "corpus file",
+                      partial(load_corpus, **_kwargs(resolved, _CORPUS_PARAMS)))
 
 
 def _check_class(c: str, corpus: Corpus) -> None:
@@ -178,31 +190,20 @@ def _check_class(c: str, corpus: Corpus) -> None:
         raise ConfigError(f"class {c!r} not in corpus classes {corpus.classes}")
 
 
-def _load_file(path: str | Path, what: str, parse):
-    """``parse(path)``; a missing file, or one that ``parse`` rejects, is a
-    configuration error naming ``what``."""
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"{what} not found: {p}")
-    try:
-        return parse(p)
-    except KeyError as exc:
-        raise ConfigError(f"malformed {what} {p}: lacks {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed {what} {p}: {exc}") from exc
-
-
 def _snapshot_rows(path: Path) -> list[dict]:
     """The rows of a ``topk --snapshots`` log, with the fields a timeline
-    reads; a row whose top-k lists a word twice raises ValueError."""
+    reads; a row whose top-k lists a word twice, or a word that is not a
+    string, raises ValueError."""
     rows = [json.loads(line) for line in
             path.read_text(encoding="utf-8").splitlines() if line]
     rows = [{"t_sec": float(row["t_sec"]), "calls": int(row["calls"]),
              "topk": [{"word": t["word"], "score": float(t["score"])}
                       for t in row["topk"]]} for row in rows]
     for row in rows:
-        if len({t["word"] for t in row["topk"]}) != len(row["topk"]):
-            raise ValueError(f"the top-k at t_sec {row['t_sec']} lists a word twice")
+        words = {t["word"] for t in row["topk"] if isinstance(t["word"], str)}
+        if len(words) != len(row["topk"]):
+            raise ValueError(f"the top-k at t_sec {row['t_sec']} lists a word "
+                             "twice or a word that is not a string")
     return rows
 
 
@@ -225,37 +226,30 @@ def _check_predictor(resolved: dict) -> None:
         ExternalPredictorClient.check_params(**_kwargs(resolved, _CLIENT_PARAMS))
 
 
-def _build_predictor(resolved: dict):
+def _build_predictor(resolved: dict, stack: ExitStack):
+    """The model file's classifier, else an external client ``stack`` closes."""
     from .model import ExternalPredictorClient, load_model
 
     if resolved["model"]:
-        path = Path(resolved["model"])
-        if not path.exists():
-            raise ConfigError(f"model file not found: {path}")
-        try:
-            return load_model(path)
-        except ValueError as exc:
-            raise ConfigError(f"cannot load model: {exc}") from exc
+        return _load_file(resolved["model"], "model file", load_model)
     command = shlex.split(resolved["external_cmd"]) if resolved["external_cmd"] else None
-    return ExternalPredictorClient(endpoint=resolved["external_endpoint"],
-                                   command=command,
-                                   **_kwargs(resolved, _CLIENT_PARAMS))
+    return stack.enter_context(closing(ExternalPredictorClient(
+        endpoint=resolved["external_endpoint"], command=command,
+        **_kwargs(resolved, _CLIENT_PARAMS))))
 
 
 # -- train -------------------------------------------------------------------
 
-def cmd_train(args: argparse.Namespace) -> int:
+def cmd_train(args: argparse.Namespace, stack: ExitStack) -> int:
     from .model import BowClassifier, accuracy, save_model, train_bow
 
     resolved = _merge_config(args, {**_corpus_defaults(),
                                     **_defaults(BowClassifier, _TRAIN_PARAMS)})
-    if not resolved["out"]:
-        raise ConfigError("--out is required")
     params = _kwargs(resolved, _TRAIN_PARAMS)
     with _config_errors():
         BowClassifier(**params).check_params()
     started = time.time()
-    corpus = _load_corpus_from(resolved)
+    corpus = _load_corpus(resolved)
     t_load = time.time()
     with _config_errors():
         clf = train_bow(corpus, **params)
@@ -275,14 +269,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 # -- synth -------------------------------------------------------------------
 
-def cmd_synth(args: argparse.Namespace) -> int:
+def cmd_synth(args: argparse.Namespace, stack: ExitStack) -> int:
     from .synth import SynthSpec, generate_planted_corpus
 
     resolved = _merge_config(args, {
         **_defaults(SynthSpec, _SYNTH_PARAMS),
         **_defaults(generate_planted_corpus, _same("seed"))})
-    if not resolved["out"]:
-        raise ConfigError("--out is required")
     started = time.time()
     with _config_errors():
         spec = SynthSpec(**_kwargs(resolved, _SYNTH_PARAMS))
@@ -302,7 +294,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 # -- topk --------------------------------------------------------------------
 
-def cmd_topk(args: argparse.Namespace) -> int:
+def cmd_topk(args: argparse.Namespace, stack: ExitStack) -> int:
     from .aggregate import dump_scores
     from .corpus import load_stopwords, word_stats
     from .topk import AnchorTopTerms
@@ -311,10 +303,6 @@ def cmd_topk(args: argparse.Namespace) -> int:
         **_corpus_defaults(), **_predictor_defaults(),
         **_defaults(AnchorTopTerms, _TOPK_PARAMS),
         "threads": 0})  # accepted and ignored, see AnytimeOptions.threads
-    if resolved["seed"] is None:
-        raise ConfigError("--seed is required for topk runs")
-    if not resolved["class_label"]:
-        raise ConfigError("--class is required")
     if resolved["perturb_endpoint"] and resolved["perturb_cmd"]:
         raise ConfigError("--perturb-endpoint and --perturb-cmd are exclusive")
     _check_predictor(resolved)
@@ -322,51 +310,42 @@ def cmd_topk(args: argparse.Namespace) -> int:
     with _config_errors():
         est.check_params()
     started = time.time()
-    corpus = _load_corpus_from(resolved)
-    _check_class(resolved["class_label"], corpus)
-    predictor = _build_predictor(resolved)
     stopwords = _load_file(resolved["stopword_file"], "stop-word file",
                            load_stopwords) if resolved["stopword_file"] else None
-    freq_stats = None
-    if resolved["freq_corpus"]:
-        freq_resolved = dict(resolved)
-        freq_resolved["corpus"] = resolved["freq_corpus"]
-        freq_stats = word_stats(_load_corpus_from(freq_resolved))
+    predictor = _build_predictor(resolved, stack)
+    freq_stats = word_stats(_load_corpus(resolved, "freq_corpus")) \
+        if resolved["freq_corpus"] else None
+    corpus = _load_corpus(resolved)
+    _check_class(resolved["class_label"], corpus)
     est.set_params(stopwords=stopwords, freq_stats=freq_stats)
     perturbator = None
     if resolved["perturb_endpoint"] or resolved["perturb_cmd"]:
         from .perturb import ExternalPerturbatorClient
 
         # the profile's zeta unless --zeta overrides it
-        perturbator = ExternalPerturbatorClient(
+        perturbator = stack.enter_context(closing(ExternalPerturbatorClient(
             endpoint=resolved["perturb_endpoint"],
             command=shlex.split(resolved["perturb_cmd"])
             if resolved["perturb_cmd"] else None,
             zeta=est.resolved_settings()["zeta"], mask_prob=resolved["mask_prob"],
-            timeout=resolved["timeout"])
+            timeout=resolved["timeout"])))
     t_load = time.time()
 
-    snapshot_handle = trace_handle = None
     snapshot_sink = trace_sink = None
     if resolved["snapshots"]:
-        snapshot_handle = open(resolved["snapshots"], "w", encoding="utf-8")
+        snapshot_handle = stack.enter_context(
+            open(resolved["snapshots"], "w", encoding="utf-8"))
 
         def snapshot_sink(snap, handle=snapshot_handle):
             handle.write(json.dumps(snap.to_row()) + "\n")
             handle.flush()
     if resolved["trace"]:
-        trace_handle = open(resolved["trace"], "w", encoding="utf-8")
+        trace_handle = stack.enter_context(open(resolved["trace"], "w", encoding="utf-8"))
 
         def trace_sink(row, handle=trace_handle):
             handle.write(json.dumps(row) + "\n")
-    try:
-        est.fit(corpus, predictor, perturbator=perturbator,
-                snapshot_sink=snapshot_sink, trace_sink=trace_sink)
-    finally:
-        for handle in (snapshot_handle, trace_handle):
-            if handle is not None:
-                handle.close()
-        _close_clients(predictor, perturbator)
+    est.fit(corpus, predictor, perturbator=perturbator,
+            snapshot_sink=snapshot_sink, trace_sink=trace_sink)
     t_run = time.time()
 
     res = est.result_
@@ -396,7 +375,7 @@ def cmd_topk(args: argparse.Namespace) -> int:
 
 # -- anchors (per-document trace) ---------------------------------------------
 
-def cmd_anchors(args: argparse.Namespace) -> int:
+def cmd_anchors(args: argparse.Namespace, stack: ExitStack) -> int:
     from ._validation import check_positive_int, check_probability
     from .anchor import AnchorConfig, anchors_of_document
     from .corpus import word_stats
@@ -408,10 +387,6 @@ def cmd_anchors(args: argparse.Namespace) -> int:
         **_corpus_defaults(), **_predictor_defaults(),
         **_defaults(AnchorConfig, _ANCHOR_PARAMS),
         **_defaults(build_unigram_perturbator, _PERTURB_PARAMS)})
-    if resolved["seed"] is None:
-        raise ConfigError("--seed is required")
-    if not resolved["out"]:
-        raise ConfigError("--out is required")
     _check_predictor(resolved)
     with _config_errors():
         if resolved["limit"] is not None:
@@ -420,32 +395,27 @@ def cmd_anchors(args: argparse.Namespace) -> int:
         check_positive_int(resolved["zeta"], "zeta")
         check_probability(resolved["mask_prob"], "mask_prob", open_high=False)
     started = time.time()
-    corpus = _load_corpus_from(resolved)
+    predictor = _build_predictor(resolved, stack)
+    corpus = _load_corpus(resolved)
     if resolved["class_label"]:
         _check_class(resolved["class_label"], corpus)
-    predictor = _build_predictor(resolved)
-    try:
-        cached, labels, calls = classify_corpus(corpus, predictor)
-        stats = word_stats(corpus, labels)
-        perturbator = build_unigram_perturbator(stats,
-                                                **_kwargs(resolved, _PERTURB_PARAMS))
-        docs = order_documents(corpus, cached, resolved["class_label"]) \
-            if resolved["class_label"] else corpus.documents
-        docs = [d for d in docs if d.words][:resolved["limit"]]
-        rows = 0
-        with open(resolved["out"], "w", encoding="utf-8") as handle:
-            for doc in docs:
-                decisions = anchors_of_document(
-                    doc, predictor, perturbator, cfg,
-                    rng_for=token_streams(resolved["seed"], doc.id),
-                    target=labels[doc.id])
-                calls += sum(dec.samples_used for dec in decisions)
-                for dec in decisions:
-                    handle.write(json.dumps(dec.to_row(doc.id)) + "\n")
-                    rows += 1
-                handle.flush()
-    finally:
-        _close_clients(predictor)
+    cached, labels, calls = classify_corpus(corpus, predictor)
+    stats = word_stats(corpus, labels)
+    perturbator = build_unigram_perturbator(stats, **_kwargs(resolved, _PERTURB_PARAMS))
+    docs = order_documents(corpus, cached, resolved["class_label"]) \
+        if resolved["class_label"] else corpus.documents
+    docs = [d for d in docs if d.words][:resolved["limit"]]
+    rows = 0
+    handle = stack.enter_context(open(resolved["out"], "w", encoding="utf-8"))
+    for doc in docs:
+        decisions = anchors_of_document(
+            doc, predictor, perturbator, cfg,
+            rng_for=token_streams(resolved["seed"], doc.id), target=labels[doc.id])
+        calls += sum(dec.samples_used for dec in decisions)
+        for dec in decisions:
+            handle.write(json.dumps(dec.to_row(doc.id)) + "\n")
+            rows += 1
+        handle.flush()
     _write_manifest(_manifest_path(resolved, resolved["out"]), "anchors",
                     resolved, started, {},
                     {"documents": len(docs), "tokens": rows,
@@ -456,7 +426,7 @@ def cmd_anchors(args: argparse.Namespace) -> int:
 
 # -- eval-aopc ----------------------------------------------------------------
 
-def cmd_eval_aopc(args: argparse.Namespace) -> int:
+def cmd_eval_aopc(args: argparse.Namespace, stack: ExitStack) -> int:
     from .eval import TermList, aopc_k, quality_timeline, write_timeline_csv
     from .model import CachingPredictor
 
@@ -468,34 +438,29 @@ def cmd_eval_aopc(args: argparse.Namespace) -> int:
     _check_predictor(resolved)
     terms = _load_file(resolved["terms"], "terms file", TermList.load) \
         if resolved["terms"] else None
+    snaps = _load_file(resolved["snapshots"], "snapshot log", _snapshot_rows) \
+        if resolved["snapshots"] else None
     started = time.time()
-    corpus = _load_corpus_from(resolved)
-    base = _build_predictor(resolved)
-    predictor = CachingPredictor(base)
+    predictor = CachingPredictor(_build_predictor(resolved, stack))
+    corpus = _load_corpus(resolved)
     payload = {}
-    try:
-        if terms is not None:
-            c = resolved["class_label"] or terms.class_label
-            _check_class(c, corpus)
-            result = aopc_k(terms, corpus, predictor, c)
-            payload = {"class": c, "agg": terms.aggregation, "k": len(terms),
-                       "value": result.value, "per_prefix": list(result.per_prefix),
-                       "documents": result.documents}
-            if resolved["out"]:
-                Path(resolved["out"]).write_text(json.dumps(payload, indent=2),
-                                                 encoding="utf-8")
+    if terms is not None:
+        c = resolved["class_label"] or terms.class_label
+        _check_class(c, corpus)
+        result = aopc_k(terms, corpus, predictor, c)
+        payload = {"class": c, "agg": terms.aggregation, "k": len(terms),
+                   "value": result.value, "per_prefix": list(result.per_prefix),
+                   "documents": result.documents}
+        if resolved["out"]:
+            Path(resolved["out"]).write_text(json.dumps(payload, indent=2),
+                                             encoding="utf-8")
 
-        if resolved["snapshots"]:
-            snap_path = Path(resolved["snapshots"])
-            snaps = _load_file(snap_path, "snapshot log", _snapshot_rows)
-            rows = quality_timeline(snaps, corpus, predictor,
-                                    resolved["class_label"])
-            target = Path(resolved["timeline_out"] or (str(snap_path) + ".csv"))
-            with open(target, "w", encoding="utf-8", newline="") as handle:
-                write_timeline_csv(handle, rows)
-            payload.setdefault("timeline", str(target))
-    finally:
-        _close_clients(base)
+    if snaps is not None:
+        rows = quality_timeline(snaps, corpus, predictor, resolved["class_label"])
+        target = Path(resolved["timeline_out"] or f"{Path(resolved['snapshots'])}.csv")
+        with open(target, "w", encoding="utf-8", newline="") as handle:
+            write_timeline_csv(handle, rows)
+        payload.setdefault("timeline", str(target))
 
     # beside the AOPC file, else beside the timeline CSV
     _write_manifest(_manifest_path(resolved, resolved["out"] or payload.get("timeline")),
@@ -506,7 +471,7 @@ def cmd_eval_aopc(args: argparse.Namespace) -> int:
 
 # -- compare ------------------------------------------------------------------
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace, stack: ExitStack) -> int:
     from .eval import TermList, aopc_k, shared_terms_ratio
     from .model import CachingPredictor
 
@@ -517,21 +482,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
     lists = [(Path(path).stem, _load_file(path, "terms file", TermList.load))
              for path in args.term_files]
     started = time.time()
-    corpus = _load_corpus_from(resolved)
-    base = _build_predictor(resolved)
-    predictor = CachingPredictor(base)
+    predictor = CachingPredictor(_build_predictor(resolved, stack))
+    corpus = _load_corpus(resolved)
 
     names = [name for name, _ in lists]
     shared = [[shared_terms_ratio(a, b) for _, b in lists] for _, a in lists]
     aopc_rows = []
-    try:
-        for name, terms in lists:
-            c = resolved["class_label"] or terms.class_label
-            _check_class(c, corpus)
-            aopc_rows.append((name, terms.aggregation, c,
-                              aopc_k(terms, corpus, predictor, c).value))
-    finally:
-        _close_clients(base)
+    for name, terms in lists:
+        c = resolved["class_label"] or terms.class_label
+        _check_class(c, corpus)
+        aopc_rows.append((name, terms.aggregation, c,
+                          aopc_k(terms, corpus, predictor, c).value))
 
     prefix = resolved["out_prefix"] or "compare"
     with open(f"{prefix}_shared.csv", "w", encoding="utf-8", newline="") as handle:
@@ -597,13 +558,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "--out")
     _add_flags(p, "--epochs", "--seed", type=int)
     _add_flags(p, "--learning-rate", "--l2", "--val-fraction", type=float)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, required=("--corpus", "--out"), outputs=("--out",))
 
     p = sub.add_parser("synth", help="generate a planted-signal corpus")
     _add_flags(p, "--out", "--truth")
     _add_flags(p, "--docs", "--signal-words", "--seed", type=int)
     _add_flags(p, "--noise", type=float)
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, required=("--out",), outputs=("--out", "--truth"))
 
     p = sub.add_parser("topk", help="anytime top-k impactful words")
     _add_corpus_flags(p)
@@ -626,7 +587,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(flag, action="store_true", default=None)
     p.add_argument("--threads", type=int, help="accepted and ignored")
     _add_flags(p, "--terms", "--snapshots", "--counts", "--trace")
-    p.set_defaults(func=cmd_topk)
+    p.set_defaults(func=cmd_topk, required=("--corpus", "--seed", "--class"),
+                   outputs=("--terms", "--snapshots", "--counts", "--trace"))
 
     p = sub.add_parser("anchors", help="per-token anchor decisions as JSONL")
     _add_corpus_flags(p)
@@ -634,7 +596,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_anchor_flags(p)
     _add_flags(p, "--limit", type=int)
     _add_flags(p, "--out")
-    p.set_defaults(func=cmd_anchors)
+    p.set_defaults(func=cmd_anchors, required=("--corpus", "--seed", "--out"),
+                   outputs=("--out",))
 
     p = sub.add_parser("eval-aopc", help="probability-drop quality of a term list")
     _add_corpus_flags(p)
@@ -642,22 +605,28 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "--terms", "--out")
     p.add_argument("--snapshots", help="snapshot log to score as a timeline")
     _add_flags(p, "--timeline-out")
-    p.set_defaults(func=cmd_eval_aopc)
+    p.set_defaults(func=cmd_eval_aopc, required=("--corpus",),
+                   outputs=("--out", "--timeline-out"))
 
     p = sub.add_parser("compare", help="shared-terms matrix and quality table")
     p.add_argument("term_files", nargs="*")
     _add_corpus_flags(p)
     _add_predictor_flags(p)
     _add_flags(p, "--out-prefix")
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_compare, required=("--corpus",), outputs=("--out-prefix",))
 
     for p in sub.choices.values():
         _add_flags(p, "--config", "--manifest")
-        # the type a config value takes, per setting: every option's dest
-        # but --help's and --config's
-        p.set_defaults(config_types={
-            a.dest: bool if a.nargs == 0 else (a.type or str) for a in p._actions
-            if a.option_strings and a.dest not in ("help", "config")})
+        options = {a.option_strings[0]: a for a in p._actions
+                   if a.option_strings and a.dest not in ("help", "config")}
+        # per setting (every option's dest but --help's and --config's) the
+        # type its config value takes; per declared flag, its setting
+        p.set_defaults(
+            config_types={a.dest: bool if a.nargs == 0 else (a.type or str)
+                          for a in options.values()},
+            required={f: options[f].dest for f in p.get_default("required")},
+            outputs={f: options[f].dest
+                     for f in p.get_default("outputs") + ("--manifest",)})
     return parser
 
 
@@ -665,7 +634,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with ExitStack() as stack:
+            return args.func(args, stack)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -257,7 +257,8 @@ class TestCriterion8Determinism:
             "--manifest", str(ws / f"manifest_{tag}.json"),
         ])
         assert code == 0
-        snaps = [json.loads(l) for l in open(ws / f"snaps_{tag}.jsonl")]
+        snaps = [json.loads(l) for l in
+                 (ws / f"snaps_{tag}.jsonl").read_text().splitlines()]
         stripped = [{k: v for k, v in row.items() if k != "t_sec"}
                     for row in snaps]
         return ((ws / f"terms_{tag}.json").read_text(),

@@ -22,6 +22,11 @@ def run(*argv):
     return main(list(argv))
 
 
+def jsonl(name):
+    """The rows of a JSON-lines file."""
+    return [json.loads(line) for line in Path(name).read_text().splitlines()]
+
+
 def synth_and_train(ws, docs=80, seed=4, epochs=250):
     assert run("synth", "--out", "c.jsonl", "--truth", "t.json",
                "--docs", str(docs), "--seed", str(seed)) == 0
@@ -81,23 +86,17 @@ class TestTopk:
         assert self._topk() == 0
         terms = TermList.load("terms.json")
         assert len(terms) == 4
-        snaps = [json.loads(l) for l in open("snaps.jsonl")]
+        snaps = jsonl("snaps.jsonl")
         assert snaps[-1]["topk"][0]["word"] == terms.words[0]
-        counts_rows = [json.loads(l) for l in open("counts.jsonl")]
+        counts_rows = jsonl("counts.jsonl")
         assert {"word", "class", "a_plus", "a_minus", "score", "agg"} \
             <= set(counts_rows[0])
-        trace_rows = [json.loads(l) for l in open("trace.jsonl")]
+        trace_rows = jsonl("trace.jsonl")
         assert {"doc", "pos", "word", "anchor", "precision", "samples"} \
             <= set(trace_rows[0])
         manifest = json.loads((workspace / "run.json").read_text())
         assert manifest["predictor_calls"] > 0
         assert manifest["config"]["seed"] == 3
-
-    def test_seed_required(self, workspace):
-        synth_and_train(workspace)
-        code = run("topk", "--corpus", "c.jsonl", "--format", "jsonl",
-                   "--model", "m.json", "--class", "pos")
-        assert code == 2
 
     def test_unknown_class(self, workspace):
         synth_and_train(workspace)
@@ -109,10 +108,10 @@ class TestTopk:
         synth_and_train(workspace)
         assert self._topk() == 0
         first_terms = (workspace / "terms.json").read_text()
-        first_snaps = [json.loads(l) for l in open("snaps.jsonl")]
+        first_snaps = jsonl("snaps.jsonl")
         assert self._topk() == 0
         second_terms = (workspace / "terms.json").read_text()
-        second_snaps = [json.loads(l) for l in open("snaps.jsonl")]
+        second_snaps = jsonl("snaps.jsonl")
         assert first_terms == second_terms
         strip = lambda rows: [{k: v for k, v in r.items() if k != "t_sec"}
                               for r in rows]
@@ -243,6 +242,67 @@ class TestSettings:
                    *required[command], flag, value) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    # each command's required flags, with a value, and the flags a run of it
+    # needs besides them
+    REQUIRED = {"train": {"--corpus": "c.jsonl", "--out": "m.json"},
+                "synth": {"--out": "c.jsonl"},
+                "topk": {"--corpus": "c.jsonl", "--seed": "7", "--class": "pos"},
+                "anchors": {"--corpus": "c.jsonl", "--seed": "7", "--out": "a.jsonl"},
+                "eval-aopc": {"--corpus": "c.jsonl"},
+                "compare": {"--corpus": "c.jsonl"}}
+    OTHERS = {"topk": ("--model", "m.json"), "anchors": ("--model", "m.json"),
+              "eval-aopc": ("--model", "m.json", "--terms", "t.json"),
+              "compare": ("t.json", "--model", "m.json")}
+    REQUIRED_CASES = [(c, f) for c, flags in REQUIRED.items() for f in flags]
+
+    def test_required_flags_are_the_declared_ones(self):
+        from anchoragg.cli import build_parser
+
+        commands = build_parser()._subparsers._group_actions[0].choices
+        assert {c: set(p.get_default("required")) for c, p in commands.items()} \
+            == {c: set(flags) for c, flags in self.REQUIRED.items()}
+
+    @pytest.mark.parametrize("command, flag", REQUIRED_CASES,
+                             ids=[f"{c} {f}" for c, f in REQUIRED_CASES])
+    def test_missing_required_flag(self, workspace, capsys, command, flag):
+        """Exit 2 before any input is read: no input file exists."""
+        argv = [x for f, v in self.REQUIRED[command].items() if f != flag
+                for x in (f, v)]
+        assert run(command, *argv, *self.OTHERS.get(command, ())) == 2
+        assert capsys.readouterr().err == f"error: {flag} is required\n"
+
+    def test_empty_setting_is_unset_and_seed_0_is_set(self, workspace, capsys):
+        Path("cfg.json").write_text(json.dumps({"out": ""}))
+        assert run("synth", "--config", "cfg.json") == 2
+        assert capsys.readouterr().err == "error: --out is required\n"
+        assert run("anchors", "--corpus", "c.jsonl", "--model", "m.json",
+                   "--seed", "0", "--out", "a.jsonl") == 2
+        assert capsys.readouterr().err == "error: model file not found: m.json\n"
+
+    MISSING_OUTPUT_DIR = [
+        ("train", ("--corpus", "c.jsonl", "--out", "nodir/m.json"), "--out"),
+        ("synth", ("--out", "c.jsonl", "--truth", "nodir/t.json"), "--truth"),
+        ("synth", ("--out", "c.jsonl", "--manifest", "nodir/run.json"), "--manifest"),
+        ("topk", ("--corpus", "c.jsonl", "--model", "m.json", "--class", "pos",
+                  "--seed", "7", "--terms", "nodir/t.json"), "--terms"),
+        ("anchors", ("--corpus", "c.jsonl", "--model", "m.json", "--seed", "7",
+                     "--out", "nodir/a.jsonl"), "--out"),
+        ("eval-aopc", ("--corpus", "c.jsonl", "--model", "m.json", "--snapshots",
+                       "s.jsonl", "--class", "pos", "--timeline-out", "nodir/t.csv"),
+         "--timeline-out"),
+        ("compare", ("t.json", "--corpus", "c.jsonl", "--model", "m.json",
+                     "--out-prefix", "nodir/cmp"), "--out-prefix"),
+    ]
+
+    @pytest.mark.parametrize("command, argv, flag", MISSING_OUTPUT_DIR,
+                             ids=[f"{c} {f}" for c, _, f in MISSING_OUTPUT_DIR])
+    def test_output_directory_must_exist(self, workspace, capsys, command, argv, flag):
+        """Exit 2 before any input is read or output written: no input file
+        exists, and synth writes no corpus."""
+        assert run(command, *argv) == 2
+        assert capsys.readouterr().err == f"error: {flag} directory not found: nodir\n"
+        assert not Path("c.jsonl").exists()
+
     def test_every_option_is_a_recorded_setting(self, workspace):
         """Each command's manifest records one setting per option of its
         parser, --help and --config aside."""
@@ -275,7 +335,7 @@ class TestAnchorsCommand:
                    "--model", "m.json", "--class", "pos", "--seed", "2",
                    "--max-samples", "10", "--limit", "3", "--out", "anch.jsonl")
         assert code == 0
-        rows = [json.loads(l) for l in open("anch.jsonl")]
+        rows = jsonl("anch.jsonl")
         assert len({r["doc"] for r in rows}) == 3
         assert all(isinstance(r["anchor"], bool) for r in rows)
 
@@ -294,7 +354,7 @@ class TestAnchorsCommand:
         assert run("anchors", "--corpus", "c.jsonl", "--format", "jsonl",
                    "--external-cmd", f"{_sys.executable} pred.py", "--seed", "2",
                    "--max-samples", "20", "--limit", "4", "--out", "anch.jsonl") == 0
-        rows = [json.loads(l) for l in open("anch.jsonl")]
+        rows = jsonl("anch.jsonl")
         calls = json.loads(Path("anch.jsonl.manifest.json").read_text())[
             "predictor_calls"]
         assert calls == len({d.words for d in corpus}) + sum(r["samples"] for r in rows)
@@ -314,7 +374,7 @@ class TestAnchorsCommand:
             assert run("anchors", "--corpus", "c.jsonl", "--format", "jsonl",
                        "--model", "m.json", "--class", label, "--seed", "2",
                        "--max-samples", "10", *limit, "--out", "a.jsonl") == 0
-            docs = {json.loads(l)["doc"] for l in open("a.jsonl")}
+            docs = {row["doc"] for row in jsonl("a.jsonl")}
             manifest = json.loads(Path("a.jsonl.manifest.json").read_text())
             assert manifest["documents"] == len(docs) == (written or len(docs))
             assert "empty" not in docs
@@ -324,7 +384,7 @@ class TestAnchorsCommand:
                                                           command, out):
         synth_and_train(workspace, docs=20, epochs=20)
         renamed = {"pos": "yes", "neg": "no"}
-        rows = [json.loads(l) for l in open("c.jsonl")]
+        rows = jsonl("c.jsonl")
         with open("yn.jsonl", "w") as handle:
             for row in rows:
                 handle.write(json.dumps({**row, "label": renamed[row["label"]]}) + "\n")
@@ -391,7 +451,7 @@ class TestMalformedInputs:
         assert run(command, "--corpus", "c.jsonl", "--format", "jsonl",
                    "--model", "m.json", *flags) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: cannot load model: ") and message in err
+        assert err.startswith("error: malformed model file m.json: ") and message in err
 
     @pytest.mark.parametrize("line, message", [
         ("{not json", "Expecting property name"),
@@ -402,6 +462,8 @@ class TestMalformedInputs:
         ('[1, 2]', "list indices must be integers"),
         ('{"t_sec": 0.1, "calls": 5, "topk": [{"word": "gsig", "score": 1},'
          ' {"word": "gsig", "score": 0.5}]}', "at t_sec 0.1 lists a word twice"),
+        ('{"t_sec": 0, "calls": 1, "topk": [{"word": 5, "score": 1}]}',
+         "a word that is not a string"),
     ])
     def test_snapshot_log(self, workspace, capsys, line, message):
         synth_and_train(workspace, docs=20, epochs=20)
@@ -415,6 +477,32 @@ class TestMalformedInputs:
         assert err.startswith("error: malformed snapshot log snaps.jsonl: ")
         assert message in err
         assert not Path("snaps.jsonl.csv").exists()
+
+
+    DIRECTORY_INPUTS = [
+        ("--config", "config file", ("topk",)),
+        ("--corpus", "corpus file", ("train", "--out", "m.json")),
+        ("--freq-corpus", "corpus file", ("topk", "--model", "m.json", "--seed", "7",
+                                          "--class", "pos")),
+        ("--model", "model file", ("anchors", "--seed", "7", "--out", "a.jsonl")),
+        ("--terms", "terms file", ("eval-aopc", "--model", "m.json")),
+        ("--snapshots", "snapshot log", ("eval-aopc", "--model", "m.json",
+                                         "--class", "pos")),
+        ("--stopword-file", "stop-word file", ("topk", "--model", "m.json",
+                                               "--seed", "7", "--class", "pos")),
+    ]
+
+    @pytest.mark.parametrize("flag, what, argv", DIRECTORY_INPUTS,
+                             ids=[f for f, _, _ in DIRECTORY_INPUTS])
+    def test_directory_input(self, workspace, capsys, flag, what, argv):
+        """A directory given as an input exits 2 naming that input, before
+        the corpus is read: the corpus file does not exist."""
+        synth_and_train(workspace, docs=20, epochs=20)
+        name = flag.strip("-")
+        Path(name).mkdir()
+        corpus = () if flag == "--corpus" else ("--corpus", "missing.jsonl")
+        assert run(*argv, *corpus, flag, name) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {what} {name}: ")
 
 
 class TestTimelineAndFreqCorpus:
@@ -463,7 +551,7 @@ class TestTimelineAndFreqCorpus:
                        "--seed", "2", "--max-samples", "10", "--stop-rare-filtering",
                        "--terms", "terms.json", "--counts", "counts.jsonl",
                        *flags) == 0
-            words = {json.loads(l)["word"] for l in open("counts.jsonl")}
+            words = {row["word"] for row in jsonl("counts.jsonl")}
             return words, TermList.load("terms.json").words
 
         words, terms = candidates_and_terms()
@@ -513,19 +601,37 @@ class TestExternalBackendsViaCli:
             " for _ in req['masked_positions']]\n"
             "    print(json.dumps({'candidates': rows}), flush=True)\n")
 
-    def test_eval_aopc_closes_external_predictor(self, workspace):
+    SERVICE_RUNS = [
+        ("topk", ("--perturb-cmd", "pert.py", "--class", "pos", "--seed", "5",
+                  "--max-samples", "4", "--batch-size", "2"), 0, ("pred", "pert")),
+        ("anchors", ("--seed", "5", "--max-samples", "4", "--limit", "2",
+                     "--out", "a.jsonl"), 0, ("pred",)),
+        ("eval-aopc", ("--terms", "terms.json"), 0, ("pred",)),
+        ("compare", ("terms.json",), 0, ("pred",)),
+        # a service of other classes than the corpus's: fails once it started
+        ("topk", ("--class", "pos", "--seed", "5"), 3, ("pred",)),
+    ]
+
+    @pytest.mark.parametrize("command, flags, code, services", SERVICE_RUNS,
+                             ids=["topk", "anchors", "eval-aopc", "compare",
+                                  "topk-failing"])
+    def test_services_are_closed(self, workspace, command, flags, code, services):
+        """Every service a run starts is closed when the run ends: each
+        leaves a marker once its input ends."""
         import sys as _sys
 
         assert run("synth", "--out", "c.jsonl", "--docs", "20", "--seed", "3") == 0
         TermList.from_pairs("pos", "sq", [("gsig", 1.0)]).save("terms.json")
-        # the service leaves a marker once its input ends
-        (workspace / "pred.py").write_text(
-            self.PRED + "open('closed.marker', 'w').close()\n")
-        code = run("eval-aopc", "--terms", "terms.json", "--corpus", "c.jsonl",
-                   "--format", "jsonl",
-                   "--external-cmd", f"{_sys.executable} pred.py")
-        assert code == 0
-        assert (workspace / "closed.marker").exists()
+        pred = self.PRED if code == 0 else \
+            self.PRED.replace("['neg', 'pos']", "['no', 'yes']")
+        (workspace / "pred.py").write_text(pred + "open('pred.marker', 'w').close()\n")
+        (workspace / "pert.py").write_text(
+            self.PERT + "open('pert.marker', 'w').close()\n")
+        flags = [f"{_sys.executable} {f}" if f.endswith(".py") else f for f in flags]
+        assert run(command, "--corpus", "c.jsonl", "--format", "jsonl",
+                   "--external-cmd", f"{_sys.executable} pred.py", *flags) == code
+        for service in services:
+            assert (workspace / f"{service}.marker").exists(), service
 
     def test_topk_with_external_predictor_and_perturbator(self, workspace):
         import sys as _sys
