@@ -14,9 +14,9 @@ __version__ = "0.1.0"
 _SUBMODULE_NAMES = {
     "aggregate": ("AGGREGATION_KINDS", "AnchorCounts", "log_likelihood",
                   "make_aggregation", "rank_words"),
-    "anchor": ("AnchorConfig", "AnchorDecision", "PrecisionEstimate",
-               "anchors_of_document", "confidence_bounds", "estimate_token"),
-    "corpus": ("Corpus", "Document", "Token", "WordStats",
+    "anchor": ("AnchorConfig", "AnchorDecision", "anchors_of_document",
+               "confidence_bounds", "estimate_token"),
+    "corpus": ("Corpus", "Document", "WordStats",
                "default_stopwords", "filter_candidates", "load_corpus",
                "load_stopwords", "sample_documents", "tokenize", "word_stats"),
     "eval": ("AopcResult", "AppendDropResult", "TermList", "aopc_k", "append_drop",

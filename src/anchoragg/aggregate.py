@@ -46,8 +46,7 @@ class AnchorCounts:
     """Per-(word, class) anchor and non-anchor occurrence tallies.
 
     Array-backed over a fixed, sorted vocabulary. Documents are ingested
-    once each; the per-class document counter tracks how many documents of
-    each class have been processed so far.
+    once each.
     """
 
     def __init__(self, vocabulary: Iterable[str], classes: Sequence[str]):
@@ -61,7 +60,6 @@ class AnchorCounts:
             c: np.zeros(size, dtype=np.int64) for c in self.classes}
         self.a_minus: dict[str, np.ndarray] = {
             c: np.zeros(size, dtype=np.int64) for c in self.classes}
-        self.docs_processed: dict[str, int] = {c: 0 for c in self.classes}
         self._ingested: set[str] = set()
 
     def plus(self, word: str, c: str) -> int:
@@ -87,15 +85,14 @@ class AnchorCounts:
             raise ValueError(f"unknown class {c!r}")
         plus, minus = self.a_plus[c], self.a_minus[c]
         for decision in decisions:
-            j = self.index.get(decision.token.word)
+            j = self.index.get(decision.word)
             if j is None:
-                raise ValueError(f"word {decision.token.word!r} outside vocabulary")
+                raise ValueError(f"word {decision.word!r} outside vocabulary")
             if decision.is_anchor:
                 plus[j] += 1
             else:
                 minus[j] += 1
         self._ingested.add(doc_id)
-        self.docs_processed[c] += 1
 
 
 # -- probabilistic model ----------------------------------------------------

@@ -11,12 +11,12 @@ a document are tested together, in rounds that share predictor calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .corpus import Document, Token
+from .corpus import Document
 
 if TYPE_CHECKING:
     from .model import Predictor
@@ -24,7 +24,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "AnchorConfig",
-    "PrecisionEstimate",
     "AnchorDecision",
     "confidence_bounds",
     "estimate_token",
@@ -55,32 +54,26 @@ class AnchorConfig:
 
 
 @dataclass(frozen=True)
-class PrecisionEstimate:
-    """Success rate with two-sided Hoeffding bounds at level 1 - delta."""
-
-    successes: int
-    trials: int
-    point: float
-    lower: float
-    upper: float
-
-
-@dataclass(frozen=True)
 class AnchorDecision:
-    token: Token
+    """One token's verdict, with the hits and samples of its test; an
+    unsampled token has no samples and is not an anchor."""
+
+    word: str
+    position: int
     is_anchor: bool
-    estimate: PrecisionEstimate | None
+    successes: int
     samples_used: int
-    skipped: bool = field(default=False)
 
     def to_row(self, doc_id: str) -> dict:
-        """The decision as one trace row of document ``doc_id``."""
+        """The decision as one trace row of document ``doc_id``; its
+        precision is ``None`` when the token was not sampled."""
         return {
             "doc": doc_id,
-            "pos": self.token.position,
-            "word": self.token.word,
+            "pos": self.position,
+            "word": self.word,
             "anchor": self.is_anchor,
-            "precision": None if self.estimate is None else self.estimate.point,
+            "precision": (self.successes / self.samples_used
+                          if self.samples_used else None),
             "samples": self.samples_used,
         }
 
@@ -163,21 +156,12 @@ def _sequential_tests(doc: Document, positions: list[int],
                 undecided.append(i)
                 continue
             point = successes[i] / trials
-            estimate = PrecisionEstimate(successes=successes[i], trials=trials,
-                                         point=point, lower=lower, upper=upper)
             # certified either way by the bounds, else by the point estimate
             is_anchor = lower >= cfg.tau or (upper >= cfg.tau and point >= cfg.tau)
-            decisions[i] = AnchorDecision(
-                token=Token(doc.words[positions[i]], positions[i]), is_anchor=is_anchor,
-                estimate=estimate, samples_used=trials)
+            decisions[i] = AnchorDecision(doc.words[positions[i]], positions[i],
+                                          is_anchor, successes[i], trials)
         active = undecided
     return decisions
-
-
-def _skipped_decision(doc: Document, position: int) -> AnchorDecision:
-    return AnchorDecision(token=Token(doc.words[position], position),
-                          is_anchor=False, estimate=None, samples_used=0,
-                          skipped=True)
 
 
 def anchors_of_document(doc: Document, predictor: Predictor,
@@ -203,5 +187,5 @@ def anchors_of_document(doc: Document, predictor: Predictor,
         doc, sampled, [rng_for(p) for p in sampled], predictor, perturbator, cfg,
         predictor.class_index(target))
     decisions = dict(zip(sampled, tested))
-    return [decisions[p] if p in decisions else _skipped_decision(doc, p)
-            for p in range(len(doc.words))]
+    return [decisions.get(p) or AnchorDecision(w, p, False, 0, 0)
+            for p, w in enumerate(doc.words)]

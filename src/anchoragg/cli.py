@@ -78,8 +78,8 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     file > ``defaults`` > None. Unknown config keys are rejected, and so is
     a value whose type is not its flag's. A float flag takes an int too, and
     null is taken where the default is null. A required setting that is
-    unset or empty, and an output whose directory does not exist, are
-    configuration errors."""
+    unset or empty, an output whose directory does not exist, and an output
+    that is a directory, are configuration errors."""
     config = _load_file(args.config, "config file", _json_object) \
         if args.config else {}
     unknown = set(config) - set(args.config_types)
@@ -104,9 +104,14 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         if resolved[dest] is None or resolved[dest] == "":
             raise ConfigError(f"{flag} is required")
     for flag, dest in args.outputs.items():
-        if resolved[dest] and not Path(resolved[dest]).parent.is_dir():
-            raise ConfigError(f"{flag} directory not found: "
-                              f"{Path(resolved[dest]).parent}")
+        if not resolved[dest]:
+            continue
+        path = Path(resolved[dest])
+        if not path.parent.is_dir():
+            raise ConfigError(f"{flag} directory not found: {path.parent}")
+        # a prefix names files beside it, so it may be a directory
+        if flag != "--out-prefix" and path.is_dir():
+            raise ConfigError(f"{flag} is a directory: {path}")
     return resolved
 
 

@@ -15,14 +15,13 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ._validation import check_fraction, check_positive_int
 
 __all__ = [
-    "Token",
     "Document",
     "Corpus",
     "WordStats",
@@ -38,11 +37,6 @@ __all__ = [
 DEFAULT_CHAR_CAP = 200
 
 
-class Token(NamedTuple):
-    word: str
-    position: int
-
-
 @dataclass(frozen=True)
 class Document:
     """A tokenized document: an ordered word sequence plus the original text."""
@@ -54,10 +48,6 @@ class Document:
     @classmethod
     def from_text(cls, doc_id: str, text: str) -> "Document":
         return cls(id=doc_id, words=tuple(tokenize(text)), raw_text=text)
-
-    @property
-    def tokens(self) -> list[Token]:
-        return [Token(w, i) for i, w in enumerate(self.words)]
 
     def __len__(self) -> int:
         return len(self.words)
@@ -126,52 +116,54 @@ def tokenize(text: str) -> list[str]:
     return words
 
 
+def _parse_stopwords(text: str) -> frozenset[str]:
+    """One word per line, lowercased; blank lines and lines whose first
+    non-blank character is '#' are ignored."""
+    lines = (line.strip() for line in text.splitlines())
+    return frozenset(line.lower() for line in lines
+                     if line and not line.startswith("#"))
+
+
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Read a stop-word file: one word per line, '#' starts a comment line."""
-    words = set()
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            words.add(line.lower())
-    return frozenset(words)
+    return _parse_stopwords(Path(path).read_text(encoding="utf-8"))
 
 
 def default_stopwords() -> frozenset[str]:
     """The stop-word list shipped with the package."""
-    text = resources.files("anchoragg").joinpath("data/stopwords.txt").read_text("utf-8")
-    return frozenset(
-        line.strip().lower()
-        for line in text.splitlines()
-        if line.strip() and not line.startswith("#")
-    )
+    return _parse_stopwords(
+        resources.files("anchoragg").joinpath("data/stopwords.txt").read_text("utf-8"))
 
 
-def _read_csv_rows(path: Path, text_field: str, label_field: str,
+def _read_csv_rows(path: str | Path, text_field: str, label_field: str,
                    encoding: str) -> Iterable[tuple[str, str, str]]:
     with open(path, newline="", encoding=encoding) as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty CSV, header row required")
+            raise ValueError("empty CSV, header row required")
         for name in (text_field, label_field):
             if name not in reader.fieldnames:
-                raise ValueError(f"{path}: missing column {name!r} "
-                                 f"(have {reader.fieldnames})")
+                raise ValueError(f"missing column {name!r} (have {reader.fieldnames})")
         for index, row in enumerate(reader):
             yield str(index), row[text_field] or "", row[label_field] or ""
 
 
-def _read_jsonl_rows(path: Path, text_field: str, label_field: str,
+def _read_jsonl_rows(path: str | Path, text_field: str, label_field: str,
                      encoding: str) -> Iterable[tuple[str, str, str]]:
     with open(path, encoding=encoding) as handle:
         for index, line in enumerate(handle):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    f"line {index + 1}: {exc.msg} at column {exc.colno}") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(f"line {index + 1}: not a JSON object")
             if text_field not in obj or label_field not in obj:
-                raise ValueError(f"{path}:{index + 1}: object lacks "
+                raise ValueError(f"line {index + 1}: object lacks "
                                  f"{text_field!r}/{label_field!r} fields")
             yield str(obj.get("id", index)), str(obj[text_field]), str(obj[label_field])
 
@@ -186,9 +178,6 @@ def load_corpus(path: str | Path, format: str = "csv", *,
     Document order follows file order; class order is lexicographic. When an
     explicit ``classes`` set is given, rows with labels outside it raise.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"corpus file not found: {path}")
     if format == "csv":
         rows = _read_csv_rows(path, text_field, label_field, encoding)
     elif format == "jsonl":
@@ -207,7 +196,7 @@ def load_corpus(path: str | Path, format: str = "csv", *,
         documents.append(Document.from_text(doc_id, text))
         labels[doc_id] = label
     if not documents:
-        raise ValueError(f"{path}: empty corpus after filtering")
+        raise ValueError("empty corpus after filtering")
     if classes is not None:
         ordered = tuple(sorted(allowed))
     else:
@@ -219,18 +208,16 @@ def load_corpus(path: str | Path, format: str = "csv", *,
 class WordStats:
     """Exhaustive word occurrence statistics over a corpus.
 
-    ``label_map`` controls how per-class counts are partitioned; by default
-    it is the corpus gold labels, but callers aggregating with respect to a
-    predictor's own classification pass the predicted labels instead.
+    ``label_map`` controls how per-class document frequencies are
+    partitioned; by default it is the corpus gold labels, but callers
+    aggregating with respect to a predictor's own classification pass the
+    predicted labels instead.
     """
 
     vocabulary: frozenset[str]
-    classes: tuple[str, ...]
     total_count: dict[str, int]
-    class_count: dict[str, Counter]
     doc_freq_total: dict[str, int]
     doc_freq_class: dict[str, Counter]
-    total_tokens: int = 0
 
     def n_w(self, word: str) -> int:
         return self.total_count.get(word, 0)
@@ -238,32 +225,25 @@ class WordStats:
 
 def word_stats(corpus: Corpus,
                label_map: Mapping[str, str] | None = None) -> WordStats:
-    """Count word occurrences, per-class occurrences, and document frequencies."""
+    """Count word occurrences, and document frequencies in total and per class."""
     if len(corpus) == 0:
         raise ValueError("corpus is empty")
     labels = corpus.labels if label_map is None else label_map
     total: Counter = Counter()
-    by_class: dict[str, Counter] = {c: Counter() for c in corpus.classes}
     df_total: Counter = Counter()
     df_class: dict[str, Counter] = {c: Counter() for c in corpus.classes}
-    n_tokens = 0
     for doc in corpus:
         c = labels[doc.id]
         counts = Counter(doc.words)
-        n_tokens += len(doc)
         total.update(counts)
-        by_class[c].update(counts)
         for word in counts:
             df_total[word] += 1
             df_class[c][word] += 1
     return WordStats(
         vocabulary=frozenset(total),
-        classes=corpus.classes,
         total_count=dict(total),
-        class_count=by_class,
         doc_freq_total=dict(df_total),
         doc_freq_class=df_class,
-        total_tokens=n_tokens,
     )
 
 

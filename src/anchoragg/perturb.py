@@ -73,7 +73,7 @@ class UnigramPerturbator(Perturbator):
     """
 
     def __init__(self, pool_words: Sequence[str], pool_weights: Sequence[float],
-                 mask_prob: float = DEFAULT_MASK_PROB, zeta: int | None = None):
+                 mask_prob: float = DEFAULT_MASK_PROB):
         if len(pool_words) == 0:
             raise ValueError("empty replacement pool")
         if len(pool_words) != len(pool_weights):
@@ -89,7 +89,6 @@ class UnigramPerturbator(Perturbator):
         self._cdf = self.pool_weights.cumsum()
         self._cdf /= self._cdf[-1]
         self.mask_prob = float(mask_prob)
-        self.zeta = int(zeta) if zeta is not None else len(pool_words)
 
     def sample_round(self, doc_ids: np.ndarray, positions: Sequence[int], n: int,
                      rngs: Sequence[np.random.Generator], fill_ids: np.ndarray
@@ -169,7 +168,7 @@ def build_unigram_perturbator(stats: WordStats, zeta: int = DEFAULT_ZETA,
     top = ranked[:zeta]
     words = [w for w, _ in top]
     weights = [float(c) for _, c in top]
-    return UnigramPerturbator(words, weights, mask_prob=mask_prob, zeta=zeta)
+    return UnigramPerturbator(words, weights, mask_prob=mask_prob)
 
 
 class ExternalPerturbatorError(RuntimeError):

@@ -110,15 +110,15 @@ class AnytimeResult:
     aggregation: Aggregation
 
 
-def should_filter(upper_bound, w_min_score: float, heap_full: bool):
+def should_filter(upper_bound, w_min_score: float):
     """Permanently drop a word when even its optimistic bound cannot beat
-    the current k-th pseudo-score. Strict inequality: a bound exactly equal
-    to the k-th score keeps the word alive, and so does a NaN bound; nothing
-    filters before the selection is full. Elementwise over an array of
-    bounds; a scalar bound gives a bool."""
+    the k-th pseudo-score of a full selection. Strict inequality: a bound
+    exactly equal to the k-th score keeps the word alive, and so does a NaN
+    bound. Elementwise over an array of bounds; a scalar bound gives a
+    bool."""
     with np.errstate(invalid="ignore"):
         below = np.less(upper_bound, w_min_score)
-    return heap_full and (below if below.ndim else below.item())
+    return below if below.ndim else below.item()
 
 
 def classify_corpus(corpus: Corpus, predictor: Predictor
@@ -250,8 +250,7 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
             for w, _ in selection:
                 in_selection[index[w]] = True
             bounds = aggregation.upper_bounds(counts, c, remaining)
-            filtered_mask |= domain & ~in_selection & should_filter(
-                bounds, w_min_score, heap_full=True)
+            filtered_mask |= domain & ~in_selection & should_filter(bounds, w_min_score)
 
         take_snapshot(i)
 

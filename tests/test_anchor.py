@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import anchoragg
-from anchoragg.anchor import (ROUND_ROWS, AnchorConfig, anchors_of_document,
-                              confidence_bounds, estimate_token)
+from anchoragg.anchor import (ROUND_ROWS, AnchorConfig, AnchorDecision,
+                              anchors_of_document, confidence_bounds, estimate_token)
 from anchoragg.corpus import Document, word_stats
 from anchoragg.model import BowClassifier, Predictor, train_bow
 from anchoragg.perturb import UnigramPerturbator, build_unigram_perturbator
@@ -61,7 +61,7 @@ class TestEstimateToken:
         for pos in range(3):
             d = estimate_token(doc, pos, pred, pert, cfg, stream_rng(0, "t", pos))
             assert d.is_anchor
-            assert d.estimate.point == 1.0
+            assert d.successes / d.samples_used == 1.0
 
     def test_conditioning_forces_success(self):
         # predictor keyed on 'x' at position 0; keeping that token pins it
@@ -69,7 +69,7 @@ class TestEstimateToken:
         pred = PositionWordPredictor("x", 0)
         pert = UnigramPerturbator(["noise"], [1.0], mask_prob=1.0)
         d = estimate_token(doc, 0, pred, pert, AnchorConfig(), stream_rng(1, "t"))
-        assert d.is_anchor and d.estimate.point == 1.0
+        assert d.is_anchor and d.successes / d.samples_used == 1.0
 
     def test_destroyed_key_position_no_anchor(self):
         # keeping a different token lets position 0 be replaced on every
@@ -80,7 +80,7 @@ class TestEstimateToken:
         rng = stream_rng(2, "t")
         d = estimate_token(doc, 1, pred, pert, AnchorConfig(), rng)
         assert not d.is_anchor
-        assert d.estimate.point == 0.0
+        assert d.successes / d.samples_used == 0.0
         # Monte Carlo oracle agrees the analytic precision is 0
         assert mc_precision(doc, 1, pred, pert, stream_rng(3, "mc"), 20000) == 0.0
 
@@ -173,15 +173,31 @@ class TestAnchorsOfDocument:
     def test_one_decision_per_token(self):
         doc = Document.from_text("0", "a b c d e")
         decisions = self._run(doc, ConstantPredictor(), CoinPerturbator(1.0))
-        assert [d.token.position for d in decisions] == [0, 1, 2, 3, 4]
+        assert [d.position for d in decisions] == [0, 1, 2, 3, 4]
 
     def test_skipped_words_are_non_anchors_with_zero_samples(self):
         doc = Document.from_text("0", "keepme skipme")
         decisions = self._run(doc, ConstantPredictor(), CoinPerturbator(1.0),
                               skip=lambda w: w == "skipme")
-        assert decisions[0].is_anchor and not decisions[0].skipped
-        assert decisions[1].skipped and not decisions[1].is_anchor
-        assert decisions[1].samples_used == 0
+        assert decisions[0].is_anchor and decisions[0].samples_used > 0
+        assert decisions[1] == AnchorDecision("skipme", 1, False, 0, 0)
+
+    def test_trace_rows(self):
+        """An unsampled token's row has no precision; a sampled token's
+        precision is its hits over its samples."""
+        doc = Document.from_text("0", "a b skip c d")
+        decisions = self._run(doc, FlipWordPredictor(), CoinPerturbator(0.6),
+                              AnchorConfig(max_samples=40), skip=lambda w: w == "skip")
+        rows = [d.to_row("7") for d in decisions]
+        assert rows[2] == {"doc": "7", "pos": 2, "word": "skip", "anchor": False,
+                           "precision": None, "samples": 0}
+        sampled = [(d, row) for d, row in zip(decisions, rows) if d.samples_used]
+        assert len(sampled) == 4
+        for d, row in sampled:
+            assert row == {"doc": "7", "pos": d.position, "word": d.word,
+                           "anchor": d.is_anchor, "samples": d.samples_used,
+                           "precision": d.successes / d.samples_used}
+        assert any(0 < row["precision"] < 1 for _, row in sampled)
 
     def test_empty_document_rejected(self):
         doc = Document(id="0", words=(), raw_text="")
@@ -215,14 +231,14 @@ class TestRounds:
         target = pred.predict(doc)
         decisions = anchors_of_document(doc, recorder or pred, pert, cfg,
                                         rng_for, skip_word=skip, target=target)
-        assert [d.token.position for d in decisions] == list(range(len(doc.words)))
+        assert [d.position for d in decisions] == list(range(len(doc.words)))
         for pos, (word, d) in enumerate(zip(doc.words, decisions)):
             if skip is not None and skip(word):
-                assert d.skipped and d.samples_used == 0
+                assert d == AnchorDecision(word, pos, False, 0, 0)
                 continue
             expected = sequential_test_by_token(
                 doc, pos, pred, pert, cfg, rng_for(pos), pred.class_index(target))
-            assert (d.is_anchor, d.estimate.successes, d.samples_used) == expected
+            assert (d.is_anchor, d.successes, d.samples_used) == expected
         return decisions
 
     def test_early_stops_thresholds_and_skips(self):
@@ -234,7 +250,7 @@ class TestRounds:
                 decisions = self._check_against_oracle(
                     doc, FlipWordPredictor(), CoinPerturbator(pi), cfg,
                     skip=lambda w: w == "skip")
-                stops |= {d.samples_used for d in decisions if not d.skipped}
+                stops |= {d.samples_used for d in decisions if d.samples_used}
         # decisions at the first look, in between and at the budget
         assert {7, 60} <= stops and len(stops) > 3
 
@@ -359,7 +375,7 @@ class TestIdPath:
                 decisions = anchors_of_document(doc, rec, pert, cfg, rng_for,
                                                 target=target)
                 for pos, d in enumerate(decisions):
-                    assert (d.is_anchor, d.estimate.successes, d.samples_used) == \
+                    assert (d.is_anchor, d.successes, d.samples_used) == \
                         sequential_test_by_token(doc, pos, clf, pert, cfg, rng_for(pos),
                                                  clf.class_index(target))
                     decided.add(d.is_anchor)

@@ -151,6 +151,21 @@ class TestTopk:
         (workspace / "cfg.json").write_text(json.dumps({**base, "alpha": 1}))
         assert run("topk", "--config", "cfg.json") == 0
 
+    def test_trace_rows_of_unsampled_tokens(self, workspace):
+        """Stop/rare skipping leaves tokens unsampled: their rows read no
+        anchor, no precision and no samples. A sampled row's precision is
+        its hits over its samples."""
+        synth_and_train(workspace)
+        assert self._topk(extra=("--profile", "optimized")) == 0
+        rows = jsonl("trace.jsonl")
+        unsampled = [r for r in rows if r["samples"] == 0]
+        assert unsampled and len(unsampled) < len(rows)
+        assert all(r["anchor"] is False and r["precision"] is None for r in unsampled)
+        for r in rows:
+            if r["samples"]:
+                hits = r["precision"] * r["samples"]
+                assert 0 <= r["precision"] <= 1 and hits == pytest.approx(round(hits))
+
     def test_oversized_k_warns_and_emits_full_ranking(self, workspace, capsys):
         synth_and_train(workspace, docs=40)
         code = run("topk", "--corpus", "c.jsonl", "--format", "jsonl",
@@ -302,6 +317,35 @@ class TestSettings:
         assert run(command, *argv) == 2
         assert capsys.readouterr().err == f"error: {flag} directory not found: nodir\n"
         assert not Path("c.jsonl").exists()
+
+    DIRECTORY_OUTPUTS = [
+        ("train", ("--corpus", "c.jsonl", "--out", "outdir"), "--out"),
+        ("synth", ("--out", "c.jsonl", "--truth", "outdir"), "--truth"),
+        ("topk", ("--corpus", "c.jsonl", "--model", "m.json", "--class", "pos",
+                  "--seed", "7", "--trace", "outdir"), "--trace"),
+        ("anchors", ("--corpus", "c.jsonl", "--model", "m.json", "--seed", "7",
+                     "--out", "outdir"), "--out"),
+        ("eval-aopc", ("--corpus", "c.jsonl", "--model", "m.json", "--terms",
+                       "t.json", "--out", "outdir"), "--out"),
+        ("compare", ("t.json", "--corpus", "c.jsonl", "--model", "m.json",
+                     "--manifest", "outdir"), "--manifest"),
+    ]
+
+    @pytest.mark.parametrize("command, argv, flag", DIRECTORY_OUTPUTS,
+                             ids=[f"{c} {f}" for c, _, f in DIRECTORY_OUTPUTS])
+    def test_output_that_is_a_directory(self, workspace, capsys, command, argv, flag):
+        """Exit 2 before any input is read or output written: no input file
+        exists, and synth writes no corpus."""
+        Path("outdir").mkdir()
+        assert run(command, *argv) == 2
+        assert capsys.readouterr().err == f"error: {flag} is a directory: outdir\n"
+        assert not Path("c.jsonl").exists()
+
+    def test_out_prefix_may_be_a_directory(self, workspace, capsys):
+        Path("outdir").mkdir()
+        assert run("compare", "t.json", "--corpus", "c.jsonl", "--model", "m.json",
+                   "--out-prefix", "outdir") == 2
+        assert capsys.readouterr().err == "error: terms file not found: t.json\n"
 
     def test_every_option_is_a_recorded_setting(self, workspace):
         """Each command's manifest records one setting per option of its
@@ -478,6 +522,21 @@ class TestMalformedInputs:
         assert message in err
         assert not Path("snaps.jsonl.csv").exists()
 
+
+    @pytest.mark.parametrize("line, message", [
+        ("[1, 2]", "line 2: not a JSON object"),
+        ("5", "line 2: not a JSON object"),
+        ('{"text": "b"}', "line 2: object lacks 'text'/'label' fields"),
+        ('{"text": "b",}', "line 2: Expecting property name enclosed in double "
+         "quotes at column 14"),
+    ], ids=["list", "number", "no label", "not JSON"])
+    def test_corpus_line(self, workspace, capsys, line, message):
+        """The message names the file once, and the line."""
+        Path("l.jsonl").write_text('{"text": "a", "label": "pos"}\n' + line + "\n")
+        assert run("train", "--corpus", "l.jsonl", "--format", "jsonl",
+                   "--out", "m.json") == 2
+        assert capsys.readouterr().err == \
+            f"error: malformed corpus file l.jsonl: {message}\n"
 
     DIRECTORY_INPUTS = [
         ("--config", "config file", ("topk",)),

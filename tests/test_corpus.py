@@ -1,3 +1,5 @@
+from importlib import resources
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,8 +99,8 @@ class TestWordStats:
     def test_per_class_partition(self):
         corpus = make_corpus([("0", "x", "c0"), ("1", "x", "c1")])
         stats = word_stats(corpus)
-        assert stats.class_count["c0"]["x"] == 1
-        assert stats.class_count["c1"]["x"] == 1
+        assert stats.doc_freq_class["c0"]["x"] == 1
+        assert stats.doc_freq_class["c1"]["x"] == 1
         assert stats.total_count["x"] == 2
 
     def test_total_tokens_conservation(self, tiny_corpus):
@@ -114,8 +116,8 @@ class TestWordStats:
     def test_label_map_override(self):
         corpus = make_corpus([("0", "x", "c0"), ("1", "x", "c1")])
         stats = word_stats(corpus, label_map={"0": "c1", "1": "c1"})
-        assert stats.class_count["c1"]["x"] == 2
-        assert stats.class_count["c0"].get("x", 0) == 0
+        assert stats.doc_freq_class["c1"]["x"] == 2
+        assert stats.doc_freq_class["c0"].get("x", 0) == 0
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
@@ -186,13 +188,18 @@ class TestSampleDocuments:
 class TestStopwords:
     def test_file_format(self, tmp_path):
         p = tmp_path / "stop.txt"
-        p.write_text("# comment\nThe\n\nand\n", encoding="utf-8")
+        p.write_text("# comment\nThe\n\n  # indented comment\nand \n", encoding="utf-8")
         assert load_stopwords(p) == {"the", "and"}
 
     def test_shipped_list(self):
         words = default_stopwords()
         assert "the" in words and "and" in words
         assert len(words) > 200
+
+    def test_shipped_file_reads_as_a_user_file(self):
+        shipped = resources.files("anchoragg").joinpath("data/stopwords.txt")
+        with resources.as_file(shipped) as path:
+            assert load_stopwords(path) == default_stopwords()
 
 
 class TestDocumentInvariants:
@@ -203,4 +210,4 @@ class TestDocumentInvariants:
 
     def test_tokens_positions_consecutive(self):
         doc = Document.from_text("0", "one  two   three")
-        assert [t.position for t in doc.tokens] == [0, 1, 2]
+        assert list(enumerate(doc.words)) == [(0, "one"), (1, "two"), (2, "three")]

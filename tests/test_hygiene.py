@@ -1,0 +1,62 @@
+"""Source checks over ``src/anchoragg``: no module imports a name it never
+uses, and no module-level private function goes unreferenced. Uses only
+the standard library's ``ast``."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "anchoragg"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _used_names(tree: ast.Module, attributes: bool = False) -> set[str]:
+    """Every name the module reads, and with ``attributes`` every attribute
+    name, plus the names it exports through ``__all__``."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif attributes and isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(n.value for n in ast.walk(node.value)
+                        if isinstance(n, ast.Constant) and isinstance(n.value, str))
+    return used
+
+
+def _imported_names(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_import(path):
+    tree = _tree(path)
+    unused = sorted(set(_imported_names(tree)) - _used_names(tree))
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_no_unreferenced_private_function():
+    trees = {path.name: _tree(path) for path in MODULES}
+    referenced = set()
+    for tree in trees.values():
+        referenced |= _used_names(tree, attributes=True)
+        referenced |= set(_imported_names(tree))
+    private = [f"{name}: {node.name}" for name, tree in trees.items()
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name.startswith("_") and not node.name.startswith("__")
+               and node.name not in referenced]
+    assert not private, f"module-level private functions nothing calls: {private}"

@@ -181,6 +181,18 @@ class TestRunAnytime:
         assert filtered.calls <= plain.calls
         assert plain.terms.words[:1] == filtered.terms.words[:1]
 
+    def test_no_filtering_before_the_selection_is_full(self):
+        """With k above the candidate count the selection never fills, so
+        filtering drops nothing and the run samples as without it."""
+        corpus = anchor_test_corpus()
+        k = len(word_stats(corpus).vocabulary) + 1
+        plain = small_run(corpus, FlipWordPredictor(), seed=5, k=k)
+        filtered = small_run(corpus, FlipWordPredictor(), seed=5, k=k,
+                             candidate_filtering=True)
+        assert filtered.filtered == frozenset()
+        assert filtered.calls == plain.calls
+        assert filtered.snapshots[-1].topk == plain.snapshots[-1].topk
+
     def test_stop_rare_filtering_skips_and_tallies_non_anchor(self):
         corpus = anchor_test_corpus()
         result = small_run(corpus, FlipWordPredictor(), seed=2,
@@ -304,7 +316,7 @@ class TestEstimatorFrontEnd:
         est.fit(corpus, FlipWordPredictor())
         assert len(est.terms_) == 2
         assert est.calls_ > 0
-        assert est.counts_.docs_processed["pos"] == 24
+        assert est.result_.documents_processed == 24
 
     def test_target_class_required(self):
         est = AnchorTopTerms()
@@ -375,20 +387,15 @@ class TestPredictorClassMismatch:
 
 
 class TestShouldFilter:
-    def test_heap_not_full_never_filters(self):
-        assert should_filter(0.0, 1.0, heap_full=False) is False
-
     def test_boundary_equality_keeps_word(self):
-        assert should_filter(0.5, 0.5, heap_full=True) is False
+        assert should_filter(0.5, 0.5) is False
 
     def test_strictly_below_filters(self):
-        assert should_filter(0.4999, 0.5, heap_full=True) is True
+        assert should_filter(0.4999, 0.5) is True
 
     def test_nan_bound_never_filters(self):
-        assert should_filter(float("nan"), 0.5, heap_full=True) is False
+        assert should_filter(float("nan"), 0.5) is False
 
     def test_elementwise_over_bounds(self):
         bounds = np.array([0.4999, 0.5, 0.7, np.nan])
-        assert should_filter(bounds, 0.5, heap_full=True).tolist() == [
-            True, False, False, False]
-        assert not np.any(should_filter(bounds, 0.5, heap_full=False))
+        assert should_filter(bounds, 0.5).tolist() == [True, False, False, False]
