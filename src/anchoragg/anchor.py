@@ -88,8 +88,15 @@ def confidence_bounds(successes: int, trials: int, delta: float) -> tuple[float,
         raise ValueError("trials must be >= 1")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes {successes} out of range for {trials} trials")
-    point = successes / trials
-    half = math.sqrt(math.log(2.0 / delta) / (2.0 * trials))
+    return _bounds(successes / trials, _half_width(trials, delta))
+
+
+def _half_width(trials: int, delta: float) -> float:
+    """Hoeffding's half-width at ``trials`` samples and confidence ``1 - delta``."""
+    return math.sqrt(math.log(2.0 / delta) / (2.0 * trials))
+
+
+def _bounds(point: float, half: float) -> tuple[float, float]:
     return max(0.0, point - half), min(1.0, point + half)
 
 
@@ -147,15 +154,17 @@ def _sequential_tests(doc: Document, positions: list[int],
             labels = np.concatenate([
                 np.argmax(predictor.predict_proba_ids(rows[j:j + ROUND_ROWS]), axis=1)
                 for j in range(0, len(rows), ROUND_ROWS)])
-            hits.extend((labels == target_idx).reshape(len(group), batch).sum(axis=1))
+            hits += (labels == target_idx).reshape(len(group), batch).sum(axis=1).tolist()
+        # every active test has ``trials`` samples: one half-width per round
+        half = _half_width(trials, cfg.delta)
         undecided = []
         for i, hit in zip(active, hits):
-            successes[i] += int(hit)
-            lower, upper = confidence_bounds(successes[i], trials, cfg.delta)
+            successes[i] += hit
+            point = successes[i] / trials
+            lower, upper = _bounds(point, half)
             if lower < cfg.tau <= upper and trials < cfg.max_samples:
                 undecided.append(i)
                 continue
-            point = successes[i] / trials
             # certified either way by the bounds, else by the point estimate
             is_anchor = lower >= cfg.tau or (upper >= cfg.tau and point >= cfg.tau)
             decisions[i] = AnchorDecision(doc.words[positions[i]], positions[i],

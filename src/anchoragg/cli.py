@@ -168,12 +168,17 @@ def _write_manifest(path: Path, command: str, resolved: dict, started: float,
     path.write_text(json.dumps(manifest, indent=2, default=str), encoding="utf-8")
 
 
-def _manifest_path(resolved: dict, primary_out: str | None) -> Path:
+def _manifest_path(resolved: dict, primary_out: str | Path | None) -> Path:
+    """``--manifest``, else the path beside the primary output, else
+    ``run.manifest.json``. Each command takes it before reading any input:
+    a derived path that is a directory is a configuration error, as
+    ``_merge_config`` makes ``--manifest`` one."""
     if resolved.get("manifest"):
         return Path(resolved["manifest"])
-    if primary_out:
-        return Path(str(primary_out) + ".manifest.json")
-    return Path("run.manifest.json")
+    path = Path(f"{primary_out}.manifest.json" if primary_out else "run.manifest.json")
+    if path.is_dir():
+        raise ConfigError(f"manifest is a directory: {path}")
+    return path
 
 
 def _corpus_defaults() -> dict:
@@ -250,6 +255,7 @@ def cmd_train(args: argparse.Namespace, stack: ExitStack) -> int:
 
     resolved = _merge_config(args, {**_corpus_defaults(),
                                     **_defaults(BowClassifier, _TRAIN_PARAMS)})
+    manifest = _manifest_path(resolved, resolved["out"])
     params = _kwargs(resolved, _TRAIN_PARAMS)
     with _config_errors():
         BowClassifier(**params).check_params()
@@ -262,7 +268,7 @@ def cmd_train(args: argparse.Namespace, stack: ExitStack) -> int:
     save_model(clf, resolved["out"])
     acc = accuracy(clf, corpus)
     _write_manifest(
-        _manifest_path(resolved, resolved["out"]), "train", resolved, started,
+        manifest, "train", resolved, started,
         {"load": t_load - started, "train": t_train - t_load},
         {"documents": len(corpus), "classes": list(clf.classes_),
          "train_accuracy": acc, "best_epoch": clf.best_epoch_,
@@ -280,6 +286,7 @@ def cmd_synth(args: argparse.Namespace, stack: ExitStack) -> int:
     resolved = _merge_config(args, {
         **_defaults(SynthSpec, _SYNTH_PARAMS),
         **_defaults(generate_planted_corpus, _same("seed"))})
+    manifest = _manifest_path(resolved, resolved["out"])
     started = time.time()
     with _config_errors():
         spec = SynthSpec(**_kwargs(resolved, _SYNTH_PARAMS))
@@ -291,7 +298,7 @@ def cmd_synth(args: argparse.Namespace, stack: ExitStack) -> int:
     if resolved["truth"]:
         truth.save(resolved["truth"])
     _write_manifest(
-        _manifest_path(resolved, resolved["out"]), "synth", resolved, started,
+        manifest, "synth", resolved, started,
         {}, {"documents": len(corpus), "tokens": corpus.total_tokens()})
     print(f"wrote {len(corpus)} documents -> {resolved['out']}")
     return EXIT_OK
@@ -308,6 +315,7 @@ def cmd_topk(args: argparse.Namespace, stack: ExitStack) -> int:
         **_corpus_defaults(), **_predictor_defaults(),
         **_defaults(AnchorTopTerms, _TOPK_PARAMS),
         "threads": 0})  # accepted and ignored, see AnytimeOptions.threads
+    manifest = _manifest_path(resolved, resolved["terms"] or resolved["snapshots"])
     if resolved["perturb_endpoint"] and resolved["perturb_cmd"]:
         raise ConfigError("--perturb-endpoint and --perturb-cmd are exclusive")
     _check_predictor(resolved)
@@ -365,8 +373,7 @@ def cmd_topk(args: argparse.Namespace, stack: ExitStack) -> int:
                         words=sorted(res.candidates))
 
     _write_manifest(
-        _manifest_path(resolved, resolved["terms"] or resolved["snapshots"]),
-        "topk", resolved, started,
+        manifest, "topk", resolved, started,
         {"load": t_load - started, "run": t_run - t_load},
         {"predictor_calls": est.calls_,
          "documents_processed": res.documents_processed,
@@ -392,6 +399,7 @@ def cmd_anchors(args: argparse.Namespace, stack: ExitStack) -> int:
         **_corpus_defaults(), **_predictor_defaults(),
         **_defaults(AnchorConfig, _ANCHOR_PARAMS),
         **_defaults(build_unigram_perturbator, _PERTURB_PARAMS)})
+    manifest = _manifest_path(resolved, resolved["out"])
     _check_predictor(resolved)
     with _config_errors():
         if resolved["limit"] is not None:
@@ -421,10 +429,8 @@ def cmd_anchors(args: argparse.Namespace, stack: ExitStack) -> int:
             handle.write(json.dumps(dec.to_row(doc.id)) + "\n")
             rows += 1
         handle.flush()
-    _write_manifest(_manifest_path(resolved, resolved["out"]), "anchors",
-                    resolved, started, {},
-                    {"documents": len(docs), "tokens": rows,
-                     "predictor_calls": calls})
+    _write_manifest(manifest, "anchors", resolved, started, {},
+                    {"documents": len(docs), "tokens": rows, "predictor_calls": calls})
     print(f"wrote {rows} token decisions -> {resolved['out']}")
     return EXIT_OK
 
@@ -440,6 +446,10 @@ def cmd_eval_aopc(args: argparse.Namespace, stack: ExitStack) -> int:
         raise ConfigError("--terms or --snapshots is required")
     if resolved["snapshots"] and not resolved["class_label"]:
         raise ConfigError("--class is required with --snapshots")
+    timeline = Path(resolved["timeline_out"] or f"{Path(resolved['snapshots'])}.csv") \
+        if resolved["snapshots"] else None
+    # beside the AOPC file, else beside the timeline CSV
+    manifest = _manifest_path(resolved, resolved["out"] or timeline)
     _check_predictor(resolved)
     terms = _load_file(resolved["terms"], "terms file", TermList.load) \
         if resolved["terms"] else None
@@ -462,14 +472,12 @@ def cmd_eval_aopc(args: argparse.Namespace, stack: ExitStack) -> int:
 
     if snaps is not None:
         rows = quality_timeline(snaps, corpus, predictor, resolved["class_label"])
-        target = Path(resolved["timeline_out"] or f"{Path(resolved['snapshots'])}.csv")
-        with open(target, "w", encoding="utf-8", newline="") as handle:
+        with open(timeline, "w", encoding="utf-8", newline="") as handle:
             write_timeline_csv(handle, rows)
-        payload.setdefault("timeline", str(target))
+        payload["timeline"] = str(timeline)
 
-    # beside the AOPC file, else beside the timeline CSV
-    _write_manifest(_manifest_path(resolved, resolved["out"] or payload.get("timeline")),
-                    "eval-aopc", resolved, started, {}, {"aopc": payload.get("value")})
+    _write_manifest(manifest, "eval-aopc", resolved, started, {},
+                    {"aopc": payload.get("value")})
     print(json.dumps(payload))
     return EXIT_OK
 
@@ -483,6 +491,8 @@ def cmd_compare(args: argparse.Namespace, stack: ExitStack) -> int:
     resolved = _merge_config(args, {**_corpus_defaults(), **_predictor_defaults()})
     if len(args.term_files) < 1:
         raise ConfigError("at least one terms file is required")
+    prefix = resolved["out_prefix"] or "compare"
+    manifest = _manifest_path(resolved, f"{prefix}.json")
     _check_predictor(resolved)
     lists = [(Path(path).stem, _load_file(path, "terms file", TermList.load))
              for path in args.term_files]
@@ -499,7 +509,6 @@ def cmd_compare(args: argparse.Namespace, stack: ExitStack) -> int:
         aopc_rows.append((name, terms.aggregation, c,
                           aopc_k(terms, corpus, predictor, c).value))
 
-    prefix = resolved["out_prefix"] or "compare"
     with open(f"{prefix}_shared.csv", "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([""] + names)
@@ -515,8 +524,7 @@ def cmd_compare(args: argparse.Namespace, stack: ExitStack) -> int:
                         for n, a, c, v in aopc_rows]}
     Path(f"{prefix}.json").write_text(json.dumps(payload, indent=2),
                                       encoding="utf-8")
-    _write_manifest(_manifest_path(resolved, f"{prefix}.json"), "compare",
-                    resolved, started, {}, {"lists": names})
+    _write_manifest(manifest, "compare", resolved, started, {}, {"lists": names})
     print(json.dumps(payload))
     return EXIT_OK
 

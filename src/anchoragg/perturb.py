@@ -2,7 +2,10 @@
 refill each mask from a candidate pool.
 
 The built-in implementation draws replacements from the corpus unigram
-distribution restricted to the most frequent ``zeta`` words. An external
+distribution restricted to the most frequent ``zeta`` words. It picks through
+a guide table over the pool's CDF, built once, and searches the CDF only for
+uniforms whose bin holds a CDF step; every pick equals the CDF search
+``rng.choice`` makes with the same uniform. An external
 client speaks a line-delimited JSON protocol so that a masked-language-model
 service can supply context-aware candidates instead.
 """
@@ -27,6 +30,10 @@ __all__ = [
 # the pool size and the masking rate every perturbator and front end default to
 DEFAULT_ZETA = 500
 DEFAULT_MASK_PROB = 0.5
+# bins of the pool's guide table (Chen & Asau 1974), a power of two: enough
+# that few bins hold a CDF step, few enough that the table builds in well
+# under a millisecond
+GUIDE_BINS = 8192
 
 
 class Perturbator:
@@ -64,6 +71,17 @@ def _free(m: int, keep: Iterable[int]) -> list[int]:
     return [i for i in range(m) if i not in keep_set]
 
 
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """Per bin ``[b, b + 1) / GUIDE_BINS`` of [0, 1), the pick that
+    ``cdf.searchsorted(u, side="right")`` gives every ``u`` in it, or -1 where
+    a CDF value lies strictly inside the bin and the pick varies. A uniform's
+    bin is ``floor(u * GUIDE_BINS)``, exact as the bin count is a power of two.
+    """
+    edges = np.arange(GUIDE_BINS + 1) / GUIDE_BINS
+    low = cdf.searchsorted(edges[:-1], side="right")
+    return np.where(low == cdf.searchsorted(edges[1:], side="left"), low, -1)
+
+
 class UnigramPerturbator(Perturbator):
     """Frequency-weighted unigram replacement pool shared by all positions.
 
@@ -88,6 +106,7 @@ class UnigramPerturbator(Perturbator):
         # it with the same uniforms gives the same draws and stream state
         self._cdf = self.pool_weights.cumsum()
         self._cdf /= self._cdf[-1]
+        self._guide = _guide_table(self._cdf)
         self.mask_prob = float(mask_prob)
 
     def sample_round(self, doc_ids: np.ndarray, positions: Sequence[int], n: int,
@@ -135,9 +154,18 @@ class UnigramPerturbator(Perturbator):
         for rng, end in zip(rngs, ends.tolist()):
             rng.random(out=pick_uniforms[start:end])
             start = end
-        picks = self._cdf.searchsorted(pick_uniforms, side="right")
+        picks = self._pick(pick_uniforms)
         rows[masked_row, free[masked_row // n, masked_col]] = fill_ids[picks]
         return rows
+
+    def _pick(self, uniforms: np.ndarray) -> np.ndarray:
+        """``self._cdf.searchsorted(uniforms, side="right")``: the guide table's
+        entry of each uniform's bin, searched only where the bin holds a step."""
+        picks = self._guide[(uniforms * GUIDE_BINS).astype(np.intp)]
+        straddle = np.flatnonzero(picks < 0)
+        if straddle.size:
+            picks[straddle] = self._cdf.searchsorted(uniforms[straddle], side="right")
+        return picks
 
     def sampler(self, doc: Document, encode: Callable) -> Callable[..., np.ndarray]:
         """One ``sample_round`` per ``draw``, from the document and the pool

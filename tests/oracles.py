@@ -249,10 +249,19 @@ def rank_words_by_sort(words, values, k=None) -> list[tuple[str, float]]:
     return scored if k is None else scored[:k]
 
 
+def hoeffding_bounds(successes, trials, delta) -> tuple[float, float]:
+    """The empirical rate minus and plus Hoeffding's half-width, clipped to
+    [0, 1]."""
+    half = math.sqrt(math.log(2.0 / delta) / (2.0 * trials))
+    point = successes / trials
+    return max(0.0, point - half), min(1.0, point + half)
+
+
 def sequential_test_by_token(doc, position, predictor, perturbator, cfg,
-                             rng, target_idx):
+                             rng, target_idx, bounds=hoeffding_bounds):
     """(is_anchor, successes, trials) of one token, tested on its own:
-    batches until a Hoeffding bound clears ``cfg.tau`` or the budget ends."""
+    batches until ``bounds(successes, trials, cfg.delta)``, computed after
+    every batch, clears ``cfg.tau`` or the budget ends."""
     tau = cfg.tau
     successes = trials = 0
     while trials < cfg.max_samples:
@@ -261,11 +270,10 @@ def sequential_test_by_token(doc, position, predictor, perturbator, cfg,
         probs = predictor.predict_proba_many(samples)
         successes += int(np.sum(np.argmax(probs, axis=1) == target_idx))
         trials += batch
-        half = math.sqrt(math.log(2.0 / cfg.delta) / (2.0 * trials))
-        point = successes / trials
-        if max(0.0, point - half) >= tau:
+        lower, upper = bounds(successes, trials, cfg.delta)
+        if lower >= tau:
             return True, successes, trials
-        if min(1.0, point + half) < tau:
+        if upper < tau:
             return False, successes, trials
     return successes / trials >= tau, successes, trials
 

@@ -455,6 +455,44 @@ class TestRoundKernelPath:
             assert all(len(keep) == 1 for keep in keeps)
 
 
+class TestOneHalfWidthPerRound:
+    """The round loop takes one Hoeffding half-width per round, and decides
+    as a test of each token alone that calls ``confidence_bounds`` after
+    every batch, over random confidence levels, batch sizes and budgets."""
+
+    def test_equals_confidence_bounds_after_every_batch(self, trained_pair):
+        corpus, clf, pool = trained_pair
+        coin_doc = Document.from_text("c", "a b c d e f g")
+        r = np.random.default_rng(23)
+        seen = set()
+        for trial in range(120):
+            batch_size = int(r.integers(1, 16))
+            # a budget that is not a multiple of the batch ends mid-batch
+            max_samples = int(r.integers(1, 90))
+            cfg = AnchorConfig(tau=float(r.choice([0.5, 0.8, 0.95, 1.0])),
+                               delta=float(r.uniform(0.001, 0.99)),
+                               batch_size=batch_size, max_samples=max_samples)
+            if trial % 2:
+                doc, pred, pert = coin_doc, FlipWordPredictor(), CoinPerturbator(
+                    float(r.choice([0.3, 0.7, 0.9, 0.97, 1.0])))
+            else:
+                doc, pred, pert = corpus.documents[trial // 2 % len(corpus)], clf, pool
+            rng_for = lambda pos: stream_rng(trial, "half-width", pos)
+            target = pred.predict(doc)
+            decisions = anchors_of_document(doc, pred, pert, cfg, rng_for, target=target)
+            for pos, d in enumerate(decisions):
+                assert (d.is_anchor, d.successes, d.samples_used) == \
+                    sequential_test_by_token(doc, pos, pred, pert, cfg, rng_for(pos),
+                                             pred.class_index(target),
+                                             bounds=confidence_bounds)
+                budget = d.samples_used == max_samples
+                seen.add((d.is_anchor, budget))
+                if budget and max_samples % batch_size:
+                    seen.add("budget ends mid-batch")
+        assert {(True, False), (False, False), (True, True), (False, True),
+                "budget ends mid-batch"} <= seen
+
+
 class TestStatisticalSoundness:
     def test_wrong_decision_rate_within_bound(self):
         # pairs with exactly known precision; tau=0.95, delta=0.1

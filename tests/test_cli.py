@@ -341,6 +341,41 @@ class TestSettings:
         assert capsys.readouterr().err == f"error: {flag} is a directory: outdir\n"
         assert not Path("c.jsonl").exists()
 
+    DIRECTORY_MANIFESTS = [
+        ("train", ("--corpus", "c.jsonl", "--out", "m3.json"), "m3.json"),
+        ("synth", ("--out", "c.jsonl"), "c.jsonl"),
+        ("topk", ("--corpus", "c.jsonl", "--model", "m.json", "--class", "pos",
+                  "--seed", "7", "--terms", "t.json"), "t.json"),
+        ("anchors", ("--corpus", "c.jsonl", "--model", "m.json", "--seed", "7",
+                     "--out", "a.jsonl"), "a.jsonl"),
+        ("eval-aopc", ("--corpus", "c.jsonl", "--model", "m.json", "--snapshots",
+                       "s.jsonl", "--class", "pos"), "s.jsonl.csv"),
+        ("compare", ("t.json", "--corpus", "c.jsonl", "--model", "m.json"),
+         "compare.json"),
+    ]
+
+    @pytest.mark.parametrize("command, argv, beside", DIRECTORY_MANIFESTS,
+                             ids=[c for c, _, _ in DIRECTORY_MANIFESTS])
+    def test_default_manifest_that_is_a_directory(self, workspace, capsys, command,
+                                                  argv, beside):
+        """Without --manifest the manifest goes beside the primary output;
+        a directory there is an exit 2 before any input is read or output
+        written."""
+        Path(f"{beside}.manifest.json").mkdir()
+        assert run(command, *argv) == 2
+        assert capsys.readouterr().err == \
+            f"error: manifest is a directory: {beside}.manifest.json\n"
+        assert not Path(beside).exists()
+
+    def test_train_writes_no_model_beside_a_directory_manifest(self, workspace, capsys):
+        assert run("synth", "--out", "c.jsonl", "--docs", "20", "--seed", "1") == 0
+        Path("m3.json.manifest.json").mkdir()
+        assert run("train", "--corpus", "c.jsonl", "--format", "jsonl",
+                   "--out", "m3.json", "--epochs", "5") == 2
+        assert capsys.readouterr().err.endswith(
+            "error: manifest is a directory: m3.json.manifest.json\n")
+        assert not Path("m3.json").exists()
+
     def test_out_prefix_may_be_a_directory(self, workspace, capsys):
         Path("outdir").mkdir()
         assert run("compare", "t.json", "--corpus", "c.jsonl", "--model", "m.json",

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from anchoragg.corpus import Document, word_stats
-from anchoragg.perturb import UnigramPerturbator, build_unigram_perturbator
+from anchoragg.perturb import GUIDE_BINS, UnigramPerturbator, build_unigram_perturbator
 from anchoragg.seeding import stream_rng
 
 from conftest import make_corpus
@@ -204,3 +204,73 @@ class TestRoundKernel:
             with pytest.raises(ValueError):
                 pert.sample_round(ids, positions, 2, [stream_rng(0, "t")] * len(positions),
                                   np.zeros(1, dtype=np.intp))
+
+
+class _Uniforms:
+    """Stands in for a generator: hands out the given uniforms in order."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+        self.used = 0
+
+    def random(self, out):
+        out[...] = self.values[self.used:self.used + out.size].reshape(out.shape)
+        self.used += out.size
+
+
+# zero weights (leading, trailing, in runs), weights far below a bin's width,
+# and ordinary ones
+_WEIGHTS = st.lists(
+    st.one_of(st.just(0.0), st.floats(1e-15, 1e-6), st.floats(1e-3, 10.0)),
+    min_size=1, max_size=60).filter(lambda w: sum(w) > 0)
+
+
+class TestGuideTable:
+    """The pool picks of the guide table are ``cdf.searchsorted(u,
+    side="right")`` on the CDF ``rng.choice`` builds from the pool weights,
+    for every uniform: on a bin edge, one ulp below it, on a CDF value and
+    next to it."""
+
+    @staticmethod
+    def _picks(pert, uniforms):
+        """The pool index of each pick uniform, read from one-slot rows
+        that are always masked."""
+        n = len(uniforms)
+        rng = _Uniforms(np.concatenate([np.zeros(n), uniforms]))
+        rows = pert.sample_round(np.zeros(2, dtype=np.intp), [0], n, [rng],
+                                 np.arange(len(pert.pool_words)))
+        assert rng.used == 2 * n
+        return rows[:, 1]
+
+    def _check(self, weights, seed=0):
+        pert = UnigramPerturbator([f"p{i}" for i in range(len(weights))], weights,
+                                  mask_prob=1.0)
+        cdf = pert.pool_weights.cumsum()
+        cdf /= cdf[-1]
+        edges = np.arange(GUIDE_BINS) / GUIDE_BINS
+        inner = cdf[cdf < 1.0]
+        uniforms = np.concatenate([
+            edges, edges[1:] - 2.0**-53, [1.0 - 2.0**-53],
+            inner, np.nextafter(inner, 0.0), np.nextafter(inner, 1.0),
+            np.random.default_rng(seed).random(500)])
+        uniforms = uniforms[uniforms < 1.0]
+        assert np.array_equal(self._picks(pert, uniforms),
+                              cdf.searchsorted(uniforms, side="right"))
+
+    @given(_WEIGHTS, st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_random_pools(self, weights, seed):
+        self._check(weights, seed)
+
+    def test_zero_runs_tiny_weights_and_large_pools(self):
+        self._check([1.0])
+        self._check([0.0, 0.0, 1.0, 0.0, 0.0, 2.0, 0.0, 0.0])
+        # CDF values on bin edges
+        self._check([1.0, 1.0, 1.0, 1.0])
+        self._check([1.0, 0.0, 1.0, 2.0, 0.0])
+        # steps far closer together than a bin
+        self._check([1.0] + [1e-12] * 40 + [1.0] + [1e-9] * 7 + [1.0])
+        self._check([1e-15, 1.0, 1e-15])
+        # more words than bins
+        r = np.random.default_rng(5)
+        self._check(r.random(3 * GUIDE_BINS) * r.integers(0, 2, 3 * GUIDE_BINS) + 1e-9)

@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 
-from anchoragg.seeding import stream_rng, stream_seed
+from anchoragg.seeding import stream_rng, stream_seed, token_streams
 
 
 def seed_sequence_by_hand(root_seed, *keys) -> np.random.SeedSequence:
@@ -22,7 +22,7 @@ def seed_sequence_by_hand(root_seed, *keys) -> np.random.SeedSequence:
 class TestStreams:
     def test_streams_equal_direct_seed_sequence(self):
         r = np.random.default_rng(0)
-        # more distinct strings than stay memoized, each used more than once
+        # many distinct strings, each used more than once
         docs = [f"doc-{j}-{'é' * int(r.integers(0, 3))}" for j in range(6000)]
         for _ in range(12_000):
             root = int(r.integers(0, 2**63))
@@ -33,3 +33,23 @@ class TestStreams:
             ours = stream_rng(root, *keys)
             theirs = np.random.Generator(np.random.PCG64(expected))
             assert ours.random() == theirs.random()
+
+
+class TestTokenStreams:
+    ROOTS = (0, 1, 7, 2**32 - 1, 2**32, 2**63, -1)
+    DOC_IDS = ("", "doc-17", "dóc 文書 ✓", "x" * 200)
+    POSITIONS = (*range(501), 2**31, 2**32 + 3)
+
+    def test_equal_stream_rng_of_each_position(self):
+        """A document's shared seed prefix gives each position the generator
+        ``stream_rng(root, "perturb", doc, position)`` builds: the same state
+        and the same draws."""
+        for root in self.ROOTS:
+            for doc_id in self.DOC_IDS:
+                rng_for = token_streams(root, doc_id)
+                for pos in self.POSITIONS:
+                    ours, theirs = rng_for(pos), stream_rng(root, "perturb", doc_id, pos)
+                    assert ours.bit_generator.state == theirs.bit_generator.state
+                    assert ours.random(3).tolist() == theirs.random(3).tolist()
+                    assert ours.integers(0, 2**62) == theirs.integers(0, 2**62)
+                    assert ours.bit_generator.state == theirs.bit_generator.state
