@@ -448,6 +448,9 @@ def cmd_eval_aopc(args: argparse.Namespace, stack: ExitStack) -> int:
         raise ConfigError("--class is required with --snapshots")
     timeline = Path(resolved["timeline_out"] or f"{Path(resolved['snapshots'])}.csv") \
         if resolved["snapshots"] else None
+    # _merge_config checks --timeline-out; this catches the derived path
+    if timeline is not None and timeline.is_dir():
+        raise ConfigError(f"timeline is a directory: {timeline}")
     # beside the AOPC file, else beside the timeline CSV
     manifest = _manifest_path(resolved, resolved["out"] or timeline)
     _check_predictor(resolved)

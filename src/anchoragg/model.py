@@ -87,6 +87,37 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
+class _CountRows:
+    """An ``(n, v)`` count matrix held as its nonzeros in CSR order, for
+    products with dense ``(·, c)`` matrices.
+
+    Each product is one ``np.bincount``, which starts every output at 0.0
+    and adds its terms in input order. So ``dot`` sums as SciPy's
+    ``csr_matvecs`` sums ``X @ M``, and ``tdot`` as ``csc_matvecs`` sums
+    ``X.T @ M``: both walk the nonzeros in CSR order, bit for bit.
+    (``np.add.reduceat`` would not: it does not add in order.)
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
+                 n: int, v: int, c: int):
+        self._rows, self._cols, self._data = rows, cols, data[:, None]
+        self._row_bins = (rows[:, None] * c + np.arange(c)).ravel()
+        self._col_bins = (cols[:, None] * c + np.arange(c)).ravel()
+        self._n, self._v, self._c = n, v, c
+
+    def dot(self, M: np.ndarray) -> np.ndarray:
+        """``X @ M``, ``M`` of shape ``(v, c)``."""
+        return self._sum(self._row_bins, self._cols, M, self._n)
+
+    def tdot(self, M: np.ndarray) -> np.ndarray:
+        """``X.T @ M``, ``M`` of shape ``(n, c)``."""
+        return self._sum(self._col_bins, self._rows, M, self._v)
+
+    def _sum(self, bins, take, M, size):
+        terms = (self._data * M.take(take, axis=0)).ravel()
+        return np.bincount(bins, terms, minlength=size * self._c).reshape(size, self._c)
+
+
 class BowClassifier(ParamsMixin, Predictor):
     """Multinomial logistic regression over raw token counts.
 
@@ -94,7 +125,9 @@ class BowClassifier(ParamsMixin, Predictor):
     weights (bias excluded). Training is deterministic for a fixed seed:
     weights start at zero and the seed only drives the validation split.
     With ``val_fraction > 0`` the epoch with the best validation accuracy is
-    kept, otherwise the final epoch wins.
+    kept, otherwise the final epoch wins. The sparse products add in the
+    order SciPy's CSR products add (see ``_CountRows``), so a model trained
+    when training ran on SciPy is reproduced byte for byte.
     """
 
     def __init__(self, epochs: int = 800, learning_rate: float = 0.3,
@@ -122,19 +155,18 @@ class BowClassifier(ParamsMixin, Predictor):
         check_positive(self.l2, "l2", zero_ok=True)
         check_probability(self.val_fraction, "val_fraction", open_low=False)
 
-    def _count_matrix(self, docs: Sequence[Sequence[str]]):
-        # imported here: only training needs scipy, and importing it costs
-        # every other command ~85 ms and ~15 MB of start-up
-        from scipy import sparse
-
-        # one entry per token: the matrix sums a document's repeated words;
-        # every word is in the vocabulary ``fit`` just built
+    def _count_nonzeros(self, docs: Sequence[Sequence[str]]):
+        """``(rows, ids, counts)``: the nonzeros of the documents' count
+        matrix, in row order and, within a row, in id order, as a canonical
+        CSR matrix holds them. Every word is in the vocabulary ``fit`` just
+        built."""
+        v = len(self.vocabulary_)
         lengths = np.fromiter(map(len, docs), dtype=np.intp, count=len(docs))
         ids = self.encode([w for words in docs for w in words])
-        return sparse.csr_matrix(
-            (np.ones(ids.size), (np.repeat(np.arange(len(docs)), lengths), ids)),
-            shape=(len(docs), len(self.vocabulary_)),
-        )
+        keys, counts = np.unique(np.repeat(np.arange(len(docs)) * v, lengths) + ids,
+                                 return_counts=True)
+        # a row's repeated words make one nonzero, as in SciPy's canonical form
+        return *np.divmod(keys, v), counts.astype(np.float64)
 
     def fit(self, docs: Sequence[Sequence[str]], y: Sequence[str]) -> "BowClassifier":
         self.check_params()
@@ -160,12 +192,15 @@ class BowClassifier(ParamsMixin, Predictor):
 
         class_index = {c: k for k, c in enumerate(classes)}
         y_idx = np.asarray([class_index[label] for label in y])
-        X = self._count_matrix(docs)
-        X_train, y_train = X[train_idx], y_idx[train_idx]
-        X_val, y_val = X[val_idx], y_idx[val_idx]
+        y_train, y_val = y_idx[train_idx], y_idx[val_idx]
+        # the count matrix of the documents in split order: validation rows first
+        rows, ids, counts = self._count_nonzeros([docs[i] for i in order])
+        split = int(np.searchsorted(rows, n_val))
 
-        n, v = X_train.shape
+        n, v = len(train_idx), len(self.vocabulary_)
         c = len(classes)
+        X_train = _CountRows(rows[split:] - n_val, ids[split:], counts[split:], n, v, c)
+        X_val = _CountRows(rows[:split], ids[:split], counts[:split], n_val, v, c)
         onehot = np.zeros((n, c))
         onehot[np.arange(n), y_train] = 1.0
 
@@ -174,14 +209,14 @@ class BowClassifier(ParamsMixin, Predictor):
         best = (-np.inf, 0, W.copy(), b.copy())
         losses = []
         for epoch in range(self.epochs):
-            probs = _softmax(X_train @ W + b)
+            probs = _softmax(X_train.dot(W) + b)
             nll = -np.mean(np.log(np.clip(probs[np.arange(n), y_train], 1e-300, None)))
             losses.append(nll + self.l2 * float(np.sum(W * W)))
             grad_logits = (probs - onehot) / n
-            W -= self.learning_rate * (X_train.T @ grad_logits + 2.0 * self.l2 * W)
+            W -= self.learning_rate * (X_train.tdot(grad_logits) + 2.0 * self.l2 * W)
             b -= self.learning_rate * grad_logits.sum(axis=0)
             if n_val:
-                val_pred = np.argmax(X_val @ W + b, axis=1)
+                val_pred = np.argmax(X_val.dot(W) + b, axis=1)
                 val_acc = float(np.mean(val_pred == y_val))
                 if val_acc > best[0]:
                     best = (val_acc, epoch, W.copy(), b.copy())
@@ -200,17 +235,17 @@ class BowClassifier(ParamsMixin, Predictor):
         return self.predict_proba_many([words])[0]
 
     def predict_proba_many(self, docs: Sequence[Sequence[str]]) -> np.ndarray:
-        """``predict_proba_ids`` of the encoded documents: each group of
-        equal-length documents is summed as one id matrix, so results do not
-        depend on how rows are batched."""
-        check_fitted(self, ("weights_", "bias_", "classes_"))
+        """``predict_proba_ids`` of the encoded documents as one id matrix,
+        each row padded to the longest with the out-of-vocabulary id: its
+        zero row leaves a row's sum as it is, so results do not depend on
+        how rows are batched."""
+        check_fitted(self, ("weights_", "bias_", "classes_", "vocabulary_"))
         lengths = np.fromiter(map(len, docs), dtype=np.intp, count=len(docs))
-        logits = np.empty((len(docs), len(self.classes_)))
-        for length in np.unique(lengths):
-            rows = np.flatnonzero(lengths == length)
-            ids = self.encode([w for r in rows for w in docs[r]])
-            logits[rows] = self._logits(ids.reshape(rows.size, length))
-        return _softmax(logits)
+        ids = np.full((len(docs), lengths.max(initial=0)), len(self.vocabulary_),
+                      dtype=np.intp)
+        ids[np.arange(ids.shape[1]) < lengths[:, None]] = \
+            self.encode([w for words in docs for w in words])
+        return _softmax(self._logits(ids))
 
     def encode(self, words: Sequence[str]) -> np.ndarray:
         """Model ids of ``words``; an out-of-vocabulary word gets
@@ -225,28 +260,32 @@ class BowClassifier(ParamsMixin, Predictor):
         """Softmax of ``bias`` plus the weight rows of each row of ``ids``,
         an ``(n, m)`` matrix of ``encode`` ids.
 
-        The rows are summed one word column at a time: the same left-to-right
-        sum per row as a word-by-word loop.
+        Each row is summed left to right, as a word-by-word loop sums it.
         """
         check_fitted(self, ("weights_", "bias_", "classes_"))
         return _softmax(self._logits(ids))
 
     def _logits(self, ids: np.ndarray) -> np.ndarray:
+        """``bias`` plus the weight rows of each row of ``ids``, added left to
+        right: ``add.reduce`` over the leading axis of the ``(m + 1, n, c)``
+        stack adds its slices in order."""
         padded = self._padded_weights()
-        logits = np.repeat(self.bias_[None, :], len(ids), axis=0)
-        for col in np.ascontiguousarray(ids.T):
-            logits += padded.take(col, axis=0)
-        return logits
+        stack = np.empty((ids.shape[1] + 1, len(ids)), dtype=np.intp)
+        stack[0] = len(padded) - 1
+        stack[1:] = ids.T
+        return np.add.reduce(padded.take(stack, axis=0), axis=0)
 
     def _padded_weights(self) -> np.ndarray:
         """``weights_`` with a zero row appended for out-of-vocabulary ids,
-        rebuilt only when ``weights_`` is no longer the array it came from."""
+        then ``bias_`` as the last row; rebuilt only when ``weights_`` or
+        ``bias_`` is no longer the array it came from."""
         cached = self.__dict__.get("_padded_")
-        if cached is None or cached[0] is not self.weights_:
+        if cached is None or cached[0] is not self.weights_ or cached[1] is not self.bias_:
             zeros = np.zeros((1, self.weights_.shape[1]))
-            cached = (self.weights_, np.vstack([self.weights_, zeros]))
+            cached = (self.weights_, self.bias_,
+                      np.vstack([self.weights_, zeros, self.bias_[None, :]]))
             self._padded_ = cached
-        return cached[1]
+        return cached[2]
 
 
 def train_bow(corpus: Corpus, **params) -> BowClassifier:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
+from scipy import sparse, stats
 
 
 # -- generative-mixture log-likelihood and its grid maximum -----------------
@@ -181,6 +181,52 @@ def gd_steps_by_hand(X: np.ndarray, y_idx: np.ndarray, n_classes: int,
     return W, b
 
 
+def bow_fit_with_scipy(docs, y, epochs, learning_rate, l2, seed, val_fraction):
+    """``(weights, bias, losses, best_epoch)`` of ``BowClassifier.fit`` as
+    it was written on a scipy CSR count matrix: the sparse products sum in
+    scipy's ``csr_matvecs`` / ``csc_matvecs`` order."""
+    docs = [tuple(d) for d in docs]
+    classes = sorted(set(y))
+    vocab = {w: j for j, w in enumerate(sorted({w for d in docs for w in d}))}
+    lengths = [len(d) for d in docs]
+    ids = [vocab[w] for d in docs for w in d]
+    X = sparse.csr_matrix(
+        (np.ones(len(ids)), (np.repeat(np.arange(len(docs)), lengths), ids)),
+        shape=(len(docs), len(vocab)))
+    order = np.random.default_rng(seed).permutation(len(docs))
+    n_val = int(val_fraction * len(docs))
+    val_idx, train_idx = order[:n_val], order[n_val:]
+    y_idx = np.asarray([classes.index(label) for label in y])
+    X_train, y_train = X[train_idx], y_idx[train_idx]
+    X_val, y_val = X[val_idx], y_idx[val_idx]
+    n, v = X_train.shape
+    c = len(classes)
+    onehot = np.zeros((n, c))
+    onehot[np.arange(n), y_train] = 1.0
+    W = np.zeros((v, c))
+    b = np.zeros(c)
+    best = (-np.inf, 0, W.copy(), b.copy())
+    losses = []
+    for epoch in range(epochs):
+        logits = X_train @ W + b
+        exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        probs = exp / exp.sum(axis=-1, keepdims=True)
+        nll = -np.mean(np.log(np.clip(probs[np.arange(n), y_train], 1e-300, None)))
+        losses.append(nll + l2 * float(np.sum(W * W)))
+        grad_logits = (probs - onehot) / n
+        W -= learning_rate * (X_train.T @ grad_logits + 2.0 * l2 * W)
+        b -= learning_rate * grad_logits.sum(axis=0)
+        if n_val:
+            val_acc = float(np.mean(np.argmax(X_val @ W + b, axis=1) == y_val))
+            if val_acc > best[0]:
+                best = (val_acc, epoch, W.copy(), b.copy())
+    if n_val:
+        _, best_epoch, W, b = best
+    else:
+        best_epoch = epochs - 1
+    return W, b, losses, best_epoch
+
+
 # -- per-row and per-token loops of the sample path ---------------------------
 
 
@@ -195,6 +241,16 @@ def bow_proba_by_loop(clf, words) -> np.ndarray:
     shifted = logits - logits.max()
     exp = np.exp(shifted)
     return exp / exp.sum()
+
+
+def bow_logits_by_column(clf, ids) -> np.ndarray:
+    """Logits of an ``(n, m)`` id matrix summed one word column at a time:
+    ``bias`` plus the weights (a zero row for an out-of-vocabulary id)."""
+    padded = np.vstack([clf.weights_, np.zeros((1, clf.weights_.shape[1]))])
+    logits = np.repeat(clf.bias_[None, :], len(ids), axis=0)
+    for col in np.ascontiguousarray(ids.T):
+        logits += padded.take(col, axis=0)
+    return logits
 
 
 def unigram_fill_by_loop(pert, doc, keep, n, rng) -> list[tuple[str, ...]]:

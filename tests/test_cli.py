@@ -376,6 +376,19 @@ class TestSettings:
             "error: manifest is a directory: m3.json.manifest.json\n")
         assert not Path("m3.json").exists()
 
+    def test_default_timeline_that_is_a_directory(self, workspace, capsys):
+        """Without --timeline-out the timeline goes beside the snapshot log;
+        a directory there is an exit 2 before any snapshot is scored."""
+        synth_and_train(workspace, docs=40, epochs=50)
+        assert TestTopk()._topk() == 0
+        Path("snaps.jsonl.csv").mkdir()
+        assert run("eval-aopc", "--corpus", "c.jsonl", "--format", "jsonl",
+                   "--model", "m.json", "--snapshots", "snaps.jsonl",
+                   "--class", "pos", "--out", "a.json") == 2
+        assert capsys.readouterr().err.endswith(
+            "error: timeline is a directory: snaps.jsonl.csv\n")
+        assert not Path("a.json.manifest.json").exists()
+
     def test_out_prefix_may_be_a_directory(self, workspace, capsys):
         Path("outdir").mkdir()
         assert run("compare", "t.json", "--corpus", "c.jsonl", "--model", "m.json",
@@ -807,8 +820,8 @@ class TestExternalBackendsViaCli:
 
 class TestImportFootprint:
     """The modules a command loads, run in a fresh interpreter: each loads
-    what it runs, scipy is left to training, the transport and subprocess to
-    the external clients, and no command loads a thread pool."""
+    what it runs, the transport and subprocess are left to the external
+    clients, and no command loads scipy or a thread pool."""
 
     @staticmethod
     def _modules(code: str) -> set[str]:
@@ -830,6 +843,13 @@ class TestImportFootprint:
                              f"assert main({list(argv)!r}) == 0")
 
     EXTERNAL = {"anchoragg._transport", "subprocess", "concurrent.futures", "scipy"}
+
+    def test_train_loads_no_scipy(self, workspace):
+        assert run("synth", "--out", "c.jsonl", "--docs", "20", "--seed", "3") == 0
+        loaded = self._run("train", "--corpus", "c.jsonl", "--format", "jsonl",
+                           "--out", "m.json", "--epochs", "5")
+        assert "anchoragg.model" in loaded
+        assert loaded.isdisjoint(self.EXTERNAL)
 
     def test_eval_aopc_loads_no_sampling_code(self, workspace):
         synth_and_train(workspace, docs=40, epochs=50)
@@ -883,6 +903,7 @@ class TestGoldenOutput:
     """
 
     DIGEST = "acbe769022e0edd2261ab32a83c3af347aafa7c15a15c342a4076efbaac061e5"
+    MODEL_DIGEST = "fab4dc8e2a562f46ecfc413d2b098f7c8688f864b6f3b5134a476168f5d55325"
     EVAL_DIGEST = "5143f75c919cf93b5656351852b6f3ede2e933fe8d286ce7170671e5f8d43ecf"
     ANCHORS_DIGEST = "d2b4cc7992629ecfed5de32bcf9759af437fca27c3be7cfcb9ab880377708fb7"
 
@@ -927,6 +948,17 @@ class TestGoldenOutput:
         trace = (workspace / "anchors.jsonl").read_bytes()
         assert len(trace.splitlines()) == 628
         assert hashlib.sha256(trace).hexdigest() == self.ANCHORS_DIGEST
+
+    def test_train_model_digest(self, workspace):
+        """sha256 of ``model.json`` trained on a docs-150 corpus, recorded
+        when training multiplied scipy CSR matrices."""
+        import hashlib
+
+        assert run("synth", "--out", "c.jsonl", "--docs", "150", "--seed", "1") == 0
+        assert run("train", "--corpus", "c.jsonl", "--format", "jsonl",
+                   "--out", "m.json", "--seed", "0") == 0
+        model = (workspace / "m.json").read_bytes()
+        assert hashlib.sha256(model).hexdigest() == self.MODEL_DIGEST
 
     def test_baseline_topk_digest(self, workspace):
         self._baseline_topk()

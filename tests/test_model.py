@@ -2,13 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from anchoragg.corpus import Document
-from anchoragg.model import (BowClassifier, CachingPredictor, Predictor,
+from anchoragg.model import (BowClassifier, CachingPredictor, Predictor, _softmax,
                              accuracy, load_model, save_model, train_bow)
 
 from conftest import make_corpus
-from oracles import bow_proba_by_loop, gd_steps_by_hand
+from oracles import (bow_fit_with_scipy, bow_logits_by_column, bow_proba_by_loop,
+                     gd_steps_by_hand)
 
 
 def separable_corpus():
@@ -58,6 +61,41 @@ class TestTraining:
         corpus = make_corpus([("0", "hi", "only"), ("1", "ho", "only")])
         with pytest.raises(ValueError, match="2 classes"):
             train_bow(corpus)
+
+    @staticmethod
+    @st.composite
+    def _training_sets(draw):
+        """Documents with repeated words (some empty), labels of 2 or 3
+        classes, and a split of no, some, or all but one validation rows."""
+        n_docs = draw(st.integers(2, 12))
+        classes = ["a", "b", "c"][:draw(st.integers(2, 3))]
+        words = st.lists(st.sampled_from([f"w{j}" for j in range(10)]), max_size=9)
+        docs = draw(st.lists(words, min_size=n_docs, max_size=n_docs))
+        labels = draw(st.lists(st.sampled_from(classes), min_size=n_docs,
+                               max_size=n_docs).filter(lambda ls: len(set(ls)) > 1))
+        params = {
+            "epochs": draw(st.integers(1, 150)),
+            "learning_rate": draw(st.sampled_from([0.05, 0.3, 1.0])),
+            "l2": draw(st.sampled_from([0.0, 5e-4, 1e-2])),
+            "seed": draw(st.integers(0, 2**32 - 1)),
+            # the last: one training document
+            "val_fraction": draw(st.sampled_from([0.0, 0.25, 0.5,
+                                                  (n_docs - 0.5) / n_docs])),
+        }
+        return docs, labels, params
+
+    @given(_training_sets())
+    @settings(max_examples=120, deadline=None)
+    def test_bit_identical_to_scipy_trainer(self, case):
+        """The numpy kernels add in scipy's order: weights, bias, every
+        epoch's loss and the kept epoch are equal byte for byte."""
+        docs, labels, params = case
+        clf = BowClassifier(**params).fit(docs, labels)
+        W, b, losses, best_epoch = bow_fit_with_scipy(docs, labels, **params)
+        assert clf.weights_.shape == W.shape and clf.weights_.tobytes() == W.tobytes()
+        assert clf.bias_.tobytes() == b.tobytes()
+        assert np.asarray(clf.losses_).tobytes() == np.asarray(losses).tobytes()
+        assert clf.best_epoch_ == best_epoch
 
     def test_validation_checkpoint_selection(self):
         corpus = separable_corpus()
@@ -168,6 +206,37 @@ class TestBatchedScoring:
             assert np.array_equal(clf.predict_proba_ids(ids), expected)
             empty = np.empty((0, m), dtype=np.intp)
             assert clf.predict_proba_ids(empty).shape == (0, len(clf.classes_))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(0, 30))
+    @example(0, 1, 0)
+    @example(1, 1, 1)
+    @example(2, 7, 0)
+    @example(3, 7, 1)
+    @settings(max_examples=150, deadline=None)
+    def test_logits_equal_column_by_column_sum(self, seed, n, m):
+        rng = np.random.default_rng(seed)
+        clf = self._random_model(rng, int(rng.integers(2, 5)), int(rng.integers(1, 30)))
+        # the last id is out of vocabulary
+        ids = rng.integers(0, len(clf.vocabulary_) + 1, size=(n, m))
+        expected = bow_logits_by_column(clf, ids)
+        assert clf._logits(ids).tobytes() == expected.tobytes()
+        assert clf.predict_proba_ids(ids).tobytes() == _softmax(expected).tobytes()
+
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(0, 30), min_size=1,
+                                               max_size=12))
+    @example(0, [0])
+    @example(1, [5, 0, 2])
+    @example(2, [0, 0, 1])
+    @settings(max_examples=150, deadline=None)
+    def test_ragged_batch_equals_column_by_column_sum(self, seed, lengths):
+        """Rows padded with the out-of-vocabulary id score as each document
+        alone, an empty document at its bias."""
+        rng = np.random.default_rng(seed)
+        clf = self._random_model(rng, int(rng.integers(2, 5)), int(rng.integers(1, 30)))
+        docs = [self._random_doc(rng, clf, length) for length in lengths]
+        expected = np.concatenate(
+            [_softmax(bow_logits_by_column(clf, clf.encode(d)[None, :])) for d in docs])
+        assert clf.predict_proba_many(docs).tobytes() == expected.tobytes()
 
     def test_encode_maps_oov_to_zero_row(self):
         clf = self._random_model(np.random.default_rng(1), 3, 5)
