@@ -168,17 +168,23 @@ def _write_manifest(path: Path, command: str, resolved: dict, started: float,
     path.write_text(json.dumps(manifest, indent=2, default=str), encoding="utf-8")
 
 
+def _derived_output(path: str | Path, what: str) -> Path:
+    """An output path derived from other settings, taken before any input
+    is read: a directory there is a configuration error, as ``_merge_config``
+    makes it for a declared output."""
+    path = Path(path)
+    if path.is_dir():
+        raise ConfigError(f"{what} is a directory: {path}")
+    return path
+
+
 def _manifest_path(resolved: dict, primary_out: str | Path | None) -> Path:
     """``--manifest``, else the path beside the primary output, else
-    ``run.manifest.json``. Each command takes it before reading any input:
-    a derived path that is a directory is a configuration error, as
-    ``_merge_config`` makes ``--manifest`` one."""
+    ``run.manifest.json``."""
     if resolved.get("manifest"):
         return Path(resolved["manifest"])
-    path = Path(f"{primary_out}.manifest.json" if primary_out else "run.manifest.json")
-    if path.is_dir():
-        raise ConfigError(f"manifest is a directory: {path}")
-    return path
+    return _derived_output(f"{primary_out}.manifest.json" if primary_out
+                           else "run.manifest.json", "manifest")
 
 
 def _corpus_defaults() -> dict:
@@ -215,6 +221,16 @@ def _snapshot_rows(path: Path) -> list[dict]:
             raise ValueError(f"the top-k at t_sec {row['t_sec']} lists a word "
                              "twice or a word that is not a string")
     return rows
+
+
+def _term_list(path: Path):
+    """The term list of a terms file; one with no terms cannot be scored."""
+    from .eval import TermList
+
+    terms = TermList.load(path)
+    if not len(terms):
+        raise ValueError("lists no terms")
+    return terms
 
 
 def _predictor_defaults() -> dict:
@@ -308,7 +324,7 @@ def cmd_synth(args: argparse.Namespace, stack: ExitStack) -> int:
 
 def cmd_topk(args: argparse.Namespace, stack: ExitStack) -> int:
     from .aggregate import dump_scores
-    from .corpus import load_stopwords, word_stats
+    from .corpus import load_stopwords, sample_size, word_stats
     from .topk import AnchorTopTerms
 
     resolved = _merge_config(args, {
@@ -330,6 +346,8 @@ def cmd_topk(args: argparse.Namespace, stack: ExitStack) -> int:
         if resolved["freq_corpus"] else None
     corpus = _load_corpus(resolved)
     _check_class(resolved["class_label"], corpus)
+    with _config_errors():
+        sample_size(len(corpus), est.resolved_settings()["sample_fraction"])
     est.set_params(stopwords=stopwords, freq_stats=freq_stats)
     perturbator = None
     if resolved["perturb_endpoint"] or resolved["perturb_cmd"]:
@@ -438,7 +456,7 @@ def cmd_anchors(args: argparse.Namespace, stack: ExitStack) -> int:
 # -- eval-aopc ----------------------------------------------------------------
 
 def cmd_eval_aopc(args: argparse.Namespace, stack: ExitStack) -> int:
-    from .eval import TermList, aopc_k, quality_timeline, write_timeline_csv
+    from .eval import aopc_k, quality_timeline, write_timeline_csv
     from .model import CachingPredictor
 
     resolved = _merge_config(args, {**_corpus_defaults(), **_predictor_defaults()})
@@ -446,15 +464,13 @@ def cmd_eval_aopc(args: argparse.Namespace, stack: ExitStack) -> int:
         raise ConfigError("--terms or --snapshots is required")
     if resolved["snapshots"] and not resolved["class_label"]:
         raise ConfigError("--class is required with --snapshots")
-    timeline = Path(resolved["timeline_out"] or f"{Path(resolved['snapshots'])}.csv") \
+    timeline = _derived_output(
+        resolved["timeline_out"] or f"{Path(resolved['snapshots'])}.csv", "timeline") \
         if resolved["snapshots"] else None
-    # _merge_config checks --timeline-out; this catches the derived path
-    if timeline is not None and timeline.is_dir():
-        raise ConfigError(f"timeline is a directory: {timeline}")
     # beside the AOPC file, else beside the timeline CSV
     manifest = _manifest_path(resolved, resolved["out"] or timeline)
     _check_predictor(resolved)
-    terms = _load_file(resolved["terms"], "terms file", TermList.load) \
+    terms = _load_file(resolved["terms"], "terms file", _term_list) \
         if resolved["terms"] else None
     snaps = _load_file(resolved["snapshots"], "snapshot log", _snapshot_rows) \
         if resolved["snapshots"] else None
@@ -488,17 +504,24 @@ def cmd_eval_aopc(args: argparse.Namespace, stack: ExitStack) -> int:
 # -- compare ------------------------------------------------------------------
 
 def cmd_compare(args: argparse.Namespace, stack: ExitStack) -> int:
-    from .eval import TermList, aopc_k, shared_terms_ratio
+    from .eval import aopc_k, shared_terms_ratio
     from .model import CachingPredictor
 
     resolved = _merge_config(args, {**_corpus_defaults(), **_predictor_defaults()})
     if len(args.term_files) < 1:
         raise ConfigError("at least one terms file is required")
     prefix = resolved["out_prefix"] or "compare"
-    manifest = _manifest_path(resolved, f"{prefix}.json")
+    out_json, out_shared, out_aopc = (_derived_output(f"{prefix}{suffix}", "output")
+                                      for suffix in (".json", "_shared.csv", "_aopc.csv"))
+    manifest = _manifest_path(resolved, out_json)
     _check_predictor(resolved)
-    lists = [(Path(path).stem, _load_file(path, "terms file", TermList.load))
+    lists = [(Path(path).stem, _load_file(path, "terms file", _term_list))
              for path in args.term_files]
+    k = len(lists[0][1])
+    for path, (_, terms) in zip(args.term_files, lists):
+        if len(terms) != k:
+            raise ConfigError(f"terms files differ in length: {path} lists "
+                              f"{len(terms)} terms, {args.term_files[0]} lists {k}")
     started = time.time()
     predictor = CachingPredictor(_build_predictor(resolved, stack))
     corpus = _load_corpus(resolved)
@@ -512,12 +535,12 @@ def cmd_compare(args: argparse.Namespace, stack: ExitStack) -> int:
         aopc_rows.append((name, terms.aggregation, c,
                           aopc_k(terms, corpus, predictor, c).value))
 
-    with open(f"{prefix}_shared.csv", "w", encoding="utf-8", newline="") as handle:
+    with open(out_shared, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([""] + names)
         for name, row in zip(names, shared):
             writer.writerow([name] + [f"{v:.6g}" for v in row])
-    with open(f"{prefix}_aopc.csv", "w", encoding="utf-8", newline="") as handle:
+    with open(out_aopc, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["name", "agg", "class", "aopc"])
         for row in aopc_rows:
@@ -525,8 +548,7 @@ def cmd_compare(args: argparse.Namespace, stack: ExitStack) -> int:
     payload = {"names": names, "shared": shared,
                "aopc": [{"name": n, "agg": a, "class": c, "value": v}
                         for n, a, c, v in aopc_rows]}
-    Path(f"{prefix}.json").write_text(json.dumps(payload, indent=2),
-                                      encoding="utf-8")
+    out_json.write_text(json.dumps(payload, indent=2), encoding="utf-8")
     _write_manifest(manifest, "compare", resolved, started, {}, {"lists": names})
     print(json.dumps(payload))
     return EXIT_OK

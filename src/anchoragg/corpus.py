@@ -259,6 +259,16 @@ def filter_candidates(stats: WordStats, stopwords: Iterable[str] = (),
     )
 
 
+def sample_size(n: int, fraction: float) -> int:
+    """How many of ``n`` documents a sample of ``fraction`` keeps:
+    round(fraction * n). Raises ValueError where that is none of them."""
+    check_fraction(fraction, "fraction")
+    size = int(fraction * n + 0.5)
+    if size == 0 < n:
+        raise ValueError(f"sample_fraction {fraction} keeps none of the {n} documents")
+    return size
+
+
 def sample_documents(corpus: Corpus, fraction: float,
                      rng: np.random.Generator) -> Corpus:
     """Uniform sample without replacement of round(fraction * |S|) documents.
@@ -266,9 +276,8 @@ def sample_documents(corpus: Corpus, fraction: float,
     Document order within the sample follows the original corpus order, so
     repeated runs with the same generator state return the same corpus.
     """
-    check_fraction(fraction, "fraction")
     n = len(corpus)
-    size = int(fraction * n + 0.5)
+    size = sample_size(n, fraction)
     if size >= n:
         return corpus
     picked = sorted(rng.choice(n, size=size, replace=False).tolist())

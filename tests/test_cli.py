@@ -151,6 +151,16 @@ class TestTopk:
         (workspace / "cfg.json").write_text(json.dumps({**base, "alpha": 1}))
         assert run("topk", "--config", "cfg.json") == 0
 
+    def test_sample_that_keeps_no_document(self, workspace, capsys):
+        """A config error, before any anchor test: no snapshot log is opened."""
+        synth_and_train(workspace, docs=60, epochs=20)
+        assert run("topk", "--corpus", "c.jsonl", "--format", "jsonl",
+                   "--model", "m.json", "--class", "pos", "--seed", "7",
+                   "--sample-fraction", "0.001", "--snapshots", "snaps.jsonl") == 2
+        assert capsys.readouterr().err.endswith(
+            "error: sample_fraction 0.001 keeps none of the 60 documents\n")
+        assert not Path("snaps.jsonl").exists()
+
     def test_trace_rows_of_unsampled_tokens(self, workspace):
         """Stop/rare skipping leaves tokens unsampled: their rows read no
         anchor, no precision and no samples. A sampled row's precision is
@@ -389,6 +399,15 @@ class TestSettings:
             "error: timeline is a directory: snaps.jsonl.csv\n")
         assert not Path("a.json.manifest.json").exists()
 
+    @pytest.mark.parametrize("suffix", [".json", "_shared.csv", "_aopc.csv"])
+    def test_compare_output_that_is_a_directory(self, workspace, capsys, suffix):
+        """Each file named after --out-prefix is checked before any input is
+        read: the terms file does not exist."""
+        Path(f"cmp{suffix}").mkdir()
+        assert run("compare", "t.json", "--corpus", "c.jsonl", "--model", "m.json",
+                   "--out-prefix", "cmp") == 2
+        assert capsys.readouterr().err == f"error: output is a directory: cmp{suffix}\n"
+
     def test_out_prefix_may_be_a_directory(self, workspace, capsys):
         Path("outdir").mkdir()
         assert run("compare", "t.json", "--corpus", "c.jsonl", "--model", "m.json",
@@ -518,6 +537,28 @@ class TestEvalAndCompare:
                    "--format", "jsonl", "--model", "m.json") == 2
         assert run("compare", "bad.json", "--corpus", "c.jsonl",
                    "--format", "jsonl", "--model", "m.json") == 2
+
+
+    UNSCORABLE_TERMS = [
+        ("eval-aopc", ("--terms", "empty.json"),
+         "malformed terms file empty.json: lists no terms"),
+        ("compare", ("five.json", "empty.json"),
+         "malformed terms file empty.json: lists no terms"),
+        ("compare", ("five.json", "three.json"), "terms files differ in length: "
+         "three.json lists 3 terms, five.json lists 5"),
+    ]
+
+    @pytest.mark.parametrize("command, argv, message", UNSCORABLE_TERMS,
+                             ids=["eval-aopc empty", "compare empty",
+                                  "compare lengths"])
+    def test_unscorable_term_lists(self, workspace, capsys, command, argv, message):
+        """Exit 2 naming the file before the model or corpus is read: neither
+        exists."""
+        for name, k in (("empty.json", 0), ("three.json", 3), ("five.json", 5)):
+            TermList.from_pairs("pos", "pr", [(f"w{i}", 1.0 / (i + 1))
+                                              for i in range(k)]).save(name)
+        assert run(command, *argv, "--corpus", "c.jsonl", "--model", "m.json") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestMalformedInputs:

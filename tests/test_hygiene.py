@@ -1,6 +1,6 @@
 """Source checks over ``src/anchoragg``: no module imports a name it never
-uses, and no module-level private function goes unreferenced. Uses only
-the standard library's ``ast``."""
+uses, and no module-level private function, class or assigned name goes
+unreferenced. Uses only the standard library's ``ast``."""
 
 import ast
 from pathlib import Path
@@ -17,12 +17,14 @@ def _tree(path: Path) -> ast.Module:
 
 def _used_names(tree: ast.Module, attributes: bool = False) -> set[str]:
     """Every name the module reads, and with ``attributes`` every attribute
-    name, plus the names it exports through ``__all__``."""
+    name it reads, plus the names it exports through ``__all__``. A name
+    that is only assigned is not read."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
-        elif attributes and isinstance(node, ast.Attribute):
+        elif attributes and isinstance(node, ast.Attribute) \
+                and isinstance(node.ctx, ast.Load):
             used.add(node.attr)
         elif isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
@@ -48,15 +50,26 @@ def test_no_unused_import(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+def _defined_names(statement: ast.stmt):
+    """The names a module-level statement defines: a function's or class's
+    name, or every name an assignment binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        yield statement.name
+    elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) \
+            else [statement.target]
+        for target in targets:
+            yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
 def test_no_unreferenced_private_function():
     trees = {path.name: _tree(path) for path in MODULES}
     referenced = set()
     for tree in trees.values():
         referenced |= _used_names(tree, attributes=True)
         referenced |= set(_imported_names(tree))
-    private = [f"{name}: {node.name}" for name, tree in trees.items()
-               for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-               and node.name.startswith("_") and not node.name.startswith("__")
-               and node.name not in referenced]
-    assert not private, f"module-level private functions nothing calls: {private}"
+    private = [f"{name}: {defined}" for name, tree in trees.items()
+               for node in tree.body for defined in _defined_names(node)
+               if defined.startswith("_") and not defined.startswith("__")
+               and defined not in referenced]
+    assert not private, f"module-level private names nothing reads: {private}"

@@ -36,7 +36,7 @@ class TestStreams:
 
 
 class TestTokenStreams:
-    ROOTS = (0, 1, 7, 2**32 - 1, 2**32, 2**63, -1)
+    ROOTS = (0, 1, 7, 2**32 - 1, 2**32, 2**63, -1, 2**64 + 5, np.int64(7))
     DOC_IDS = ("", "doc-17", "dóc 文書 ✓", "x" * 200)
     POSITIONS = (*range(501), 2**31, 2**32 + 3)
 
