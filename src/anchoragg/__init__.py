@@ -12,22 +12,21 @@ import importlib
 __version__ = "0.1.0"
 
 _SUBMODULE_NAMES = {
-    "aggregate": ("AGGREGATION_KINDS", "AnchorCounts", "log_likelihood",
-                  "make_aggregation", "rank_words"),
+    "aggregate": ("AGGREGATION_KINDS", "AnchorCounts", "make_aggregation", "rank_words"),
     "anchor": ("AnchorConfig", "AnchorDecision", "anchors_of_document",
-               "confidence_bounds", "estimate_token"),
+               "confidence_bounds"),
     "corpus": ("Corpus", "Document", "WordStats",
                "default_stopwords", "filter_candidates", "load_corpus",
                "load_stopwords", "sample_documents", "tokenize", "word_stats"),
-    "eval": ("AopcResult", "AppendDropResult", "TermList", "aopc_k", "append_drop",
-             "quality_timeline", "remove_prefix", "shared_terms_ratio"),
+    "eval": ("AopcResult", "TermList", "aopc_k", "quality_timeline", "remove_prefix",
+             "shared_terms_ratio"),
     "model": ("BowClassifier", "CachingPredictor", "ExternalPredictorClient",
               "ExternalPredictorError", "Predictor", "accuracy", "load_model",
               "save_model", "train_bow"),
     "perturb": ("ExternalPerturbatorClient", "ExternalPerturbatorError", "Perturbator",
                 "UnigramPerturbator", "build_unigram_perturbator"),
     "seeding": ("stream_rng", "stream_seed", "token_streams"),
-    "synth": ("PlantedTruth", "SynthSpec", "generate_planted_corpus", "planted_label"),
+    "synth": ("PlantedTruth", "SynthSpec", "generate_planted_corpus"),
     "topk": ("AnchorTopTerms", "AnytimeOptions", "AnytimeResult", "PROFILE_NAMES",
              "Snapshot", "classify_corpus", "optimization_profile", "order_documents",
              "run_anytime", "should_filter"),

@@ -29,7 +29,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "AnchorCounts",
-    "log_likelihood",
     "Aggregation",
     "make_aggregation",
     "AGGREGATION_KINDS",
@@ -118,26 +117,6 @@ def _smooth_vector(q: np.ndarray) -> tuple[np.ndarray, float]:
         return q.copy(), q_min
     beta = abs(q_min)
     return (q + beta) / (1.0 + q.size * beta), q_min
-
-
-def log_likelihood(a_plus: Sequence[int], a_minus: Sequence[int], alpha: float,
-                   q: Sequence[float], p: Sequence[float]) -> float:
-    """Log-probability of the observed tallies under the generative mixture.
-
-    sum_w  A+(w) * log(alpha*q(w) + (1-alpha)*p(w)) + A-(w) * log p(w),
-    over word-aligned vectors, with -inf when a positively-counted term has
-    zero probability.
-    """
-    ap, am, qv, pv = (np.asarray(v, dtype=np.float64)
-                      for v in (a_plus, a_minus, q, p))
-    mix = alpha * qv + (1.0 - alpha) * pv
-    total = 0.0
-    for count, prob in ((ap, mix), (am, pv)):
-        active = count > 0
-        if np.any(prob[active] <= 0):
-            return -math.inf
-        total += float(np.sum(count[active] * np.log(prob[active])))
-    return total
 
 
 def _entropy_rows(gsq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,11 +5,13 @@ documents that retain the token, with probability at least a threshold.
 The estimator samples in batches, maintains two-sided confidence bounds on
 the success rate, and stops as soon as the bound certifies the decision
 either way; at budget exhaustion the point estimate decides. The tokens of
-a document are tested together, in rounds that share predictor calls.
+a document are tested together, in rounds that share predictor calls and
+one verdict per hit count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -26,7 +28,6 @@ __all__ = [
     "AnchorConfig",
     "AnchorDecision",
     "confidence_bounds",
-    "estimate_token",
     "anchors_of_document",
 ]
 
@@ -88,37 +89,24 @@ def confidence_bounds(successes: int, trials: int, delta: float) -> tuple[float,
         raise ValueError("trials must be >= 1")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes {successes} out of range for {trials} trials")
-    return _bounds(successes / trials, _half_width(trials, delta))
-
-
-def _half_width(trials: int, delta: float) -> float:
-    """Hoeffding's half-width at ``trials`` samples and confidence ``1 - delta``."""
-    return math.sqrt(math.log(2.0 / delta) / (2.0 * trials))
-
-
-def _bounds(point: float, half: float) -> tuple[float, float]:
+    point = successes / trials
+    half = math.sqrt(math.log(2.0 / delta) / (2.0 * trials))
     return max(0.0, point - half), min(1.0, point + half)
 
 
-def estimate_token(doc: Document, position: int, predictor: Predictor,
-                   perturbator: Perturbator, cfg: AnchorConfig,
-                   rng: np.random.Generator,
-                   target: str | None = None) -> AnchorDecision:
-    """Sequentially test whether keeping one token preserves the prediction.
-
-    Perturbation samples are drawn in batches with the token's position held
-    fixed; a sample succeeds when the predictor assigns it the same class as
-    the unperturbed document (``target``, predicted on the fly when absent).
-    Stops early once the lower bound reaches ``cfg.tau`` (anchor) or the
-    upper bound falls below it (non-anchor); at budget exhaustion the point
-    estimate against ``cfg.tau`` decides.
-    """
-    if not 0 <= position < len(doc.words):
-        raise ValueError(f"position {position} outside document {doc.id!r}")
-    if target is None:
-        target = predictor.predict(doc)
-    return _sequential_tests(doc, [position], [rng], predictor, perturbator, cfg,
-                             predictor.class_index(target))[0]
+@functools.lru_cache
+def _verdicts(trials: int, delta: float, tau: float, last: bool) -> tuple[int, ...]:
+    """The verdict on a token with ``h`` hits in ``trials`` samples, for each
+    ``h`` in ``0..trials``: -1 (undecided) while its bounds straddle ``tau``
+    before the ``last`` round, else 1 (anchor) or 0, as the bounds certify
+    or, where they straddle ``tau``, as the point estimate decides."""
+    verdicts = []
+    for h in range(trials + 1):
+        lower, upper = confidence_bounds(h, trials, delta)
+        undecided = lower < tau <= upper and not last
+        verdicts.append(-1 if undecided else
+                        int(lower >= tau or (upper >= tau and h / trials >= tau)))
+    return tuple(verdicts)
 
 
 def _sequential_tests(doc: Document, positions: list[int],
@@ -129,10 +117,11 @@ def _sequential_tests(doc: Document, positions: list[int],
 
     In every round each undecided position draws its next batch from its own
     generator, and the round's rows are scored in predictor calls of at most
-    ``ROUND_ROWS`` rows. A position leaves once its bound clears
-    ``cfg.tau`` or its budget is spent. Each generator is consumed as a test
-    of its position alone would consume it, so decisions do not depend on
-    which positions share a round.
+    ``ROUND_ROWS`` rows. The round's ``_verdicts``, one per hit count, then
+    decide: a position leaves once its bound clears ``cfg.tau`` or its
+    budget is spent. Each generator is consumed as a test of its position
+    alone would consume it, so decisions do not depend on which positions
+    share a round.
 
     Each predictor call's group of positions is drawn by one ``draw`` of the
     perturbator's ``sampler``, in the predictor's ids (``encode``), and
@@ -155,20 +144,16 @@ def _sequential_tests(doc: Document, positions: list[int],
                 np.argmax(predictor.predict_proba_ids(rows[j:j + ROUND_ROWS]), axis=1)
                 for j in range(0, len(rows), ROUND_ROWS)])
             hits += (labels == target_idx).reshape(len(group), batch).sum(axis=1).tolist()
-        # every active test has ``trials`` samples: one half-width per round
-        half = _half_width(trials, cfg.delta)
+        verdicts = _verdicts(trials, cfg.delta, cfg.tau, trials >= cfg.max_samples)
         undecided = []
         for i, hit in zip(active, hits):
             successes[i] += hit
-            point = successes[i] / trials
-            lower, upper = _bounds(point, half)
-            if lower < cfg.tau <= upper and trials < cfg.max_samples:
+            verdict = verdicts[successes[i]]
+            if verdict < 0:
                 undecided.append(i)
-                continue
-            # certified either way by the bounds, else by the point estimate
-            is_anchor = lower >= cfg.tau or (upper >= cfg.tau and point >= cfg.tau)
-            decisions[i] = AnchorDecision(doc.words[positions[i]], positions[i],
-                                          is_anchor, successes[i], trials)
+            else:
+                decisions[i] = AnchorDecision(doc.words[positions[i]], positions[i],
+                                              bool(verdict), successes[i], trials)
         active = undecided
     return decisions
 

@@ -208,18 +208,21 @@ def _check_class(c: str, corpus: Corpus) -> None:
 
 def _snapshot_rows(path: Path) -> list[dict]:
     """The rows of a ``topk --snapshots`` log, with the fields a timeline
-    reads; a row whose top-k lists a word twice, or a word that is not a
-    string, raises ValueError."""
+    reads; a row whose top-k is not a valid term list (a word listed twice
+    or not a string, a score not finite) raises ValueError."""
+    from .eval import TermList
+
     rows = [json.loads(line) for line in
             path.read_text(encoding="utf-8").splitlines() if line]
     rows = [{"t_sec": float(row["t_sec"]), "calls": int(row["calls"]),
              "topk": [{"word": t["word"], "score": float(t["score"])}
                       for t in row["topk"]]} for row in rows]
     for row in rows:
-        words = {t["word"] for t in row["topk"] if isinstance(t["word"], str)}
-        if len(words) != len(row["topk"]):
-            raise ValueError(f"the top-k at t_sec {row['t_sec']} lists a word "
-                             "twice or a word that is not a string")
+        try:
+            TermList.from_pairs("", "snapshot", [(t["word"], t["score"])
+                                                 for t in row["topk"]])
+        except ValueError as exc:
+            raise ValueError(f"the top-k at t_sec {row['t_sec']} {exc}") from exc
     return rows
 
 

@@ -135,6 +135,14 @@ def default_stopwords() -> frozenset[str]:
         resources.files("anchoragg").joinpath("data/stopwords.txt").read_text("utf-8"))
 
 
+def _label(value, line: int) -> str:
+    """A row's label as a class name: a non-empty string, or an integer."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)) or value == "":
+        raise ValueError(f"line {line}: label {value!r} is neither a non-empty "
+                         "string nor an integer")
+    return str(value)
+
+
 def _read_csv_rows(path: str | Path, text_field: str, label_field: str,
                    encoding: str) -> Iterable[tuple[str, str, str]]:
     with open(path, newline="", encoding=encoding) as handle:
@@ -145,7 +153,8 @@ def _read_csv_rows(path: str | Path, text_field: str, label_field: str,
             if name not in reader.fieldnames:
                 raise ValueError(f"missing column {name!r} (have {reader.fieldnames})")
         for index, row in enumerate(reader):
-            yield str(index), row[text_field] or "", row[label_field] or ""
+            yield (str(index), row[text_field] or "",
+                   _label(row[label_field], reader.line_num))
 
 
 def _read_jsonl_rows(path: str | Path, text_field: str, label_field: str,
@@ -165,7 +174,12 @@ def _read_jsonl_rows(path: str | Path, text_field: str, label_field: str,
             if text_field not in obj or label_field not in obj:
                 raise ValueError(f"line {index + 1}: object lacks "
                                  f"{text_field!r}/{label_field!r} fields")
-            yield str(obj.get("id", index)), str(obj[text_field]), str(obj[label_field])
+            text, doc_id = obj[text_field], obj.get("id", index)
+            if not isinstance(text, str):
+                raise ValueError(f"line {index + 1}: {text_field!r} is not a string")
+            if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
+                raise ValueError(f"line {index + 1}: 'id' is not a string or an integer")
+            yield str(doc_id), text, _label(obj[label_field], index + 1)
 
 
 def load_corpus(path: str | Path, format: str = "csv", *,

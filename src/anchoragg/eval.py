@@ -11,23 +11,22 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Document, tokenize
-from .model import Predictor, accuracy
+from .corpus import Corpus, Document
+from .model import Predictor
 
 __all__ = [
     "TermList",
     "AopcResult",
-    "AppendDropResult",
     "remove_prefix",
     "aopc_k",
     "shared_terms_ratio",
-    "append_drop",
     "quality_timeline",
     "write_timeline_csv",
 ]
@@ -43,8 +42,12 @@ class TermList:
 
     def __post_init__(self):
         words = [w for w, _ in self.items]
+        if not all(isinstance(w, str) for w in words):
+            raise ValueError("lists a word that is not a string")
+        if not all(math.isfinite(s) for _, s in self.items):
+            raise ValueError("lists a score that is not finite")
         if len(set(words)) != len(words):
-            raise ValueError("duplicate words in term list")
+            raise ValueError("lists a word twice")
         for (w1, s1), (w2, s2) in zip(self.items, self.items[1:]):
             if s1 < s2 or (s1 == s2 and w1 > w2):
                 raise ValueError("term list must be sorted by descending score, "
@@ -193,53 +196,6 @@ def shared_terms_ratio(a: TermList | Sequence[str], b: TermList | Sequence[str]
     if not words_a:
         raise ValueError("empty term lists")
     return len(set(words_a) & set(words_b)) / len(words_a)
-
-
-@dataclass(frozen=True)
-class AppendDropResult:
-    accuracy_before: float
-    accuracy_after: float
-    drop_points: float
-
-
-def append_drop(corpus: Corpus, predictor: Predictor, sentence: str,
-                target_class: str, *, max_chars: int | None = None,
-                opposite_labels: Iterable[str] | None = None
-                ) -> AppendDropResult:
-    """Append a sentence to every document of the other labels and measure
-    the overall accuracy change (percentage points).
-
-    By default "other" means every label except ``target_class``; for
-    multi-class tasks an explicit ``opposite_labels`` set narrows which
-    labels receive the text. With ``max_chars`` set, modified texts are
-    truncated to the cap before re-tokenization; by default overflow is
-    allowed since this is a measurement, not ingestion.
-    """
-    if target_class not in corpus.classes:
-        raise ValueError(f"unknown class {target_class!r}")
-    if not tokenize(sentence):
-        raise ValueError("sentence tokenizes to nothing")
-    if opposite_labels is None:
-        opposite = set(corpus.classes) - {target_class}
-    else:
-        opposite = set(opposite_labels)
-        unknown = opposite - set(corpus.classes)
-        if unknown:
-            raise ValueError(f"unknown opposite labels: {sorted(unknown)}")
-    before = accuracy(predictor, corpus)
-    modified = []
-    for doc in corpus:
-        if corpus.labels[doc.id] not in opposite:
-            modified.append(doc)
-            continue
-        text = doc.raw_text + " " + sentence if doc.raw_text else sentence
-        if max_chars is not None:
-            text = text[:max_chars]
-        modified.append(Document.from_text(doc.id, text))
-    after = accuracy(predictor, Corpus(documents=tuple(modified),
-                                       labels=corpus.labels, classes=corpus.classes))
-    return AppendDropResult(accuracy_before=before, accuracy_after=after,
-                            drop_points=(before - after) * 100.0)
 
 
 def quality_timeline(snapshots: Sequence[Mapping], corpus: Corpus,

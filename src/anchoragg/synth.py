@@ -14,14 +14,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .corpus import Corpus, Document
 from .seeding import stream_rng
 
-__all__ = ["SynthSpec", "PlantedTruth", "generate_planted_corpus", "planted_label"]
+__all__ = ["SynthSpec", "PlantedTruth", "generate_planted_corpus"]
 
 _FUNCTION_WORDS = ("the", "a", "and", "of", "to", "is", "it", "this", "was", "for")
 
@@ -153,18 +152,3 @@ def generate_planted_corpus(spec: SynthSpec = SynthSpec(), seed: int = 0
     corpus = Corpus(documents=tuple(documents), labels=labels, classes=classes)
     return corpus, truth
 
-
-def planted_label(words: Sequence[str], truth: PlantedTruth) -> str | None:
-    """The generator's noiseless labeling rule for a word sequence.
-
-    Majority class of the planted signal words; singleton pathology words
-    carry their recorded class. None when the rule does not apply (no
-    signal at all or an exact tie).
-    """
-    hits = {c: sum(1 for w in words if w in ws) for c, ws in truth.signal.items()}
-    for c, ws in truth.singletons.items():
-        hits[c] = hits.get(c, 0) + sum(1 for w in words if w in ws)
-    best = sorted(hits.items(), key=lambda kv: (-kv[1], kv[0]))
-    if best[0][1] == 0 or (len(best) > 1 and best[0][1] == best[1][1]):
-        return None
-    return best[0][0]

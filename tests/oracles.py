@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from first principles (enumeration,
 exact tails, grid search) and stays independent of the code paths it
-checks.
+checks. The last section holds the test-only entry points: the synthetic
+generator's labeling rule, and one token's anchor test run through the
+package's own round loop.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import math
 
 import numpy as np
 from scipy import sparse, stats
+
+from anchoragg.anchor import _sequential_tests
 
 
 # -- generative-mixture log-likelihood and its grid maximum -----------------
@@ -348,3 +352,34 @@ def aopc_by_document(words, corpus, predictor, c) -> np.ndarray:
             kept = [w for w in doc.words if w not in removed]
             drops[i - 1] += base - predictor.predict_proba_words(kept)[c_idx]
     return drops / len(class_docs)
+
+
+# -- test-only entry points ---------------------------------------------------
+
+
+def planted_label(words, truth):
+    """The generator's noiseless labeling rule for a word sequence.
+
+    Majority class of the planted signal words; singleton pathology words
+    carry their recorded class. None when the rule does not apply (no
+    signal at all or an exact tie).
+    """
+    hits = {c: sum(1 for w in words if w in ws) for c, ws in truth.signal.items()}
+    for c, ws in truth.singletons.items():
+        hits[c] = hits.get(c, 0) + sum(1 for w in words if w in ws)
+    best = sorted(hits.items(), key=lambda kv: (-kv[1], kv[0]))
+    if best[0][1] == 0 or (len(best) > 1 and best[0][1] == best[1][1]):
+        return None
+    return best[0][0]
+
+
+def estimate_token(doc, position, predictor, perturbator, cfg, rng, target=None):
+    """One token's anchor decision, from the package's round loop run with
+    that position alone; ``target`` defaults to the document's predicted
+    class."""
+    if not 0 <= position < len(doc.words):
+        raise ValueError(f"position {position} outside document {doc.id!r}")
+    if target is None:
+        target = predictor.predict(doc)
+    return _sequential_tests(doc, [position], [rng], predictor, perturbator, cfg,
+                             predictor.class_index(target))[0]

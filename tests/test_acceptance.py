@@ -14,7 +14,7 @@ import pytest
 
 from anchoragg.aggregate import (AnchorCounts, GPr, _q_raw_vector, make_aggregation,
                                  rank_words)
-from anchoragg.anchor import AnchorConfig, estimate_token
+from anchoragg.anchor import AnchorConfig
 from anchoragg.cli import main as cli_main
 from anchoragg.corpus import Document, load_corpus, word_stats
 from anchoragg.eval import TermList, aopc_k, shared_terms_ratio
@@ -24,7 +24,7 @@ from anchoragg.topk import (AnchorTopTerms, AnytimeOptions, optimization_profile
                             run_anytime)
 
 from conftest import FlipWordPredictor, CoinPerturbator
-from oracles import closed_form_estimates, grid_max_loglik, loglik
+from oracles import closed_form_estimates, estimate_token, grid_max_loglik, loglik
 
 
 def report(number: int, name: str, ok: bool, detail: str):

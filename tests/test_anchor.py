@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import anchoragg
-from anchoragg.anchor import (ROUND_ROWS, AnchorConfig, AnchorDecision,
-                              anchors_of_document, confidence_bounds, estimate_token)
+from anchoragg.anchor import (ROUND_ROWS, AnchorConfig, AnchorDecision, _verdicts,
+                              anchors_of_document, confidence_bounds)
 from anchoragg.corpus import Document, word_stats
 from anchoragg.model import BowClassifier, Predictor, train_bow
 from anchoragg.perturb import UnigramPerturbator, build_unigram_perturbator
@@ -16,7 +16,8 @@ from anchoragg.topk import AnchorTopTerms
 
 from conftest import (CoinPerturbator, ConstantPredictor, FlipWordPredictor,
                       PositionWordPredictor)
-from oracles import interval_coverage, mc_precision, sequential_test_by_token
+from oracles import (estimate_token, interval_coverage, mc_precision,
+                     sequential_test_by_token)
 
 
 class TestConfidenceBounds:
@@ -50,6 +51,32 @@ class TestConfidenceBounds:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
             confidence_bounds(0, 0, 0.1)
+
+
+class TestVerdictTable:
+    """The round's verdict on each hit count is the rule the bounds give:
+    -1 (undecided) while they straddle tau before the last round, else 1
+    when they certify an anchor or, straddling, the point estimate does."""
+
+    def test_every_entry_follows_the_bounds(self):
+        r = np.random.default_rng(41)
+        seen = set()
+        for _ in range(400):
+            trials = int(r.integers(1, 101))
+            delta = float(r.uniform(0.001, 0.99))
+            tau = float(r.choice([0.5, 0.8, 0.95, 1.0]))
+            last = bool(r.integers(2))
+            table = _verdicts(trials, delta, tau, last)
+            assert len(table) == trials + 1
+            for h, verdict in enumerate(table):
+                lower, upper = confidence_bounds(h, trials, delta)
+                if lower < tau <= upper and not last:
+                    expected = -1
+                else:
+                    expected = int(lower >= tau or (upper >= tau and h / trials >= tau))
+                assert verdict == expected, (h, trials, delta, tau, last)
+                seen.add(verdict)
+        assert seen == {-1, 0, 1}
 
 
 class TestEstimateToken:

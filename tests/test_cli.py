@@ -597,6 +597,10 @@ class TestMalformedInputs:
          ' {"word": "gsig", "score": 0.5}]}', "at t_sec 0.1 lists a word twice"),
         ('{"t_sec": 0, "calls": 1, "topk": [{"word": 5, "score": 1}]}',
          "a word that is not a string"),
+        ('{"t_sec": 0.3, "calls": 2, "topk": [{"word": "gsig", "score": NaN}]}',
+         "at t_sec 0.3 lists a score that is not finite"),
+        ('{"t_sec": 0.4, "calls": 2, "topk": [{"word": "gsig", "score": -Infinity}]}',
+         "at t_sec 0.4 lists a score that is not finite"),
     ])
     def test_snapshot_log(self, workspace, capsys, line, message):
         synth_and_train(workspace, docs=20, epochs=20)
@@ -612,20 +616,38 @@ class TestMalformedInputs:
         assert not Path("snaps.jsonl.csv").exists()
 
 
-    @pytest.mark.parametrize("line, message", [
-        ("[1, 2]", "line 2: not a JSON object"),
-        ("5", "line 2: not a JSON object"),
-        ('{"text": "b"}', "line 2: object lacks 'text'/'label' fields"),
-        ('{"text": "b",}', "line 2: Expecting property name enclosed in double "
+    GOOD_ROWS = {"jsonl": '{"text": "a", "label": "pos"}\n',
+                 "csv": "text,label\na,pos\n"}
+    NOT_A_LABEL = "is neither a non-empty string nor an integer"
+
+    @pytest.mark.parametrize("fmt, line, message", [
+        ("jsonl", "[1, 2]", "line 2: not a JSON object"),
+        ("jsonl", "5", "line 2: not a JSON object"),
+        ("jsonl", '{"text": "b"}', "line 2: object lacks 'text'/'label' fields"),
+        ("jsonl", '{"text": "b",}', "line 2: Expecting property name enclosed in double "
          "quotes at column 14"),
-    ], ids=["list", "number", "no label", "not JSON"])
-    def test_corpus_line(self, workspace, capsys, line, message):
-        """The message names the file once, and the line."""
-        Path("l.jsonl").write_text('{"text": "a", "label": "pos"}\n' + line + "\n")
-        assert run("train", "--corpus", "l.jsonl", "--format", "jsonl",
+        ("jsonl", '{"text": null, "label": "pos"}', "line 2: 'text' is not a string"),
+        ("jsonl", '{"text": ["a", "b"], "label": "pos"}',
+         "line 2: 'text' is not a string"),
+        ("jsonl", '{"text": "good movie", "label": null}',
+         f"line 2: label None {NOT_A_LABEL}"),
+        ("jsonl", '{"text": "b", "label": true}', f"line 2: label True {NOT_A_LABEL}"),
+        ("jsonl", '{"text": "b", "label": "pos", "id": 1.5}',
+         "line 2: 'id' is not a string or an integer"),
+        ("csv", "bad film", f"line 3: label None {NOT_A_LABEL}"),
+        ("csv", "fine,", f"line 3: label '' {NOT_A_LABEL}"),
+        ("csv", '"two\nlines",', f"line 4: label '' {NOT_A_LABEL}"),
+    ], ids=["list", "number", "no label", "not JSON", "null text", "list text",
+            "null label", "bool label", "float id", "csv no label cell",
+            "csv empty label", "csv quoted line break"])
+    def test_corpus_line(self, workspace, capsys, fmt, line, message):
+        """The message names the file once, and the line (for CSV, the line
+        the row ends on)."""
+        Path(f"l.{fmt}").write_text(self.GOOD_ROWS[fmt] + line + "\n")
+        assert run("train", "--corpus", f"l.{fmt}", "--format", fmt,
                    "--out", "m.json") == 2
         assert capsys.readouterr().err == \
-            f"error: malformed corpus file l.jsonl: {message}\n"
+            f"error: malformed corpus file l.{fmt}: {message}\n"
 
     DIRECTORY_INPUTS = [
         ("--config", "config file", ("topk",)),

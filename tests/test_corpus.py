@@ -59,6 +59,14 @@ class TestLoadCorpus:
         corpus = load_corpus(p, "jsonl")
         assert corpus.classes == ("negative", "positive")
 
+    def test_jsonl_integer_labels_and_ids(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_text('{"text": "good", "label": 1, "id": 7}\n'
+                     '{"text": "bad", "label": 0, "id": "b"}\n', encoding="utf-8")
+        corpus = load_corpus(p, "jsonl")
+        assert corpus.classes == ("0", "1")
+        assert corpus.labels == {"7": "1", "b": "0"}
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_corpus(tmp_path / "nope.csv", "csv")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from anchoragg.corpus import Corpus, Document
-from anchoragg.eval import (TermList, aopc_k, append_drop, quality_timeline,
+from anchoragg.eval import (TermList, aopc_k, quality_timeline,
                             remove_prefix, shared_terms_ratio,
                             write_timeline_csv)
 from anchoragg.model import CachingPredictor, Predictor, train_bow
@@ -52,8 +52,16 @@ class TestTermList:
         assert loaded == tl
 
     def test_malformed_payload(self):
-        with pytest.raises(ValueError):
-            TermList.from_json({"nope": []})
+        for payload, message in [
+                ({"nope": []}, "malformed term list payload"),
+                ({"class": "pos", "terms": [{"word": 5, "score": 1.0}]},
+                 "lists a word that is not a string"),
+                ({"class": "pos", "terms": [{"word": "a", "score": float("nan")}]},
+                 "lists a score that is not finite"),
+                ({"class": "pos", "terms": [{"word": "a", "score": float("inf")}]},
+                 "lists a score that is not finite")]:
+            with pytest.raises(ValueError, match=message):
+                TermList.from_json(payload)
 
 
 class TestRemovePrefix:
@@ -241,53 +249,6 @@ class TestSharedTerms:
             shared_terms_ratio(terms(["a"]), terms(["a", "b"]))
 
 
-class TestAppendDrop:
-    def _trained(self):
-        rows = []
-        for i in range(8):
-            rows.append((f"p{i}", "happy joy", "pos"))
-            rows.append((f"n{i}", "sad gloom", "neg"))
-        corpus = make_corpus(rows)
-        clf = train_bow(corpus, epochs=400, learning_rate=0.3, seed=0)
-        return corpus, clf
-
-    def test_unknown_words_no_drop(self):
-        corpus, clf = self._trained()
-        result = append_drop(corpus, clf, "zzz qqq", "pos")
-        assert result.drop_points == pytest.approx(0.0)
-        assert result.accuracy_before == 1.0
-
-    def test_planted_word_collapses_opposite_label(self):
-        corpus, clf = self._trained()
-        # appending strong positive words to the negative documents flips
-        # exactly those 8 of 16 documents
-        result = append_drop(corpus, clf, "happy joy happy joy happy joy", "pos")
-        assert result.accuracy_before == 1.0
-        assert result.accuracy_after == pytest.approx(0.5)
-        assert result.drop_points == pytest.approx(50.0)
-
-    def test_no_opposite_documents(self):
-        rows = [(f"p{i}", "happy joy", "pos") for i in range(4)]
-        rows += [("n0", "sad gloom", "neg")]
-        corpus = make_corpus(rows)
-        clf = train_bow(corpus, epochs=200, learning_rate=0.3)
-        only_pos = make_corpus([(f"p{i}", "happy joy", "pos") for i in range(4)])
-        result = append_drop(only_pos, clf, "sad", "pos")
-        # every document already carries the target label: nothing changes?
-        # no: docs with label != pos get the text; there are none here
-        assert result.accuracy_before == result.accuracy_after
-
-    def test_empty_sentence_rejected(self):
-        corpus, clf = self._trained()
-        with pytest.raises(ValueError):
-            append_drop(corpus, clf, "...", "pos")
-
-    def test_truncation_mode(self):
-        corpus, clf = self._trained()
-        result = append_drop(corpus, clf, "sad " * 50, "pos", max_chars=12)
-        assert isinstance(result.drop_points, float)
-
-
 class TestQualityTimeline:
     def test_rows_match_snapshots(self):
         corpus = make_corpus([("0", "key pad", "pos"), ("1", "key note", "pos")])
@@ -379,49 +340,3 @@ class TestQualityTimeline:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t_sec,calls,aopc"
         assert lines[1].startswith("0.1")
-
-
-class TestAppendDropCalls:
-    def test_two_batched_calls(self):
-        class Recording(Predictor):
-            def __init__(self, base):
-                self.base = base
-                self.classes_ = base.classes_
-                self.calls = []
-
-            def predict_proba_words(self, words):
-                self.calls.append("words")
-                return self.base.predict_proba_words(words)
-
-            def predict_proba_many(self, docs):
-                self.calls.append(("many", len(docs)))
-                return self.base.predict_proba_many(docs)
-
-        corpus, clf = TestAppendDrop()._trained()
-        pred = Recording(clf)
-        result = append_drop(corpus, pred, "happy joy happy joy happy joy", "pos")
-        assert pred.calls == [("many", 16), ("many", 16)]
-        assert result.accuracy_after == pytest.approx(0.5)
-
-
-class TestAppendDropOppositeSet:
-    def test_empty_opposite_set_changes_nothing(self):
-        corpus = make_corpus([("p0", "happy joy", "pos"), ("n0", "sad gloom", "neg")])
-        clf = train_bow(corpus, epochs=200, learning_rate=0.3)
-        result = append_drop(corpus, clf, "sad", "pos", opposite_labels=())
-        assert result.accuracy_before == result.accuracy_after
-
-    def test_explicit_opposite_selection(self):
-        rows = [("a", "happy joy", "pos"), ("b", "sad gloom", "neg"),
-                ("c", "flat words", "mid")]
-        corpus = make_corpus(rows)
-        clf = train_bow(corpus, epochs=300, learning_rate=0.4)
-        result = append_drop(corpus, clf, "happy joy happy joy", "pos",
-                             opposite_labels={"neg"})
-        assert result.accuracy_after < result.accuracy_before
-
-    def test_unknown_opposite_label(self):
-        corpus = make_corpus([("a", "happy", "pos"), ("b", "sad", "neg")])
-        clf = train_bow(corpus, epochs=50, learning_rate=0.2)
-        with pytest.raises(ValueError, match="unknown opposite"):
-            append_drop(corpus, clf, "word", "pos", opposite_labels={"zzz"})

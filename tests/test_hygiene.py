@@ -1,13 +1,16 @@
 """Source checks over ``src/anchoragg``: no module imports a name it never
-uses, and no module-level private function, class or assigned name goes
-unreferenced. Uses only the standard library's ``ast``."""
+uses, no module-level private function, class or assigned name goes
+unreferenced, and every public name of the package is read by the package
+or shown in the README. Uses only the standard library's ``ast``."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "anchoragg"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "anchoragg"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -73,3 +76,29 @@ def test_no_unreferenced_private_function():
                if defined.startswith("_") and not defined.startswith("__")
                and defined not in referenced]
     assert not private, f"module-level private names nothing reads: {private}"
+
+
+def _read_names(tree: ast.Module):
+    """Every name the module loads, as a name or an attribute, and every
+    name it imports from a module of the package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_export_is_read():
+    init = _tree(PACKAGE / "__init__.py")
+    exported = next(ast.literal_eval(node.value) for node in init.body
+                    if isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "_SUBMODULE_NAMES"
+                            for t in node.targets))
+    read = {name for path in MODULES if path.name != "__init__.py"
+            for name in _read_names(_tree(path))}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    unread = sorted(name for names in exported.values() for name in names
+                    if name not in read and not re.search(rf"\b{name}\b", readme))
+    assert not unread, f"public names nothing in the package or README reads: {unread}"
