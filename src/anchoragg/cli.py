@@ -397,7 +397,7 @@ def cmd_topk(args: argparse.Namespace, stack: ExitStack) -> int:
         manifest, "topk", resolved, started,
         {"load": t_load - started, "run": t_run - t_load},
         {"predictor_calls": est.calls_,
-         "documents_processed": res.documents_processed,
+         "documents_processed": len(res.snapshots),
          "filtered_words": len(res.filtered),
          "resolved_profile": est.resolved_settings(),
          "terms": [{"word": w, "score": s} for w, s in est.terms_.items]})

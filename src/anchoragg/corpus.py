@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -72,12 +72,6 @@ class Corpus:
         missing = [d.id for d in self.documents if d.id not in self.labels]
         if missing:
             raise ValueError(f"documents without labels: {missing[:5]}")
-
-    @classmethod
-    def from_documents(cls, documents: Sequence[Document],
-                       labels: Mapping[str, str]) -> "Corpus":
-        classes = tuple(sorted(set(labels[d.id] for d in documents)))
-        return cls(documents=tuple(documents), labels=dict(labels), classes=classes)
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -143,9 +137,9 @@ def _label(value, line: int) -> str:
     return str(value)
 
 
-def _read_csv_rows(path: str | Path, text_field: str, label_field: str,
-                   encoding: str) -> Iterable[tuple[str, str, str]]:
-    with open(path, newline="", encoding=encoding) as handle:
+def _read_csv_rows(path: str | Path, text_field: str, label_field: str
+                   ) -> Iterable[tuple[str, str, str]]:
+    with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             raise ValueError("empty CSV, header row required")
@@ -157,9 +151,9 @@ def _read_csv_rows(path: str | Path, text_field: str, label_field: str,
                    _label(row[label_field], reader.line_num))
 
 
-def _read_jsonl_rows(path: str | Path, text_field: str, label_field: str,
-                     encoding: str) -> Iterable[tuple[str, str, str]]:
-    with open(path, encoding=encoding) as handle:
+def _read_jsonl_rows(path: str | Path, text_field: str, label_field: str
+                     ) -> Iterable[tuple[str, str, str]]:
+    with open(path, encoding="utf-8") as handle:
         for index, line in enumerate(handle):
             line = line.strip()
             if not line:
@@ -184,38 +178,31 @@ def _read_jsonl_rows(path: str | Path, text_field: str, label_field: str,
 
 def load_corpus(path: str | Path, format: str = "csv", *,
                 text_field: str = "text", label_field: str = "label",
-                max_chars: int = DEFAULT_CHAR_CAP, encoding: str = "utf-8",
-                classes: Sequence[str] | None = None) -> Corpus:
-    """Load a labeled corpus from CSV or JSONL.
+                max_chars: int = DEFAULT_CHAR_CAP) -> Corpus:
+    """Load a labeled corpus from a UTF-8 CSV or JSONL file.
 
     Documents longer than ``max_chars`` characters are dropped at ingestion.
-    Document order follows file order; class order is lexicographic. When an
-    explicit ``classes`` set is given, rows with labels outside it raise.
+    Document order follows file order; the classes are the labels of the
+    kept documents, in lexicographic order.
     """
     if format == "csv":
-        rows = _read_csv_rows(path, text_field, label_field, encoding)
+        rows = _read_csv_rows(path, text_field, label_field)
     elif format == "jsonl":
-        rows = _read_jsonl_rows(path, text_field, label_field, encoding)
+        rows = _read_jsonl_rows(path, text_field, label_field)
     else:
         raise ValueError(f"unknown corpus format {format!r} (expected csv or jsonl)")
 
-    allowed = set(classes) if classes is not None else None
     documents: list[Document] = []
     labels: dict[str, str] = {}
     for doc_id, text, label in rows:
-        if allowed is not None and label not in allowed:
-            raise ValueError(f"unknown label value {label!r} for document {doc_id!r}")
         if len(text) > max_chars:
             continue
         documents.append(Document.from_text(doc_id, text))
         labels[doc_id] = label
     if not documents:
         raise ValueError("empty corpus after filtering")
-    if classes is not None:
-        ordered = tuple(sorted(allowed))
-    else:
-        ordered = tuple(sorted(set(labels.values())))
-    return Corpus(documents=tuple(documents), labels=labels, classes=ordered)
+    return Corpus(documents=tuple(documents), labels=labels,
+                  classes=tuple(sorted(set(labels.values()))))
 
 
 @dataclass(frozen=True)

@@ -56,8 +56,10 @@ class TermList:
     @classmethod
     def from_pairs(cls, class_label: str, aggregation: str,
                    pairs: Iterable[tuple[str, float]]) -> "TermList":
+        # str(): a word that is not a string reaches __post_init__'s check
+        # instead of failing a comparison with a tied string
         return cls(class_label=class_label, aggregation=aggregation,
-                   items=tuple(sorted(pairs, key=lambda p: (-p[1], p[0]))))
+                   items=tuple(sorted(pairs, key=lambda p: (-p[1], str(p[0])))))
 
     @property
     def words(self) -> tuple[str, ...]:
@@ -186,11 +188,9 @@ class _AopcScorer:
                           documents=len(self._docs))
 
 
-def shared_terms_ratio(a: TermList | Sequence[str], b: TermList | Sequence[str]
-                       ) -> float:
+def shared_terms_ratio(a: TermList, b: TermList) -> float:
     """Fraction of terms the two equal-length lists have in common."""
-    words_a = a.words if isinstance(a, TermList) else tuple(a)
-    words_b = b.words if isinstance(b, TermList) else tuple(b)
+    words_a, words_b = a.words, b.words
     if len(words_a) != len(words_b):
         raise ValueError(f"term lists differ in length: {len(words_a)} != {len(words_b)}")
     if not words_a:

@@ -1,8 +1,8 @@
 """Black-box predictors: a built-in trainable bag-of-words classifier and a
 wire-protocol client for external models.
 
-Every predictor exposes ``classes_`` and ``predict_proba_words``; documents
-are scored through their token sequence, and the anchor sampling loop scores
+Every predictor exposes ``classes_`` and ``predict_proba_many``; documents
+are scored through their token sequences, and the anchor sampling loop scores
 perturbed rows as id matrices (``predict_proba_ids``). Probability vectors
 align with ``classes_`` and sum to one.
 """
@@ -39,6 +39,10 @@ MODEL_FORMAT_VERSION = 1
 class Predictor:
     """Interface: a classifier over word sequences with class probabilities.
 
+    A predictor implements ``predict_proba_many`` (a batch of word rows) or
+    ``predict_proba_words`` (one row); each defaults to the other, and the
+    other scoring methods are built on them.
+
     The anchor loop scores rows through ``encode(words)``, a 1-D id array,
     and ``predict_proba_ids(ids)``, which scores an ``(n, m)`` id matrix as
     ``predict_proba_many`` scores the corresponding word rows. By default
@@ -48,7 +52,7 @@ class Predictor:
     classes_: tuple[str, ...]
 
     def predict_proba_words(self, words: Sequence[str]) -> np.ndarray:
-        raise NotImplementedError
+        return self.predict_proba_many([words])[0]
 
     def predict_proba_many(self, docs: Sequence[Sequence[str]]) -> np.ndarray:
         return np.stack([self.predict_proba_words(w) for w in docs])
@@ -59,19 +63,12 @@ class Predictor:
     def predict_proba_ids(self, ids: np.ndarray) -> np.ndarray:
         return self.predict_proba_many(list(map(tuple, ids.tolist())))
 
-    def predict_proba(self, doc: Document) -> np.ndarray:
-        return self.predict_proba_words(doc.words)
-
-    def predict_words(self, words: Sequence[str]) -> str:
-        probs = self.predict_proba_words(words)
-        return self.classes_[int(np.argmax(probs))]
-
     def predict(self, doc: Document) -> str:
-        # argmax with ties resolved to the lowest class index
-        return self.predict_words(doc.words)
+        return self.predict_many([doc])[0]
 
     def predict_many(self, docs: Sequence[Document]) -> list[str]:
-        """``predict`` of every document, from one ``predict_proba_many`` call."""
+        """The class of each document, from one ``predict_proba_many`` call:
+        the argmax, with ties resolved to the lowest class index."""
         if not docs:
             return []
         probs = self.predict_proba_many([d.words for d in docs])
@@ -230,9 +227,6 @@ class BowClassifier(ParamsMixin, Predictor):
         return self
 
     # -- prediction ------------------------------------------------------
-
-    def predict_proba_words(self, words: Sequence[str]) -> np.ndarray:
-        return self.predict_proba_many([words])[0]
 
     def predict_proba_many(self, docs: Sequence[Sequence[str]]) -> np.ndarray:
         """``predict_proba_ids`` of the encoded documents as one id matrix,
@@ -432,19 +426,15 @@ class ExternalPredictorClient(Predictor):
 
     # prediction ---------------------------------------------------------
 
-    def predict_proba_texts(self, texts: Sequence[str]) -> np.ndarray:
-        texts = list(texts)
+    def predict_proba_many(self, docs: Sequence[Sequence[str]]) -> np.ndarray:
+        """Each row's words joined by spaces, sent ``batch_size`` texts per
+        request."""
+        texts = [" ".join(w) for w in docs]
         if not texts:
             return np.zeros((0, 0))
         return np.concatenate([self._request(texts[i:i + self.batch_size])
                                for i in range(0, len(texts), self.batch_size)],
                               axis=0)
-
-    def predict_proba_words(self, words: Sequence[str]) -> np.ndarray:
-        return self.predict_proba_texts([" ".join(words)])[0]
-
-    def predict_proba_many(self, docs: Sequence[Sequence[str]]) -> np.ndarray:
-        return self.predict_proba_texts([" ".join(w) for w in docs])
 
     def close(self):
         self._transport.close()
@@ -469,9 +459,6 @@ class CachingPredictor(Predictor):
     @property
     def classes_(self) -> tuple[str, ...]:  # type: ignore[override]
         return self.base.classes_
-
-    def predict_proba_words(self, words: Sequence[str]) -> np.ndarray:
-        return self.predict_proba_many([words])[0]
 
     def predict_proba_many(self, docs: Sequence[Sequence[str]]) -> np.ndarray:
         """Cached rows as they are; the distinct misses in one base call."""

@@ -23,6 +23,12 @@ from .seeding import stream_rng
 __all__ = ["SynthSpec", "PlantedTruth", "generate_planted_corpus"]
 
 _FUNCTION_WORDS = ("the", "a", "and", "of", "to", "is", "it", "this", "was", "for")
+# words of each kind in a regular document: a uniform draw from low..high
+_SIGNAL_PER_DOC = (3, 5)
+_NOISY_SIGNAL_PER_DOC = (1, 1)
+_FUNCTION_PER_DOC = (7, 9)
+_FILLER_PER_DOC = (4, 5)
+_RARE_PER_DOC = (2, 3)
 
 
 @dataclass(frozen=True)
@@ -32,11 +38,6 @@ class SynthSpec:
     n_docs: int = 500
     n_signal: int = 10
     noise: float = 0.1
-    signal_per_doc: tuple[int, int] = (3, 5)
-    noisy_signal_per_doc: tuple[int, int] = (1, 1)
-    function_per_doc: tuple[int, int] = (7, 9)
-    filler_per_doc: tuple[int, int] = (4, 5)
-    rare_per_doc: tuple[int, int] = (2, 3)
     n_fillers: int = 450
     n_singleton_docs: int = 6
 
@@ -64,14 +65,6 @@ class PlantedTruth:
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=2), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "PlantedTruth":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(
-            signal={c: tuple(ws) for c, ws in payload["signal"].items()},
-            singletons={c: tuple(ws) for c, ws in payload["singletons"].items()},
-        )
 
 
 def _draw_count(rng: np.random.Generator, bounds: tuple[int, int]) -> int:
@@ -120,16 +113,15 @@ def generate_planted_corpus(spec: SynthSpec = SynthSpec(), seed: int = 0
         # on the signal words themselves.
         noisy = spec.noise > 0 and rng.random() < spec.noise
         words: list[str] = []
-        n_sig = _draw_count(rng, spec.noisy_signal_per_doc if noisy
-                            else spec.signal_per_doc)
+        n_sig = _draw_count(rng, _NOISY_SIGNAL_PER_DOC if noisy else _SIGNAL_PER_DOC)
         words.extend(signal[c][j] for j in deal_signal(c, n_sig))
-        n_fun = _draw_count(rng, spec.function_per_doc)
+        n_fun = _draw_count(rng, _FUNCTION_PER_DOC)
         words.extend(_FUNCTION_WORDS[j] for j in
                      rng.integers(0, len(_FUNCTION_WORDS), size=n_fun))
-        n_fill = _draw_count(rng, spec.filler_per_doc)
+        n_fill = _draw_count(rng, _FILLER_PER_DOC)
         words.extend(fillers[j] for j in
                      rng.choice(spec.n_fillers, size=n_fill, p=filler_weights))
-        for _ in range(_draw_count(rng, spec.rare_per_doc)):
+        for _ in range(_draw_count(rng, _RARE_PER_DOC)):
             words.append(f"rr{rare_serial:05d}")
             rare_serial += 1
         order = rng.permutation(len(words))

@@ -103,7 +103,6 @@ class AnytimeResult:
     scores: dict[str, float]
     filtered: frozenset[str]
     candidates: frozenset[str]
-    documents_processed: int
     stats: WordStats
     # the run's own copy of the aggregation passed in, bound to the run's
     # statistics: it scores ``counts`` as the run did
@@ -263,8 +262,7 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
         terms=terms, snapshots=snapshots, counts=counts, calls=calls,
         scores=final_scores,
         filtered=frozenset(w for w, m in zip(words, filtered_mask) if m),
-        candidates=candidates, documents_processed=len(ordered), stats=stats,
-        aggregation=aggregation)
+        candidates=candidates, stats=stats, aggregation=aggregation)
 
 
 # -- optimization profiles ---------------------------------------------------
@@ -314,9 +312,10 @@ class AnchorTopTerms(ParamsMixin):
     """Fit-style front end over the anytime driver.
 
     Configure once, call ``fit(corpus, predictor)``, then read the fitted
-    attributes: ``terms_`` (the ordered top-k), ``scores_``, ``counts_``,
-    ``snapshots_``, ``calls_``. Explicitly passed parameters win over the
-    profile overlay; ``None`` means "take the profile's value".
+    attributes: ``result_`` (the whole ``AnytimeResult``), ``terms_`` (the
+    ordered top-k), ``counts_``, ``snapshots_``, ``calls_``. Explicitly
+    passed parameters win over the profile overlay; ``None`` means "take the
+    profile's value".
     """
 
     k: int = 20
@@ -388,9 +387,7 @@ class AnchorTopTerms(ParamsMixin):
                              trace_sink=trace_sink)
         self.result_ = result
         self.terms_ = result.terms
-        self.scores_ = result.scores
         self.counts_ = result.counts
         self.snapshots_ = result.snapshots
         self.calls_ = result.calls
-        self.config_ = cfg
         return self

@@ -11,11 +11,18 @@ def make_doc(doc_id: str, text: str) -> Document:
     return Document.from_text(doc_id, text)
 
 
+def corpus_of(docs, labels):
+    """A corpus of ``docs`` whose classes are their labels, in lexicographic
+    order."""
+    classes = tuple(sorted(set(labels[d.id] for d in docs)))
+    return Corpus(documents=tuple(docs), labels=dict(labels), classes=classes)
+
+
 def make_corpus(rows):
     """rows: iterable of (id, text, label)."""
     docs = [Document.from_text(i, t) for i, t, _ in rows]
     labels = {i: c for i, _, c in rows}
-    return Corpus.from_documents(docs, labels)
+    return corpus_of(docs, labels)
 
 
 class ConstantPredictor(Predictor):

@@ -475,10 +475,11 @@ class TestAnchorsCommand:
     def test_empty_document_of_the_class_is_not_counted(self, workspace):
         """An empty document is dropped before --limit: the manifest counts
         the documents written."""
+        from anchoragg.corpus import Document
         from anchoragg.model import load_model
 
         synth_and_train(workspace, docs=40, epochs=50)
-        label = load_model("m.json").predict_words(())
+        label = load_model("m.json").predict(Document("empty", (), ""))
         with open("c.jsonl", "a") as handle:
             handle.write(json.dumps({"id": "empty", "text": "", "label": label}) + "\n")
         for limit, written in (((), None), (("--limit", "1"), 1)):
@@ -597,6 +598,8 @@ class TestMalformedInputs:
          ' {"word": "gsig", "score": 0.5}]}', "at t_sec 0.1 lists a word twice"),
         ('{"t_sec": 0, "calls": 1, "topk": [{"word": 5, "score": 1}]}',
          "a word that is not a string"),
+        ('{"t_sec": 0.5, "calls": 2, "topk": [{"word": 5, "score": 1},'
+         ' {"word": "a", "score": 1}]}', "at t_sec 0.5 lists a word that is not a string"),
         ('{"t_sec": 0.3, "calls": 2, "topk": [{"word": "gsig", "score": NaN}]}',
          "at t_sec 0.3 lists a score that is not finite"),
         ('{"t_sec": 0.4, "calls": 2, "topk": [{"word": "gsig", "score": -Infinity}]}',
@@ -711,7 +714,7 @@ class TestTimelineAndFreqCorpus:
     def test_stopword_file_keeps_its_words_out(self, workspace):
         """--stopword-file replaces the shipped list: a planted word it names
         is neither a candidate (the --counts rows) nor a term."""
-        from anchoragg.synth import PlantedTruth
+        from anchoragg.synth import SynthSpec, generate_planted_corpus
 
         synth_and_train(workspace, docs=40, epochs=50)
 
@@ -726,7 +729,9 @@ class TestTimelineAndFreqCorpus:
 
         words, terms = candidates_and_terms()
         planted = terms[0]
-        assert planted in PlantedTruth.load("t.json").signal["pos"] and planted in words
+        truth = json.loads(Path("t.json").read_text(encoding="utf-8"))
+        assert truth == generate_planted_corpus(SynthSpec(n_docs=40), seed=4)[1].to_json()
+        assert planted in truth["signal"]["pos"] and planted in words
         Path("stop.txt").write_text(f"# planted\n{planted.upper()}\n")
         words, terms = candidates_and_terms("--stopword-file", "stop.txt")
         assert planted not in words and planted not in terms

@@ -71,12 +71,6 @@ class TestLoadCorpus:
         with pytest.raises(FileNotFoundError):
             load_corpus(tmp_path / "nope.csv", "csv")
 
-    def test_unknown_label_value(self, tmp_path):
-        p = tmp_path / "c.csv"
-        self._write_csv(p, [("fine", "a"), ("odd", "zzz")])
-        with pytest.raises(ValueError, match="unknown label"):
-            load_corpus(p, "csv", classes=["a", "b"])
-
     def test_empty_after_filtering(self, tmp_path):
         p = tmp_path / "c.csv"
         self._write_csv(p, [("y" * 300, "a")])

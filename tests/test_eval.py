@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from anchoragg.corpus import Corpus, Document
+from anchoragg.corpus import Document
 from anchoragg.eval import (TermList, aopc_k, quality_timeline,
                             remove_prefix, shared_terms_ratio,
                             write_timeline_csv)
 from anchoragg.model import CachingPredictor, Predictor, train_bow
 
-from conftest import RowRecorder, make_corpus
+from conftest import RowRecorder, corpus_of, make_corpus
 from oracles import aopc_by_document
 
 
@@ -24,7 +24,7 @@ def with_long_document(corpus, truth, clf):
     fillers = [w for w in clf.vocabulary_ if w not in signal][:70]
     long_doc = Document.from_text("long", " ".join(signal * 2 + fillers))
     assert len(set(long_doc.words)) == 80 and clf.predict(long_doc) == "pos"
-    corpus = Corpus.from_documents([*corpus, long_doc], {**corpus.labels, "long": "pos"})
+    corpus = corpus_of([*corpus, long_doc], {**corpus.labels, "long": "pos"})
     word_set = signal[:3] + fillers[60:63]
     lists = [fillers[50:70], signal[:2] + fillers[66:], ("zz-unseen", "qq-unseen"),
              word_set, word_set[::-1], word_set[3:] + word_set[:3]]
@@ -55,6 +55,9 @@ class TestTermList:
         for payload, message in [
                 ({"nope": []}, "malformed term list payload"),
                 ({"class": "pos", "terms": [{"word": 5, "score": 1.0}]},
+                 "lists a word that is not a string"),
+                ({"class": "pos", "terms": [{"word": 5, "score": 1.0},
+                                            {"word": "a", "score": 1.0}]},
                  "lists a word that is not a string"),
                 ({"class": "pos", "terms": [{"word": "a", "score": float("nan")}]},
                  "lists a score that is not finite"),

@@ -268,7 +268,7 @@ class TestExternalPredictorHttp:
         url = http_server(payload)
         client = ExternalPredictorClient(endpoint=url, batch_size=3)
         texts = [f"doc {i} {'hot' if i % 2 else 'mild'}" for i in range(10)]
-        probs = client.predict_proba_texts(texts)
+        probs = client.predict_proba_many([t.split() for t in texts])
         expected = [0.8 if i % 2 else 0.3 for i in range(10)]
         np.testing.assert_allclose(probs[:, 1], expected)
 
@@ -283,7 +283,7 @@ class TestExternalPredictorHttp:
                                            "classes": ["a", "b"]})
         client = ExternalPredictorClient(endpoint=url, batch_size=10)
         with pytest.raises(ExternalPredictorError, match="misaligned"):
-            client.predict_proba_texts(["one", "two"])
+            client.predict_proba_many([["one"], ["two"]])
 
     @pytest.mark.parametrize("row", [[float("nan"), 0.5], [-0.1, 1.1],
                                      [0.5, 0.6]])

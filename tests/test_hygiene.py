@@ -1,7 +1,8 @@
 """Source checks over ``src/anchoragg``: no module imports a name it never
 uses, no module-level private function, class or assigned name goes
-unreferenced, and every public name of the package is read by the package
-or shown in the README. Uses only the standard library's ``ast``."""
+unreferenced, every public name of the package is read by the package or
+shown in the README, and every settable field of a public dataclass is named
+outside its module. Uses only the standard library's ``ast``."""
 
 import ast
 import re
@@ -90,15 +91,64 @@ def _read_names(tree: ast.Module):
             yield from (alias.name for alias in node.names)
 
 
-def test_every_export_is_read():
+def _exported() -> dict[str, tuple[str, ...]]:
+    """``__init__._SUBMODULE_NAMES``: submodule -> its public names."""
     init = _tree(PACKAGE / "__init__.py")
-    exported = next(ast.literal_eval(node.value) for node in init.body
-                    if isinstance(node, ast.Assign)
-                    and any(isinstance(t, ast.Name) and t.id == "_SUBMODULE_NAMES"
-                            for t in node.targets))
+    return next(ast.literal_eval(node.value) for node in init.body
+                if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "_SUBMODULE_NAMES"
+                        for t in node.targets))
+
+
+def test_every_export_is_read():
+    exported = _exported()
     read = {name for path in MODULES if path.name != "__init__.py"
             for name in _read_names(_tree(path))}
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     unread = sorted(name for names in exported.values() for name in names
                     if name not in read and not re.search(rf"\b{name}\b", readme))
     assert not unread, f"public names nothing in the package or README reads: {unread}"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def _named(tree: ast.Module) -> set[str]:
+    """Every keyword argument, attribute and string constant in the module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg:
+            names.add(node.arg)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_config_field_is_named_outside_its_module():
+    """A field with a default that nothing outside its module names is a
+    setting no caller sets: a constant."""
+    others = [*MODULES, *sorted((ROOT / "bench").rglob("*.py")),
+              *sorted((ROOT / "tests").glob("*.py"))]
+    named = {path: _named(_tree(path)) for path in others}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    unnamed = []
+    for module, names in _exported().items():
+        path = PACKAGE / f"{module}.py"
+        for node in _tree(path).body:
+            if not (isinstance(node, ast.ClassDef) and node.name in names
+                    and _is_dataclass(node)):
+                continue
+            for field in node.body:
+                if not (isinstance(field, ast.AnnAssign) and field.value is not None):
+                    continue
+                name = field.target.id
+                if not (any(name in seen for other, seen in named.items()
+                            if other != path)
+                        or re.search(rf"\b{name}\b", readme)):
+                    unnamed.append(f"{node.name}.{name}")
+    assert not unnamed, f"settable fields nothing outside their module names: {unnamed}"

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -6,12 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anchoragg.corpus import Document
-from anchoragg.model import (BowClassifier, CachingPredictor, Predictor, _softmax,
-                             accuracy, load_model, save_model, train_bow)
+from anchoragg.model import (BowClassifier, CachingPredictor, ExternalPredictorClient,
+                             Predictor, _softmax, accuracy, load_model, save_model,
+                             train_bow)
 
 from conftest import make_corpus
 from oracles import (bow_fit_with_scipy, bow_logits_by_column, bow_proba_by_loop,
                      gd_steps_by_hand)
+from test_external import PREDICTOR_SCRIPT
 
 
 def separable_corpus():
@@ -129,11 +132,12 @@ class TestPrediction:
         clf._vocab_index_ = {"w": 0}
         clf.weights_ = np.zeros((1, 3))
         clf.bias_ = np.array([0.0, 0.0, 0.0])
-        assert clf.predict_words(["w"]) == "a"  # exact tie -> lowest index
+        doc = Document.from_text("x", "w")
+        assert clf.predict(doc) == "a"  # exact tie -> lowest index
         clf.bias_ = np.array([0.1, 0.3, 0.2])
-        assert clf.predict_words(["w"]) == "b"
+        assert clf.predict(doc) == "b"
         clf.bias_ = np.array([0.2, 0.3, 0.5])
-        assert clf.predict_words(["w"]) == "c"
+        assert clf.predict(doc) == "c"
 
     def test_weight_scaling_preserves_argmax(self):
         corpus = separable_corpus()
@@ -159,7 +163,8 @@ class TestPrediction:
         clf = train_bow(separable_corpus(), epochs=50, learning_rate=0.2)
         d1 = Document.from_text("x", "good fine")
         d2 = Document.from_text("y", "good fine")
-        np.testing.assert_array_equal(clf.predict_proba(d1), clf.predict_proba(d2))
+        np.testing.assert_array_equal(clf.predict_proba_words(d1.words),
+                                      clf.predict_proba_words(d2.words))
 
 
 class TestBatchedScoring:
@@ -279,8 +284,8 @@ class TestModelFile:
         np.testing.assert_array_equal(loaded.weights_, clf.weights_)
         assert loaded.classes_ == clf.classes_
         for doc in corpus:
-            np.testing.assert_allclose(loaded.predict_proba(doc),
-                                       clf.predict_proba(doc), atol=1e-15)
+            np.testing.assert_allclose(loaded.predict_proba_words(doc.words),
+                                       clf.predict_proba_words(doc.words), atol=1e-15)
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "model.json"
@@ -326,6 +331,71 @@ class TestModelFile:
         path.write_text("[1]", encoding="utf-8")
         with pytest.raises(ValueError, match="must hold a JSON object"):
             load_model(path)
+
+
+def good_share(words):
+    """``(neg, pos)`` with ``pos`` growing with the share of "good" words;
+    an empty row is an exact tie."""
+    pos = (1 + list(words).count("good")) / (2 + len(words))
+    return np.array([1 - pos, pos])
+
+
+class TestPredictorDefaults:
+    """A predictor implements ``predict_proba_many`` or
+    ``predict_proba_words``; every other method follows from either."""
+
+    DOCS = [Document.from_text(str(i), text) for i, text in
+            enumerate(["good good fine", "bad good good", "", "bad bad", "good"])]
+
+    class ManyOnly(Predictor):
+        classes_ = ("neg", "pos")
+
+        def predict_proba_many(self, docs):
+            return np.array([good_share(w) for w in docs])
+
+    class WordsOnly(Predictor):
+        classes_ = ("neg", "pos")
+
+        def predict_proba_words(self, words):
+            return good_share(words)
+
+    def test_batch_only_predictor_answers_every_method(self):
+        predictor = self.ManyOnly()
+        words = [d.words for d in self.DOCS]
+        expected = np.array([good_share(w) for w in words])
+        labels = ["pos", "pos", "neg", "neg", "pos"]  # the empty row ties: neg
+        for doc, row, label in zip(self.DOCS, expected, labels):
+            assert np.array_equal(predictor.predict_proba_words(doc.words), row)
+            assert predictor.predict(doc) == label
+        assert predictor.predict_many(self.DOCS) == labels
+        rows = [w for w in words if len(w) == 3]
+        ids = np.stack([predictor.encode(w) for w in rows])
+        assert np.array_equal(predictor.predict_proba_ids(ids),
+                              np.array([good_share(w) for w in rows]))
+
+    def test_row_only_predictor_answers_batches(self):
+        words = [d.words for d in self.DOCS]
+        assert np.array_equal(self.WordsOnly().predict_proba_many(words),
+                              self.ManyOnly().predict_proba_many(words))
+
+    @pytest.mark.parametrize("kind", ["bow", "cached", "external"])
+    def test_one_row_is_the_batch_of_one(self, kind, tmp_path):
+        if kind == "external":
+            script = tmp_path / "service.py"
+            script.write_text(PREDICTOR_SCRIPT, encoding="utf-8")
+            predictor = ExternalPredictorClient(command=[sys.executable, str(script)])
+        else:
+            predictor = train_bow(separable_corpus(), epochs=10)
+            if kind == "cached":
+                predictor = CachingPredictor(predictor)
+        try:
+            for doc in self.DOCS:
+                assert np.array_equal(predictor.predict_proba_words(doc.words),
+                                      predictor.predict_proba_many([doc.words])[0])
+                assert predictor.predict(doc) == predictor.predict_many([doc])[0]
+        finally:
+            if kind == "external":
+                predictor.close()
 
 
 class TestWrappers:

@@ -5,7 +5,7 @@ import pytest
 
 from anchoragg.aggregate import make_aggregation, rank_words
 from anchoragg.anchor import AnchorConfig
-from anchoragg.corpus import Corpus, Document, word_stats
+from anchoragg.corpus import Document, word_stats
 from anchoragg.model import train_bow
 from anchoragg.perturb import build_unigram_perturbator
 from anchoragg.synth import SynthSpec, generate_planted_corpus
@@ -14,7 +14,7 @@ from anchoragg.topk import (AnchorTopTerms, AnytimeOptions, PROFILE_NAMES,
                             should_filter)
 
 from conftest import (ConstantPredictor, FlipWordPredictor, RowRecorder,
-                      make_corpus)
+                      corpus_of, make_corpus)
 from test_aggregate import counts_from
 
 
@@ -131,7 +131,8 @@ class TestRunAnytime:
     def test_snapshots_per_document_and_monotone_calls(self):
         corpus = anchor_test_corpus()
         result = small_run(corpus, FlipWordPredictor())
-        assert len(result.snapshots) == result.documents_processed
+        # FlipWordPredictor classifies every document as pos
+        assert len(result.snapshots) == len(corpus)
         calls = [s.calls for s in result.snapshots]
         assert calls == sorted(calls)
         assert all(b > a for a, b in zip(calls, calls[1:]))
@@ -250,7 +251,7 @@ class TestCallCount:
         if twin:
             # a second document with the words of a classified one
             first = order_documents(corpus, clf, "pos")[0]
-            corpus = Corpus.from_documents(
+            corpus = corpus_of(
                 [*corpus, Document("twin", first.words, first.raw_text)],
                 {**corpus.labels, "twin": corpus.labels[first.id]})
         distinct = len({d.words for d in corpus})
@@ -316,7 +317,7 @@ class TestEstimatorFrontEnd:
         est.fit(corpus, FlipWordPredictor())
         assert len(est.terms_) == 2
         assert est.calls_ > 0
-        assert est.result_.documents_processed == 24
+        assert len(est.snapshots_) == 24
 
     def test_target_class_required(self):
         est = AnchorTopTerms()
@@ -352,7 +353,7 @@ class TestEstimatorFrontEnd:
         est = AnchorTopTerms(k=2, aggregation="sq", target_class="pos",
                              profile="sampled", max_samples=20, seed=4)
         est.fit(corpus, FlipWordPredictor())
-        assert est.result_.documents_processed == 12
+        assert len(est.snapshots_) == 12
 
 
 class TestFreqStatsOption:
