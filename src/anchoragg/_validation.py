@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import fields
 from typing import Any
 
 
@@ -31,6 +33,8 @@ def check_probability(value: float, name: str, *, open_low: bool = True,
 
 
 def check_positive(value: float, name: str, *, zero_ok: bool = False) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
     if not (value >= 0 if zero_ok else value > 0):
         bound = "non-negative" if zero_ok else "positive"
         raise ValueError(f"{name} must be {bound}, got {value!r}")
@@ -44,34 +48,19 @@ def check_positive_int(value: int, name: str) -> int:
 
 
 class ParamsMixin:
-    """get_params/set_params in the sklearn style, without the sklearn dependency.
-
-    Parameters are the keyword arguments of ``__init__``, stored under the
-    same attribute names. Enough for cloning, grid-style configuration and
-    repr; estimators stay duck-compatible with pipelines that only need
-    these two methods.
+    """get_params/set_params in the sklearn style, without the sklearn
+    dependency, for a dataclass: its parameters are its ``__init__`` fields,
+    in declaration order, and its repr prints them. Enough for cloning and
+    grid-style configuration.
     """
 
-    def _param_names(self) -> list[str]:
-        import inspect
-
-        sig = inspect.signature(type(self).__init__)
-        return [
-            name for name, p in sig.parameters.items()
-            if name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-        ]
-
     def get_params(self, deep: bool = True) -> dict[str, Any]:
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
     def set_params(self, **params: Any):
-        valid = set(self._param_names())
+        valid = self.get_params()
         for key, value in params.items():
             if key not in valid:
                 raise ValueError(f"invalid parameter {key!r} for {type(self).__name__}")
             setattr(self, key, value)
         return self
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"

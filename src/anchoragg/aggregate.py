@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import IO, TYPE_CHECKING, Iterable, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -364,29 +364,27 @@ class GPrInverse(GPr):
         return np.full(len(counts.words), np.inf)
 
 
-AGGREGATION_KINDS = ("sq", "av", "av_minfreq", "h", "pr", "base", "pr_inverse")
+# kind -> constructor from (stats, alpha, min_freq): the one list of kinds
+_KINDS: dict[str, Callable[[WordStats | None, float, int], Aggregation]] = {
+    "sq": lambda stats, alpha, min_freq: GSq(stats),
+    "av": lambda stats, alpha, min_freq: GAv(stats),
+    "av_minfreq": lambda stats, alpha, min_freq: GAv(stats, min_freq=min_freq),
+    "h": lambda stats, alpha, min_freq: GH(stats),
+    "pr": lambda stats, alpha, min_freq: GPr(stats, alpha=alpha),
+    "base": lambda stats, alpha, min_freq: GBase(stats),
+    "pr_inverse": lambda stats, alpha, min_freq: GPrInverse(stats, alpha=alpha),
+}
+AGGREGATION_KINDS = tuple(_KINDS)
 
 
 def make_aggregation(kind: str, *, stats: WordStats | None = None,
                      alpha: float = DEFAULT_ALPHA,
                      min_freq: int = DEFAULT_MIN_FREQ) -> Aggregation:
     """Build an aggregation by name; parameters apply where the kind uses them."""
-    if kind == "sq":
-        return GSq(stats)
-    if kind == "av":
-        return GAv(stats)
-    if kind == "av_minfreq":
-        return GAv(stats, min_freq=min_freq)
-    if kind == "h":
-        return GH(stats)
-    if kind == "pr":
-        return GPr(stats, alpha=alpha)
-    if kind == "base":
-        return GBase(stats)
-    if kind == "pr_inverse":
-        return GPrInverse(stats, alpha=alpha)
-    raise ValueError(f"unknown aggregation kind {kind!r} "
-                     f"(expected one of {AGGREGATION_KINDS})")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown aggregation kind {kind!r} "
+                         f"(expected one of {AGGREGATION_KINDS})")
+    return _KINDS[kind](stats, alpha, min_freq)
 
 
 def rank_words(words: Sequence[str], values: np.ndarray, k: int | None = None

@@ -161,9 +161,10 @@ def _sequential_tests(doc: Document, positions: list[int],
 def anchors_of_document(doc: Document, predictor: Predictor,
                         perturbator: Perturbator, cfg: AnchorConfig,
                         rng_for: Callable[[int], np.random.Generator],
-                        skip_word: Callable[[str], bool] | None = None,
-                        target: str | None = None) -> list[AnchorDecision]:
-    """One anchor decision per token of the document, in position order.
+                        skip_word: Callable[[str], bool] | None = None, *,
+                        target: str) -> list[AnchorDecision]:
+    """One anchor decision per token of the document, in position order,
+    tested against ``target``: the class ``topk.classify_corpus`` gave it.
 
     ``rng_for`` supplies the per-position generator, so the tokens' tests are
     independent and run together in rounds (see ``_sequential_tests``).
@@ -172,8 +173,6 @@ def anchors_of_document(doc: Document, predictor: Predictor,
     """
     if len(doc.words) == 0:
         raise ValueError(f"document {doc.id!r} is empty")
-    if target is None:
-        target = predictor.predict(doc)
 
     sampled = [p for p, w in enumerate(doc.words)
                if skip_word is None or not skip_word(w)]

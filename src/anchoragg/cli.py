@@ -433,18 +433,18 @@ def cmd_anchors(args: argparse.Namespace, stack: ExitStack) -> int:
     corpus = _load_corpus(resolved)
     if resolved["class_label"]:
         _check_class(resolved["class_label"], corpus)
-    cached, labels, calls = classify_corpus(corpus, predictor)
-    stats = word_stats(corpus, labels)
+    predicted, calls = classify_corpus(corpus, predictor)
+    stats = word_stats(corpus, {i: cls for i, (cls, _) in predicted.items()})
     perturbator = build_unigram_perturbator(stats, **_kwargs(resolved, _PERTURB_PARAMS))
-    docs = order_documents(corpus, cached, resolved["class_label"]) \
+    docs = order_documents(corpus, predicted, resolved["class_label"]) \
         if resolved["class_label"] else corpus.documents
     docs = [d for d in docs if d.words][:resolved["limit"]]
     rows = 0
     handle = stack.enter_context(open(resolved["out"], "w", encoding="utf-8"))
     for doc in docs:
         decisions = anchors_of_document(
-            doc, predictor, perturbator, cfg,
-            rng_for=token_streams(resolved["seed"], doc.id), target=labels[doc.id])
+            doc, predictor, perturbator, cfg, token_streams(resolved["seed"], doc.id),
+            target=predicted[doc.id][0])
         calls += sum(dec.samples_used for dec in decisions)
         for dec in decisions:
             handle.write(json.dumps(dec.to_row(doc.id)) + "\n")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import threading
+from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import Sequence
@@ -115,6 +116,7 @@ class _CountRows:
         return np.bincount(bins, terms, minlength=size * self._c).reshape(size, self._c)
 
 
+@dataclass(eq=False)
 class BowClassifier(ParamsMixin, Predictor):
     """Multinomial logistic regression over raw token counts.
 
@@ -127,19 +129,16 @@ class BowClassifier(ParamsMixin, Predictor):
     when training ran on SciPy is reproduced byte for byte.
     """
 
-    def __init__(self, epochs: int = 800, learning_rate: float = 0.3,
-                 l2: float = 5e-4, seed: int = 0, val_fraction: float = 0.0):
-        self.epochs = epochs
-        self.learning_rate = learning_rate
-        self.l2 = l2
-        self.seed = seed
-        self.val_fraction = val_fraction
-        self.classes_ = None
-        self.vocabulary_ = None
-        self.weights_ = None
-        self.bias_ = None
-        self.losses_ = None
-        self.best_epoch_ = None
+    epochs: int = 800
+    learning_rate: float = 0.3
+    l2: float = 5e-4
+    seed: int = 0
+    val_fraction: float = 0.0
+
+    def __post_init__(self):
+        # unfitted until ``fit`` or ``load_model`` sets them
+        self.classes_ = self.vocabulary_ = self.weights_ = self.bias_ = None
+        self.losses_ = self.best_epoch_ = None
 
     # -- fitting ---------------------------------------------------------
 
@@ -165,6 +164,8 @@ class BowClassifier(ParamsMixin, Predictor):
         # a row's repeated words make one nonzero, as in SciPy's canonical form
         return *np.divmod(keys, v), counts.astype(np.float64)
 
+    # a diverging run raises at the end, without numpy's warnings on the way
+    @np.errstate(over="ignore", invalid="ignore")
     def fit(self, docs: Sequence[Sequence[str]], y: Sequence[str]) -> "BowClassifier":
         self.check_params()
         docs = [tuple(d) for d in docs]
@@ -221,6 +222,9 @@ class BowClassifier(ParamsMixin, Predictor):
             _, self.best_epoch_, W, b = best
         else:
             self.best_epoch_ = self.epochs - 1
+        if not (np.isfinite(W).all() and np.isfinite(b).all()):
+            raise ValueError("training diverged to non-finite weights "
+                             "(learning_rate or l2 too large)")
         self.weights_ = W
         self.bias_ = b
         self.losses_ = losses
@@ -354,6 +358,8 @@ def load_model(path: str | Path) -> BowClassifier:
             or clf.bias_.shape != (len(clf.classes_),):
         raise ValueError("model file weight or bias shape does not match "
                          "vocabulary/classes")
+    if not (np.isfinite(clf.weights_).all() and np.isfinite(clf.bias_).all()):
+        raise ValueError("model file weights or bias are not finite")
     return clf
 
 
@@ -444,11 +450,11 @@ class ExternalPredictorClient(Predictor):
 
 
 class CachingPredictor(Predictor):
-    """Memoizes probabilities by document content.
-
-    Intended for the unperturbed corpus and for evaluation, where the same
-    documents and removal prefixes are scored repeatedly. Perturbation
-    samples must not go through this wrapper: they are unique draws.
+    """Memoizes probabilities by document content, for evaluation
+    (``eval-aopc``, ``compare``), where the same documents and removal
+    prefixes are scored repeatedly. No run path (``topk``, ``anchors``) uses
+    it: a run classifies its corpus once (``topk.classify_corpus``), and its
+    perturbation samples are unique draws.
     """
 
     def __init__(self, base: Predictor):

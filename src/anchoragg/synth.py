@@ -44,6 +44,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_docs < 2:
             raise ValueError("need at least 2 documents")
+        if self.n_docs - self.n_singleton_docs < 2:
+            raise ValueError("n_docs too small for the requested singleton documents")
         if self.n_signal < 1:
             raise ValueError("need at least 1 signal word per class")
         if not 0.0 <= self.noise < 1.0:
@@ -103,10 +105,7 @@ def generate_planted_corpus(spec: SynthSpec = SynthSpec(), seed: int = 0
             out.append(decks[c].pop())
         return out
 
-    n_regular = spec.n_docs - spec.n_singleton_docs
-    if n_regular < 2:
-        raise ValueError("n_docs too small for the requested singleton documents")
-    for i in range(n_regular):
+    for i in range(spec.n_docs - spec.n_singleton_docs):
         c = classes[int(rng.integers(0, 2))]
         # Noisy documents carry a deliberately weak signal, so the label
         # contradicts the planted rule without putting much opposing weight

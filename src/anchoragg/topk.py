@@ -36,7 +36,7 @@ from .anchor import AnchorConfig, anchors_of_document
 from .corpus import (Corpus, Document, WordStats, default_stopwords,
                      filter_candidates, sample_documents, word_stats)
 from .eval import TermList
-from .model import CachingPredictor, Predictor
+from .model import Predictor
 from .perturb import (DEFAULT_MASK_PROB, DEFAULT_ZETA, Perturbator,
                       build_unigram_perturbator)
 from .seeding import stream_rng, token_streams
@@ -121,37 +121,34 @@ def should_filter(upper_bound, w_min_score: float):
 
 
 def classify_corpus(corpus: Corpus, predictor: Predictor
-                    ) -> tuple[CachingPredictor, dict[str, str], int]:
-    """The predictor behind a cache, its label of each document id, and the
-    predictor rows those labels cost: one per distinct document.
+                    ) -> tuple[dict[str, tuple[str, float]], int]:
+    """Each document id's predicted class and the probability of that class,
+    and the predictor rows they cost: one ``predict_proba_many`` call over the
+    distinct documents, in order of first occurrence. The class is the
+    argmax, ties going to the lowest class index.
 
     Raises ValueError when the predictor's classes are not the corpus's.
     """
-    cached = CachingPredictor(predictor)
-    predicted = dict(zip((d.id for d in corpus), cached.predict_many(corpus.documents)))
+    distinct = list(dict.fromkeys(d.words for d in corpus))
+    probs = predictor.predict_proba_many(distinct) if distinct else ()
     # external predictors learn their class set on first contact, so this
     # check has to come after the predictions
     if set(predictor.classes_) != set(corpus.classes):
         raise ValueError(f"predictor classes {predictor.classes_} do not match "
                          f"corpus classes {corpus.classes}")
-    return cached, predicted, len({d.words for d in corpus})
+    best = [int(np.argmax(row)) for row in probs]
+    labels = {words: (predictor.classes_[j], float(row[j]))
+              for words, row, j in zip(distinct, probs, best)}
+    return {d.id: labels[d.words] for d in corpus}, len(distinct)
 
 
-def order_documents(corpus: Corpus, predictor: Predictor, c: str
-                    ) -> list[Document]:
-    """Documents the predictor assigns to class c, most confident first.
-
-    Ties in confidence break by ascending document id.
-    """
-    docs = list(corpus)
-    if not docs:
-        return []
-    probs = predictor.predict_proba_many([d.words for d in docs])
-    c_idx = predictor.class_index(c)
-    chosen = [(-float(row[c_idx]), doc.id, doc) for doc, row in zip(docs, probs)
-              if predictor.classes_[int(np.argmax(row))] == c]
-    chosen.sort(key=lambda item: (item[0], item[1]))
-    return [doc for _, _, doc in chosen]
+def order_documents(corpus: Corpus, predicted: dict[str, tuple[str, float]],
+                    c: str) -> list[Document]:
+    """The documents ``predicted`` (see ``classify_corpus``) assigns to
+    class c, most confident first; ties in confidence break by ascending
+    document id."""
+    return sorted((d for d in corpus if predicted[d.id][0] == c),
+                  key=lambda d: (-predicted[d.id][1], d.id))
 
 
 def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
@@ -172,8 +169,8 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
     if c not in corpus.classes:
         raise ValueError(f"unknown class {c!r}")
 
-    cached, predicted, calls = classify_corpus(corpus, predictor)
-    stats = word_stats(corpus, label_map=predicted)
+    predicted, calls = classify_corpus(corpus, predictor)
+    stats = word_stats(corpus, label_map={i: cls for i, (cls, _) in predicted.items()})
     freq_stats = options.freq_stats if options.freq_stats is not None else stats
     aggregation = copy.copy(aggregation)
     if aggregation.stats is None:
@@ -187,7 +184,7 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
     else:
         candidates = frozenset(stats.vocabulary)
 
-    ordered = order_documents(corpus, cached, c)
+    ordered = order_documents(corpus, predicted, c)
     counts = AnchorCounts(stats.vocabulary, corpus.classes)
     words = counts.words
     index = counts.index

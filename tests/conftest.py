@@ -40,15 +40,18 @@ class ConstantPredictor(Predictor):
 
 
 class RowRecorder(Predictor):
-    """Forwards to ``base`` and counts every row it scores, as words or ids."""
+    """Forwards to ``base`` and counts every row it scores, as words or ids.
+    ``calls`` logs each call: ``("many", word rows)`` or ``("ids", n rows)``."""
 
     def __init__(self, base):
         self.base = base
         self.classes_ = base.classes_
         self.rows = 0
+        self.calls = []
 
     def predict_proba_many(self, docs):
         self.rows += len(docs)
+        self.calls.append(("many", [tuple(words) for words in docs]))
         return self.base.predict_proba_many(docs)
 
     def encode(self, words):
@@ -56,6 +59,7 @@ class RowRecorder(Predictor):
 
     def predict_proba_ids(self, ids):
         self.rows += len(ids)
+        self.calls.append(("ids", len(ids)))
         return self.base.predict_proba_ids(ids)
 
 

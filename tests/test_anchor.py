@@ -190,7 +190,7 @@ class TestAnchorsOfDocument:
         return anchors_of_document(
             doc, pred, pert, cfg,
             rng_for=lambda pos: stream_rng(3, "doc", doc.id, pos),
-            skip_word=skip)
+            skip_word=skip, target=pred.predict(doc))
 
     def test_single_token_constant_predictor(self):
         doc = Document.from_text("0", "word")
@@ -440,7 +440,8 @@ class TestIdPath:
             for doc in corpus.documents[:3]:
                 run = lambda predictor: anchors_of_document(
                     doc, predictor, pert, cfg,
-                    rng_for=lambda pos: stream_rng(5, doc.id, pos))
+                    rng_for=lambda pos: stream_rng(5, doc.id, pos),
+                    target=predictor.predict(doc))
                 assert run(client) == run(clf)
         finally:
             client.close()
@@ -474,9 +475,11 @@ class TestRoundKernelPath:
             keeps = _spy_on_sample_batch(perturbator)
             rounds = 0
             for doc in corpus.documents[:4]:
+                pred = wrap(clf)
                 decisions = anchors_of_document(
-                    doc, wrap(clf), perturbator, cfg,
-                    rng_for=lambda pos: stream_rng(2, doc.id, pos))
+                    doc, pred, perturbator, cfg,
+                    rng_for=lambda pos: stream_rng(2, doc.id, pos),
+                    target=pred.predict(doc))
                 rounds += sum(d.samples_used // cfg.batch_size for d in decisions)
             assert len(keeps) == (rounds if per_token else 0)
             assert all(len(keep) == 1 for keep in keeps)

@@ -50,6 +50,17 @@ class TestTrain:
                    "--out", "m2.json", "--epochs", "250", "--seed", "1") == 0
         assert (workspace / "m.json").read_text() == (workspace / "m2.json").read_text()
 
+    def test_diverging_training_is_a_config_error(self, workspace, capsys):
+        """A finite learning rate that drives the weights to NaN writes no
+        model."""
+        assert run("synth", "--out", "c.jsonl", "--docs", "40", "--seed", "1") == 0
+        capsys.readouterr()
+        assert run("train", "--corpus", "c.jsonl", "--format", "jsonl",
+                   "--out", "m.json", "--learning-rate", "1e300") == 2
+        assert capsys.readouterr().err == ("error: training diverged to non-finite "
+                                           "weights (learning_rate or l2 too large)\n")
+        assert not (workspace / "m.json").exists()
+
     def test_no_training_flags_train_the_library_default_model(self, workspace):
         assert run("synth", "--out", "c.jsonl", "--docs", "40", "--seed", "1") == 0
         assert run("train", "--corpus", "c.jsonl", "--format", "jsonl",
@@ -70,6 +81,13 @@ class TestSynth:
 
     def test_requires_out(self, workspace):
         assert run("synth", "--docs", "40") == 2
+
+    @pytest.mark.parametrize("docs", ["2", "5", "7"])
+    def test_too_few_documents_for_the_singletons(self, workspace, capsys, docs):
+        assert run("synth", "--out", "c.jsonl", "--docs", docs) == 2
+        assert capsys.readouterr().err == \
+            "error: n_docs too small for the requested singleton documents\n"
+        assert not (workspace / "c.jsonl").exists()
 
 
 class TestTopk:
@@ -249,10 +267,13 @@ class TestSettings:
         ("train", "--learning-rate", "-1",
          "learning_rate must be non-negative, got -1.0"),
         ("train", "--l2", "-0.1", "l2 must be non-negative, got -0.1"),
+        ("train", "--learning-rate", "inf", "learning_rate must be finite, got inf"),
+        ("train", "--l2", "inf", "l2 must be finite, got inf"),
         ("topk", "--external-batch-size", "0",
          "external_batch_size must be a positive integer, got 0"),
         ("topk", "--timeout", "0", "timeout must be positive, got 0.0"),
         ("anchors", "--timeout", "-1", "timeout must be positive, got -1.0"),
+        ("topk", "--timeout", "inf", "timeout must be finite, got inf"),
     ]
 
     @pytest.mark.parametrize("command, flag, value, message", OUT_OF_RANGE,
@@ -471,6 +492,35 @@ class TestAnchorsCommand:
         assert calls == len({d.words for d in corpus}) + sum(r["samples"] for r in rows)
         assert calls == sum(map(int, Path("rows.log").read_text().split()))
 
+
+    def test_one_classification_call(self, workspace, monkeypatch):
+        """The command classifies the corpus in one ``predict_proba_many``
+        call over its distinct documents, in order of first occurrence, and
+        scores every sample as ids."""
+        from anchoragg import model
+        from conftest import RowRecorder
+
+        synth_and_train(workspace, docs=40, epochs=50)
+        lines = Path("c.jsonl").read_text().splitlines()
+        # a later document's twin ahead of it: the twin's position counts
+        twin = json.dumps({**json.loads(lines[10]), "id": "twin"})
+        Path("c2.jsonl").write_text("\n".join([*lines[:3], twin, *lines[3:]]) + "\n")
+        recorders, load = [], model.load_model
+
+        def recorded(path):
+            recorders.append(RowRecorder(load(path)))
+            return recorders[-1]
+
+        monkeypatch.setattr(model, "load_model", recorded)
+        assert run("anchors", "--corpus", "c2.jsonl", "--format", "jsonl",
+                   "--model", "m.json", "--class", "pos", "--seed", "2",
+                   "--max-samples", "10", "--limit", "3", "--out", "a.jsonl") == 0
+        corpus = load_corpus("c2.jsonl", format="jsonl")
+        distinct = list(dict.fromkeys(d.words for d in corpus))
+        assert len(distinct) == len(corpus) - 1
+        (rec,) = recorders
+        assert rec.calls[0] == ("many", distinct)
+        assert {kind for kind, _ in rec.calls[1:]} == {"ids"}
 
     def test_empty_document_of_the_class_is_not_counted(self, workspace):
         """An empty document is dropped before --limit: the manifest counts

@@ -1,8 +1,9 @@
 """Source checks over ``src/anchoragg``: no module imports a name it never
 uses, no module-level private function, class or assigned name goes
 unreferenced, every public name of the package is read by the package or
-shown in the README, and every settable field of a public dataclass is named
-outside its module. Uses only the standard library's ``ast``."""
+shown in the README, every settable field of a public dataclass is named
+outside its module, and every ``ParamsMixin`` estimator is a dataclass.
+Uses only the standard library's ``ast``."""
 
 import ast
 import re
@@ -152,3 +153,14 @@ def test_every_config_field_is_named_outside_its_module():
                         or re.search(rf"\b{name}\b", readme)):
                     unnamed.append(f"{node.name}.{name}")
     assert not unnamed, f"settable fields nothing outside their module names: {unnamed}"
+
+
+def test_params_mixin_estimators_are_dataclasses():
+    """``ParamsMixin`` reads an estimator's parameters from its dataclass
+    fields, and the dataclass repr prints them."""
+    plain = [f"{path.name}: {node.name}" for path in MODULES
+             for node in ast.walk(_tree(path))
+             if isinstance(node, ast.ClassDef)
+             and any(isinstance(b, ast.Name) and b.id == "ParamsMixin" for b in node.bases)
+             and not _is_dataclass(node)]
+    assert not plain, f"ParamsMixin classes that are not dataclasses: {plain}"

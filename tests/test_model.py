@@ -108,6 +108,26 @@ class TestTraining:
         assert accuracy(clf, corpus) == 1.0
 
 
+class TestParams:
+    def test_fields_are_the_parameters(self):
+        """The repr, ``get_params`` (and so ``model.json``'s hyperparams) and
+        the constructor's signature list the same parameters, in order."""
+        import inspect
+
+        clf = BowClassifier()
+        assert repr(clf) == ("BowClassifier(epochs=800, learning_rate=0.3, "
+                             "l2=0.0005, seed=0, val_fraction=0.0)")
+        assert list(clf.get_params().items()) == [
+            ("epochs", 800), ("learning_rate", 0.3), ("l2", 5e-4), ("seed", 0),
+            ("val_fraction", 0.0)]
+        assert list(inspect.signature(BowClassifier).parameters) == list(clf.get_params())
+        assert clf.classes_ is clf.weights_ is clf.best_epoch_ is None
+        # estimators compare by identity
+        assert clf != BowClassifier()
+        with pytest.raises(ValueError, match="invalid parameter 'bogus' for BowClassifier"):
+            clf.set_params(bogus=1)
+
+
 class TestPrediction:
     def test_zero_weights_uniform(self):
         clf = train_bow(separable_corpus(), epochs=1, learning_rate=0.0)
@@ -304,9 +324,11 @@ class TestModelFile:
          "classes is not a list of distinct strings"),
         (lambda m: m["vocabulary"].__setitem__(1, m["vocabulary"][0]),
          "vocabulary is not a list of distinct strings"),
+        (lambda m: m["weights"][0].__setitem__(0, float("nan")),
+         "weights or bias are not finite"),
     ], ids=["no classes", "no vocabulary", "no weights", "no bias",
             "unknown hyperparameter", "short bias", "hyperparams a list",
-            "classes a string", "repeated word"])
+            "classes a string", "repeated word", "NaN weight"])
     def test_malformed_file_names_the_fault(self, tmp_path, edit, message):
         path = tmp_path / "model.json"
         save_model(train_bow(separable_corpus(), epochs=5), path)

@@ -71,3 +71,11 @@ class TestGenerator:
             SynthSpec(noise=1.0)
         with pytest.raises(ValueError):
             SynthSpec(n_signal=0)
+
+    def test_spec_leaves_two_regular_documents(self):
+        """The generator's own limit is the spec's: besides its singleton
+        documents a corpus holds at least two regular ones."""
+        with pytest.raises(ValueError, match="too small for the requested singleton"):
+            SynthSpec(n_docs=7)
+        corpus, _ = generate_planted_corpus(SynthSpec(n_docs=8, n_fillers=20), seed=1)
+        assert len(corpus) == 8

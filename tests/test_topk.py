@@ -5,13 +5,13 @@ import pytest
 
 from anchoragg.aggregate import make_aggregation, rank_words
 from anchoragg.anchor import AnchorConfig
-from anchoragg.corpus import Document, word_stats
+from anchoragg.corpus import Corpus, Document, word_stats
 from anchoragg.model import train_bow
 from anchoragg.perturb import build_unigram_perturbator
 from anchoragg.synth import SynthSpec, generate_planted_corpus
 from anchoragg.topk import (AnchorTopTerms, AnytimeOptions, PROFILE_NAMES,
-                            optimization_profile, order_documents, run_anytime,
-                            should_filter)
+                            classify_corpus, optimization_profile, order_documents,
+                            run_anytime, should_filter)
 
 from conftest import (ConstantPredictor, FlipWordPredictor, RowRecorder,
                       corpus_of, make_corpus)
@@ -37,30 +37,41 @@ class ScriptedPredictor(ConstantPredictor):
         return self
 
 
+def two_class_corpus(rows):
+    """``make_corpus(rows)`` with ScriptedPredictor's two classes, whatever
+    the labels: ``classify_corpus`` checks them."""
+    corpus = make_corpus(rows)
+    return Corpus(corpus.documents, corpus.labels, ("neg", "pos"))
+
+
 class TestOrderDocuments:
     def test_descending_confidence(self):
-        corpus = make_corpus([("a", "w1", "pos"), ("b", "w2", "pos"),
-                              ("c", "w3", "pos")])
+        corpus = two_class_corpus([("a", "w1", "pos"), ("b", "w2", "pos"),
+                                   ("c", "w3", "pos")])
         pred = ScriptedPredictor({"a": 0.9, "b": 0.99, "c": 0.7}).script(corpus)
-        ordered = order_documents(corpus, pred, "pos")
+        predicted, _ = classify_corpus(corpus, pred)
+        ordered = order_documents(corpus, predicted, "pos")
         assert [d.id for d in ordered] == ["b", "a", "c"]
 
     def test_ties_break_by_id(self):
-        corpus = make_corpus([("b", "w1", "pos"), ("a", "w2", "pos")])
+        corpus = two_class_corpus([("b", "w1", "pos"), ("a", "w2", "pos")])
         pred = ScriptedPredictor({}).script(corpus, default=0.8)
-        ordered = order_documents(corpus, pred, "pos")
+        predicted, _ = classify_corpus(corpus, pred)
+        ordered = order_documents(corpus, predicted, "pos")
         assert [d.id for d in ordered] == ["a", "b"]
 
     def test_only_predicted_class_members(self):
-        corpus = make_corpus([("a", "w1", "pos"), ("b", "w2", "pos")])
+        corpus = two_class_corpus([("a", "w1", "pos"), ("b", "w2", "pos")])
         pred = ScriptedPredictor({"a": 0.8, "b": 0.2}).script(corpus)
-        assert [d.id for d in order_documents(corpus, pred, "pos")] == ["a"]
-        assert [d.id for d in order_documents(corpus, pred, "neg")] == ["b"]
+        predicted, _ = classify_corpus(corpus, pred)
+        assert [d.id for d in order_documents(corpus, predicted, "pos")] == ["a"]
+        assert [d.id for d in order_documents(corpus, predicted, "neg")] == ["b"]
 
     def test_empty_class(self):
-        corpus = make_corpus([("a", "w1", "pos")])
+        corpus = two_class_corpus([("a", "w1", "pos")])
         pred = ScriptedPredictor({"a": 0.9}).script(corpus)
-        assert order_documents(corpus, pred, "neg") == []
+        predicted, _ = classify_corpus(corpus, pred)
+        assert order_documents(corpus, predicted, "neg") == []
 
 
 class TestUpperBounds:
@@ -250,7 +261,7 @@ class TestCallCount:
         corpus, clf = trained
         if twin:
             # a second document with the words of a classified one
-            first = order_documents(corpus, clf, "pos")[0]
+            first = order_documents(corpus, classify_corpus(corpus, clf)[0], "pos")[0]
             corpus = corpus_of(
                 [*corpus, Document("twin", first.words, first.raw_text)],
                 {**corpus.labels, "twin": corpus.labels[first.id]})
@@ -263,11 +274,34 @@ class TestCallCount:
         samples = dict.fromkeys((d.id for d in corpus), 0)
         for row in rows:
             samples[row["doc"]] += row["samples"]
-        ordered = order_documents(corpus, clf, "pos")
+        ordered = order_documents(corpus, classify_corpus(corpus, clf)[0], "pos")
         expected = distinct + np.cumsum([samples[d.id] for d in ordered])
         assert [s.calls for s in est.snapshots_] == expected.tolist()
         assert est.calls_ == expected[-1] == recorder.rows
         assert (est.calls_ == distinct) == (agg == "base")
+
+
+class TestOneClassification:
+    """A run classifies its corpus in one ``predict_proba_many`` call over the
+    distinct documents, in order of first occurrence; every later row is
+    scored as ids."""
+
+    def test_run_anytime(self):
+        spec = SynthSpec(n_docs=30, n_fillers=40, n_singleton_docs=2)
+        corpus, _ = generate_planted_corpus(spec, seed=2)
+        clf = train_bow(corpus, epochs=100)
+        docs = list(corpus)
+        # a later document's twin ahead of it: the twin's position counts
+        twin = Document("twin", docs[10].words, docs[10].raw_text)
+        corpus = corpus_of([*docs[:3], twin, *docs[3:]],
+                           {**corpus.labels, "twin": corpus.labels[docs[10].id]})
+        distinct = list(dict.fromkeys(d.words for d in corpus))
+        assert len(distinct) == len(corpus) - 1 and distinct[3] == docs[10].words
+        rec = RowRecorder(clf)
+        run_anytime(corpus, rec, build_unigram_perturbator(word_stats(corpus)),
+                    AnchorConfig(max_samples=20), make_aggregation("pr"), 5, "pos")
+        assert rec.calls[0] == ("many", distinct)
+        assert {kind for kind, _ in rec.calls[1:]} == {"ids"}
 
 
 class TestProfiles:
