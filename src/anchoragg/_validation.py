@@ -33,7 +33,11 @@ def check_probability(value: float, name: str, *, open_low: bool = True,
 
 
 def check_positive(value: float, name: str, *, zero_ok: bool = False) -> float:
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
         raise ValueError(f"{name} must be finite, got {value!r}")
     if not (value >= 0 if zero_ok else value > 0):
         bound = "non-negative" if zero_ok else "positive"

@@ -12,6 +12,11 @@ aggregation kinds:
   generative mixture, Laplace-smoothed to a proper distribution.
 - ``base``: class share of the documents containing the word (no anchors).
 - ``pr_inverse``: reciprocal of ``pr``, a sanity-check baseline.
+
+Each kind is one score function of the counts. Ranking evaluates it at the
+current counts; candidate filtering evaluates the same function at the
+optimistic counts, where each word's remaining occurrences all land as
+anchors, and takes that as the word's upper bound.
 """
 
 from __future__ import annotations
@@ -61,22 +66,6 @@ class AnchorCounts:
             c: np.zeros(size, dtype=np.int64) for c in self.classes}
         self._ingested: set[str] = set()
 
-    def plus(self, word: str, c: str) -> int:
-        return int(self.a_plus[c][self.index[word]])
-
-    def minus(self, word: str, c: str) -> int:
-        return int(self.a_minus[c][self.index[word]])
-
-    def total_plus(self, c: str) -> int:
-        return int(self.a_plus[c].sum())
-
-    def total_minus(self, c: str) -> int:
-        return int(self.a_minus[c].sum())
-
-    def seen_mask(self, c: str) -> np.ndarray:
-        """Words observed so far in processed documents of class c."""
-        return (self.a_plus[c] + self.a_minus[c]) > 0
-
     def ingest(self, decisions: Sequence[AnchorDecision], c: str, doc_id: str) -> None:
         if doc_id in self._ingested:
             raise ValueError(f"document {doc_id!r} already ingested")
@@ -94,29 +83,16 @@ class AnchorCounts:
         self._ingested.add(doc_id)
 
 
-# -- probabilistic model ----------------------------------------------------
+# -- score helpers -----------------------------------------------------------
 
 
-def _q_raw_vector(a_plus: np.ndarray, a_minus: np.ndarray, alpha: float
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Raw estimates (q, p) over the given count vectors; totals must be > 0."""
-    total_plus = a_plus.sum()
-    total_minus = a_minus.sum()
-    if total_plus <= 0 or total_minus <= 0:
-        raise ValueError("model undefined: both anchor and non-anchor totals "
-                         "must be positive")
-    p = a_minus / total_minus
-    q = (1.0 / alpha) * (a_plus / total_plus) - (1.0 / alpha - 1.0) * p
-    return q, p
-
-
-def _smooth_vector(q: np.ndarray) -> tuple[np.ndarray, float]:
-    """Additive shift by |min| then renormalize; identity when min >= 0."""
-    q_min = float(q.min())
-    if q_min >= 0:
-        return q.copy(), q_min
-    beta = abs(q_min)
-    return (q + beta) / (1.0 + q.size * beta), q_min
+def _emission_estimate(plus: np.ndarray, total_plus: int, minus: np.ndarray,
+                       total_minus: int, alpha: float) -> np.ndarray:
+    """Raw maximum-likelihood anchor-emission estimate of the two-source
+    mixture; negative where a word is rarer among anchors than the mixture's
+    non-anchor share explains."""
+    inv_alpha = 1.0 / alpha
+    return inv_alpha * (plus / total_plus) - (inv_alpha - 1.0) * (minus / total_minus)
 
 
 def _entropy_rows(gsq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,18 +108,27 @@ def _entropy_rows(gsq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h, defined
 
 
+def _anchor_tally(counts: AnchorCounts, c: str, remaining: np.ndarray | None
+                  ) -> np.ndarray:
+    """Class c's anchor counts as floats, each raised by its remaining
+    occurrences when given."""
+    plus = counts.a_plus[c] if remaining is None else counts.a_plus[c] + remaining
+    return plus.astype(np.float64)
+
+
 # -- aggregation kinds for the anytime driver --------------------------------
 
 
 class Aggregation:
     """A named aggregation with vectorized scoring over a counts table.
 
-    ``rank_values`` returns one value per word of the counts vocabulary with
-    NaN marking words excluded from ranking; undefined-but-rankable scores
-    fall back to 0 so a ranking always exists. ``upper_bounds`` evaluates
-    the same aggregation under the optimistic assumption that each word's
-    remaining occurrences all land as anchors (other words unchanged); where
-    nothing remains the bound equals the current rank value.
+    A kind implements ``_score(counts, c, remaining)``: one value per word
+    of the counts vocabulary. With ``remaining`` None these are the rank
+    values, NaN marking words excluded from ranking; undefined but rankable
+    scores fall back to 0 so a ranking always exists. With an array they are
+    the optimistic values, each word's remaining occurrences all anchors and
+    other words unchanged: ``upper_bounds``, except that where nothing
+    remains the bound is the current rank value.
     """
 
     name: str
@@ -152,19 +137,30 @@ class Aggregation:
 
     def __init__(self, stats: WordStats | None = None):
         self.stats = stats
+        self._cache: tuple[AnchorCounts, str, np.ndarray] | None = None
+
+    def _score(self, counts: AnchorCounts, c: str,
+               remaining: np.ndarray | None) -> np.ndarray:
+        raise NotImplementedError
 
     def rank_values(self, counts: AnchorCounts, c: str) -> np.ndarray:
-        raise NotImplementedError
-
-    def _raw_bounds(self, counts: AnchorCounts, c: str,
-                    remaining: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self._score(counts, c, None)
 
     def upper_bounds(self, counts: AnchorCounts, c: str,
                      remaining: np.ndarray) -> np.ndarray:
-        bounds = self._raw_bounds(counts, c, remaining)
-        current = self.rank_values(counts, c)
-        return np.where(remaining == 0, current, bounds)
+        bounds = self._score(counts, c, remaining)
+        return np.where(remaining == 0, self.rank_values(counts, c), bounds)
+
+    def _per_word(self, counts: AnchorCounts, c: str,
+                  value: Callable[[str], float | bool]) -> np.ndarray:
+        """``value`` of each word of the counts vocabulary, kept for the last
+        (table, class) asked. The table is compared with ``is``: an id could
+        be reused by a later table once this one is freed."""
+        if self.stats is None:
+            raise ValueError(f"{self.name} requires word statistics")
+        if self._cache is None or self._cache[0] is not counts or self._cache[1] != c:
+            self._cache = (counts, c, np.asarray([value(w) for w in counts.words]))
+        return self._cache[2]
 
     def params(self) -> dict:
         return {}
@@ -179,11 +175,8 @@ class Aggregation:
 class GSq(Aggregation):
     name = "sq"
 
-    def rank_values(self, counts, c):
-        return np.sqrt(counts.a_plus[c].astype(np.float64))
-
-    def _raw_bounds(self, counts, c, remaining):
-        return np.sqrt((counts.a_plus[c] + remaining).astype(np.float64))
+    def _score(self, counts, c, remaining):
+        return np.sqrt(_anchor_tally(counts, c, remaining))
 
 
 class GAv(Aggregation):
@@ -191,40 +184,22 @@ class GAv(Aggregation):
     def __init__(self, stats: WordStats | None = None, min_freq: int | None = None):
         super().__init__(stats)
         self.min_freq = min_freq
-        # keyed by the counts table itself, compared with ``is``: an id could
-        # be reused by a later table once this one is freed
-        self._excluded_cache: tuple[AnchorCounts, np.ndarray] | None = None
 
     @property
     def name(self):  # type: ignore[override]
         return "av" if self.min_freq is None else "av_minfreq"
 
-    def _excluded(self, counts) -> np.ndarray | None:
-        if self.min_freq is None:
-            return None
-        if self.stats is None:
-            raise ValueError("min_freq filtering requires word statistics")
-        if self._excluded_cache is None or self._excluded_cache[0] is not counts:
-            freq = np.asarray([self.stats.n_w(w) for w in counts.words])
-            self._excluded_cache = (counts, freq < self.min_freq)
-        return self._excluded_cache[1]
-
-    def _share(self, counts, c, a_plus):
-        """Anchor share a_plus / (a_plus + A-), NaN where min_freq excludes."""
-        plus = a_plus.astype(np.float64)
+    def _score(self, counts, c, remaining):
+        """Anchor share A+ / (A+ + A-), NaN where min_freq excludes."""
+        plus = _anchor_tally(counts, c, remaining)
         denom = plus + counts.a_minus[c]
         with np.errstate(divide="ignore", invalid="ignore"):
             values = np.where(denom > 0, plus / np.maximum(denom, 1), 0.0)
-        excluded = self._excluded(counts)
-        if excluded is not None:
-            values = np.where(excluded, np.nan, values)
-        return values
-
-    def rank_values(self, counts, c):
-        return self._share(counts, c, counts.a_plus[c])
-
-    def _raw_bounds(self, counts, c, remaining):
-        return self._share(counts, c, counts.a_plus[c] + remaining)
+        if self.min_freq is None:
+            return values
+        excluded = self._per_word(counts, c,
+                                  lambda w: self.stats.n_w(w) < self.min_freq)
+        return np.where(excluded, np.nan, values)
 
     def params(self):
         return {} if self.min_freq is None else {"min_freq": self.min_freq}
@@ -237,35 +212,24 @@ class GH(Aggregation):
 
     name = "h"
 
-    def _gsq_matrix(self, counts) -> np.ndarray:
-        return np.sqrt(np.column_stack(
-            [counts.a_plus[c] for c in counts.classes]).astype(np.float64))
-
-    def _scores(self, counts, c, remaining=None):
+    def _score(self, counts, c, remaining):
         """Entropy-damped square-root scores, normalized by the entropy range
         of the current counts. With ``remaining``, class c's anchor counts
         are first boosted by it. A degenerate range damps nothing, so
         single-class tasks still score; undefined entropy scores 0."""
-        gsq = self._gsq_matrix(counts)
+        gsq = np.sqrt(np.column_stack(
+            [counts.a_plus[k] for k in counts.classes]).astype(np.float64))
         h, defined = _entropy_rows(gsq)
         h_min = h_max = 0.0
         if defined.any():
             h_min, h_max = float(h[defined].min()), float(h[defined].max())
         col = counts.classes.index(c)
         if remaining is not None:
-            gsq[:, col] = np.sqrt((counts.a_plus[c] + remaining).astype(np.float64))
+            gsq[:, col] = np.sqrt(_anchor_tally(counts, c, remaining))
             h, defined = _entropy_rows(gsq)
-        if h_max == h_min:
-            factor = np.ones(len(h))
-        else:
-            factor = 1.0 - np.clip((h - h_min) / (h_max - h_min), 0.0, 1.0)
+        factor = 1.0 if h_max == h_min else \
+            1.0 - np.clip((h - h_min) / (h_max - h_min), 0.0, 1.0)
         return np.where(defined, factor * gsq[:, col], 0.0)
-
-    def rank_values(self, counts, c):
-        return self._scores(counts, c)
-
-    def _raw_bounds(self, counts, c, remaining):
-        return self._scores(counts, c, remaining)
 
 
 class GPr(Aggregation):
@@ -277,91 +241,56 @@ class GPr(Aggregation):
             raise ValueError(f"alpha out of (0, 1]: {alpha}")
         self.alpha = alpha
 
-    def _model(self, counts, c):
-        """(q_star over full vocab, 0 where unseen; beta, n_seen, totals), or
-        None if undefined."""
-        seen = counts.seen_mask(c)
-        total_plus = int(counts.a_plus[c].sum())
-        total_minus = int(counts.a_minus[c].sum())
+    def _score(self, counts, c, remaining):
+        """The raw estimate, Laplace-smoothed over the words seen in class c
+        (unseen words rank 0). With ``remaining``, a word's anchor count and
+        the anchor total both grow by it, and the current table's smoothing
+        maps the result. Undefined (a zero total): ranks 0, bounds inf."""
+        plus, minus = counts.a_plus[c], counts.a_minus[c]
+        total_plus, total_minus = int(plus.sum()), int(minus.sum())
         if total_plus == 0 or total_minus == 0:
-            return None
-        q, _ = _q_raw_vector(counts.a_plus[c][seen], counts.a_minus[c][seen],
-                             self.alpha)
-        q_star_seen, q_min = _smooth_vector(q)
-        q_star = np.zeros(len(counts.words))
-        q_star[seen] = q_star_seen
-        beta = abs(q_min) if q_min < 0 else 0.0
-        return q_star, beta, int(seen.sum()), total_plus, total_minus
-
-    def rank_values(self, counts, c):
-        model = self._model(counts, c)
-        return np.zeros(len(counts.words)) if model is None else model[0]
-
-    def _raw_bounds(self, counts, c, remaining):
-        # Optimistic raw estimate with the word's remaining occurrences all
-        # anchors (its own numerator and the anchor total both grow), mapped
-        # through the current table's smoothing so the comparison against the
-        # current k-th pseudo-score is order-consistent.
-        model = self._model(counts, c)
-        if model is None:
-            return np.full(len(counts.words), np.inf)
-        _, beta, n_seen, total_plus, total_minus = model
-        plus = counts.a_plus[c].astype(np.float64)
-        minus = counts.a_minus[c].astype(np.float64)
-        boosted_plus = plus + remaining
-        boosted_total = total_plus + remaining
-        inv_alpha = 1.0 / self.alpha
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = inv_alpha * boosted_plus / boosted_total \
-                - (inv_alpha - 1.0) * minus / total_minus
-        return (q + beta) / (1.0 + n_seen * beta)
+            return np.full(len(counts.words), 0.0 if remaining is None else np.inf)
+        seen = (plus + minus) > 0
+        q = _emission_estimate(plus, total_plus, minus, total_minus, self.alpha)
+        q_min = float(q[seen].min())
+        beta = -q_min if q_min < 0 else 0.0
+        if remaining is not None:
+            q = _emission_estimate(plus + remaining, total_plus + remaining, minus,
+                                   total_minus, self.alpha)
+        smoothed = (q + beta) / (1.0 + int(seen.sum()) * beta)
+        return smoothed if remaining is not None else np.where(seen, smoothed, 0.0)
 
     def params(self):
         return {"alpha": self.alpha}
 
 
 class GBase(Aggregation):
+    """Class share of the documents that contain the word; anchors play no
+    part, so the optimistic values are the current ones."""
+
     name = "base"
     needs_anchors = False
 
-    def __init__(self, stats: WordStats | None = None):
-        super().__init__(stats)
-        # keyed by the counts table itself, as GAv's exclusion mask
-        self._cache: tuple[AnchorCounts, str, np.ndarray] | None = None
-
-    def rank_values(self, counts, c):
-        if self.stats is None:
-            raise ValueError("base aggregation requires word statistics")
-        if self._cache is not None and self._cache[0] is counts and self._cache[1] == c:
-            return self._cache[2]
-        df_class = self.stats.doc_freq_class[c]
-        values = np.empty(len(counts.words))
-        for i, w in enumerate(counts.words):
+    def _score(self, counts, c, remaining):
+        def share(w):
             total = self.stats.doc_freq_total.get(w, 0)
-            values[i] = df_class.get(w, 0) / total if total else np.nan
-        self._cache = (counts, c, values)
-        return values
+            return self.stats.doc_freq_class[c].get(w, 0) / total if total else np.nan
 
-    def _raw_bounds(self, counts, c, remaining):
-        return self.rank_values(counts, c)
+        return self._per_word(counts, c, share)
 
 
 class GPrInverse(GPr):
     name = "pr_inverse"
     filterable = False
 
-    def rank_values(self, counts, c):
-        model = self._model(counts, c)
-        if model is None:
-            return np.full(len(counts.words), np.nan)
-        q_star = model[0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(q_star > 0, 1.0 / np.maximum(q_star, 1e-300), np.nan)
-
-    def _raw_bounds(self, counts, c, remaining):
+    def _score(self, counts, c, remaining):
         # Assuming remaining occurrences are anchors is not optimistic for an
         # inverse score, so this kind opts out of candidate filtering.
-        return np.full(len(counts.words), np.inf)
+        if remaining is not None:
+            return np.full(len(counts.words), np.inf)
+        q_star = super()._score(counts, c, None)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(q_star > 0, 1.0 / np.maximum(q_star, 1e-300), np.nan)
 
 
 # kind -> constructor from (stats, alpha, min_freq): the one list of kinds

@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 MODEL_FORMAT_VERSION = 1
+# seconds an external service may take per request; both clients default to it
+DEFAULT_TIMEOUT = 30.0
 
 
 class Predictor:
@@ -383,7 +385,7 @@ class ExternalPredictorClient(Predictor):
 
     def __init__(self, endpoint: str | None = None,
                  command: Sequence[str] | None = None,
-                 timeout: float = 30.0, batch_size: int = 32):
+                 timeout: float = DEFAULT_TIMEOUT, batch_size: int = 32):
         self.check_params(timeout, batch_size)
         # imported here: the transport loads subprocess, which only an
         # external client needs

@@ -18,6 +18,7 @@ import numpy as np
 
 from ._validation import check_positive, check_positive_int, check_probability
 from .corpus import Document, WordStats
+from .model import DEFAULT_TIMEOUT
 
 __all__ = [
     "Perturbator",
@@ -218,7 +219,7 @@ class ExternalPerturbatorClient(Perturbator):
     def __init__(self, endpoint: str | None = None,
                  command: Sequence[str] | None = None,
                  zeta: int = DEFAULT_ZETA, mask_prob: float = DEFAULT_MASK_PROB,
-                 timeout: float = 30.0):
+                 timeout: float = DEFAULT_TIMEOUT):
         check_probability(mask_prob, "mask_prob", open_low=True, open_high=False)
         self.zeta = check_positive_int(zeta, "zeta")
         check_positive(timeout, "timeout")

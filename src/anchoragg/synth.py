@@ -46,8 +46,13 @@ class SynthSpec:
             raise ValueError("need at least 2 documents")
         if self.n_docs - self.n_singleton_docs < 2:
             raise ValueError("n_docs too small for the requested singleton documents")
+        if self.n_singleton_docs < 0:
+            raise ValueError("n_singleton_docs must be non-negative, "
+                             f"got {self.n_singleton_docs}")
         if self.n_signal < 1:
             raise ValueError("need at least 1 signal word per class")
+        if self.n_fillers < 1:
+            raise ValueError(f"n_fillers must be at least 1, got {self.n_fillers}")
         if not 0.0 <= self.noise < 1.0:
             raise ValueError(f"noise out of [0, 1): {self.noise}")
 

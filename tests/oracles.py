@@ -2,9 +2,11 @@
 
 Everything here is deliberately written from first principles (enumeration,
 exact tails, grid search) and stays independent of the code paths it
-checks. The last section holds the test-only entry points: the synthetic
-generator's labeling rule, and one token's anchor test run through the
-package's own round loop.
+checks. The ``pr`` section keeps that score's first implementation, with
+separate code for ranks and bounds, as the reference for the package's one
+score function. The last section holds the test-only entry points: the
+synthetic generator's labeling rule, and one token's anchor test run through
+the package's own round loop.
 """
 
 from __future__ import annotations
@@ -129,6 +131,59 @@ def closed_form_estimates(a_plus, a_minus, alpha: float):
     p = a_minus / a_minus.sum()
     q = (1.0 / alpha) * a_plus / a_plus.sum() - (1.0 / alpha - 1.0) * p
     return q, p
+
+
+# -- the `pr` score as first implemented: ranks and optimistic bounds --------
+
+
+def pr_raw_estimates(a_plus, a_minus, alpha: float):
+    """Raw estimates (q, p) over the given count vectors; totals must be > 0."""
+    total_plus = a_plus.sum()
+    total_minus = a_minus.sum()
+    if total_plus <= 0 or total_minus <= 0:
+        raise ValueError("model undefined: both anchor and non-anchor totals "
+                         "must be positive")
+    p = a_minus / total_minus
+    q = (1.0 / alpha) * (a_plus / total_plus) - (1.0 / alpha - 1.0) * p
+    return q, p
+
+
+def pr_smooth(q):
+    """Additive shift by |min| then renormalize; identity when min >= 0.
+    Returns the smoothed vector and the min."""
+    q_min = float(q.min())
+    if q_min >= 0:
+        return q.copy(), q_min
+    beta = abs(q_min)
+    return (q + beta) / (1.0 + q.size * beta), q_min
+
+
+def pr_rank_values(a_plus, a_minus, alpha: float) -> np.ndarray:
+    """The smoothed estimate over the whole vocabulary: 0 where a word is
+    unseen, and 0 everywhere while either total is 0."""
+    seen = (a_plus + a_minus) > 0
+    values = np.zeros(a_plus.size)
+    if a_plus.sum() and a_minus.sum():
+        values[seen] = pr_smooth(pr_raw_estimates(a_plus[seen], a_minus[seen], alpha)[0])[0]
+    return values
+
+
+def pr_upper_bounds(a_plus, a_minus, alpha: float, remaining) -> np.ndarray:
+    """Each word's remaining occurrences all anchors (its numerator and the
+    anchor total both grow), mapped through the current smoothing; the rank
+    value where nothing remains, and inf everywhere while either total is 0."""
+    current = pr_rank_values(a_plus, a_minus, alpha)
+    total_plus, total_minus = int(a_plus.sum()), int(a_minus.sum())
+    if total_plus == 0 or total_minus == 0:
+        return np.where(remaining == 0, current, np.inf)
+    seen = (a_plus + a_minus) > 0
+    q_min = pr_smooth(pr_raw_estimates(a_plus[seen], a_minus[seen], alpha)[0])[1]
+    beta = abs(q_min) if q_min < 0 else 0.0
+    inv_alpha = 1.0 / alpha
+    q = inv_alpha * (a_plus + remaining) / (total_plus + remaining) \
+        - (inv_alpha - 1.0) * a_minus / total_minus
+    bounds = (q + beta) / (1.0 + int(seen.sum()) * beta)
+    return np.where(remaining == 0, current, bounds)
 
 
 # -- exact binomial coverage of a confidence interval ------------------------

@@ -12,8 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from anchoragg.aggregate import (AnchorCounts, GPr, _q_raw_vector, make_aggregation,
-                                 rank_words)
+from anchoragg.aggregate import AnchorCounts, GPr, make_aggregation, rank_words
 from anchoragg.anchor import AnchorConfig
 from anchoragg.cli import main as cli_main
 from anchoragg.corpus import Document, load_corpus, word_stats
@@ -24,7 +23,8 @@ from anchoragg.topk import (AnchorTopTerms, AnytimeOptions, optimization_profile
                             run_anytime)
 
 from conftest import FlipWordPredictor, CoinPerturbator
-from oracles import closed_form_estimates, estimate_token, grid_max_loglik, loglik
+from oracles import (closed_form_estimates, estimate_token, grid_max_loglik, loglik,
+                     pr_raw_estimates)
 
 
 def report(number: int, name: str, ok: bool, detail: str):
@@ -81,10 +81,11 @@ class TestCriterion2LaplaceProperties:
                 counts.a_plus["c"][j] = a_plus[i]
                 counts.a_minus["c"][j] = a_minus[i]
             seen = a_plus + a_minus > 0
-            # The order check reads the raw q that GPr smooths: an exact tie
-            # (e.g. A+/A- of 0/5 and 7/15 under totals 49/49, alpha 0.3) is
-            # rounded apart differently by the oracle's order of operations.
-            q, _ = _q_raw_vector(a_plus[seen], a_minus[seen], alpha)
+            # The order check reads the raw q in GPr's order of operations
+            # (pr_raw_estimates, whose ranks GPr matches bit for bit): an
+            # exact tie (e.g. A+/A- of 0/5 and 7/15 under totals 49/49,
+            # alpha 0.3) is rounded apart differently by the closed form.
+            q, _ = pr_raw_estimates(a_plus[seen], a_minus[seen], alpha)
             q_oracle, _ = closed_form_estimates(a_plus[seen], a_minus[seen], alpha)
             assert np.allclose(q, q_oracle, rtol=0.0, atol=1e-12)
             q_star = GPr(alpha=alpha).rank_values(counts, "c")[np.nonzero(seen)[0]]
@@ -185,7 +186,7 @@ class TestCriterion5PlantedRecovery:
         pathological = [
             w for w, score in ranked
             if score == 1.0 and w not in planted and stats.n_w(w) == 1
-            and counts.plus(w, "pos") == 1
+            and counts.a_plus["pos"][counts.index[w]] == 1
         ]
         report(5, "rare-word pathology of the averaged score",
                len(pathological) >= 1,

@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from anchoragg.aggregate import (AnchorCounts, _q_raw_vector, _smooth_vector,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from anchoragg.aggregate import (AGGREGATION_KINDS, AnchorCounts, GPr,
                                  make_aggregation, rank_words)
 from anchoragg.anchor import AnchorDecision
 from anchoragg.corpus import word_stats
 
 from conftest import make_corpus
-from oracles import (closed_form_estimates, grid_max_loglik,
-                     grid_max_loglik_brute, loglik, rank_words_by_sort)
+from oracles import (closed_form_estimates, grid_max_loglik, grid_max_loglik_brute,
+                     loglik, pr_rank_values, pr_raw_estimates, pr_smooth,
+                     pr_upper_bounds, rank_words_by_sort)
 
 
 def decision(word, position, anchor):
@@ -35,10 +39,18 @@ def score(kind, counts, word, c, **params):
     return float(values[counts.index[word]])
 
 
+def tally(counts, word, c="c0"):
+    """(anchor, non-anchor) occurrences of the word in class c."""
+    j = counts.index[word]
+    return int(counts.a_plus[c][j]), int(counts.a_minus[c][j])
+
+
 def raw_estimates(counts, alpha, c="c0"):
-    """Raw (q, p) over the words seen in class c, in vocabulary order."""
-    seen = counts.seen_mask(c)
-    return _q_raw_vector(counts.a_plus[c][seen], counts.a_minus[c][seen], alpha)
+    """The reference's raw (q, p) over the words seen in class c, in
+    vocabulary order."""
+    plus, minus = counts.a_plus[c], counts.a_minus[c]
+    seen = (plus + minus) > 0
+    return pr_raw_estimates(plus[seen], minus[seen], alpha)
 
 
 class TestUpdateCounts:
@@ -47,20 +59,19 @@ class TestUpdateCounts:
         decisions = [decision("great", 0, True), decision("great", 1, True),
                      decision("bad", 2, False)]
         counts.ingest(decisions, "c0", "d1")
-        assert counts.plus("great", "c0") == 2
-        assert counts.minus("bad", "c0") == 1
+        assert tally(counts, "great") == (2, 0)
+        assert tally(counts, "bad") == (0, 1)
 
     def test_empty_decisions_leave_counts(self):
         counts = AnchorCounts(["w"], ("c0",))
         counts.ingest([], "c0", "d1")
-        assert counts.total_plus("c0") == 0 and counts.total_minus("c0") == 0
+        assert tally(counts, "w") == (0, 0)
 
     def test_same_word_mixed_positions(self):
         counts = AnchorCounts(["w"], ("c0",))
         counts.ingest([decision("w", 0, True), decision("w", 3, False)],
                       "c0", "d1")
-        assert counts.plus("w", "c0") == 1
-        assert counts.minus("w", "c0") == 1
+        assert tally(counts, "w") == (1, 1)
 
     def test_double_ingestion_rejected(self):
         counts = AnchorCounts(["w"], ("c0",))
@@ -76,7 +87,7 @@ class TestUpdateCounts:
             decisions = [decision(w, i, bool(rng.integers(2)))
                          for i, w in enumerate(doc.words)]
             counts.ingest(decisions, "c0", doc.id)
-        assert counts.total_plus("c0") + counts.total_minus("c0") == 5
+        assert counts.a_plus["c0"].sum() + counts.a_minus["c0"].sum() == 5
 
 
 class TestSimpleAggregations:
@@ -183,11 +194,6 @@ class TestProbModel:
             assert q.sum() == pytest.approx(1.0, abs=1e-9)
             assert p.sum() == pytest.approx(1.0, abs=1e-9)
 
-    def test_undefined_model_raises(self):
-        counts = counts_from({"c0": {"a": (3, 0)}})
-        with pytest.raises(ValueError, match="undefined"):
-            raw_estimates(counts, 0.5)
-
     def test_smoothed_worked_example(self):
         counts = counts_from({"c0": {"a": (3, 1), "b": (1, 3)}})
         q_star = make_aggregation("pr", alpha=0.5).rank_values(counts, "c0")
@@ -198,7 +204,7 @@ class TestProbModel:
     def test_smoothing_identity_when_non_negative(self):
         counts = counts_from({"c0": {"a": (3, 1), "b": (1, 3)}})
         q, _ = raw_estimates(counts, 1.0)
-        smoothed, _ = _smooth_vector(q)
+        smoothed, _ = pr_smooth(q)
         assert smoothed.tolist() == q.tolist()
         q_star = make_aggregation("pr", alpha=1.0).rank_values(counts, "c0")
         assert q_star.tolist() == q.tolist()
@@ -265,7 +271,7 @@ class TestGPr:
         agg = make_aggregation("pr", alpha=1.0)
         ranked = rank_words(counts.words, agg.rank_values(counts, "c0"))
         by_plus = sorted(counts.words,
-                         key=lambda w: (-counts.plus(w, "c0"), w))
+                         key=lambda w: (-tally(counts, w)[0], w))
         assert [w for w, _ in ranked] == by_plus
 
 
@@ -284,6 +290,72 @@ class TestGPrInverse:
     def test_unit_score(self):
         counts = counts_from({"c0": {"a": (3, 1), "b": (1, 3)}})
         assert score("pr_inverse", counts, "a", "c0", alpha=0.5) == pytest.approx(1.0)
+
+
+def _tables(columns):
+    """``columns`` count vectors of one common length, 1 to 8 words."""
+    return st.integers(1, 8).flatmap(lambda n: st.tuples(*(
+        st.lists(st.integers(0, 20), min_size=n, max_size=n).map(
+            lambda v: np.array(v, dtype=np.int64)) for _ in range(columns))))
+
+
+_ALPHAS = st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.01, 1.0))
+
+
+def table_of(*columns):
+    """A counts table over w0, w1, ... from (a_plus, a_minus) column pairs,
+    one pair per class c0, c1, ..."""
+    classes = tuple(f"c{i}" for i in range(len(columns) // 2))
+    counts = AnchorCounts([f"w{i}" for i in range(len(columns[0]))], classes)
+    for i, c in enumerate(classes):
+        counts.a_plus[c][:] = columns[2 * i]
+        counts.a_minus[c][:] = columns[2 * i + 1]
+    return counts
+
+
+class TestOneScoreFunction:
+    """Ranks and bounds come from one score function per kind."""
+
+    @given(_tables(3), _ALPHAS)
+    @settings(max_examples=300, deadline=None)
+    def test_pr_equals_the_reference(self, table, alpha):
+        """The reference computes ranks and bounds separately, the bound in
+        another floating-point order: exact at alpha 0.5 and 1, where the
+        1/alpha factors are exact, and to 1e-12 relative elsewhere."""
+        plus, minus, remaining = table
+        agg, counts = GPr(alpha=alpha), table_of(plus, minus)
+        assert agg.rank_values(counts, "c0").tobytes() \
+            == pr_rank_values(plus, minus, alpha).tobytes()
+        bounds = agg.upper_bounds(counts, "c0", remaining)
+        expected = pr_upper_bounds(plus, minus, alpha, remaining)
+        if alpha in (0.5, 1.0):
+            assert bounds.tobytes() == expected.tobytes()
+        else:
+            np.testing.assert_allclose(bounds, expected, rtol=1e-12, atol=0)
+
+    @given(_tables(4))
+    @settings(max_examples=100, deadline=None)
+    def test_nothing_remaining_bounds_at_the_rank_values(self, table):
+        counts = table_of(*table)
+        words = counts.words
+        # the last word is in no document once there are two
+        corpus = make_corpus([(str(j), " ".join(words[:j + 1]), f"c{j % 2}")
+                              for j in range(max(len(words) - 1, 1))])
+        zeros = np.zeros(len(words), dtype=np.int64)
+        for kind in AGGREGATION_KINDS:
+            agg = make_aggregation(kind, stats=word_stats(corpus), min_freq=2)
+            assert agg.upper_bounds(counts, "c0", zeros).tobytes() \
+                == agg.rank_values(counts, "c0").tobytes(), kind
+
+    @given(_tables(3), st.booleans(), _ALPHAS)
+    @settings(max_examples=100, deadline=None)
+    def test_undefined_pr_model_ranks_zero_and_bounds_inf(self, table, no_anchors,
+                                                          alpha):
+        plus, minus, remaining = table
+        (plus if no_anchors else minus)[:] = 0
+        agg, counts = GPr(alpha=alpha), table_of(plus, minus)
+        assert agg.rank_values(counts, "c0").tolist() == [0.0] * len(plus)
+        assert np.all(agg.upper_bounds(counts, "c0", remaining + 1) == np.inf)
 
 
 class TestRanking:

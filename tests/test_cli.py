@@ -276,17 +276,31 @@ class TestSettings:
         ("topk", "--timeout", "inf", "timeout must be finite, got inf"),
     ]
 
+    RANGE_REQUIRED = {
+        "train": ("--out", "m.json"),
+        "topk": ("--model", "m.json", "--class", "pos", "--seed", "7"),
+        "anchors": ("--model", "m.json", "--seed", "7", "--out", "a.jsonl")}
+
     @pytest.mark.parametrize("command, flag, value, message", OUT_OF_RANGE,
                              ids=[f"{c} {f} {v}" for c, f, v, _ in OUT_OF_RANGE])
     def test_out_of_range_value_is_a_config_error(self, workspace, capsys, command,
                                                   flag, value, message):
         """Exit 2 before the corpus loads: the corpus file does not exist."""
-        required = {"train": ("--out", "m.json"),
-                    "topk": ("--model", "m.json", "--class", "pos", "--seed", "7"),
-                    "anchors": ("--model", "m.json", "--seed", "7", "--out", "a.jsonl")}
         assert run(command, "--corpus", "missing.jsonl", "--format", "jsonl",
-                   *required[command], flag, value) == 2
+                   *self.RANGE_REQUIRED[command], flag, value) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command, key", [("train", "learning_rate"),
+                                              ("topk", "timeout")])
+    def test_int_too_large_for_a_float_is_a_config_error(self, workspace, capsys,
+                                                         command, key):
+        """A config file's integer beyond any float is not finite: exit 2
+        before the corpus loads."""
+        huge = 10 ** 400
+        Path("cfg.json").write_text(json.dumps({key: huge}))
+        assert run(command, "--corpus", "missing.jsonl", "--format", "jsonl",
+                   *self.RANGE_REQUIRED[command], "--config", "cfg.json") == 2
+        assert capsys.readouterr().err == f"error: {key} must be finite, got {huge}\n"
 
     # each command's required flags, with a value, and the flags a run of it
     # needs besides them

@@ -1,8 +1,10 @@
 """Source checks over ``src/anchoragg``: no module imports a name it never
 uses, no module-level private function, class or assigned name goes
 unreferenced, every public name of the package is read by the package or
-shown in the README, every settable field of a public dataclass is named
-outside its module, and every ``ParamsMixin`` estimator is a dataclass.
+shown in the README, every public method of a public class is read by the
+package or the bench or named in the README, every settable field of a
+public dataclass is named outside its module, and every ``ParamsMixin``
+estimator is a dataclass.
 Uses only the standard library's ``ast``."""
 
 import ast
@@ -164,3 +166,22 @@ def test_params_mixin_estimators_are_dataclasses():
              and any(isinstance(b, ast.Name) and b.id == "ParamsMixin" for b in node.bases)
              and not _is_dataclass(node)]
     assert not plain, f"ParamsMixin classes that are not dataclasses: {plain}"
+
+
+def test_every_public_method_is_read():
+    """A public method of a public class that nothing in the package or the
+    bench reads as an attribute, and that the README does not name in
+    backticks, is surface only the tests use."""
+    sources = [*MODULES, *sorted((ROOT / "bench").rglob("*.py"))]
+    read = {node.attr for path in sources for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    quoted = " ".join(re.findall(r"`([^`]*)`",
+                                 (ROOT / "README.md").read_text(encoding="utf-8")))
+    unread = [f"{path.name}: {cls.name}.{method.name}" for path in MODULES
+              for cls in _tree(path).body
+              if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+              for method in cls.body
+              if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not method.name.startswith("_") and method.name not in read
+              and not re.search(rf"\b{method.name}\b", quoted)]
+    assert not unread, f"public methods nothing outside the tests reads: {unread}"

@@ -71,6 +71,10 @@ class TestGenerator:
             SynthSpec(noise=1.0)
         with pytest.raises(ValueError):
             SynthSpec(n_signal=0)
+        with pytest.raises(ValueError, match="n_singleton_docs"):
+            SynthSpec(n_docs=10, n_singleton_docs=-3, n_fillers=20)
+        with pytest.raises(ValueError, match="n_fillers"):
+            SynthSpec(n_fillers=0)
 
     def test_spec_leaves_two_regular_documents(self):
         """The generator's own limit is the spec's: besides its singleton

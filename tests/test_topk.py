@@ -213,8 +213,9 @@ class TestRunAnytime:
         assert "pad" not in result.candidates
         # the predictor classifies every document as pos, so all 24 skipped
         # occurrences land in the non-anchor tally
-        assert result.counts.minus("pad", "pos") == 24
-        assert result.counts.plus("pad", "pos") == 0
+        pad = result.counts.index["pad"]
+        assert result.counts.a_minus["pos"][pad] == 24
+        assert result.counts.a_plus["pos"][pad] == 0
 
     def test_heap_consistency_after_each_document(self):
         corpus = anchor_test_corpus()
@@ -233,7 +234,7 @@ class TestRunAnytime:
         # only classification/ordering calls remain, deduplicated by the
         # content cache (the corpus holds two distinct texts)
         assert result.calls == 2
-        assert result.counts.total_plus("pos") == 0
+        assert result.counts.a_plus["pos"].sum() == 0
 
     def test_unknown_class_rejected(self):
         corpus = anchor_test_corpus()
