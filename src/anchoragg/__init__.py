@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 _SUBMODULE_NAMES = {
     "aggregate": ("AGGREGATION_KINDS", "AnchorCounts", "make_aggregation", "rank_words"),
-    "anchor": ("AnchorConfig", "AnchorDecision", "anchors_of_document",
+    "anchor": ("AnchorConfig", "AnchorDecision", "anchors_of_documents",
                "confidence_bounds"),
     "corpus": ("Corpus", "Document", "WordStats",
                "default_stopwords", "filter_candidates", "load_corpus",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import fields
 from typing import Any
 
@@ -42,6 +43,16 @@ def check_positive(value: float, name: str, *, zero_ok: bool = False) -> float:
     if not (value >= 0 if zero_ok else value > 0):
         bound = "non-negative" if zero_ok else "positive"
         raise ValueError(f"{name} must be {bound}, got {value!r}")
+    return float(value)
+
+
+def check_timeout(value: float) -> float:
+    """A service timeout: positive, and at most ``threading.TIMEOUT_MAX``
+    seconds, the longest wait ``select`` accepts."""
+    check_positive(value, "timeout")
+    if value > threading.TIMEOUT_MAX:
+        raise ValueError(f"timeout must be at most {threading.TIMEOUT_MAX} s, "
+                         f"got {value!r}")
     return float(value)
 
 

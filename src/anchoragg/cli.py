@@ -410,7 +410,7 @@ def cmd_topk(args: argparse.Namespace, stack: ExitStack) -> int:
 
 def cmd_anchors(args: argparse.Namespace, stack: ExitStack) -> int:
     from ._validation import check_positive_int, check_probability
-    from .anchor import AnchorConfig, anchors_of_document
+    from .anchor import AnchorConfig, anchors_of_documents, document_waves
     from .corpus import word_stats
     from .perturb import build_unigram_perturbator
     from .seeding import token_streams
@@ -441,14 +441,16 @@ def cmd_anchors(args: argparse.Namespace, stack: ExitStack) -> int:
     docs = [d for d in docs if d.words][:resolved["limit"]]
     rows = 0
     handle = stack.enter_context(open(resolved["out"], "w", encoding="utf-8"))
-    for doc in docs:
-        decisions = anchors_of_document(
-            doc, predictor, perturbator, cfg, token_streams(resolved["seed"], doc.id),
-            target=predicted[doc.id][0])
-        calls += sum(dec.samples_used for dec in decisions)
-        for dec in decisions:
-            handle.write(json.dumps(dec.to_row(doc.id)) + "\n")
-            rows += 1
+    for wave in document_waves(docs, cfg):
+        decided = anchors_of_documents(
+            wave, predictor, perturbator, cfg,
+            [token_streams(resolved["seed"], doc.id) for doc in wave],
+            targets=[predicted[doc.id][0] for doc in wave])
+        for doc, decisions in zip(wave, decided):
+            calls += sum(dec.samples_used for dec in decisions)
+            for dec in decisions:
+                handle.write(json.dumps(dec.to_row(doc.id)) + "\n")
+                rows += 1
         handle.flush()
     _write_manifest(manifest, "anchors", resolved, started, {},
                     {"documents": len(docs), "tokens": rows, "predictor_calls": calls})

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from ._validation import (ParamsMixin, check_fitted, check_positive,
-                          check_positive_int, check_probability)
+                          check_positive_int, check_probability, check_timeout)
 from .corpus import Corpus, Document
 
 __all__ = [
@@ -48,11 +48,15 @@ class Predictor:
 
     The anchor loop scores rows through ``encode(words)``, a 1-D id array,
     and ``predict_proba_ids(ids)``, which scores an ``(n, m)`` id matrix as
-    ``predict_proba_many`` scores the corresponding word rows. By default
-    the ids are the words themselves; ``BowClassifier`` uses vocabulary ids.
+    ``predict_proba_many`` scores the corresponding word rows. A row shorter
+    than ``m`` ends in ``pad`` ids (see ``pad_rows``), and scores as the row
+    without them. By default the ids are the words themselves, the pad is
+    ``None``, and ``predict_proba_ids`` drops it; ``BowClassifier`` uses
+    vocabulary ids, and pads with the out-of-vocabulary id.
     """
 
     classes_: tuple[str, ...]
+    pad = None
 
     def predict_proba_words(self, words: Sequence[str]) -> np.ndarray:
         return self.predict_proba_many([words])[0]
@@ -64,7 +68,12 @@ class Predictor:
         return np.asarray(words, dtype=object)
 
     def predict_proba_ids(self, ids: np.ndarray) -> np.ndarray:
-        return self.predict_proba_many(list(map(tuple, ids.tolist())))
+        rows = list(map(tuple, ids.tolist()))
+        ends = ids[:, -1].tolist() if ids.size else []
+        if self.pad in ends:
+            rows = [row[:row.index(self.pad)] if end == self.pad else row
+                    for row, end in zip(rows, ends)]
+        return self.predict_proba_many(rows)
 
     def predict(self, doc: Document) -> str:
         return self.predict_many([doc])[0]
@@ -79,6 +88,18 @@ class Predictor:
 
     def class_index(self, label: str) -> int:
         return self.classes_.index(label)
+
+
+def pad_rows(ids: np.ndarray, lengths: list[int], pad) -> np.ndarray:
+    """The rows of the given lengths, cut in order from the 1-D ``ids``, as
+    one matrix as wide as the longest row, each shorter row padded at its
+    end with ``pad``; no copy when every row has that width."""
+    width = max(lengths, default=0)
+    if lengths.count(width) == len(lengths):
+        return ids.reshape(len(lengths), width)
+    rows = np.full((len(lengths), width), pad, dtype=ids.dtype)
+    rows[np.arange(width) < np.asarray(lengths)[:, None]] = ids
+    return rows
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -240,12 +261,17 @@ class BowClassifier(ParamsMixin, Predictor):
         zero row leaves a row's sum as it is, so results do not depend on
         how rows are batched."""
         check_fitted(self, ("weights_", "bias_", "classes_", "vocabulary_"))
-        lengths = np.fromiter(map(len, docs), dtype=np.intp, count=len(docs))
-        ids = np.full((len(docs), lengths.max(initial=0)), len(self.vocabulary_),
-                      dtype=np.intp)
-        ids[np.arange(ids.shape[1]) < lengths[:, None]] = \
-            self.encode([w for words in docs for w in words])
+        ids = pad_rows(self.encode([w for words in docs for w in words]),
+                       list(map(len, docs)), self.pad)
         return _softmax(self._logits(ids))
+
+    @property
+    def pad(self) -> int:
+        """The out-of-vocabulary id, ``len(vocabulary_)``: its zero weight
+        row adds exactly +0.0 at the end of a row's left-to-right sum, so a
+        padded row scores as the row without its pad."""
+        check_fitted(self, ("vocabulary_",))
+        return len(self.vocabulary_)
 
     def encode(self, words: Sequence[str]) -> np.ndarray:
         """Model ids of ``words``; an out-of-vocabulary word gets
@@ -400,7 +426,7 @@ class ExternalPredictorClient(Predictor):
     def check_params(timeout: float, batch_size: int) -> None:
         """Raise ValueError on a setting out of range, before any connection.
         The messages name the settings as the CLI's config keys do."""
-        check_positive(timeout, "timeout")
+        check_timeout(timeout)
         check_positive_int(batch_size, "external_batch_size")
 
     def _request(self, texts: list[str]) -> np.ndarray:

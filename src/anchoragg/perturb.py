@@ -16,9 +16,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._validation import check_positive, check_positive_int, check_probability
+from ._validation import check_positive_int, check_probability, check_timeout
 from .corpus import Document, WordStats
-from .model import DEFAULT_TIMEOUT
+from .model import DEFAULT_TIMEOUT, pad_rows
 
 __all__ = [
     "Perturbator",
@@ -49,16 +49,20 @@ class Perturbator:
                      rng: np.random.Generator) -> list[tuple[str, ...]]:
         raise NotImplementedError
 
-    def sampler(self, doc: Document, encode: Callable) -> Callable[..., np.ndarray]:
-        """``draw(positions, n, rngs)``: one matrix of the ``encode`` ids of the
-        rows that ``sample_batch(doc, (positions[t],), n, rngs[t])`` draws,
-        block ``t`` of ``n`` rows after block ``t - 1``, each generator
-        consumed as that call consumes it. By default ``draw`` makes those
-        calls and encodes their words in one call."""
-        def draw(positions, n, rngs):
-            words = [w for pos, rng in zip(positions, rngs)
-                     for row in self.sample_batch(doc, (pos,), n, rng) for w in row]
-            return encode(words).reshape(-1, len(doc.words))
+    def sampler(self, docs: Sequence[Document], encode: Callable, pad
+                ) -> Callable[..., np.ndarray]:
+        """``draw(doc_of, positions, n, rngs)``: one matrix of the ``encode``
+        ids of the rows that ``sample_batch(docs[doc_of[t]], (positions[t],),
+        n, rngs[t])`` draws, block ``t`` of ``n`` rows after block ``t - 1``,
+        each generator consumed as that call consumes it. ``doc_of`` and
+        ``positions`` are integer arrays; rows shorter than the longest are
+        padded at the end with ``pad``. By default ``draw`` makes those calls
+        and encodes their words in one call."""
+        def draw(doc_of, positions, n, rngs):
+            rows = [row for d, pos, rng in zip(doc_of.tolist(), positions.tolist(), rngs)
+                    for row in self.sample_batch(docs[d], (pos,), n, rng)]
+            return pad_rows(encode([w for row in rows for w in row]),
+                            [len(row) for row in rows], pad)
         return draw
 
 
@@ -110,76 +114,105 @@ class UnigramPerturbator(Perturbator):
         self._guide = _guide_table(self._cdf)
         self.mask_prob = float(mask_prob)
 
-    def sample_round(self, doc_ids: np.ndarray, positions: Sequence[int], n: int,
+    def sample_round(self, wave_ids: np.ndarray, lengths: np.ndarray,
+                     doc_of: np.ndarray, positions: np.ndarray, n: int,
                      rngs: Sequence[np.random.Generator], fill_ids: np.ndarray
                      ) -> np.ndarray:
-        """Every position's batch of a round, drawn in one step, in ids: the
-        matrix ``Perturbator.sampler``'s ``draw`` returns.
+        """Every token's batch of a round, drawn in one step, in ids: the
+        matrix ``Perturbator.sampler``'s ``draw`` returns, as wide as the
+        longest of the tokens' documents.
 
-        ``doc_ids`` are the ids of the document's words and ``fill_ids``
-        those of ``pool_words``, in one id space. They may also be object
-        arrays of the words themselves; the rows then hold words.
+        Token ``t`` keeps position ``positions[t]`` of document ``doc_of[t]``:
+        row ``doc_of[t]`` of ``wave_ids``, whose first ``lengths[doc_of[t]]``
+        entries are the document's ids and the rest the pad (see
+        ``model.pad_rows``). ``fill_ids`` are those of ``pool_words``, in the
+        same id space. Both may also be object arrays of the words
+        themselves; the rows then hold words.
         """
-        m = len(doc_ids)
-        if len(positions) and not (0 <= min(positions) and max(positions) < m):
-            raise ValueError(f"keep position outside document of length {m}")
-        cols = np.arange(m - 1, dtype=np.intp)
-        kept = np.asarray(positions, dtype=np.intp).reshape(-1, 1)
-        return self._sample(np.asarray(doc_ids), cols + (cols >= kept), n, rngs, fill_ids)
+        doc_of = np.asarray(doc_of, dtype=np.intp)
+        kept = np.asarray(positions, dtype=np.intp)
+        m = lengths[doc_of]
+        if ((kept < 0) | (kept >= m)).any():
+            raise ValueError("keep position outside its document")
+        # one count for all when the tokens' documents share a length, as
+        # the tokens of one document do
+        one = len(lengths) == 1
+        width = int(lengths[0]) if one else int(m.max(initial=0))
+        counts = width - 1 if one or (m == width).all() else m - 1
+        rows = wave_ids[doc_of, :width].repeat(n, axis=0)
+        row, col, picks = self._masked_slots(counts, n, rngs)
+        # the free slots of a row skip its kept position
+        rows[row, col + (col >= kept[row // n])] = fill_ids[picks]
+        return rows
 
-    def _sample(self, doc_ids: np.ndarray, free: np.ndarray, n: int,
-                rngs: Sequence[np.random.Generator], fill_ids: np.ndarray
-                ) -> np.ndarray:
-        """``n`` rows per generator; ``free[t]`` lists the positions that
-        generator ``t`` may mask.
+    def _masked_slots(self, counts: int | np.ndarray, n: int,
+                      rngs: Sequence[np.random.Generator]
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The masked slots of ``n`` rows per generator, generator ``t`` free
+        to mask ``counts[t]`` slots of each (``counts`` slots, if an int):
+        their rows, their columns among those slots and the pool index
+        picked for each, in the order the generators fill them.
 
-        Generator ``t`` draws the mask uniforms of its ``(n, f)`` block, row
-        by row, then one pick uniform per masked slot in that order; the
-        compare, the mask listing, the pool search and the fill run once for
-        all generators.
+        Generator ``t`` draws the mask uniforms of its ``(n, counts[t])``
+        block, row by row, then one pick uniform per masked slot in that
+        order; the compare, the listing and the pool search run once for all
+        generators. The blocks lie end to end, so a token of a shorter
+        document draws no uniform for the pad.
         """
-        tokens, width = free.shape
-        rows = doc_ids[None, :].repeat(tokens * n, axis=0)
-        if width == 0 or n == 0:
-            return rows
-        uniforms = np.empty((tokens, n, width))
-        for rng, block in zip(rngs, uniforms):
-            rng.random(out=block)
-        # nonzero lists the masked slots generator by generator, row by row:
-        # the order each generator's picks fill them
-        masked_row, masked_col = (uniforms < self.mask_prob).reshape(
-            tokens * n, width).nonzero()
-        ends = masked_row.searchsorted(np.arange(n, (tokens + 1) * n, n))
-        pick_uniforms = np.empty(masked_row.size)
+        if isinstance(counts, int):
+            uniforms = np.empty((len(rngs), n * counts))
+            for rng, block in zip(rngs, uniforms):
+                rng.random(out=block)
+            slots = (uniforms < self.mask_prob).ravel().nonzero()[0]
+            row = slots // max(counts, 1)
+            col = slots - row * counts
+        else:
+            sizes = n * counts
+            uniforms = np.empty(int(sizes.sum()))
+            start = 0
+            for rng, size in zip(rngs, sizes.tolist()):
+                rng.random(out=uniforms[start:start + size])
+                start += size
+            slots = (uniforms < self.mask_prob).nonzero()[0]
+            token = np.repeat(np.arange(len(counts)), sizes)[slots]
+            local = slots - (sizes.cumsum() - sizes)[token]
+            per_row = counts[token]
+            row_in = local // per_row
+            row = token * n + row_in
+            col = local - row_in * per_row
+        ends = row.searchsorted(np.arange(1, len(rngs) + 1) * n)
+        pick_uniforms = np.empty(slots.size)
         start = 0
         for rng, end in zip(rngs, ends.tolist()):
             rng.random(out=pick_uniforms[start:end])
             start = end
-        picks = self._pick(pick_uniforms)
-        rows[masked_row, free[masked_row // n, masked_col]] = fill_ids[picks]
-        return rows
+        return row, col, self._pick(pick_uniforms)
 
     def _pick(self, uniforms: np.ndarray) -> np.ndarray:
         """``self._cdf.searchsorted(uniforms, side="right")``: the guide table's
         entry of each uniform's bin, searched only where the bin holds a step."""
         picks = self._guide[(uniforms * GUIDE_BINS).astype(np.intp)]
-        straddle = np.flatnonzero(picks < 0)
+        straddle = (picks < 0).nonzero()[0]
         if straddle.size:
             picks[straddle] = self._cdf.searchsorted(uniforms[straddle], side="right")
         return picks
 
-    def sampler(self, doc: Document, encode: Callable) -> Callable[..., np.ndarray]:
-        """One ``sample_round`` per ``draw``, from the document and the pool
-        encoded once."""
-        doc_ids, fill_ids = encode(doc.words), encode(self.pool_words)
-        return lambda positions, n, rngs: self.sample_round(doc_ids, positions, n,
-                                                            rngs, fill_ids)
+    def sampler(self, docs: Sequence[Document], encode: Callable, pad
+                ) -> Callable[..., np.ndarray]:
+        """One ``sample_round`` per ``draw``, from the documents, encoded and
+        padded once, and the pool, encoded once."""
+        lengths = [len(d.words) for d in docs]
+        wave_ids = pad_rows(encode([w for d in docs for w in d.words]), lengths, pad)
+        lengths, fill_ids = np.asarray(lengths), encode(self.pool_words)
+        return lambda doc_of, positions, n, rngs: self.sample_round(
+            wave_ids, lengths, doc_of, positions, n, rngs, fill_ids)
 
     def sample_batch(self, doc: Document, keep: Iterable[int], n: int,
                      rng: np.random.Generator) -> list[tuple[str, ...]]:
-        words = np.asarray(doc.words, dtype=object)
-        free = np.asarray([_free(len(words), keep)], dtype=np.intp)
-        rows = self._sample(words, free, n, (rng,), self.pool_words)
+        free = np.asarray(_free(len(doc.words), keep), dtype=np.intp)
+        rows = np.asarray([doc.words], dtype=object).repeat(n, axis=0)
+        row, col, picks = self._masked_slots(free.size, n, (rng,))
+        rows[row, free[col]] = self.pool_words[picks]
         return list(map(tuple, rows.tolist()))
 
 
@@ -222,7 +255,7 @@ class ExternalPerturbatorClient(Perturbator):
                  timeout: float = DEFAULT_TIMEOUT):
         check_probability(mask_prob, "mask_prob", open_low=True, open_high=False)
         self.zeta = check_positive_int(zeta, "zeta")
-        check_positive(timeout, "timeout")
+        check_timeout(timeout)
         # imported here: the transport loads subprocess, which only an
         # external client needs
         from ._transport import JsonLinesTransport

@@ -1,10 +1,10 @@
 """Anytime top-k driver.
 
-Documents of the target class are processed one at a time in descending
-classification confidence. After each document the tallies grow, every
-candidate word is rescored from the partial counts (its pseudo-score), and
-the current best k words are re-selected, so interrupting the run at any
-point yields a valid, improving answer. Optimizations on top:
+Documents of the target class are processed in descending classification
+confidence. After each document the tallies grow, every candidate word is
+rescored from the partial counts (its pseudo-score), and the current best k
+words are re-selected, so interrupting the run at any point yields a valid,
+improving answer. Optimizations on top:
 
 - candidate filtering: permanently drop a word once an optimistic upper
   bound on its score (all remaining occurrences land as anchors) falls
@@ -14,9 +14,13 @@ point yields a valid, improving answer. Optimizations on top:
 - document sampling: run on a uniform subset of the corpus.
 
 Every anchor test decides against the one threshold ``AnchorConfig.tau``.
-Token estimations inside a document are independent and move in rounds;
-tallies, selection, filtering, and snapshots are applied in document order,
-so a run's outputs depend only on its inputs and seed.
+Token estimations are independent and move in rounds. The tokens of a wave
+of documents share those rounds: one document while candidate filtering
+can prune, since a pruned word changes what the next document samples, and
+otherwise consecutive documents up to ``anchor.WAVE_ROWS`` first-round
+rows (``anchor.document_waves``). After each wave, tallies, selection,
+filtering and snapshots are applied document by document, in order, so a
+run's outputs depend only on its inputs and seed, not on its waves.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from ._validation import (ParamsMixin, check_fraction, check_positive_int,
                           check_probability)
 from .aggregate import (DEFAULT_ALPHA, DEFAULT_MIN_FREQ, AnchorCounts,
                         Aggregation, GAv, make_aggregation, rank_words)
-from .anchor import AnchorConfig, anchors_of_document
+from .anchor import AnchorConfig, anchors_of_documents, document_waves
 from .corpus import (Corpus, Document, WordStats, default_stopwords,
                      filter_candidates, sample_documents, word_stats)
 from .eval import TermList
@@ -163,7 +167,9 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
     the full counts whenever candidate filtering is off. Aggregations that
     need no anchor sampling (``base``) skip estimation entirely and their
     tallies stay empty. The run scores with a copy of ``aggregation``, so one
-    aggregation may be passed to several runs.
+    aggregation may be passed to several runs. ``snapshot_sink`` and
+    ``trace_sink`` receive a wave's documents' rows together, in document
+    order, once the wave's tests are done.
     """
     check_positive_int(k, "k")
     if c not in corpus.classes:
@@ -211,44 +217,50 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
         if snapshot_sink is not None:
             snapshot_sink(snap)
 
-    for i, doc in enumerate(ordered, start=1):
-        if len(doc.words) == 0:
-            counts.ingest([], c, doc.id)
-            take_snapshot(i)
-            continue
-
+    # pruning changes the domain after every document, so it tests one
+    # document at a time; otherwise no document's tests depend on another's
+    prune = options.candidate_filtering and aggregation.filterable
+    waves = ([doc] for doc in ordered) if prune else \
+        document_waves(ordered, cfg, lambda w: not candidate_mask[index[w]])
+    i = 0
+    for wave in waves:
         # words outside the domain are not sampled and tally as non-anchors
         domain = candidate_mask & ~filtered_mask
-        if aggregation.needs_anchors:
-            decisions = anchors_of_document(
-                doc, predictor, perturbator, cfg,
-                token_streams(root_seed, doc.id),
-                skip_word=lambda w: not domain[index[w]], target=c)
+        tested = [doc for doc in wave if doc.words] if aggregation.needs_anchors else []
+        decided = iter(anchors_of_documents(
+            tested, predictor, perturbator, cfg,
+            [token_streams(root_seed, doc.id) for doc in tested],
+            skip_word=lambda w: not domain[index[w]],
+            targets=[c] * len(tested)) if tested else [])
+        for doc in wave:
+            i += 1
+            decisions = next(decided) if aggregation.needs_anchors and doc.words else []
             counts.ingest(decisions, c, doc.id)
             calls += sum(d.samples_used for d in decisions)
             if trace_sink is not None:
                 for d in decisions:
                     trace_sink(d.to_row(doc.id))
-        else:
-            counts.ingest([], c, doc.id)
+            if not doc.words:
+                take_snapshot(i)
+                continue
 
-        for w in doc.words:
-            remaining[index[w]] -= 1
+            for w in doc.words:
+                remaining[index[w]] -= 1
 
-        values = aggregation.rank_values(counts, c)
-        masked = np.where(domain, values, np.nan)
-        selection = rank_words(words, masked, k)
+            values = aggregation.rank_values(counts, c)
+            masked = np.where(domain, values, np.nan)
+            selection = rank_words(words, masked, k)
 
-        if (options.candidate_filtering and aggregation.filterable
-                and len(selection) == k):
-            w_min_score = selection[-1][1]
-            in_selection = np.zeros(vocab_size, dtype=bool)
-            for w, _ in selection:
-                in_selection[index[w]] = True
-            bounds = aggregation.upper_bounds(counts, c, remaining)
-            filtered_mask |= domain & ~in_selection & should_filter(bounds, w_min_score)
+            if prune and len(selection) == k:
+                w_min_score = selection[-1][1]
+                in_selection = np.zeros(vocab_size, dtype=bool)
+                for w, _ in selection:
+                    in_selection[index[w]] = True
+                bounds = aggregation.upper_bounds(counts, c, remaining)
+                filtered_mask |= domain & ~in_selection & should_filter(bounds,
+                                                                        w_min_score)
 
-        take_snapshot(i)
+            take_snapshot(i)
 
     terms = TermList.from_pairs(c, aggregation.describe(), selection)
     final_scores = {w: s for w, s in

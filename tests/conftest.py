@@ -57,6 +57,10 @@ class RowRecorder(Predictor):
     def encode(self, words):
         return self.base.encode(words)
 
+    @property
+    def pad(self):
+        return self.base.pad
+
     def predict_proba_ids(self, ids):
         self.rows += len(ids)
         self.calls.append(("ids", len(ids)))

@@ -16,7 +16,7 @@ import math
 import numpy as np
 from scipy import sparse, stats
 
-from anchoragg.anchor import _sequential_tests
+from anchoragg.anchor import AnchorDecision, _sequential_tests
 
 
 # -- generative-mixture log-likelihood and its grid maximum -----------------
@@ -336,15 +336,20 @@ def unigram_fill_by_loop(pert, doc, keep, n, rng) -> list[tuple[str, ...]]:
     return out
 
 
-def sample_round_by_token(pert, doc_ids, positions, n, rngs, fill_ids) -> np.ndarray:
+def sample_round_by_token(pert, doc_ids, doc_of, positions, n, rngs, fill_ids,
+                          pad) -> np.ndarray:
     """A round's rows drawn one token at a time, as a test of each token
-    alone draws them: mask coins for the token's free positions,
-    ``rng.choice`` for the fills, the blocks stacked in token order."""
-    doc_ids = np.asarray(doc_ids, dtype=np.intp)
-    blocks = [np.empty((0, doc_ids.size), dtype=np.intp)]
-    for pos, rng in zip(positions, rngs):
-        block = np.tile(doc_ids, (n, 1))
-        free = np.asarray([i for i in range(doc_ids.size) if i != pos], dtype=np.intp)
+    alone draws them: mask coins for the free positions of the token's
+    document ``doc_ids[doc_of[t]]``, ``rng.choice`` for the fills, each row
+    padded at its end with ``pad`` to the longest of the tokens' documents,
+    the blocks stacked in token order."""
+    width = max((len(doc_ids[d]) for d in doc_of), default=0)
+    blocks = [np.empty((0, width), dtype=np.intp)]
+    for d, pos, rng in zip(doc_of, positions, rngs):
+        ids = np.asarray(doc_ids[d], dtype=np.intp)
+        block = np.full((n, width), pad, dtype=np.intp)
+        block[:, :ids.size] = ids
+        free = np.asarray([i for i in range(ids.size) if i != pos], dtype=np.intp)
         if free.size and n:
             masks = rng.random((n, free.size)) < pert.mask_prob
             total = int(masks.sum())
@@ -436,5 +441,9 @@ def estimate_token(doc, position, predictor, perturbator, cfg, rng, target=None)
         raise ValueError(f"position {position} outside document {doc.id!r}")
     if target is None:
         target = predictor.predict(doc)
-    return _sequential_tests(doc, [position], [rng], predictor, perturbator, cfg,
-                             predictor.class_index(target))[0]
+    verdicts, successes, samples = _sequential_tests(
+        [doc], np.zeros(1, dtype=np.intp), np.asarray([position], dtype=np.intp),
+        [rng], np.asarray([predictor.class_index(target)]), predictor, perturbator,
+        cfg)
+    return AnchorDecision(doc.words[position], position, bool(verdicts[0]),
+                          int(successes[0]), int(samples[0]))

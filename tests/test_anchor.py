@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import anchoragg
-from anchoragg.anchor import (ROUND_ROWS, AnchorConfig, AnchorDecision, _verdicts,
-                              anchors_of_document, confidence_bounds)
+from anchoragg.anchor import (ROUND_ROWS, WAVE_ROWS, AnchorConfig, AnchorDecision,
+                              _verdicts, anchors_of_documents, confidence_bounds,
+                              document_waves)
 from anchoragg.corpus import Document, word_stats
 from anchoragg.model import BowClassifier, Predictor, train_bow
-from anchoragg.perturb import UnigramPerturbator, build_unigram_perturbator
+from anchoragg.perturb import Perturbator, UnigramPerturbator, build_unigram_perturbator
 from anchoragg.seeding import stream_rng
 from anchoragg.synth import SynthSpec, generate_planted_corpus
 from anchoragg.topk import AnchorTopTerms
@@ -18,6 +19,13 @@ from conftest import (CoinPerturbator, ConstantPredictor, FlipWordPredictor,
                       PositionWordPredictor)
 from oracles import (estimate_token, interval_coverage, mc_precision,
                      sequential_test_by_token)
+
+
+def anchors_of_document(doc, predictor, perturbator, cfg, rng_for, skip_word=None, *,
+                        target):
+    """``anchors_of_documents`` on a wave of one document."""
+    return anchors_of_documents([doc], predictor, perturbator, cfg, [rng_for],
+                                skip_word, targets=[target])[0]
 
 
 class TestConfidenceBounds:
@@ -67,6 +75,7 @@ class TestVerdictTable:
             tau = float(r.choice([0.5, 0.8, 0.95, 1.0]))
             last = bool(r.integers(2))
             table = _verdicts(trials, delta, tau, last)
+            assert table.dtype == np.int8 and not table.flags.writeable
             assert len(table) == trials + 1
             for h, verdict in enumerate(table):
                 lower, upper = confidence_bounds(h, trials, delta)
@@ -538,3 +547,111 @@ class TestStatisticalSoundness:
                                    stream_rng(r, "sound", int(pi * 100)))
                 wrong += int(d.is_anchor)  # true precision is below tau
             assert wrong / reps <= limit
+
+
+class WordRows(Predictor):
+    """Scores only words, and records every row it is given."""
+
+    def __init__(self, base):
+        self.base = base
+        self.rows = []
+
+    @property
+    def classes_(self):
+        return self.base.classes_
+
+    def predict_proba_many(self, docs):
+        self.rows += docs
+        return self.base.predict_proba_many(docs)
+
+
+class BatchOnly(Perturbator):
+    """Forwards only ``sample_batch``."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def sample_batch(self, doc, keep, n, rng):
+        return self.base.sample_batch(doc, keep, n, rng)
+
+
+class TestWaves:
+    """A wave of documents tested together gets each document's decisions as
+    testing it alone does: its tokens draw from their own streams, and rows
+    of shorter documents are padded with the predictor's pad."""
+
+    @staticmethod
+    def _wave(corpus):
+        """Documents of mixed lengths, two of one word (one of them out of
+        the model's vocabulary) and one whose every word is skipped."""
+        docs = list(corpus.documents[:9])
+        return [*docs[:3], Document.from_text("solo", docs[0].words[0]), *docs[3:6],
+                Document.from_text("oov", "zzunseen"), Document.from_text("skips", "a b"),
+                *docs[6:]]
+
+    @staticmethod
+    def _check(docs, pred, pert, cfg, skip):
+        streams = [lambda pos, d=d: stream_rng(8, "wave", d.id, pos) for d in docs]
+        targets = pred.predict_many(docs)
+        wave = anchors_of_documents(docs, pred, pert, cfg, streams, skip,
+                                    targets=targets)
+        assert wave == [anchors_of_document(d, pred, pert, cfg, rng_for, skip, target=t)
+                        for d, rng_for, t in zip(docs, streams, targets)]
+        return wave, targets
+
+    @pytest.mark.parametrize("wrap", [lambda clf: clf, StringOnly])
+    @pytest.mark.parametrize("kernel", [True, False])
+    def test_equals_each_document_alone(self, trained_pair, wrap, kernel):
+        corpus, clf, pool = trained_pair
+        docs = self._wave(corpus)
+        assert len({len(d.words) for d in docs}) > 3
+        # a perturbator without the kernel draws through ``sample_batch``, as
+        # the benchmark's tracer does
+        pert = pool if kernel else BatchOnly(pool)
+        cfg = AnchorConfig(tau=0.8, delta=0.3, max_samples=40)
+        skip = lambda w: len(w) < 2
+        wave, targets = self._check(docs, wrap(clf), pert, cfg, skip)
+        assert len(set(targets)) == 2
+        sampled = [d for decisions in wave for d in decisions if d.samples_used]
+        assert {d.is_anchor for d in sampled} == {True, False}
+        assert len({d.samples_used for d in sampled}) > 1
+        assert wave[docs.index(next(d for d in docs if d.id == "skips"))] == [
+            AnchorDecision("a", 0, False, 0, 0), AnchorDecision("b", 1, False, 0, 0)]
+
+    def test_words_only_predictor_never_sees_the_pad(self, trained_pair):
+        corpus, clf, pool = trained_pair
+        docs = self._wave(corpus)
+        pred = WordRows(clf)
+        self._check(docs, pred, pool, AnchorConfig(max_samples=30), None)
+        lengths = {len(d.words) for d in docs}
+        assert pred.rows and all(None not in row for row in pred.rows)
+        assert {len(row) for row in pred.rows} == lengths
+
+    def test_empty_document_rejected(self, trained_pair):
+        corpus, clf, pool = trained_pair
+        docs = [corpus.documents[0], Document(id="e", words=(), raw_text="")]
+        with pytest.raises(ValueError, match="'e' is empty"):
+            anchors_of_documents(docs, clf, pool, AnchorConfig(),
+                                 [lambda pos: stream_rng(0, pos)] * 2,
+                                 targets=["pos", "pos"])
+
+    def test_waves_are_consecutive_runs_within_the_row_bound(self):
+        r = np.random.default_rng(4)
+        docs = [Document.from_text(str(i), " ".join(["w"] * int(m)))
+                for i, m in enumerate(r.integers(1, 60, 200))]
+        docs.insert(50, Document.from_text("long", " ".join(["x"] * 200)))
+        for cfg, skip in ((AnchorConfig(), None),
+                          (AnchorConfig(batch_size=7, max_samples=5), None),
+                          (AnchorConfig(), lambda w: w == "x")):
+            first = min(cfg.batch_size, cfg.max_samples)
+            rows = lambda d: first * sum(1 for w in d.words
+                                         if skip is None or not skip(w))
+            waves = list(document_waves(docs, cfg, skip))
+            assert [d for wave in waves for d in wave] == docs
+            for wave, following in zip(waves, waves[1:] + [[]]):
+                total = sum(map(rows, wave))
+                assert total <= WAVE_ROWS or len(wave) == 1
+                # a wave ends only where the next document would not fit
+                if following:
+                    assert total + rows(following[0]) > WAVE_ROWS
+            assert any(len(wave) > 1 for wave in waves)

@@ -1,5 +1,6 @@
 import json
 import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -274,12 +275,20 @@ class TestSettings:
         ("topk", "--timeout", "0", "timeout must be positive, got 0.0"),
         ("anchors", "--timeout", "-1", "timeout must be positive, got -1.0"),
         ("topk", "--timeout", "inf", "timeout must be finite, got inf"),
+        # beyond the longest wait ``select`` takes
+        ("topk", "--timeout", "1e10",
+         f"timeout must be at most {threading.TIMEOUT_MAX} s, got 10000000000.0"),
+        ("topk", "--timeout", "1e300",
+         f"timeout must be at most {threading.TIMEOUT_MAX} s, got 1e+300"),
+        ("eval-aopc", "--timeout", "1e10",
+         f"timeout must be at most {threading.TIMEOUT_MAX} s, got 10000000000.0"),
     ]
 
     RANGE_REQUIRED = {
         "train": ("--out", "m.json"),
         "topk": ("--model", "m.json", "--class", "pos", "--seed", "7"),
-        "anchors": ("--model", "m.json", "--seed", "7", "--out", "a.jsonl")}
+        "anchors": ("--model", "m.json", "--seed", "7", "--out", "a.jsonl"),
+        "eval-aopc": ("--model", "m.json", "--terms", "t.json")}
 
     @pytest.mark.parametrize("command, flag, value, message", OUT_OF_RANGE,
                              ids=[f"{c} {f} {v}" for c, f, v, _ in OUT_OF_RANGE])

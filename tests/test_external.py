@@ -411,6 +411,7 @@ class TestExternalPerturbator:
     @pytest.mark.parametrize("kwargs, match", [
         ({"zeta": 0}, "zeta"), ({"zeta": 2.5}, "zeta"), ({"zeta": -3}, "zeta"),
         ({"timeout": 0}, "timeout"), ({"timeout": -1}, "timeout"),
+        ({"timeout": 1e10}, "timeout must be at most"),
     ])
     def test_settings_checked_before_any_child(self, perturbator_script, started,
                                                kwargs, match):

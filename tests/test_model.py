@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from anchoragg.corpus import Document
 from anchoragg.model import (BowClassifier, CachingPredictor, ExternalPredictorClient,
-                             Predictor, _softmax, accuracy, load_model, save_model,
-                             train_bow)
+                             Predictor, _softmax, accuracy, load_model, pad_rows,
+                             save_model, train_bow)
 
 from conftest import make_corpus
 from oracles import (bow_fit_with_scipy, bow_logits_by_column, bow_proba_by_loop,
@@ -263,6 +263,25 @@ class TestBatchedScoring:
             [_softmax(bow_logits_by_column(clf, clf.encode(d)[None, :])) for d in docs])
         assert clf.predict_proba_many(docs).tobytes() == expected.tobytes()
 
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 30), min_size=1,
+                                               max_size=12))
+    @example(0, [1])
+    @example(1, [5, 1, 2])
+    @settings(max_examples=150, deadline=None)
+    def test_pad_padded_ids_score_as_the_rows_alone(self, seed, lengths):
+        """Rows ending in the pad, the out-of-vocabulary id, score as the
+        rows without it, bit for bit, whatever the rows' own words: an
+        out-of-vocabulary word at a row's end included."""
+        rng = np.random.default_rng(seed)
+        clf = self._random_model(rng, int(rng.integers(2, 5)), int(rng.integers(1, 30)))
+        assert clf.pad == len(clf.vocabulary_)
+        docs = [self._random_doc(rng, clf, length) for length in lengths]
+        ids = pad_rows(clf.encode([w for d in docs for w in d]), lengths, clf.pad)
+        assert ids.shape == (len(docs), max(lengths))
+        alone = np.concatenate([clf.predict_proba_ids(clf.encode(d)[None, :])
+                                for d in docs])
+        assert clf.predict_proba_ids(ids).tobytes() == alone.tobytes()
+
     def test_encode_maps_oov_to_zero_row(self):
         clf = self._random_model(np.random.default_rng(1), 3, 5)
         ids = clf.encode(["w4", "unseen", "w0"])
@@ -438,6 +457,31 @@ class TestWrappers:
             ids = base.encode(words)
             assert np.array_equal(base.predict_proba_ids(np.stack([ids] * 3)),
                                   expected)
+
+    def test_default_ids_drop_the_pad(self):
+        """A predictor whose ids are its words pads with ``None``, and its
+        ``predict_proba_ids`` hands ``predict_proba_many`` the rows without
+        it."""
+        clf = train_bow(separable_corpus(), epochs=10)
+        seen = []
+
+        class WordsOnly(Predictor):
+            classes_ = clf.classes_
+
+            def predict_proba_many(self, docs):
+                seen.extend(docs)
+                return clf.predict_proba_many(docs)
+
+        rows = [("good", "fine", "bad"), ("bad",), ("good", "unseen")]
+        predictor = WordsOnly()
+        assert predictor.pad is None
+        ids = pad_rows(predictor.encode([w for row in rows for w in row]),
+                       [len(row) for row in rows], predictor.pad)
+        assert ids.tolist() == [["good", "fine", "bad"], ["bad", None, None],
+                                ["good", "unseen", None]]
+        assert np.array_equal(predictor.predict_proba_ids(ids),
+                              clf.predict_proba_many(rows))
+        assert seen == rows
 
     def test_caching_sends_distinct_misses_in_one_call(self):
         clf = train_bow(separable_corpus(), epochs=10)

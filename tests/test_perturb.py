@@ -5,11 +5,19 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from anchoragg.corpus import Document, word_stats
+from anchoragg.model import pad_rows
 from anchoragg.perturb import GUIDE_BINS, UnigramPerturbator, build_unigram_perturbator
 from anchoragg.seeding import stream_rng
 
 from conftest import make_corpus
 from oracles import sample_round_by_token, unigram_fill_by_loop
+
+
+def one_document_round(pert, doc_ids, positions, n, rngs, fill_ids):
+    """``sample_round`` over tokens of one document."""
+    return pert.sample_round(np.asarray(doc_ids)[None, :], np.asarray([len(doc_ids)]),
+                             np.zeros(len(positions), dtype=np.intp),
+                             np.asarray(positions, dtype=np.intp), n, rngs, fill_ids)
 
 
 class TestBuildPool:
@@ -153,7 +161,8 @@ class TestVectorizedFill:
             n = int(r.integers(0, 25))
             ours = [stream_rng(seed, "ids", p) for p in positions]
             theirs = [stream_rng(seed, "ids", p) for p in positions]
-            ids = pert.sample_round(encode(doc.words), positions, n, ours, encode(pool))
+            ids = one_document_round(pert, encode(doc.words), positions, n, ours,
+                                     encode(pool))
             rows = [row for p, rng in zip(positions, theirs)
                     for row in pert.sample_batch(doc, (p,), n, rng)]
             assert ids.dtype == np.intp and ids.shape == (len(positions) * n, m)
@@ -163,7 +172,8 @@ class TestVectorizedFill:
 
 class TestRoundKernel:
     """``sample_round`` draws a group of tokens in one step, exactly as
-    one-token draws from each token's own generator."""
+    one-token draws from each token's own generator, whether the tokens
+    come from one document or from several of different lengths."""
 
     def test_equals_per_token_draws_and_leaves_same_streams(self):
         seen = set()
@@ -175,35 +185,61 @@ class TestRoundKernel:
             mask_prob = float(r.choice([1.0, 0.05, r.uniform(0.05, 1.0)]))
             pert = UnigramPerturbator([f"p{i}" for i in range(size)], weights,
                                       mask_prob=mask_prob)
-            m = 1 if seed % 10 == 0 else int(r.integers(2, 61))
+            # half the groups hold one document, the rest 2 to 8
+            n_docs = 1 if seed % 2 else int(r.integers(2, 9))
+            if n_docs == 1:
+                lengths = [1 if seed % 10 == 1 else int(r.integers(2, 61))]
+            else:
+                lengths = r.integers(1, 61, n_docs).tolist()
             n = int(r.choice([1, 10, r.integers(0, 25)]))
-            positions = r.permutation(m)[:int(r.integers(1, min(m, 40) + 1))].tolist()
-            doc_ids = r.integers(0, 100, m).astype(np.intp)
+            tokens = [(d, p) for d, m in enumerate(lengths) for p in range(m)]
+            chosen = r.permutation(len(tokens))[:int(r.integers(1, min(len(tokens), 40) + 1))]
+            doc_of = np.asarray([tokens[t][0] for t in chosen], dtype=np.intp)
+            positions = np.asarray([tokens[t][1] for t in chosen], dtype=np.intp)
+            doc_ids = [r.integers(0, 100, m).astype(np.intp) for m in lengths]
             fill_ids = r.integers(0, 100, size).astype(np.intp)
-            ours = [stream_rng(seed, "round", p) for p in positions]
-            theirs = [stream_rng(seed, "round", p) for p in positions]
-            rows = pert.sample_round(doc_ids, positions, n, ours, fill_ids)
+            pad = int(r.integers(0, 101))
+            wave_ids = pad_rows(np.concatenate(doc_ids), lengths, pad)
+            ours = [stream_rng(seed, "round", int(d), int(p)) for d, p in zip(doc_of, positions)]
+            theirs = [stream_rng(seed, "round", int(d), int(p)) for d, p in zip(doc_of, positions)]
+            rows = pert.sample_round(wave_ids, np.asarray(lengths), doc_of, positions, n,
+                                     ours, fill_ids)
             assert rows.dtype == np.intp
-            assert np.array_equal(
-                rows, sample_round_by_token(pert, doc_ids, positions, n, theirs, fill_ids))
+            assert np.array_equal(rows, sample_round_by_token(
+                pert, doc_ids, doc_of, positions, n, theirs, fill_ids, pad))
             assert [g.random() for g in ours] == [g.random() for g in theirs]
-            seen |= {("m", min(m, 2)), ("n", n), ("mask_prob", mask_prob),
-                     ("tokens", len(positions)), ("zero weight", bool((weights == 0).any()))}
-            if m > 2:
-                seen |= {("kept", "first" if p == 0 else "last" if p == m - 1 else "middle")
-                         for p in positions}
+            widths = {lengths[d] for d in doc_of}
+            seen |= {("n", n), ("mask_prob", mask_prob), ("tokens", len(positions)),
+                     ("zero weight", bool((weights == 0).any())),
+                     ("documents", min(len(set(doc_of.tolist())), 3)),
+                     ("padded", len(widths) > 1), ("one-word document", 1 in widths)}
+            if n_docs == 1:
+                m = lengths[0]
+                seen.add(("m", min(m, 2)))
+                if m > 2:
+                    seen |= {("kept", "first" if p == 0 else "last" if p == m - 1
+                              else "middle") for p in positions}
         assert {("m", 1), ("m", 2), ("n", 1), ("n", 10), ("mask_prob", 1.0),
                 ("mask_prob", 0.05), ("tokens", 1), ("tokens", 40),
                 ("zero weight", True), ("kept", "first"), ("kept", "last"),
-                ("kept", "middle")} <= seen
+                ("kept", "middle"), ("documents", 1), ("documents", 2),
+                ("documents", 3), ("padded", True), ("padded", False),
+                ("one-word document", True)} <= seen
 
     def test_kept_position_out_of_range(self):
         pert = UnigramPerturbator(["z"], [1.0], mask_prob=0.5)
         ids = np.arange(3, dtype=np.intp)
         for positions in ([3], [0, -1]):
             with pytest.raises(ValueError):
-                pert.sample_round(ids, positions, 2, [stream_rng(0, "t")] * len(positions),
-                                  np.zeros(1, dtype=np.intp))
+                one_document_round(pert, ids, positions, 2,
+                                   [stream_rng(0, "t")] * len(positions),
+                                   np.zeros(1, dtype=np.intp))
+        # a position inside a longer document of the wave is still outside its own
+        wave_ids = pad_rows(np.arange(5, dtype=np.intp), [2, 3], -1)
+        with pytest.raises(ValueError):
+            pert.sample_round(wave_ids, np.asarray([2, 3]), np.asarray([1, 0]),
+                              np.asarray([0, 2]), 2, [stream_rng(0, "t")] * 2,
+                              np.zeros(1, dtype=np.intp))
 
 
 class _Uniforms:
@@ -237,8 +273,8 @@ class TestGuideTable:
         that are always masked."""
         n = len(uniforms)
         rng = _Uniforms(np.concatenate([np.zeros(n), uniforms]))
-        rows = pert.sample_round(np.zeros(2, dtype=np.intp), [0], n, [rng],
-                                 np.arange(len(pert.pool_words)))
+        rows = one_document_round(pert, np.zeros(2, dtype=np.intp), [0], n, [rng],
+                                  np.arange(len(pert.pool_words)))
         assert rng.used == 2 * n
         return rows[:, 1]
 

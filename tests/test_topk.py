@@ -435,3 +435,87 @@ class TestShouldFilter:
     def test_elementwise_over_bounds(self):
         bounds = np.array([0.4999, 0.5, 0.7, np.nan])
         assert should_filter(bounds, 0.5).tolist() == [True, False, False, False]
+
+
+class TestWaves:
+    """Without pruning a run tests a wave of consecutive documents in one
+    round loop; with it, one document at a time. Either way every output
+    but ``t_sec`` is what testing one document at a time gives."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        spec = SynthSpec(n_docs=30, n_fillers=40, n_singleton_docs=2)
+        corpus, _ = generate_planted_corpus(spec, seed=2)
+        # an empty document of the class, between others
+        docs = list(corpus)
+        empty = Document("empty", (), "")
+        corpus = corpus_of([*docs[:5], empty, *docs[5:]], {**corpus.labels, "empty": "pos"})
+        return corpus, train_bow(corpus, epochs=100)
+
+    @staticmethod
+    def _outputs(corpus, predictor, **params):
+        rows = []
+        est = AnchorTopTerms(k=5, target_class="pos", seed=3, max_samples=30, **params)
+        est.fit(corpus, predictor, trace_sink=rows.append)
+        snapshots = [(s.calls, s.doc_index, s.topk) for s in est.snapshots_]
+        counts = {c: v.tolist() for c, v in est.counts_.a_plus.items()}
+        return est.terms_.items, rows, snapshots, est.calls_, counts
+
+    @pytest.mark.parametrize("params", [
+        {}, {"profile": "delta_relaxed"}, {"profile": "masking"},
+        {"aggregation": "sq"}, {"aggregation": "av"}, {"stop_rare_filtering": True},
+        {"profile": "filtered"}, {"profile": "optimized"}])
+    def test_wave_size_does_not_change_outputs(self, trained, monkeypatch, params):
+        from anchoragg import anchor
+
+        corpus, clf = trained
+        outputs = {}
+        for rows in (1, 200, anchor.WAVE_ROWS, 10**9):
+            monkeypatch.setattr(anchor, "WAVE_ROWS", rows)
+            outputs[rows] = self._outputs(corpus, clf, **params)
+        assert len({repr(out) for out in outputs.values()}) == 1
+        assert any(row["anchor"] for row in outputs[1][1])
+
+    @staticmethod
+    def _waves(monkeypatch):
+        """The document ids of every wave the unigram sampler draws for."""
+        from anchoragg.perturb import UnigramPerturbator
+
+        waves, sampler = [], UnigramPerturbator.sampler
+
+        def recorded(self, docs, encode, pad):
+            waves.append([d.id for d in docs])
+            return sampler(self, docs, encode, pad)
+
+        monkeypatch.setattr(UnigramPerturbator, "sampler", recorded)
+        return waves
+
+    def test_waves_batch_predictor_calls(self, trained, monkeypatch):
+        """With pruning off, fewer predictor calls than one document at a
+        time would make: one per round of each document."""
+        corpus, clf = trained
+        waves = self._waves(monkeypatch)
+        rec, rows = RowRecorder(clf), []
+        est = AnchorTopTerms(k=5, target_class="pos", seed=3)
+        est.fit(corpus, rec, trace_sink=rows.append)
+        batch = est.batch_size
+        per_document = {}
+        for row in rows:
+            rounds = -(-row["samples"] // batch)
+            per_document[row["doc"]] = max(per_document.get(row["doc"], 0), rounds)
+        ids_calls = sum(1 for kind, _ in rec.calls if kind == "ids")
+        assert ids_calls < sum(per_document.values())
+        assert max(map(len, waves)) > 1
+        assert [d for wave in waves for d in wave] == [
+            s for s in dict.fromkeys(row["doc"] for row in rows)]
+
+    def test_pruning_tests_one_document_at_a_time(self, trained, monkeypatch):
+        """Under ``optimized`` a word's pruning can change the next
+        document's tests, so no predictor call mixes rows of two
+        documents."""
+        corpus, clf = trained
+        waves = self._waves(monkeypatch)
+        est = AnchorTopTerms(k=5, target_class="pos", seed=3, profile="optimized")
+        est.fit(corpus, clf)
+        assert est.result_.filtered
+        assert waves and all(len(wave) == 1 for wave in waves)
