@@ -134,24 +134,19 @@ class UnigramPerturbator(Perturbator):
         m = lengths[doc_of]
         if ((kept < 0) | (kept >= m)).any():
             raise ValueError("keep position outside its document")
-        # one count for all when the tokens' documents share a length, as
-        # the tokens of one document do
-        one = len(lengths) == 1
-        width = int(lengths[0]) if one else int(m.max(initial=0))
-        counts = width - 1 if one or (m == width).all() else m - 1
-        rows = wave_ids[doc_of, :width].repeat(n, axis=0)
-        row, col, picks = self._masked_slots(counts, n, rngs)
+        rows = wave_ids[doc_of, :m.max(initial=0)].repeat(n, axis=0)
+        row, col, picks = self._masked_slots(m - 1, n, rngs)
         # the free slots of a row skip its kept position
         rows[row, col + (col >= kept[row // n])] = fill_ids[picks]
         return rows
 
-    def _masked_slots(self, counts: int | np.ndarray, n: int,
+    def _masked_slots(self, counts: np.ndarray, n: int,
                       rngs: Sequence[np.random.Generator]
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The masked slots of ``n`` rows per generator, generator ``t`` free
-        to mask ``counts[t]`` slots of each (``counts`` slots, if an int):
-        their rows, their columns among those slots and the pool index
-        picked for each, in the order the generators fill them.
+        to mask ``counts[t]`` slots of each: their rows, their columns among
+        those slots and the pool index picked for each, in the order the
+        generators fill them.
 
         Generator ``t`` draws the mask uniforms of its ``(n, counts[t])``
         block, row by row, then one pick uniform per masked slot in that
@@ -159,27 +154,16 @@ class UnigramPerturbator(Perturbator):
         generators. The blocks lie end to end, so a token of a shorter
         document draws no uniform for the pad.
         """
-        if isinstance(counts, int):
-            uniforms = np.empty((len(rngs), n * counts))
-            for rng, block in zip(rngs, uniforms):
-                rng.random(out=block)
-            slots = (uniforms < self.mask_prob).ravel().nonzero()[0]
-            row = slots // max(counts, 1)
-            col = slots - row * counts
-        else:
-            sizes = n * counts
-            uniforms = np.empty(int(sizes.sum()))
-            start = 0
-            for rng, size in zip(rngs, sizes.tolist()):
-                rng.random(out=uniforms[start:start + size])
-                start += size
-            slots = (uniforms < self.mask_prob).nonzero()[0]
-            token = np.repeat(np.arange(len(counts)), sizes)[slots]
-            local = slots - (sizes.cumsum() - sizes)[token]
-            per_row = counts[token]
-            row_in = local // per_row
-            row = token * n + row_in
-            col = local - row_in * per_row
+        sizes = n * counts
+        uniforms = np.empty(int(sizes.sum()))
+        start = 0
+        for rng, size in zip(rngs, sizes.tolist()):
+            rng.random(out=uniforms[start:start + size])
+            start += size
+        slots = (uniforms < self.mask_prob).nonzero()[0]
+        per_row = counts.repeat(n)
+        row = np.arange(per_row.size).repeat(per_row)[slots]
+        col = slots - (per_row.cumsum() - per_row)[row]
         ends = row.searchsorted(np.arange(1, len(rngs) + 1) * n)
         pick_uniforms = np.empty(slots.size)
         start = 0
@@ -211,7 +195,7 @@ class UnigramPerturbator(Perturbator):
                      rng: np.random.Generator) -> list[tuple[str, ...]]:
         free = np.asarray(_free(len(doc.words), keep), dtype=np.intp)
         rows = np.asarray([doc.words], dtype=object).repeat(n, axis=0)
-        row, col, picks = self._masked_slots(free.size, n, (rng,))
+        row, col, picks = self._masked_slots(np.asarray([free.size]), n, (rng,))
         rows[row, free[col]] = self.pool_words[picks]
         return list(map(tuple, rows.tolist()))
 
