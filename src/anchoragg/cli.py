@@ -194,11 +194,17 @@ def _corpus_defaults() -> dict:
 
 
 def _load_corpus(resolved: dict, key: str = "corpus") -> Corpus:
-    """The corpus at setting ``key``'s path, read with the corpus settings."""
+    """The corpus at setting ``key``'s path, read with the corpus settings;
+    a note on stderr says how many documents ``--max-chars`` dropped."""
     from .corpus import load_corpus
 
-    return _load_file(resolved[key], "corpus file",
-                      partial(load_corpus, **_kwargs(resolved, _CORPUS_PARAMS)))
+    corpus = _load_file(resolved[key], "corpus file",
+                        partial(load_corpus, **_kwargs(resolved, _CORPUS_PARAMS)))
+    if corpus.dropped:
+        print(f"note: dropped {corpus.dropped} of {corpus.dropped + len(corpus)} "
+              f"documents longer than --max-chars {resolved['max_chars']} "
+              f"from {resolved[key]}", file=sys.stderr)
+    return corpus
 
 
 def _check_class(c: str, corpus: Corpus) -> None:
@@ -289,7 +295,8 @@ def cmd_train(args: argparse.Namespace, stack: ExitStack) -> int:
     _write_manifest(
         manifest, "train", resolved, started,
         {"load": t_load - started, "train": t_train - t_load},
-        {"documents": len(corpus), "classes": list(clf.classes_),
+        {"documents": len(corpus), "documents_dropped": corpus.dropped,
+         "classes": list(clf.classes_),
          "train_accuracy": acc, "best_epoch": clf.best_epoch_,
          "final_loss": clf.losses_[-1]})
     print(f"trained on {len(corpus)} documents, accuracy {acc:.4f}, "
@@ -397,7 +404,9 @@ def cmd_topk(args: argparse.Namespace, stack: ExitStack) -> int:
         manifest, "topk", resolved, started,
         {"load": t_load - started, "run": t_run - t_load},
         {"predictor_calls": est.calls_,
+         "discarded_rows": res.discarded_rows,
          "documents_processed": len(res.snapshots),
+         "documents_dropped": corpus.dropped,
          "filtered_words": len(res.filtered),
          "resolved_profile": est.resolved_settings(),
          "terms": [{"word": w, "score": s} for w, s in est.terms_.items]})
@@ -453,7 +462,8 @@ def cmd_anchors(args: argparse.Namespace, stack: ExitStack) -> int:
                 rows += 1
         handle.flush()
     _write_manifest(manifest, "anchors", resolved, started, {},
-                    {"documents": len(docs), "tokens": rows, "predictor_calls": calls})
+                    {"documents": len(docs), "documents_dropped": corpus.dropped,
+                     "tokens": rows, "predictor_calls": calls})
     print(f"wrote {rows} token decisions -> {resolved['out']}")
     return EXIT_OK
 
@@ -501,7 +511,7 @@ def cmd_eval_aopc(args: argparse.Namespace, stack: ExitStack) -> int:
         payload["timeline"] = str(timeline)
 
     _write_manifest(manifest, "eval-aopc", resolved, started, {},
-                    {"aopc": payload.get("value")})
+                    {"aopc": payload.get("value"), "documents_dropped": corpus.dropped})
     print(json.dumps(payload))
     return EXIT_OK
 
@@ -554,7 +564,8 @@ def cmd_compare(args: argparse.Namespace, stack: ExitStack) -> int:
                "aopc": [{"name": n, "agg": a, "class": c, "value": v}
                         for n, a, c, v in aopc_rows]}
     out_json.write_text(json.dumps(payload, indent=2), encoding="utf-8")
-    _write_manifest(manifest, "compare", resolved, started, {}, {"lists": names})
+    _write_manifest(manifest, "compare", resolved, started, {},
+                    {"lists": names, "documents_dropped": corpus.dropped})
     print(json.dumps(payload))
     return EXIT_OK
 

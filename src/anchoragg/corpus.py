@@ -55,11 +55,13 @@ class Document:
 
 @dataclass(frozen=True)
 class Corpus:
-    """A labeled document collection with a fixed, lexicographic class order."""
+    """A labeled document collection with a fixed, lexicographic class order.
+    ``dropped`` counts the documents ``load_corpus`` left out as too long."""
 
     documents: tuple[Document, ...]
     labels: dict[str, str]
     classes: tuple[str, ...]
+    dropped: int = 0
 
     def __post_init__(self):
         ids = [d.id for d in self.documents]
@@ -181,9 +183,10 @@ def load_corpus(path: str | Path, format: str = "csv", *,
                 max_chars: int = DEFAULT_CHAR_CAP) -> Corpus:
     """Load a labeled corpus from a UTF-8 CSV or JSONL file.
 
-    Documents longer than ``max_chars`` characters are dropped at ingestion.
-    Document order follows file order; the classes are the labels of the
-    kept documents, in lexicographic order.
+    Documents longer than ``max_chars`` characters are dropped at ingestion,
+    and counted in the corpus's ``dropped``. Document order follows file
+    order; the classes are the labels of the kept documents, in
+    lexicographic order.
     """
     if format == "csv":
         rows = _read_csv_rows(path, text_field, label_field)
@@ -194,15 +197,17 @@ def load_corpus(path: str | Path, format: str = "csv", *,
 
     documents: list[Document] = []
     labels: dict[str, str] = {}
+    dropped = 0
     for doc_id, text, label in rows:
         if len(text) > max_chars:
+            dropped += 1
             continue
         documents.append(Document.from_text(doc_id, text))
         labels[doc_id] = label
     if not documents:
         raise ValueError("empty corpus after filtering")
     return Corpus(documents=tuple(documents), labels=labels,
-                  classes=tuple(sorted(set(labels.values()))))
+                  classes=tuple(sorted(set(labels.values()))), dropped=dropped)
 
 
 @dataclass(frozen=True)

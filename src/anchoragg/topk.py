@@ -15,12 +15,15 @@ improving answer. Optimizations on top:
 
 Every anchor test decides against the one threshold ``AnchorConfig.tau``.
 Token estimations are independent and move in rounds. The tokens of a wave
-of documents share those rounds: one document while candidate filtering
-can prune, since a pruned word changes what the next document samples, and
-otherwise consecutive documents up to ``anchor.WAVE_ROWS`` first-round
-rows (``anchor.document_waves``). After each wave, tallies, selection,
-filtering and snapshots are applied document by document, in order, so a
-run's outputs depend only on its inputs and seed, not on its waves.
+of consecutive documents, up to ``anchor.WAVE_ROWS`` first-round rows
+(``anchor.document_waves``), share those rounds, and are tested against the
+domain (the candidates not yet pruned) at the wave's start. After each wave,
+tallies, selection, filtering and snapshots are applied document by
+document, in order. Pruning only shrinks the domain, so a token whose word
+was pruned by an earlier document of its wave gets the unsampled
+non-anchor decision that testing its document alone would give; its rows
+were scored for nothing (``AnytimeResult.discarded_rows``). A run's outputs
+depend only on its inputs and seed, not on its waves.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from ._validation import (ParamsMixin, check_fraction, check_positive_int,
                           check_probability)
 from .aggregate import (DEFAULT_ALPHA, DEFAULT_MIN_FREQ, AnchorCounts,
                         Aggregation, GAv, make_aggregation, rank_words)
-from .anchor import AnchorConfig, anchors_of_documents, document_waves
+from .anchor import (AnchorConfig, AnchorDecision, anchors_of_documents,
+                     document_waves)
 from .corpus import (Corpus, Document, WordStats, default_stopwords,
                      filter_candidates, sample_documents, word_stats)
 from .eval import TermList
@@ -111,6 +115,9 @@ class AnytimeResult:
     # the run's own copy of the aggregation passed in, bound to the run's
     # statistics: it scores ``counts`` as the run did
     aggregation: Aggregation
+    # rows scored for tokens whose word was pruned before their document
+    # was tallied; ``calls`` leaves them out
+    discarded_rows: int
 
 
 def should_filter(upper_bound, w_min_score: float):
@@ -217,24 +224,30 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
         if snapshot_sink is not None:
             snapshot_sink(snap)
 
-    # pruning changes the domain after every document, so it tests one
-    # document at a time; otherwise no document's tests depend on another's
+    def outside(w: str) -> bool:
+        """Whether ``w`` is outside the domain (the candidates not yet
+        pruned): such words are not sampled and tally as non-anchors."""
+        return not candidate_mask[index[w]] or filtered_mask[index[w]]
+
     prune = options.candidate_filtering and aggregation.filterable
-    waves = ([doc] for doc in ordered) if prune else \
-        document_waves(ordered, cfg, lambda w: not candidate_mask[index[w]])
+    discarded = 0
     i = 0
-    for wave in waves:
-        # words outside the domain are not sampled and tally as non-anchors
-        domain = candidate_mask & ~filtered_mask
+    for wave in document_waves(ordered, cfg, outside):
         tested = [doc for doc in wave if doc.words] if aggregation.needs_anchors else []
         decided = iter(anchors_of_documents(
             tested, predictor, perturbator, cfg,
             [token_streams(root_seed, doc.id) for doc in tested],
-            skip_word=lambda w: not domain[index[w]],
-            targets=[c] * len(tested)) if tested else [])
+            skip_word=outside, targets=[c] * len(tested)) if tested else [])
         for doc in wave:
             i += 1
             decisions = next(decided) if aggregation.needs_anchors and doc.words else []
+            # a word pruned since the wave's tests began is outside this
+            # document's domain: it gets the unsampled non-anchor that
+            # testing against the current domain records
+            for j, d in enumerate(decisions):
+                if d.samples_used and outside(d.word):
+                    discarded += d.samples_used
+                    decisions[j] = AnchorDecision(d.word, d.position, False, 0, 0)
             counts.ingest(decisions, c, doc.id)
             calls += sum(d.samples_used for d in decisions)
             if trace_sink is not None:
@@ -247,6 +260,7 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
             for w in doc.words:
                 remaining[index[w]] -= 1
 
+            domain = candidate_mask & ~filtered_mask
             values = aggregation.rank_values(counts, c)
             masked = np.where(domain, values, np.nan)
             selection = rank_words(words, masked, k)
@@ -271,7 +285,8 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
         terms=terms, snapshots=snapshots, counts=counts, calls=calls,
         scores=final_scores,
         filtered=frozenset(w for w, m in zip(words, filtered_mask) if m),
-        candidates=candidates, stats=stats, aggregation=aggregation)
+        candidates=candidates, stats=stats, aggregation=aggregation,
+        discarded_rows=discarded)
 
 
 # -- optimization profiles ---------------------------------------------------

@@ -482,6 +482,34 @@ class TestSettings:
             dests = {a.dest for a in commands[command]._actions if a.option_strings}
             assert set(self._config(path)) == dests - {"help", "config"}, command
 
+    def test_documents_dropped_by_max_chars_are_reported(self, workspace, capsys):
+        """Every command that reads a corpus says on stderr how many
+        documents ``--max-chars`` dropped, records the count in its
+        manifest, and still succeeds."""
+        synth_and_train(workspace, docs=40, epochs=50)
+        TestTopk()._topk()
+        lines = Path("c.jsonl").read_text().splitlines()
+        long_doc = {"id": "long", "text": "word " * 60, "label": "pos"}
+        Path("long.jsonl").write_text("\n".join([*lines, json.dumps(long_doc)]) + "\n")
+        inputs = ("--corpus", "long.jsonl", "--format", "jsonl")
+        model = ("--model", "m.json")
+        runs = {"train": (*inputs, "--out", "m2.json", "--epochs", "5"),
+                "topk": (*inputs, *model, "--class", "pos", "--seed", "1",
+                         "--max-samples", "10", "--terms", "t2.json"),
+                "anchors": (*inputs, *model, "--seed", "1", "--limit", "1",
+                            "--out", "a.jsonl"),
+                "eval-aopc": (*inputs, *model, "--terms", "terms.json",
+                              "--out", "e.json"),
+                "compare": ("terms.json", *inputs, *model, "--out-prefix", "cmp")}
+        note = (f"note: dropped 1 of {len(lines) + 1} documents longer than "
+                "--max-chars 200 from long.jsonl\n")
+        for command, argv in runs.items():
+            capsys.readouterr()
+            assert run(command, *argv, "--manifest", "dropped.json") == 0, command
+            assert capsys.readouterr().err == note, command
+            manifest = json.loads(Path("dropped.json").read_text())
+            assert manifest["documents_dropped"] == 1, command
+
 
 class TestAnchorsCommand:
     def test_trace_output(self, workspace):
@@ -1047,6 +1075,7 @@ class TestGoldenOutput:
     MODEL_DIGEST = "fab4dc8e2a562f46ecfc413d2b098f7c8688f864b6f3b5134a476168f5d55325"
     EVAL_DIGEST = "5143f75c919cf93b5656351852b6f3ede2e933fe8d286ce7170671e5f8d43ecf"
     ANCHORS_DIGEST = "d2b4cc7992629ecfed5de32bcf9759af437fca27c3be7cfcb9ab880377708fb7"
+    FILTERED_DIGEST = "28774a34e59e66c2c2f83425b2de2804b693f33c3a790932ecfeeb845854e31c"
 
     @staticmethod
     def _digest(ws) -> str:
@@ -1064,14 +1093,14 @@ class TestGoldenOutput:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     @staticmethod
-    def _baseline_topk():
+    def _baseline_topk(profile="baseline"):
         assert run("synth", "--out", "c.jsonl", "--truth", "t.json",
                    "--docs", "40", "--seed", "1") == 0
         assert run("train", "--corpus", "c.jsonl", "--format", "jsonl",
                    "--out", "m.json", "--seed", "0") == 0
         assert run("topk", "--corpus", "c.jsonl", "--format", "jsonl",
                    "--model", "m.json", "--class", "pos", "--k", "10",
-                   "--agg", "pr", "--alpha", "0.5", "--profile", "baseline",
+                   "--agg", "pr", "--alpha", "0.5", "--profile", profile,
                    "--seed", "7", "--threads", "1", "--terms", "terms.json",
                    "--snapshots", "snaps.jsonl", "--counts", "counts.jsonl",
                    "--trace", "trace.jsonl") == 0
@@ -1104,6 +1133,17 @@ class TestGoldenOutput:
     def test_baseline_topk_digest(self, workspace):
         self._baseline_topk()
         assert self._digest(workspace) == self.DIGEST
+
+    def test_filtered_topk_digest(self, workspace):
+        """The same run under candidate filtering, recorded when a pruning
+        run tested one document per sampling round: pruning drops words
+        inside a wave, so the decisions it replaces must reproduce every
+        trace row and snapshot."""
+        self._baseline_topk("filtered")
+        manifest = json.loads((workspace / "terms.json.manifest.json").read_text())
+        assert manifest["filtered_words"] > 0
+        assert manifest["discarded_rows"] == 810
+        assert self._digest(workspace) == self.FILTERED_DIGEST
 
     def test_eval_aopc_timeline_digest(self, workspace):
         """``aopc.json`` and the timeline CSV without ``t_sec``, recorded

@@ -438,9 +438,11 @@ class TestShouldFilter:
 
 
 class TestWaves:
-    """Without pruning a run tests a wave of consecutive documents in one
-    round loop; with it, one document at a time. Either way every output
-    but ``t_sec`` is what testing one document at a time gives."""
+    """A run tests a wave of consecutive documents in one round loop,
+    against the domain at the wave's start; a decision on a word that an
+    earlier document of the wave pruned is replaced by the unsampled
+    non-anchor. Every output but ``t_sec`` is what testing one document at a
+    time (``WAVE_ROWS`` = 1) gives."""
 
     @pytest.fixture(scope="class")
     def trained(self):
@@ -459,22 +461,31 @@ class TestWaves:
         est.fit(corpus, predictor, trace_sink=rows.append)
         snapshots = [(s.calls, s.doc_index, s.topk) for s in est.snapshots_]
         counts = {c: v.tolist() for c, v in est.counts_.a_plus.items()}
-        return est.terms_.items, rows, snapshots, est.calls_, counts
+        return ((est.terms_.items, rows, snapshots, est.calls_, counts),
+                est.result_.discarded_rows)
 
     @pytest.mark.parametrize("params", [
         {}, {"profile": "delta_relaxed"}, {"profile": "masking"},
         {"aggregation": "sq"}, {"aggregation": "av"}, {"stop_rare_filtering": True},
-        {"profile": "filtered"}, {"profile": "optimized"}])
+        {"profile": "filtered"}, {"profile": "optimized"},
+        *({"profile": "filtered", "aggregation": a}
+          for a in ("sq", "av", "av_minfreq", "h"))])
     def test_wave_size_does_not_change_outputs(self, trained, monkeypatch, params):
+        """Under pruning the default waves discard rows: the replaced
+        decisions are exercised, and still give the one-document outputs."""
         from anchoragg import anchor
 
         corpus, clf = trained
-        outputs = {}
-        for rows in (1, 200, anchor.WAVE_ROWS, 10**9):
+        outputs, discarded = {}, {}
+        default = anchor.WAVE_ROWS
+        for rows in (1, 200, default, 10**9):
             monkeypatch.setattr(anchor, "WAVE_ROWS", rows)
-            outputs[rows] = self._outputs(corpus, clf, **params)
+            outputs[rows], discarded[rows] = self._outputs(corpus, clf, **params)
         assert len({repr(out) for out in outputs.values()}) == 1
         assert any(row["anchor"] for row in outputs[1][1])
+        assert discarded[1] == 0
+        prunes = params.get("profile") in ("filtered", "optimized")
+        assert (discarded[default] > 0) == prunes
 
     @staticmethod
     def _waves(monkeypatch):
@@ -509,13 +520,17 @@ class TestWaves:
         assert [d for wave in waves for d in wave] == [
             s for s in dict.fromkeys(row["doc"] for row in rows)]
 
-    def test_pruning_tests_one_document_at_a_time(self, trained, monkeypatch):
-        """Under ``optimized`` a word's pruning can change the next
-        document's tests, so no predictor call mixes rows of two
-        documents."""
+    def test_pruning_runs_test_waves(self, trained, monkeypatch):
+        """Under ``optimized`` a wave holds several documents, and the
+        predictor scores the counted sample rows plus the discarded ones."""
         corpus, clf = trained
         waves = self._waves(monkeypatch)
+        rec = RowRecorder(clf)
         est = AnchorTopTerms(k=5, target_class="pos", seed=3, profile="optimized")
-        est.fit(corpus, clf)
-        assert est.result_.filtered
-        assert waves and all(len(wave) == 1 for wave in waves)
+        est.fit(corpus, rec)
+        discarded = est.result_.discarded_rows
+        assert est.result_.filtered and discarded > 0
+        assert max(map(len, waves)) > 1
+        classified = sum(len(rows) for kind, rows in rec.calls if kind == "many")
+        sampled = sum(n for kind, n in rec.calls if kind == "ids")
+        assert sampled == est.calls_ - classified + discarded
