@@ -46,25 +46,56 @@ class JsonLinesTransport:
         return payload
 
     def _post(self, request: dict) -> bytes:
-        # lazy: urllib.request adds ~27 ms and ~1.8 MB to every start-up
+        """The body of the reply to one POST. ``timeout`` bounds the whole
+        exchange: connecting, then sending the request and reading the
+        reply, after which a timer shuts the socket, so a reply that drips
+        in cannot outlast it."""
+        # lazy: only an HTTP service needs them
         import http.client
-        import urllib.error
-        import urllib.request
+        import socket
+        import urllib.parse
 
-        post = urllib.request.Request(
-            self.endpoint, data=json.dumps(request).encode("utf-8"),
-            headers={"Content-Type": "application/json"})
+        deadline = time.monotonic() + self.timeout
+        url = urllib.parse.urlsplit(self.endpoint)
+        expired = threading.Event()
         try:
-            with urllib.request.urlopen(post, timeout=self.timeout) as resp:
-                status = resp.status
-                if status == 200:
-                    return resp.read()
-        except urllib.error.HTTPError as exc:
-            exc.close()
-            status = exc.code
-        except (OSError, http.client.HTTPException) as exc:
-            raise self.error(f"{self.service} endpoint unreachable: {exc}") from exc
-        raise self.error(f"{self.service} endpoint returned HTTP {status}")
+            if url.scheme not in ("http", "https"):
+                raise ValueError(f"not an http(s) URL: {self.endpoint!r}")
+            conn = (http.client.HTTPSConnection if url.scheme == "https" else
+                    http.client.HTTPConnection)(url.hostname, url.port,
+                                                timeout=self.timeout)
+            with contextlib.closing(conn):
+                conn.connect()
+                # held here: the connection lets go of it once the headers
+                # say the server closes, but the response reads on
+                sock = conn.sock
+
+                def expire():
+                    expired.set()
+                    with contextlib.suppress(OSError):
+                        sock.shutdown(socket.SHUT_RDWR)
+
+                timer = threading.Timer(deadline - time.monotonic(), expire)
+                timer.start()
+                try:
+                    conn.request("POST", urllib.parse.urlunsplit(
+                        ("", "", url.path or "/", url.query, "")),
+                        body=json.dumps(request).encode("utf-8"),
+                        headers={"Content-Type": "application/json"})
+                    resp = conn.getresponse()
+                    status, body = resp.status, resp.read()
+                finally:
+                    timer.cancel()
+                    timer.join()  # the timer must not outlive the socket
+        except (OSError, ValueError, http.client.HTTPException) as exc:
+            if not expired.is_set():
+                raise self.error(f"{self.service} endpoint unreachable: {exc}") from exc
+        if expired.is_set():
+            raise self.error(f"{self.service} endpoint did not reply within "
+                             f"{self.timeout} s")
+        if status != 200:
+            raise self.error(f"{self.service} endpoint returned HTTP {status}")
+        return body
 
     def _exchange(self, request: dict) -> bytes:
         with self._lock:
@@ -129,14 +160,36 @@ class JsonLinesTransport:
         self._end(grace=5)
 
     def _end(self, grace: float) -> None:
+        """Close the child's stdin and reap it as soon as it exits, killing
+        it if it has not exited within ``grace`` seconds."""
         proc, self._proc = self._proc, None
         if proc is None:
             return
         with contextlib.suppress(OSError):  # a dead child's unflushed pipe
             proc.stdin.close()
-        try:
-            proc.wait(timeout=grace)
-        except subprocess.TimeoutExpired:
+        if not _exits_within(proc, grace):
             proc.kill()
-            proc.wait()
+        proc.wait()
         proc.stdout.close()
+
+
+def _exits_within(proc: subprocess.Popen, grace: float) -> bool:
+    """Whether ``proc`` exits within ``grace`` seconds. Where the platform
+    has process handles (``os.pidfd_open``), the wait is one ``select`` on
+    the child's, which wakes the moment it exits; elsewhere it is
+    ``Popen.wait``, which polls."""
+    if proc.returncode is None and hasattr(os, "pidfd_open"):
+        try:
+            handle = os.pidfd_open(proc.pid)
+        except OSError:  # a kernel without pidfd support
+            pass
+        else:
+            try:
+                return bool(select.select([handle], [], [], grace)[0])
+            finally:
+                os.close(handle)
+    try:
+        proc.wait(timeout=grace)
+    except subprocess.TimeoutExpired:
+        return False
+    return True

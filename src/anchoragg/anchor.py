@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 import numpy as np
 
 from .corpus import Document
+from .model import ROUND_ROWS
 
 if TYPE_CHECKING:
     from .model import Predictor
@@ -32,9 +33,6 @@ __all__ = [
     "anchors_of_documents",
 ]
 
-# rows per predictor call: a round of m tokens holds ~batch * m perturbed
-# rows, so it is drawn and scored in slices
-ROUND_ROWS = 4096
 # first-round rows of a wave of documents tested together (see
 # ``document_waves``): about 100 tokens at the default batch, enough that
 # per-round overhead stops mattering, few enough that a wave spans a few

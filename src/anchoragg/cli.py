@@ -404,6 +404,7 @@ def cmd_topk(args: argparse.Namespace, stack: ExitStack) -> int:
         manifest, "topk", resolved, started,
         {"load": t_load - started, "run": t_run - t_load},
         {"predictor_calls": est.calls_,
+         "predictor_requests": getattr(predictor, "requests", 0),
          "discarded_rows": res.discarded_rows,
          "documents_processed": len(res.snapshots),
          "documents_dropped": corpus.dropped,
@@ -463,7 +464,8 @@ def cmd_anchors(args: argparse.Namespace, stack: ExitStack) -> int:
         handle.flush()
     _write_manifest(manifest, "anchors", resolved, started, {},
                     {"documents": len(docs), "documents_dropped": corpus.dropped,
-                     "tokens": rows, "predictor_calls": calls})
+                     "tokens": rows, "predictor_calls": calls,
+                     "predictor_requests": getattr(predictor, "requests", 0)})
     print(f"wrote {rows} token decisions -> {resolved['out']}")
     return EXIT_OK
 

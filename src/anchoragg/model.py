@@ -37,6 +37,10 @@ __all__ = [
 MODEL_FORMAT_VERSION = 1
 # seconds an external service may take per request; both clients default to it
 DEFAULT_TIMEOUT = 30.0
+# rows per predictor call of the anchor loop: a round of m tokens holds
+# ~batch * m perturbed rows, so it is drawn and scored in slices. The
+# external client's default request size, so that one call is one request.
+ROUND_ROWS = 4096
 
 
 class Predictor:
@@ -407,11 +411,15 @@ class ExternalPredictorClient(Predictor):
     whole session. Each row must be a probability vector: finite,
     non-negative, summing to 1 within 1e-6. Served over HTTP or a
     subprocess (see ``_transport``); no retries, failures raise immediately.
+
+    A scoring call sends its texts ``batch_size`` per request. The default
+    is the anchor loop's rows per call, ``ROUND_ROWS``, so each of its calls
+    is one request; ``requests`` counts the requests sent.
     """
 
     def __init__(self, endpoint: str | None = None,
                  command: Sequence[str] | None = None,
-                 timeout: float = DEFAULT_TIMEOUT, batch_size: int = 32):
+                 timeout: float = DEFAULT_TIMEOUT, batch_size: int = ROUND_ROWS):
         self.check_params(timeout, batch_size)
         # imported here: the transport loads subprocess, which only an
         # external client needs
@@ -421,6 +429,7 @@ class ExternalPredictorClient(Predictor):
                                              ExternalPredictorError, "predictor")
         self.batch_size = int(batch_size)
         self.classes_ = None
+        self.requests = 0
 
     @staticmethod
     def check_params(timeout: float, batch_size: int) -> None:
@@ -430,6 +439,7 @@ class ExternalPredictorClient(Predictor):
         check_positive_int(batch_size, "external_batch_size")
 
     def _request(self, texts: list[str]) -> np.ndarray:
+        self.requests += 1
         payload = self._transport.roundtrip({"texts": texts})
         if "probs" not in payload or "classes" not in payload:
             raise ExternalPredictorError("response lacks probs/classes fields")
@@ -461,9 +471,21 @@ class ExternalPredictorClient(Predictor):
     # prediction ---------------------------------------------------------
 
     def predict_proba_many(self, docs: Sequence[Sequence[str]]) -> np.ndarray:
-        """Each row's words joined by spaces, sent ``batch_size`` texts per
+        """Each row's words joined by spaces."""
+        return self._score([" ".join(w) for w in docs])
+
+    def predict_proba_ids(self, ids: np.ndarray) -> np.ndarray:
+        """Each id row cut at its first ``pad``, as the default cuts it,
+        and joined by spaces straight from the matrix's lists."""
+        rows = ids.tolist()
+        if ids.size and self.pad in ids[:, -1]:
+            rows = [row[:row.index(self.pad)] if row[-1] == self.pad else row
+                    for row in rows]
+        return self._score([" ".join(row) for row in rows])
+
+    def _score(self, texts: list[str]) -> np.ndarray:
+        """The probability rows of ``texts``, sent ``batch_size`` per
         request."""
-        texts = [" ".join(w) for w in docs]
         if not texts:
             return np.zeros((0, 0))
         return np.concatenate([self._request(texts[i:i + self.batch_size])

@@ -115,6 +115,7 @@ class TestTopk:
             <= set(trace_rows[0])
         manifest = json.loads((workspace / "run.json").read_text())
         assert manifest["predictor_calls"] > 0
+        assert manifest["predictor_requests"] == 0  # an in-process model
         assert manifest["config"]["seed"] == 3
 
     def test_unknown_class(self, workspace):
@@ -225,7 +226,7 @@ class TestSettings:
             **corpus, "out": "m.json", "epochs": 800, "learning_rate": 0.3,
             "l2": 5e-4, "seed": 0, "val_fraction": 0.0, "manifest": None}
         inputs = {**corpus, "model": "m.json", "external_endpoint": None,
-                  "external_cmd": None, "timeout": 30.0, "external_batch_size": 32}
+                  "external_cmd": None, "timeout": 30.0, "external_batch_size": 4096}
         required = ("--corpus", "c.jsonl", "--format", "jsonl", "--model", "m.json",
                     "--seed", "7")
         assert run("topk", *required, "--class", "pos") == 0
@@ -524,7 +525,8 @@ class TestAnchorsCommand:
 
     def test_predictor_calls_are_documents_plus_samples(self, workspace):
         """The manifest's count is the distinct documents classified plus
-        the samples of every trace row, and the rows the service scored."""
+        the samples of every trace row, and the rows the service scored;
+        its request count is the requests the service answered."""
         import sys as _sys
 
         assert run("synth", "--out", "c.jsonl", "--docs", "20", "--seed", "3") == 0
@@ -538,10 +540,12 @@ class TestAnchorsCommand:
                    "--external-cmd", f"{_sys.executable} pred.py", "--seed", "2",
                    "--max-samples", "20", "--limit", "4", "--out", "anch.jsonl") == 0
         rows = jsonl("anch.jsonl")
-        calls = json.loads(Path("anch.jsonl.manifest.json").read_text())[
-            "predictor_calls"]
+        manifest = json.loads(Path("anch.jsonl.manifest.json").read_text())
+        calls = manifest["predictor_calls"]
         assert calls == len({d.words for d in corpus}) + sum(r["samples"] for r in rows)
-        assert calls == sum(map(int, Path("rows.log").read_text().split()))
+        served = Path("rows.log").read_text().split()
+        assert calls == sum(map(int, served))
+        assert manifest["predictor_requests"] == len(served)
 
 
     def test_one_classification_call(self, workspace, monkeypatch):

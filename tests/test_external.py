@@ -3,15 +3,24 @@ against in-process fake services (subprocess scripts and a local HTTP
 server)."""
 
 import json
+import os
+import signal
+import subprocess
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from anchoragg._transport import JsonLinesTransport
+from anchoragg.anchor import ROUND_ROWS
 from anchoragg.corpus import Document
-from anchoragg.model import ExternalPredictorClient, ExternalPredictorError
+from anchoragg.model import (ExternalPredictorClient, ExternalPredictorError,
+                             Predictor, pad_rows)
 from anchoragg.perturb import ExternalPerturbatorClient, ExternalPerturbatorError
 from anchoragg.seeding import stream_rng
 
@@ -81,12 +90,29 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+class _DrippingHandler(_Handler):
+    """Replies with a valid body, one byte every 0.15 s."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        body = json.dumps({"probs": [[0.5, 0.5]], "classes": ["a", "b"]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        try:
+            for i in range(len(body)):
+                self.wfile.write(body[i:i + 1])
+                time.sleep(0.15)
+        except OSError:
+            pass  # the client hung up
+
+
 @pytest.fixture
 def http_server():
     servers = []
 
-    def start(payload_fn):
-        handler = type("H", (_Handler,), {"payload_fn": staticmethod(payload_fn)})
+    def start(payload_fn, base=_Handler):
+        handler = type("H", (base,), {"payload_fn": staticmethod(payload_fn)})
         server = HTTPServer(("127.0.0.1", 0), handler)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -313,6 +339,108 @@ class TestExternalPredictorHttp:
         client = ExternalPredictorClient(endpoint="http://127.0.0.1:9/", timeout=0.2)
         with pytest.raises(ExternalPredictorError, match="unreachable"):
             client.predict_proba_words(["x"])
+
+    @pytest.mark.parametrize("endpoint, match", [
+        ("ftp://127.0.0.1:9/", "unreachable: not an http"),
+        ("http://127.0.0.1:port/", "unreachable"),
+    ])
+    def test_malformed_endpoint(self, endpoint, match):
+        client = ExternalPredictorClient(endpoint=endpoint, timeout=0.2)
+        with pytest.raises(ExternalPredictorError, match=match):
+            client.predict_proba_words(["x"])
+
+    def test_dripping_reply_times_out(self, http_server):
+        """``timeout`` bounds the whole exchange, not each socket read: a
+        46-byte reply that takes 6.9 s to drip in fails after 1 s."""
+        url = http_server(None, base=_DrippingHandler)
+        client = ExternalPredictorClient(endpoint=url, timeout=1.0)
+        t0 = time.monotonic()
+        with pytest.raises(ExternalPredictorError,
+                           match="endpoint did not reply within 1.0 s"):
+            client.predict_proba_words(["x"])
+        assert time.monotonic() - t0 < 3
+
+
+class _Recording:
+    """A transport that records the texts of each request and answers each
+    text with one probability row."""
+
+    def __init__(self):
+        self.requests = []
+
+    def roundtrip(self, request):
+        self.requests.append(request["texts"])
+        return {"probs": [[0.5, 0.5]] * len(request["texts"]),
+                "classes": ["neg", "pos"]}
+
+
+def _recorded(**kwargs):
+    """A client whose requests go to a ``_Recording``; no child starts."""
+    client = ExternalPredictorClient(command=["unused"], **kwargs)
+    client._transport = _Recording()
+    return client, client._transport
+
+
+class TestRequests:
+    @given(st.lists(st.lists(st.sampled_from(["a", "bb", "c-c", "d.", "é"]),
+                             min_size=1, max_size=6), min_size=1, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_id_rows_send_their_words_joined(self, rows):
+        """A padded id matrix sends each row's words joined by spaces, as
+        the default ``predict_proba_ids`` does through word tuples."""
+        client, sent = _recorded()
+        ids = pad_rows(np.asarray([w for row in rows for w in row], dtype=object),
+                       list(map(len, rows)), client.pad)
+        client.predict_proba_ids(ids)
+        Predictor.predict_proba_ids(client, ids)
+        assert sent.requests == [[" ".join(row) for row in rows]] * 2
+
+    @pytest.mark.parametrize("n, requests", [(1, 1), (ROUND_ROWS, 1),
+                                             (ROUND_ROWS + 1, 2)])
+    def test_default_batch_is_one_request_per_round(self, n, requests):
+        """Under the default batch a scoring call of up to ``ROUND_ROWS``
+        rows, the anchor loop's most per call, is one request."""
+        client, sent = _recorded()
+        probs = client.predict_proba_ids(np.full((n, 2), "w", dtype=object))
+        assert probs.shape == (n, 2)
+        assert client.requests == len(sent.requests) == requests
+        client.predict_proba_many([["w"]] * n)
+        assert client.requests == 2 * requests
+        assert [len(texts) for texts in sent.requests[:requests]] \
+            == [ROUND_ROWS] * (requests - 1) + [n - ROUND_ROWS * (requests - 1)]
+
+
+@pytest.fixture(params=["pidfd", "polling"])
+def reaping(request, monkeypatch):
+    """Each test runs with process handles and again without them."""
+    if request.param == "polling":
+        monkeypatch.delattr(os, "pidfd_open", raising=False)
+    return request.param
+
+
+class TestReaping:
+    @staticmethod
+    def _transport(code):
+        transport = JsonLinesTransport(None, ["unused"], 1.0, RuntimeError, "service")
+        transport._proc = subprocess.Popen([sys.executable, "-c", code],
+                                           stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        return transport, transport._proc
+
+    def test_child_that_exits_on_eof_is_reaped(self, reaping):
+        transport, proc = self._transport("import sys; sys.stdin.read()")
+        t0 = time.monotonic()
+        transport.close()
+        assert time.monotonic() - t0 < 2.5  # half the grace
+        assert proc.returncode == 0
+        assert proc.stdout.closed and transport._proc is None
+
+    def test_child_that_ignores_eof_is_killed_after_the_grace(self, reaping):
+        transport, proc = self._transport("import time; time.sleep(60)")
+        t0 = time.monotonic()
+        transport._end(grace=0.3)
+        assert 0.3 <= time.monotonic() - t0 < 5
+        assert proc.returncode == -signal.SIGKILL
+        assert proc.stdout.closed and transport._proc is None
 
 
 class TestExternalPerturbator:
