@@ -348,6 +348,9 @@ def cmd_topk(args: argparse.Namespace, stack: ExitStack) -> int:
     est = AnchorTopTerms(seed=resolved["seed"], **_kwargs(resolved, _TOPK_PARAMS))
     with _config_errors():
         est.check_params()
+    if resolved["agg"] == "h":
+        raise ConfigError("aggregation 'h' needs the anchor tallies of every class; "
+                          "topk tallies only --class")
     started = time.time()
     stopwords = _load_file(resolved["stopword_file"], "stop-word file",
                            load_stopwords) if resolved["stopword_file"] else None
@@ -449,13 +452,14 @@ def cmd_anchors(args: argparse.Namespace, stack: ExitStack) -> int:
     docs = order_documents(corpus, predicted, resolved["class_label"]) \
         if resolved["class_label"] else corpus.documents
     docs = [d for d in docs if d.words][:resolved["limit"]]
-    rows = 0
+    streams = token_streams(resolved["seed"], docs)
+    rows = start = 0
     handle = stack.enter_context(open(resolved["out"], "w", encoding="utf-8"))
     for wave in document_waves(docs, cfg):
         decided = anchors_of_documents(
-            wave, predictor, perturbator, cfg,
-            [token_streams(resolved["seed"], doc.id) for doc in wave],
+            wave, predictor, perturbator, cfg, streams[start:start + len(wave)],
             targets=[predicted[doc.id][0] for doc in wave])
+        start += len(wave)
         for doc, decisions in zip(wave, decided):
             calls += sum(dec.samples_used for dec in decisions)
             for dec in decisions:

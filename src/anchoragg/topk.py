@@ -230,13 +230,15 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
         return not candidate_mask[index[w]] or filtered_mask[index[w]]
 
     prune = options.candidate_filtering and aggregation.filterable
+    streams = token_streams(root_seed, ordered) if aggregation.needs_anchors else []
     discarded = 0
     i = 0
     for wave in document_waves(ordered, cfg, outside):
-        tested = [doc for doc in wave if doc.words] if aggregation.needs_anchors else []
+        tested = [(doc, rng_for) for doc, rng_for in zip(wave, streams[i:i + len(wave)])
+                  if doc.words]
         decided = iter(anchors_of_documents(
-            tested, predictor, perturbator, cfg,
-            [token_streams(root_seed, doc.id) for doc in tested],
+            [doc for doc, _ in tested], predictor, perturbator, cfg,
+            [rng_for for _, rng_for in tested],
             skip_word=outside, targets=[c] * len(tested)) if tested else [])
         for doc in wave:
             i += 1

@@ -157,6 +157,23 @@ class TestTopk:
             assert run("topk", "--config", "cfg.json") == 2
             assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
 
+    def test_h_aggregation_is_refused(self, workspace, capsys):
+        """``h`` damps by the entropy of every class's tallies, but ``topk``
+        tallies only ``--class``: exit 2 before any input is read, by flag
+        or by config file (the corpus and model files do not exist)."""
+        message = ("error: aggregation 'h' needs the anchor tallies of every "
+                   "class; topk tallies only --class\n")
+        assert run("topk", "--corpus", "missing.jsonl", "--format", "jsonl",
+                   "--model", "m.json", "--class", "pos", "--seed", "7",
+                   "--agg", "h", "--terms", "t.json") == 2
+        assert capsys.readouterr().err == message
+        (workspace / "cfg.json").write_text(json.dumps({
+            "corpus": "missing.jsonl", "format": "jsonl", "model": "m.json",
+            "class_label": "pos", "seed": 7, "agg": "h", "terms": "t.json"}))
+        assert run("topk", "--config", "cfg.json") == 2
+        assert capsys.readouterr().err == message
+        assert not (workspace / "t.json").exists()
+
     def test_config_value_of_wrong_type(self, workspace, capsys):
         synth_and_train(workspace, docs=40)
         base = {"corpus": "c.jsonl", "format": "jsonl", "model": "m.json",
@@ -1080,6 +1097,10 @@ class TestGoldenOutput:
     EVAL_DIGEST = "5143f75c919cf93b5656351852b6f3ede2e933fe8d286ce7170671e5f8d43ecf"
     ANCHORS_DIGEST = "d2b4cc7992629ecfed5de32bcf9759af437fca27c3be7cfcb9ab880377708fb7"
     FILTERED_DIGEST = "28774a34e59e66c2c2f83425b2de2804b693f33c3a790932ecfeeb845854e31c"
+    # a root seed of two 32-bit entropy words: 2**32 + 7
+    WIDE_SEED = 4294967303
+    WIDE_DIGEST = "48dfc60160ceedb0ee94aaecded7f6c91633e558b2439f404d669d3c6b3a7ae1"
+    WIDE_ANCHORS_DIGEST = "188385e83993adce4dcbffb73990df6f4445e60c7d9d28e46184ad125d97282a"
 
     @staticmethod
     def _digest(ws) -> str:
@@ -1097,7 +1118,7 @@ class TestGoldenOutput:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     @staticmethod
-    def _baseline_topk(profile="baseline"):
+    def _baseline_topk(profile="baseline", seed=7):
         assert run("synth", "--out", "c.jsonl", "--truth", "t.json",
                    "--docs", "40", "--seed", "1") == 0
         assert run("train", "--corpus", "c.jsonl", "--format", "jsonl",
@@ -1105,23 +1126,34 @@ class TestGoldenOutput:
         assert run("topk", "--corpus", "c.jsonl", "--format", "jsonl",
                    "--model", "m.json", "--class", "pos", "--k", "10",
                    "--agg", "pr", "--alpha", "0.5", "--profile", profile,
-                   "--seed", "7", "--threads", "1", "--terms", "terms.json",
+                   "--seed", str(seed), "--threads", "1", "--terms", "terms.json",
                    "--snapshots", "snaps.jsonl", "--counts", "counts.jsonl",
                    "--trace", "trace.jsonl") == 0
 
-    def test_anchors_trace_digest(self, workspace):
-        """sha256 of a docs-40 ``anchors --seed 7`` trace, recorded when
-        every sample was a tuple of words."""
+    @staticmethod
+    def _anchors_trace_digest(ws, seed) -> str:
+        """sha256 of a docs-40 ``anchors`` trace."""
         import hashlib
 
         assert run("synth", "--out", "c.jsonl", "--docs", "40", "--seed", "1") == 0
         assert run("train", "--corpus", "c.jsonl", "--format", "jsonl",
                    "--out", "m.json", "--seed", "0") == 0
         assert run("anchors", "--corpus", "c.jsonl", "--format", "jsonl",
-                   "--model", "m.json", "--seed", "7", "--out", "anchors.jsonl") == 0
-        trace = (workspace / "anchors.jsonl").read_bytes()
+                   "--model", "m.json", "--seed", str(seed), "--out", "anchors.jsonl") == 0
+        trace = (ws / "anchors.jsonl").read_bytes()
         assert len(trace.splitlines()) == 628
-        assert hashlib.sha256(trace).hexdigest() == self.ANCHORS_DIGEST
+        return hashlib.sha256(trace).hexdigest()
+
+    def test_anchors_trace_digest(self, workspace):
+        """The ``anchors --seed 7`` trace, recorded when every sample was a
+        tuple of words."""
+        assert self._anchors_trace_digest(workspace, 7) == self.ANCHORS_DIGEST
+
+    def test_wide_seed_anchors_trace_digest(self, workspace):
+        """The trace at a root seed of two entropy words, recorded when each
+        token's generator was seeded by its own ``SeedSequence``."""
+        assert self._anchors_trace_digest(workspace, self.WIDE_SEED) \
+            == self.WIDE_ANCHORS_DIGEST
 
     def test_train_model_digest(self, workspace):
         """sha256 of ``model.json`` trained on a docs-150 corpus, recorded
@@ -1137,6 +1169,12 @@ class TestGoldenOutput:
     def test_baseline_topk_digest(self, workspace):
         self._baseline_topk()
         assert self._digest(workspace) == self.DIGEST
+
+    def test_wide_seed_topk_digest(self, workspace):
+        """The baseline run at a root seed of two entropy words, recorded
+        when each token's generator was seeded by its own ``SeedSequence``."""
+        self._baseline_topk(seed=self.WIDE_SEED)
+        assert self._digest(workspace) == self.WIDE_DIGEST
 
     def test_filtered_topk_digest(self, workspace):
         """The same run under candidate filtering, recorded when a pruning
