@@ -90,6 +90,9 @@ def _is_punctuation(ch: str) -> bool:
 
 
 def _strip_punctuation(word: str) -> str:
+    # no alphanumeric character is punctuation: most words return here
+    if word[0].isalnum() and word[-1].isalnum():
+        return word
     start, end = 0, len(word)
     while start < end and _is_punctuation(word[start]):
         start += 1

@@ -55,8 +55,9 @@ class Predictor:
     ``predict_proba_many`` scores the corresponding word rows. A row shorter
     than ``m`` ends in ``pad`` ids (see ``pad_rows``), and scores as the row
     without them. By default the ids are the words themselves, the pad is
-    ``None``, and ``predict_proba_ids`` drops it; ``BowClassifier`` uses
-    vocabulary ids, and pads with the out-of-vocabulary id.
+    ``None``, and ``predict_proba_ids`` drops it. ``BowClassifier`` uses
+    vocabulary ids, and pads with the out-of-vocabulary id;
+    ``ExternalPredictorClient`` uses ids it interns itself, and pads with -1.
     """
 
     classes_: tuple[str, ...]
@@ -415,7 +416,14 @@ class ExternalPredictorClient(Predictor):
     A scoring call sends its texts ``batch_size`` per request. The default
     is the anchor loop's rows per call, ``ROUND_ROWS``, so each of its calls
     is one request; ``requests`` counts the requests sent.
+
+    The anchor loop's ids are the client's own: ``encode`` interns each word
+    it has not seen into a table local to the client, with ids dense from 0,
+    and the pad, -1, is no word's id. Threads may share a client: interning
+    takes a lock.
     """
+
+    pad = -1
 
     def __init__(self, endpoint: str | None = None,
                  command: Sequence[str] | None = None,
@@ -430,6 +438,10 @@ class ExternalPredictorClient(Predictor):
         self.batch_size = int(batch_size)
         self.classes_ = None
         self.requests = 0
+        # word -> id, in id order, and the words as an object array
+        self._ids: dict[str, int] = {}
+        self._table = np.empty(0, dtype=object)
+        self._intern_lock = threading.Lock()
 
     @staticmethod
     def check_params(timeout: float, batch_size: int) -> None:
@@ -474,14 +486,30 @@ class ExternalPredictorClient(Predictor):
         """Each row's words joined by spaces."""
         return self._score([" ".join(w) for w in docs])
 
+    def encode(self, words: Sequence[str]) -> np.ndarray:
+        """The client's ids of ``words``; a word not seen before gets the
+        next free id."""
+        ids = self._ids
+        with self._intern_lock:
+            for word in words:
+                ids.setdefault(word, len(ids))
+        return np.fromiter(map(ids.__getitem__, words), dtype=np.intp,
+                           count=len(words))
+
     def predict_proba_ids(self, ids: np.ndarray) -> np.ndarray:
-        """Each id row cut at its first ``pad``, as the default cuts it,
-        and joined by spaces straight from the matrix's lists."""
-        rows = ids.tolist()
-        if ids.size and self.pad in ids[:, -1]:
-            rows = [row[:row.index(self.pad)] if row[-1] == self.pad else row
-                    for row in rows]
-        return self._score([" ".join(row) for row in rows])
+        """The words of each ``encode`` id row, without its ``pad`` ids,
+        joined by spaces: one gather from the word table, then one join per
+        row."""
+        table = self._table
+        if len(table) < len(self._ids):
+            with self._intern_lock:
+                table = self._table = np.array(list(self._ids), dtype=object)
+        kept = ids != self.pad
+        # every row's words, one row after another; row i's end at ends[i]
+        words = table[ids[kept]].tolist()
+        ends = kept.sum(axis=1).cumsum().tolist()
+        return self._score([" ".join(words[start:end])
+                            for start, end in zip([0, *ends], ends)])
 
     def _score(self, texts: list[str]) -> np.ndarray:
         """The probability rows of ``texts``, sent ``batch_size`` per

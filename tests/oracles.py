@@ -12,6 +12,7 @@ the package's own round loop.
 from __future__ import annotations
 
 import math
+import unicodedata
 
 import numpy as np
 from scipy import sparse, stats
@@ -284,6 +285,25 @@ def bow_fit_with_scipy(docs, y, epochs, learning_rate, l2, seed, val_fraction):
     else:
         best_epoch = epochs - 1
     return W, b, losses, best_epoch
+
+
+# -- the tokenizer's character loop ------------------------------------------
+
+
+def tokenize_by_loop(text: str) -> list[str]:
+    """Lowercase, split on Unicode whitespace, then strip every leading and
+    trailing character of a ``P*`` category, one at a time; empty results
+    are dropped."""
+    words = []
+    for chunk in text.lower().split():
+        start, end = 0, len(chunk)
+        while start < end and unicodedata.category(chunk[start]).startswith("P"):
+            start += 1
+        while end > start and unicodedata.category(chunk[end - 1]).startswith("P"):
+            end -= 1
+        if start < end:
+            words.append(chunk[start:end])
+    return words
 
 
 # -- per-row and per-token loops of the sample path ---------------------------

@@ -500,6 +500,36 @@ class TestSettings:
             dests = {a.dest for a in commands[command]._actions if a.option_strings}
             assert set(self._config(path)) == dests - {"help", "config"}, command
 
+    def test_every_manifest_records_cpu_beside_wall_seconds(self, workspace):
+        """Each command records the CPU seconds of its own process over the
+        span its wall seconds cover; the time a service takes is not in
+        them."""
+        import sys as _sys
+
+        synth_and_train(workspace, docs=40, epochs=50)
+        TestTopk()._topk()
+        inputs = ("--corpus", "c.jsonl", "--format", "jsonl", "--model", "m.json")
+        assert run("anchors", *inputs, "--seed", "7", "--limit", "1",
+                   "--out", "a.jsonl") == 0
+        assert run("eval-aopc", *inputs, "--terms", "terms.json", "--out", "e.json") == 0
+        assert run("compare", "terms.json", *inputs, "--out-prefix", "cmp") == 0
+        for path in ("c.jsonl.manifest.json", "m.json.manifest.json", "run.json",
+                     "a.jsonl.manifest.json", "e.json.manifest.json",
+                     "cmp.json.manifest.json"):
+            manifest = json.loads(Path(path).read_text())
+            assert 0 <= manifest["cpu_seconds"], path
+            assert 0 <= manifest["wall_seconds"], path
+        # a service that sleeps 0.2 s per request
+        (workspace / "pred.py").write_text(TestExternalBackendsViaCli.PRED.replace(
+            "    req = json.loads(line)\n",
+            "    req = json.loads(line)\n    __import__('time').sleep(0.2)\n"))
+        assert run("anchors", "--corpus", "c.jsonl", "--format", "jsonl",
+                   "--external-cmd", f"{_sys.executable} pred.py", "--seed", "7",
+                   "--limit", "1", "--out", "x.jsonl") == 0
+        manifest = json.loads(Path("x.jsonl.manifest.json").read_text())
+        waited = 0.2 * manifest["predictor_requests"]
+        assert manifest["wall_seconds"] - manifest["cpu_seconds"] >= 0.9 * waited
+
     def test_documents_dropped_by_max_chars_are_reported(self, workspace, capsys):
         """Every command that reads a corpus says on stderr how many
         documents ``--max-chars`` dropped, records the count in its
@@ -1186,6 +1216,49 @@ class TestGoldenOutput:
         assert manifest["filtered_words"] > 0
         assert manifest["discarded_rows"] == 810
         assert self._digest(workspace) == self.FILTERED_DIGEST
+
+    # a service that logs every request line it reads, and scores a text by
+    # its planted signal words: a pos word raises p(pos), a neg word lowers it
+    LOGGING_SERVICE = (
+        "import json, sys\n"
+        "for line in sys.stdin:\n"
+        "    open('requests.log', 'a', encoding='utf-8').write(line)\n"
+        "    probs = []\n"
+        "    for text in json.loads(line)['texts']:\n"
+        "        g, b = text.count('gsig'), text.count('bsig')\n"
+        "        p = (1 + g) / (2 + g + b)\n"
+        "        probs.append([1 - p, p])\n"
+        "    print(json.dumps({'probs': probs, 'classes': ['neg', 'pos']}),"
+        " flush=True)\n")
+    # per command: its flags, the sha256 of the request lines the service
+    # read, and the manifest's request count; recorded when the client
+    # sampled rounds on word arrays and cut each row at its first pad
+    REQUEST_RUNS = {
+        "topk": (("--class", "pos", "--k", "10", "--agg", "pr", "--alpha", "0.5",
+                  "--profile", "optimized", "--seed", "7", "--terms", "terms.json"),
+                 "92cdfb77e7f0317eeacf5d4c82163dce5fb307a51cf1fd50e78f12d3e55c2d68", 11),
+        "anchors": (("--class", "pos", "--seed", "7", "--out", "anchors.jsonl"),
+                    "4aa5cc0ccbf7fc4c0b93f0691a5e06809300f6d4ef54dac2b241c64ec7db8ef8", 36),
+    }
+
+    @pytest.mark.parametrize("command", sorted(REQUEST_RUNS))
+    def test_external_request_stream_digest(self, workspace, command):
+        """The request lines a subprocess service reads on the docs-40
+        corpus, byte for byte, and how many there are."""
+        import hashlib
+        import sys as _sys
+
+        flags, digest, requests = self.REQUEST_RUNS[command]
+        assert run("synth", "--out", "c.jsonl", "--docs", "40", "--seed", "1") == 0
+        (workspace / "pred.py").write_text(self.LOGGING_SERVICE)
+        assert run(command, "--corpus", "c.jsonl", "--format", "jsonl",
+                   "--external-cmd", f"{_sys.executable} pred.py", *flags,
+                   "--manifest", "run.json") == 0
+        sent = (workspace / "requests.log").read_bytes()
+        manifest = json.loads((workspace / "run.json").read_text())
+        assert (hashlib.sha256(sent).hexdigest(), manifest["predictor_requests"]) \
+            == (digest, requests)
+        assert len(sent.splitlines()) == requests
 
     def test_eval_aopc_timeline_digest(self, workspace):
         """``aopc.json`` and the timeline CSV without ``t_sec``, recorded

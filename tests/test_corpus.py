@@ -1,3 +1,4 @@
+import unicodedata
 from importlib import resources
 
 import pytest
@@ -10,6 +11,7 @@ from anchoragg.corpus import (Corpus, Document, default_stopwords,
 from anchoragg.seeding import stream_rng
 
 from conftest import make_corpus
+from oracles import tokenize_by_loop
 
 
 class TestTokenize:
@@ -33,6 +35,20 @@ class TestTokenize:
     def test_idempotent_on_own_output(self, text):
         words = tokenize(text)
         assert tokenize(" ".join(words)) == words
+
+    def test_no_alphanumeric_character_is_punctuation(self):
+        """The tokenizer keeps a chunk whose first and last characters are
+        alphanumeric as it is: no code point is both."""
+        both = [c for c in range(0x110000) if chr(c).isalnum()
+                and unicodedata.category(chr(c)).startswith("P")]
+        assert both == []
+
+    @given(st.text(max_size=80)
+           | st.lists(st.text(st.characters(categories=("L", "N", "P", "Z")),
+                              min_size=1, max_size=6)).map(" ".join))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_character_loop(self, text):
+        assert tokenize(text) == tokenize_by_loop(text)
 
 
 class TestLoadCorpus:

@@ -19,8 +19,7 @@ from hypothesis import strategies as st
 from anchoragg._transport import JsonLinesTransport
 from anchoragg.anchor import ROUND_ROWS
 from anchoragg.corpus import Document
-from anchoragg.model import (ExternalPredictorClient, ExternalPredictorError,
-                             Predictor, pad_rows)
+from anchoragg.model import ExternalPredictorClient, ExternalPredictorError, pad_rows
 from anchoragg.perturb import ExternalPerturbatorClient, ExternalPerturbatorError
 from anchoragg.seeding import stream_rng
 
@@ -381,19 +380,111 @@ def _recorded(**kwargs):
     return client, client._transport
 
 
+# words of the id-path tests: ASCII, punctuated and non-ASCII
+_WORDS = st.sampled_from(["a", "bb", "c-c", "d.", "é", "naïve", "日本", "ß"]) \
+    | st.text(st.characters(codec="utf-8", exclude_categories=("Z", "C")),
+              min_size=1, max_size=4)
+
+
+class _ModelTransport(_Recording):
+    """A ``_Recording`` that scores each text as ``model`` scores its words."""
+
+    def __init__(self, model):
+        super().__init__()
+        self.model = model
+
+    def roundtrip(self, request):
+        self.requests.append(request["texts"])
+        probs = self.model.predict_proba_many([t.split(" ") for t in request["texts"]])
+        return {"probs": probs.tolist(), "classes": list(self.model.classes_)}
+
+
 class TestRequests:
-    @given(st.lists(st.lists(st.sampled_from(["a", "bb", "c-c", "d.", "é"]),
-                             min_size=1, max_size=6), min_size=1, max_size=12))
+    @given(st.lists(_WORDS, max_size=8),
+           st.lists(st.lists(_WORDS, min_size=1, max_size=6), min_size=1, max_size=12))
     @settings(max_examples=150, deadline=None)
-    def test_id_rows_send_their_words_joined(self, rows):
-        """A padded id matrix sends each row's words joined by spaces, as
-        the default ``predict_proba_ids`` does through word tuples."""
+    def test_id_rows_send_their_words_joined(self, seen, rows):
+        """A padded matrix of ``encode`` ids sends each row's words joined by
+        spaces: one-word and full-width rows, and words the same ``encode``
+        call interned, among words seen before."""
         client, sent = _recorded()
-        ids = pad_rows(np.asarray([w for row in rows for w in row], dtype=object),
+        client.encode(seen)
+        ids = pad_rows(client.encode([w for row in rows for w in row]),
                        list(map(len, rows)), client.pad)
+        assert ids.dtype == np.intp
         client.predict_proba_ids(ids)
-        Predictor.predict_proba_ids(client, ids)
-        assert sent.requests == [[" ".join(row) for row in rows]] * 2
+        assert sent.requests == [[" ".join(row) for row in rows]]
+
+    @given(st.lists(st.lists(_WORDS, max_size=6), min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_encode_interns_dense_stable_ids(self, calls):
+        """A word's id is the number of distinct words seen before it, on
+        every call; the pad is no word's id."""
+        client, _ = _recorded()
+        first = {}
+        for words in calls:
+            for w in words:
+                first.setdefault(w, len(first))
+            assert client.encode(words).tolist() == [first[w] for w in words]
+        for words in calls:
+            assert client.encode(words).tolist() == [first[w] for w in words]
+        assert client.pad not in first.values()
+
+    def test_threads_intern_each_word_once(self):
+        """Threads that encode overlapping words and score them at once give
+        each word one id, dense from 0, and send their own words."""
+        client, sent = _recorded()
+        words = [f"w{i}" for i in range(2000)]
+        results = [None] * 4
+        barrier = threading.Barrier(4)
+
+        def encode(t):
+            barrier.wait()
+            mine = words[t % 2::2]
+            ids = client.encode(mine)
+            results[t] = dict(zip(mine, ids.tolist()))
+            client.predict_proba_ids(ids[:, None])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=encode, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[0] == results[2] and results[1] == results[3]
+        ids = {**results[0], **results[1]}
+        assert sorted(ids.values()) == list(range(len(words)))
+        assert client.encode(words).tolist() == [ids[w] for w in words]
+        assert sorted(sent.requests) == sorted([words[0::2], words[1::2]] * 2)
+
+    def test_rounds_arrive_as_intp(self, planted200):
+        """A topk run through the client scores every round as an ``intp``
+        matrix of its ids and decides as the in-process model does."""
+        from anchoragg.topk import AnchorTopTerms
+
+        corpus, _, clf = planted200
+        client, _ = _recorded()
+        client._transport = _ModelTransport(clf)
+        dtypes, score = [], client.predict_proba_ids
+
+        def recorded(ids):
+            dtypes.append(ids.dtype)
+            return score(ids)
+
+        client.predict_proba_ids = recorded
+        runs = []
+        for predictor in (client, clf):
+            est = AnchorTopTerms(k=5, target_class="pos", seed=3, max_samples=30,
+                                 sample_fraction=0.2)
+            est.fit(corpus, predictor)
+            runs.append((est.terms_.items, est.calls_))
+        assert len(dtypes) > 1 and set(dtypes) == {np.dtype(np.intp)}
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("n, requests", [(1, 1), (ROUND_ROWS, 1),
                                              (ROUND_ROWS + 1, 2)])
@@ -401,7 +492,8 @@ class TestRequests:
         """Under the default batch a scoring call of up to ``ROUND_ROWS``
         rows, the anchor loop's most per call, is one request."""
         client, sent = _recorded()
-        probs = client.predict_proba_ids(np.full((n, 2), "w", dtype=object))
+        ids = np.repeat(client.encode(["w", "v"])[None, :], n, axis=0)
+        probs = client.predict_proba_ids(ids)
         assert probs.shape == (n, 2)
         assert client.requests == len(sent.requests) == requests
         client.predict_proba_many([["w"]] * n)
