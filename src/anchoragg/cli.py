@@ -222,23 +222,23 @@ def _check_class(c: str, corpus: Corpus) -> None:
         raise ConfigError(f"class {c!r} not in corpus classes {corpus.classes}")
 
 
-def _snapshot_rows(path: Path) -> list[dict]:
-    """The rows of a ``topk --snapshots`` log, with the fields a timeline
-    reads; a row whose top-k is not a valid term list (a word listed twice
-    or not a string, a score not finite) raises ValueError."""
+def _snapshot_rows(path: Path) -> list[tuple[float, int, tuple[str, ...]]]:
+    """The (t_sec, calls, top-k words in list order) rows of a ``topk
+    --snapshots`` log; a row whose top-k is not a valid term list (a word
+    listed twice or not a string, a score not finite) raises ValueError."""
     from .eval import TermList
 
-    rows = [json.loads(line) for line in
-            path.read_text(encoding="utf-8").splitlines() if line]
-    rows = [{"t_sec": float(row["t_sec"]), "calls": int(row["calls"]),
-             "topk": [{"word": t["word"], "score": float(t["score"])}
-                      for t in row["topk"]]} for row in rows]
-    for row in rows:
+    rows = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if not line:
+            continue
+        row = json.loads(line)
+        t_sec, calls = float(row["t_sec"]), int(row["calls"])
+        pairs = [(t["word"], float(t["score"])) for t in row["topk"]]
         try:
-            TermList.from_pairs("", "snapshot", [(t["word"], t["score"])
-                                                 for t in row["topk"]])
+            rows.append((t_sec, calls, TermList.from_pairs("", "snapshot", pairs).words))
         except ValueError as exc:
-            raise ValueError(f"the top-k at t_sec {row['t_sec']} {exc}") from exc
+            raise ValueError(f"the top-k at t_sec {t_sec} {exc}") from exc
     return rows
 
 
@@ -487,8 +487,8 @@ def cmd_anchors(args: argparse.Namespace, stack: ExitStack) -> int:
 # -- eval-aopc ----------------------------------------------------------------
 
 def cmd_eval_aopc(args: argparse.Namespace, stack: ExitStack) -> int:
-    from .eval import aopc_k, quality_timeline, write_timeline_csv
-    from .model import CachingPredictor
+    from ._aopc import AopcScorer
+    from .eval import write_timeline_csv
 
     resolved = _merge_config(args, {**_corpus_defaults(), **_predictor_defaults()})
     if not resolved["terms"] and not resolved["snapshots"]:
@@ -504,15 +504,23 @@ def cmd_eval_aopc(args: argparse.Namespace, stack: ExitStack) -> int:
     terms = _load_file(resolved["terms"], "terms file", _term_list) \
         if resolved["terms"] else None
     snaps = _load_file(resolved["snapshots"], "snapshot log", _snapshot_rows) \
-        if resolved["snapshots"] else None
+        if resolved["snapshots"] else []
     started = _clocks()
-    predictor = CachingPredictor(_build_predictor(resolved, stack))
+    predictor = _build_predictor(resolved, stack)
     corpus = _load_corpus(resolved)
+    c = resolved["class_label"] or terms.class_label
+    _check_class(c, corpus)
+    # the term list and the log's distinct lists, scored as one batch
+    lists = list(dict.fromkeys(([terms.words] if terms else [])
+                               + [words for _, _, words in snaps if words]))
+    results, rows = {}, 0
+    if lists:
+        scorer = AopcScorer(corpus, predictor, c, cache={})  # each text once
+        results = dict(zip(lists, scorer.aopc(lists)))
+        rows = scorer.rows
     payload = {}
     if terms is not None:
-        c = resolved["class_label"] or terms.class_label
-        _check_class(c, corpus)
-        result = aopc_k(terms, corpus, predictor, c)
+        result = results[terms.words]
         payload = {"class": c, "agg": terms.aggregation, "k": len(terms),
                    "value": result.value, "per_prefix": list(result.per_prefix),
                    "documents": result.documents}
@@ -520,14 +528,16 @@ def cmd_eval_aopc(args: argparse.Namespace, stack: ExitStack) -> int:
             Path(resolved["out"]).write_text(json.dumps(payload, indent=2),
                                              encoding="utf-8")
 
-    if snaps is not None:
-        rows = quality_timeline(snaps, corpus, predictor, resolved["class_label"])
+    if timeline is not None:
         with open(timeline, "w", encoding="utf-8", newline="") as handle:
-            write_timeline_csv(handle, rows)
+            write_timeline_csv(handle, [(t_sec, calls, results[words].value)
+                                        for t_sec, calls, words in snaps if words])
         payload["timeline"] = str(timeline)
 
     _write_manifest(manifest, "eval-aopc", resolved, started, {},
-                    {"aopc": payload.get("value"), "documents_dropped": corpus.dropped})
+                    {"aopc": payload.get("value"), "documents_dropped": corpus.dropped,
+                     "predictor_calls": rows,
+                     "predictor_requests": getattr(predictor, "requests", 0)})
     print(json.dumps(payload))
     return EXIT_OK
 
@@ -535,8 +545,8 @@ def cmd_eval_aopc(args: argparse.Namespace, stack: ExitStack) -> int:
 # -- compare ------------------------------------------------------------------
 
 def cmd_compare(args: argparse.Namespace, stack: ExitStack) -> int:
-    from .eval import aopc_k, shared_terms_ratio
-    from .model import CachingPredictor
+    from ._aopc import AopcScorer
+    from .eval import shared_terms_ratio
 
     resolved = _merge_config(args, {**_corpus_defaults(), **_predictor_defaults()})
     if len(args.term_files) < 1:
@@ -554,17 +564,25 @@ def cmd_compare(args: argparse.Namespace, stack: ExitStack) -> int:
             raise ConfigError(f"terms files differ in length: {path} lists "
                               f"{len(terms)} terms, {args.term_files[0]} lists {k}")
     started = _clocks()
-    predictor = CachingPredictor(_build_predictor(resolved, stack))
+    predictor = _build_predictor(resolved, stack)
     corpus = _load_corpus(resolved)
+    classes = [resolved["class_label"] or terms.class_label for _, terms in lists]
+    for c in classes:
+        _check_class(c, corpus)
 
     names = [name for name, _ in lists]
     shared = [[shared_terms_ratio(a, b) for _, b in lists] for _, a in lists]
-    aopc_rows = []
-    for name, terms in lists:
-        c = resolved["class_label"] or terms.class_label
-        _check_class(c, corpus)
-        aopc_rows.append((name, terms.aggregation, c,
-                          aopc_k(terms, corpus, predictor, c).value))
+    # the lists of each class, scored as one batch; the scorers share the
+    # rows they score, the corpus's among them
+    cache, values, rows = {}, {}, 0
+    for c in dict.fromkeys(classes):
+        scorer = AopcScorer(corpus, predictor, c, cache)
+        batch = [terms.words for (_, terms), cls in zip(lists, classes) if cls == c]
+        values.update(((c, words), result.value)
+                      for words, result in zip(batch, scorer.aopc(batch)))
+        rows += scorer.rows
+    aopc_rows = [(name, terms.aggregation, c, values[c, terms.words])
+                 for (name, terms), c in zip(lists, classes)]
 
     with open(out_shared, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
@@ -581,7 +599,9 @@ def cmd_compare(args: argparse.Namespace, stack: ExitStack) -> int:
                         for n, a, c, v in aopc_rows]}
     out_json.write_text(json.dumps(payload, indent=2), encoding="utf-8")
     _write_manifest(manifest, "compare", resolved, started, {},
-                    {"lists": names, "documents_dropped": corpus.dropped})
+                    {"lists": names, "documents_dropped": corpus.dropped,
+                     "predictor_calls": rows,
+                     "predictor_requests": getattr(predictor, "requests", 0)})
     print(json.dumps(payload))
     return EXIT_OK
 
@@ -615,28 +635,22 @@ def _add_anchor_flags(p: argparse.ArgumentParser) -> None:
     _add_flags(p, "--tau", "--delta", "--mask-prob", type=float)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="anchoragg",
-        description="Global top-k word importance for black-box text "
-                    "classifiers via anchor aggregation.")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="train the built-in bag-of-words classifier")
+def _train_parser(p: argparse.ArgumentParser) -> None:
     _add_corpus_flags(p)
     _add_flags(p, "--out")
     _add_flags(p, "--epochs", "--seed", type=int)
     _add_flags(p, "--learning-rate", "--l2", "--val-fraction", type=float)
     p.set_defaults(func=cmd_train, required=("--corpus", "--out"), outputs=("--out",))
 
-    p = sub.add_parser("synth", help="generate a planted-signal corpus")
+
+def _synth_parser(p: argparse.ArgumentParser) -> None:
     _add_flags(p, "--out", "--truth")
     _add_flags(p, "--docs", "--signal-words", "--seed", type=int)
     _add_flags(p, "--noise", type=float)
     p.set_defaults(func=cmd_synth, required=("--out",), outputs=("--out", "--truth"))
 
-    p = sub.add_parser("topk", help="anytime top-k impactful words")
+
+def _topk_parser(p: argparse.ArgumentParser) -> None:
     _add_corpus_flags(p)
     _add_predictor_flags(p)
     _add_anchor_flags(p)
@@ -660,7 +674,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_topk, required=("--corpus", "--seed", "--class"),
                    outputs=("--terms", "--snapshots", "--counts", "--trace"))
 
-    p = sub.add_parser("anchors", help="per-token anchor decisions as JSONL")
+
+def _anchors_parser(p: argparse.ArgumentParser) -> None:
     _add_corpus_flags(p)
     _add_predictor_flags(p)
     _add_anchor_flags(p)
@@ -669,7 +684,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_anchors, required=("--corpus", "--seed", "--out"),
                    outputs=("--out",))
 
-    p = sub.add_parser("eval-aopc", help="probability-drop quality of a term list")
+
+def _eval_aopc_parser(p: argparse.ArgumentParser) -> None:
     _add_corpus_flags(p)
     _add_predictor_flags(p)
     _add_flags(p, "--terms", "--out")
@@ -678,14 +694,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval_aopc, required=("--corpus",),
                    outputs=("--out", "--timeline-out"))
 
-    p = sub.add_parser("compare", help="shared-terms matrix and quality table")
+
+def _compare_parser(p: argparse.ArgumentParser) -> None:
     p.add_argument("term_files", nargs="*")
     _add_corpus_flags(p)
     _add_predictor_flags(p)
     _add_flags(p, "--out-prefix")
     p.set_defaults(func=cmd_compare, required=("--corpus",), outputs=("--out-prefix",))
 
-    for p in sub.choices.values():
+
+# per command: its help line and the function that adds its options
+_COMMANDS = {
+    "train": ("train the built-in bag-of-words classifier", _train_parser),
+    "synth": ("generate a planted-signal corpus", _synth_parser),
+    "topk": ("anytime top-k impactful words", _topk_parser),
+    "anchors": ("per-token anchor decisions as JSONL", _anchors_parser),
+    "eval-aopc": ("probability-drop quality of a term list", _eval_aopc_parser),
+    "compare": ("shared-terms matrix and quality table", _compare_parser),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or only of ``command``'s."""
+    parser = argparse.ArgumentParser(
+        prog="anchoragg",
+        description="Global top-k word importance for black-box text "
+                    "classifiers via anchor aggregation.")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, add_options) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=summary)
+        add_options(p)
         _add_flags(p, "--config", "--manifest")
         options = {a.option_strings[0]: a for a in p._actions
                    if a.option_strings and a.dest not in ("help", "config")}
@@ -701,7 +742,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a command's own parser when one leads the arguments, else all of them
+    # (for --help, --version and an unknown command)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         with ExitStack() as stack:

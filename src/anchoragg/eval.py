@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .corpus import Corpus, Document
 from .model import Predictor
 
@@ -121,71 +119,9 @@ def aopc_k(terms: TermList, corpus: Corpus, predictor: Predictor, c: str
     """
     if len(terms) == 0:
         raise ValueError("empty term list")
-    return _AopcScorer(corpus, predictor, c).aopc(terms.words)
+    from ._aopc import AopcScorer
 
-
-class _AopcScorer:
-    """AOPC of term lists over one corpus, predictor and class.
-
-    The corpus is classified in one call, and a class document's probability
-    there is its prefix-0 score. A document's removal row changes only at the
-    terms it contains, so each row is keyed by the removed words the document
-    contains, as a bitmask over the document's distinct words, and scored
-    once, for this list and every later one.
-    """
-
-    def __init__(self, corpus: Corpus, predictor: Predictor, c: str):
-        docs = list(corpus)
-        probs = predictor.predict_proba_many([d.words for d in docs]) if docs else ()
-        chosen = [i for i, row in enumerate(probs)
-                  if predictor.classes_[int(np.argmax(row))] == c]
-        if not chosen:
-            raise ValueError(f"no documents classified as {c!r}")
-        self._predictor = predictor
-        self._c_idx = predictor.class_index(c)
-        self._docs = [docs[i] for i in chosen]
-        # word -> (class document, the word's bit in that document), in
-        # document order
-        self._postings: dict[str, list[tuple[int, int]]] = {}
-        for j, doc in enumerate(self._docs):
-            for b, w in enumerate(dict.fromkeys(doc.words)):
-                self._postings.setdefault(w, []).append((j, 1 << b))
-        # per class document: mask of the removed words -> class probability
-        self._scores = [{0: float(probs[i][self._c_idx])} for i in chosen]
-
-    def aopc(self, words: Sequence[str]) -> AopcResult:
-        k = len(words)
-        masks: dict[int, int] = {}  # touched document -> its mask so far
-        events = []  # (document, prefix, mask) at each listed word it contains
-        for i, w in enumerate(words, start=1):
-            for j, bit in self._postings.get(w, ()):
-                masks[j] = mask = masks.get(j, 0) | bit
-                events.append((j, i, mask))
-        missing = sorted(e for e in events if e[2] not in self._scores[e[0]])
-        if missing:
-            probs = self._predictor.predict_proba_many(
-                [remove_prefix(self._docs[j], words, i).words for j, i, _ in missing])
-            for (j, _, mask), p in zip(missing, probs[:, self._c_idx].tolist()):
-                self._scores[j][mask] = p
-        # a touched document's row holds its base score, then the score of
-        # its latest mask at each prefix; rows are summed in document order
-        row_of = {j: r for r, j in enumerate(sorted(masks))}
-        n = len(row_of)
-        latest = np.zeros((n, k + 1), dtype=np.intp)
-        latest[:, 0] = np.arange(n)
-        if events:
-            latest[[row_of[j] for j, _, _ in events], [i for _, i, _ in events]] = \
-                np.arange(n, n + len(events))
-        np.maximum.accumulate(latest, axis=1, out=latest)
-        values = np.array([self._scores[j][0] for j in row_of]
-                          + [self._scores[j][mask] for j, _, mask in events])
-        rows = values[latest]
-        drops = np.cumsum(np.vstack([np.zeros(k), rows[:, :1] - rows[:, 1:]]),
-                          axis=0)[-1]
-        per_prefix = drops / len(self._docs)
-        value = float(per_prefix.sum() / (k + 1))
-        return AopcResult(value=value, per_prefix=tuple(per_prefix.tolist()),
-                          documents=len(self._docs))
+    return AopcScorer(corpus, predictor, c).aopc([terms.words])[0]
 
 
 def shared_terms_ratio(a: TermList, b: TermList) -> float:
@@ -203,26 +139,21 @@ def quality_timeline(snapshots: Sequence[Mapping], corpus: Corpus,
                      ) -> list[tuple[float, int, float]]:
     """Evaluate each snapshot's top-k list; returns (t_sec, calls, aopc) rows.
 
-    Snapshots repeat lists and removal rows heavily, so one scorer serves
-    them all and each distinct list is evaluated once. The scorer is built
-    at the first non-empty snapshot: a log without one makes no predictor
-    call.
+    Snapshots repeat lists and removal rows heavily, so one scorer scores
+    the log's distinct non-empty lists as one batch, in order of first
+    appearance: each document's removal rows are scored once. A log without
+    a non-empty list makes no predictor call.
     """
-    scorer = None
-    values: dict[tuple[str, ...], float] = {}
-    rows = []
-    for snap in snapshots:
-        topk = snap["topk"]
-        if not topk:
-            continue
-        pairs = [(t["word"], float(t["score"])) for t in topk]
-        words = TermList.from_pairs(c, "snapshot", pairs).words
-        if words not in values:
-            if scorer is None:
-                scorer = _AopcScorer(corpus, predictor, c)
-            values[words] = scorer.aopc(words).value
-        rows.append((float(snap["t_sec"]), int(snap["calls"]), values[words]))
-    return rows
+    rows = [(float(snap["t_sec"]), int(snap["calls"]), TermList.from_pairs(
+        c, "snapshot", [(t["word"], float(t["score"])) for t in snap["topk"]]).words)
+        for snap in snapshots]
+    lists = list(dict.fromkeys(words for _, _, words in rows if words))
+    if not lists:
+        return []
+    from ._aopc import AopcScorer
+
+    values = dict(zip(lists, AopcScorer(corpus, predictor, c).aopc(lists)))
+    return [(t_sec, calls, values[words].value) for t_sec, calls, words in rows if words]
 
 
 def write_timeline_csv(handle: IO[str], rows: Iterable[tuple[float, int, float]]) -> None:

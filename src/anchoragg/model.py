@@ -528,11 +528,12 @@ class ExternalPredictorClient(Predictor):
 
 
 class CachingPredictor(Predictor):
-    """Memoizes probabilities by document content, for evaluation
-    (``eval-aopc``, ``compare``), where the same documents and removal
-    prefixes are scored repeatedly. No run path (``topk``, ``anchors``) uses
-    it: a run classifies its corpus once (``topk.classify_corpus``), and its
-    perturbation samples are unique draws.
+    """Memoizes probabilities by document content, for library callers of
+    ``aopc_k`` and ``quality_timeline`` that score the same texts again.
+    No command uses it: ``eval-aopc`` and ``compare`` key their rows by
+    text themselves, a run classifies its corpus once
+    (``topk.classify_corpus``), and its perturbation samples are unique
+    draws.
     """
 
     def __init__(self, base: Predictor):

@@ -713,6 +713,138 @@ class TestEvalAndCompare:
         assert run(command, *argv, "--corpus", "c.jsonl", "--model", "m.json") == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("inputs", [("--terms", "terms.json"),
+                                        ("--snapshots", "snaps.jsonl")],
+                             ids=["terms", "snapshots"])
+    def test_unknown_class_is_a_config_error(self, workspace, capsys, inputs):
+        synth_and_train(workspace, docs=40, epochs=50)
+        TestTopk()._topk()
+        assert run("eval-aopc", *inputs, "--class", "nope", "--corpus", "c.jsonl",
+                   "--format", "jsonl", "--model", "m.json") == 2
+        assert capsys.readouterr().err == \
+            "error: class 'nope' not in corpus classes ('neg', 'pos')\n"
+
+    def test_compare_manifest_counts_rows_and_requests(self, workspace):
+        """``predictor_calls`` is every text the service scored: the corpus
+        once, then each class's removal rows in one batch."""
+        import sys as _sys
+
+        synth_and_train(workspace, docs=40, epochs=50)
+        TestTopk()._topk()
+        final = TermList.load("terms.json")
+        TermList.from_pairs("neg", "rev", [(w, float(i)) for i, w in
+                                           enumerate(final.words)]).save("neg.json")
+        (workspace / "pred.py").write_text(TestGoldenOutput.LOGGING_SERVICE)
+        assert run("compare", "terms.json", "terms.json", "neg.json",
+                   "--corpus", "c.jsonl", "--format", "jsonl",
+                   "--external-cmd", f"{_sys.executable} pred.py",
+                   "--manifest", "run.json") == 0
+        lines = (workspace / "requests.log").read_text().splitlines()
+        texts = [t for line in lines for t in json.loads(line)["texts"]]
+        manifest = json.loads((workspace / "run.json").read_text())
+        assert manifest["predictor_calls"] == len(texts)
+        # the corpus, then one batch per class
+        assert manifest["predictor_requests"] == len(lines) == 3
+        corpus = load_corpus("c.jsonl", "jsonl")
+        assert texts[:len(corpus)] == [" ".join(d.words) for d in corpus]
+
+    def test_each_text_is_sent_once(self, workspace):
+        """Removal rows are deduplicated by text, not by document: two
+        documents that a list reduces to the same words send that text once,
+        a row equal to a corpus document is not sent, and ``compare``'s
+        scorers of two classes share their rows."""
+        import sys as _sys
+
+        docs = ["gsig1 gsig2 movie", "gsig1 gsig3 movie", "gsig2 gsig3",
+                "gsig3 gsig2", "bsig1 plot", "gsig3"]
+        Path("c.jsonl").write_text("".join(
+            json.dumps({"text": text, "label": "pos" if "gsig" in text else "neg"}) + "\n"
+            for text in docs))
+        TermList.from_pairs("pos", "pr", [("gsig1", 3.0), ("gsig2", 2.0),
+                                          ("gsig3", 1.0)]).save("pos.json")
+        TermList.from_pairs("neg", "pr", [("bsig1", 3.0), ("plot", 2.0),
+                                          ("gsig1", 1.0)]).save("neg.json")
+        (workspace / "pred.py").write_text(TestGoldenOutput.LOGGING_SERVICE)
+        # per document: the class documents' rows without the first 1, 2, 3
+        # words; "movie" twice, "gsig3" is the last document, "" four times
+        pos_rows = ["gsig2 movie", "movie", "gsig3 movie", ""]
+        for argv, expected in [(("eval-aopc", "--terms", "pos.json"), docs + pos_rows),
+                               (("compare", "pos.json", "neg.json"),
+                                docs + pos_rows + ["plot"])]:
+            Path("requests.log").unlink(missing_ok=True)
+            assert run(*argv, "--corpus", "c.jsonl", "--format", "jsonl",
+                       "--external-cmd", f"{_sys.executable} pred.py",
+                       "--manifest", "run.json") == 0
+            texts = [text for line in Path("requests.log").read_text().splitlines()
+                     for text in json.loads(line)["texts"]]
+            assert texts == expected
+            assert json.loads(Path("run.json").read_text())["predictor_calls"] \
+                == len(expected)
+
+
+COMMANDS = ["train", "synth", "topk", "anchors", "eval-aopc", "compare"]
+
+
+class TestParser:
+    """``main`` builds only the invoked command's parser."""
+
+    @staticmethod
+    def _subparser(parser, command):
+        import argparse
+
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        return subparsers.choices[command]
+
+    @staticmethod
+    def _declared(p):
+        options = [(a.option_strings, a.dest, a.type, a.nargs, a.choices, a.default)
+                   for a in p._actions]
+        return options, {key: p.get_default(key) for key in
+                         ("func", "config_types", "required", "outputs")}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_parser_equals_the_full_one(self, monkeypatch, capsys, command):
+        from anchoragg import cli
+
+        build, built = cli.build_parser, []
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda *args: built.append(build(*args)) or built[-1])
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        assert f"usage: anchoragg {command}" in capsys.readouterr().out
+        (parser,) = built
+        assert self._declared(self._subparser(parser, command)) \
+            == self._declared(self._subparser(build(), command))
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(COMMANDS) + "}" in out
+
+    def test_command_help_lists_its_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["eval-aopc", "--help"])
+        out = capsys.readouterr().out
+        for flag in ("--snapshots", "--timeline-out", "--terms", "--manifest"):
+            assert flag in out
+        assert "--perturb-cmd" not in out
+
+    def test_version_and_unknown_command(self, capsys):
+        from anchoragg import __version__
+
+        with pytest.raises(SystemExit) as exit_:
+            main(["--version"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.strip() == __version__
+        with pytest.raises(SystemExit) as exit_:
+            main(["bogus"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
 
 class TestMalformedInputs:
     @pytest.mark.parametrize("edit, message", [
@@ -1280,3 +1412,49 @@ class TestGoldenOutput:
                    "timeline": timeline}
         blob = json.dumps(content, sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == self.EVAL_DIGEST
+
+    COMPARE_DIGEST = "11610adf77217030b328aa7fb912e4b4a347141499fc294b9e22550dba137dfe"
+
+    def test_compare_digest(self, workspace):
+        """``compare``'s three outputs for the run's terms and the same words
+        in reverse order, recorded when each terms file was scored by its
+        own ``aopc_k``."""
+        import hashlib
+
+        self._baseline_topk()
+        final = TermList.load("terms.json")
+        TermList.from_pairs("pos", "rev", [(w, float(i)) for i, w in
+                                           enumerate(final.words)]).save("rev.json")
+        assert run("compare", "terms.json", "rev.json", "--corpus", "c.jsonl",
+                   "--format", "jsonl", "--model", "m.json",
+                   "--out-prefix", "cmp") == 0
+        blob = b"".join((workspace / f"cmp{suffix}").read_bytes()
+                        for suffix in (".json", "_shared.csv", "_aopc.csv"))
+        assert hashlib.sha256(blob).hexdigest() == self.COMPARE_DIGEST
+
+    # the sha256 of the texts, in order, that a logging service reads for
+    # ``eval-aopc --terms --snapshots``, recorded when each list and the
+    # timeline had their own scorer behind one memoizing predictor
+    EVAL_TEXTS_DIGEST = "86877af0e28d8bf1b43608602b9941fa42567518c8dc04ab7fa9318cfe8506a8"
+
+    def test_eval_aopc_request_texts_digest(self, workspace):
+        """Batching may change how many requests carry the rows, but not
+        which texts are sent, nor their order."""
+        import hashlib
+        import sys as _sys
+
+        self._baseline_topk()
+        (workspace / "pred.py").write_text(self.LOGGING_SERVICE)
+        assert run("eval-aopc", "--corpus", "c.jsonl", "--format", "jsonl",
+                   "--external-cmd", f"{_sys.executable} pred.py",
+                   "--terms", "terms.json", "--snapshots", "snaps.jsonl",
+                   "--class", "pos", "--out", "aopc.json", "--manifest", "run.json") == 0
+        lines = (workspace / "requests.log").read_text().splitlines()
+        texts = [text for line in lines for text in json.loads(line)["texts"]]
+        assert hashlib.sha256(json.dumps(texts).encode("utf-8")).hexdigest() \
+            == self.EVAL_TEXTS_DIGEST
+        # the corpus, then every removal row in one batch (11 requests when
+        # each list sent its own)
+        manifest = json.loads((workspace / "run.json").read_text())
+        assert (manifest["predictor_calls"], manifest["predictor_requests"]) \
+            == (len(texts), len(lines)) == (174, 2)

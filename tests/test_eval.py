@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anchoragg._aopc import AopcScorer
 from anchoragg.corpus import Document
 from anchoragg.eval import (TermList, aopc_k, quality_timeline,
                             remove_prefix, shared_terms_ratio,
@@ -229,6 +230,77 @@ class TestAopc:
         assert len(sizes) == math.ceil(23 / 4) + math.ceil(touched_rows / 4)
         assert sum(sizes) == 23 + touched_rows
         assert result.documents == 23
+
+
+class TestBatchScorer:
+    """``AopcScorer.aopc`` scores a batch of lists in one pass."""
+
+    @staticmethod
+    def _corpus_and_pool(planted200):
+        """The corpus with a document of 80 distinct words and a two-word
+        ``pos`` document that a list of both words empties; a word pool with
+        words of no document; and lists that reach past the long document's
+        64th distinct word."""
+        corpus, truth, clf = planted200
+        corpus, lists = with_long_document(corpus, truth, clf)
+        signal = list(truth.signal["pos"])
+        short = Document.from_text("short", " ".join(signal[:2]))
+        assert clf.predict(short) == "pos"
+        corpus = corpus_of([*corpus, short], {**corpus.labels, "short": "pos"})
+        common = sorted({w for d in corpus.documents[:30] for w in d.words})
+        pool = list(dict.fromkeys(signal + common[:40] + ["zz-unseen", "qq-unseen"]))
+        return corpus, clf, pool, lists + [tuple(signal[:2])]
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["per-document", "by-text"])
+    def test_random_batches_equal_per_document_scoring(self, planted200, shared):
+        corpus, clf, pool, fixed = self._corpus_and_pool(planted200)
+        rng = np.random.default_rng(11)
+        scorer = AopcScorer(corpus, clf, "pos", cache={} if shared else None)
+        for _ in range(3):  # later batches reuse the states scored before
+            batch = [tuple(rng.choice(pool, size=int(rng.integers(1, 13)), replace=False))
+                     for _ in range(10)]
+            batch += [batch[0], batch[3]] + fixed  # repeated lists
+            for words, result in zip(batch, scorer.aopc(batch), strict=True):
+                per_prefix = aopc_by_document(words, corpus, clf, "pos")
+                assert result.per_prefix == tuple(per_prefix.tolist())
+                assert result.value == float(per_prefix.sum() / (len(words) + 1))
+                assert result.documents == len([d for d in corpus if clf.predict(d) == "pos"])
+
+    def test_texts_sent_once_in_first_appearance_order(self, planted200):
+        corpus, clf, pool, fixed = self._corpus_and_pool(planted200)
+        class_docs = [d for d in corpus if clf.predict(d) == "pos"]
+        rng = np.random.default_rng(12)
+        batches = [[tuple(rng.choice(pool, size=int(rng.integers(1, 9)), replace=False))
+                    for _ in range(6)] + fixed for _ in range(2)]
+
+        class Recording(Predictor):
+            classes_ = clf.classes_
+
+            def predict_proba_many(self, docs):
+                sent.append([tuple(d) for d in docs])
+                return clf.predict_proba_many(docs)
+
+        # each text is sent once: the corpus's distinct documents, then each
+        # batch's new removal rows
+        sent, seen, empty_rows = [], {d.words for d in corpus}, 0
+        scorer = AopcScorer(corpus, Recording(), "pos", cache={})
+        assert scorer.rows == len(seen)
+        for batch in batches:
+            expected = []
+            for words in batch:
+                for doc in class_docs:
+                    for i in range(1, len(words) + 1):
+                        row = remove_prefix(doc, words, i).words
+                        if words[i - 1] in doc.words and row not in seen:
+                            seen.add(row)
+                            expected.append(row)
+            del sent[:]
+            scorer.aopc(batch)
+            # one call per batch, by list, then document, then prefix
+            assert sent == ([expected] if expected else [])
+            empty_rows += expected.count(())
+        assert empty_rows == 1  # the short document without both its words
+        assert scorer.rows == len(seen)
 
 
 class TestSharedTerms:
