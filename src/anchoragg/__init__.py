@@ -17,7 +17,8 @@ _SUBMODULE_NAMES = {
                "confidence_bounds"),
     "corpus": ("Corpus", "Document", "WordStats",
                "default_stopwords", "filter_candidates", "load_corpus",
-               "load_stopwords", "sample_documents", "tokenize", "word_stats"),
+               "load_stopwords", "sample_documents", "tokenize", "word_stats",
+               "word_totals"),
     "eval": ("AopcResult", "TermList", "aopc_k", "quality_timeline", "remove_prefix",
              "shared_terms_ratio"),
     "model": ("BowClassifier", "CachingPredictor", "ExternalPredictorClient",

@@ -340,6 +340,7 @@ def dump_scores(handle: IO[str], counts: AnchorCounts, c: str,
                 words: Sequence[str] | None = None) -> int:
     """Write one JSONL row per scored word; returns the number of rows."""
     values = aggregation.rank_values(counts, c)
+    described = aggregation.describe()
     chosen = set(words) if words is not None else None
     rows = 0
     for i, word in enumerate(counts.words):
@@ -352,7 +353,7 @@ def dump_scores(handle: IO[str], counts: AnchorCounts, c: str,
             "a_plus": int(counts.a_plus[c][i]),
             "a_minus": int(counts.a_minus[c][i]),
             "score": None if math.isnan(value) else float(value),
-            "agg": aggregation.describe(),
+            "agg": described,
         }
         handle.write(json.dumps(row) + "\n")
         rows += 1

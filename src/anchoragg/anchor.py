@@ -135,8 +135,11 @@ def _sequential_tests(docs: Sequence[Document], doc_of: np.ndarray,
 
     Each predictor call's group of tokens is drawn by one ``draw`` of the
     perturbator's ``sampler``, in the predictor's ids (``encode``), rows of
-    shorter documents padded with the predictor's ``pad``, and scored with
-    ``predict_proba_ids``.
+    shorter documents padded with the predictor's ``pad``. A hit needs only
+    each row's class, so the call is ``predict_ids``: the argmax of the
+    row's ``predict_proba_ids`` probabilities, ties going to the lowest
+    class index, whether the predictor computes it so or, as
+    ``BowClassifier`` does, from its logits.
     """
     draw = perturbator.sampler(docs, predictor.encode, predictor.pad)
     verdicts = np.zeros(len(positions), dtype=np.int8)
@@ -156,9 +159,8 @@ def _sequential_tests(docs: Sequence[Document], doc_of: np.ndarray,
             end = start + per_call
             rows = draw(doc_of[start:end], positions[start:end], batch,
                         [rngs[t] for t in active[start:end].tolist()])
-            labels += [
-                np.argmax(predictor.predict_proba_ids(rows[j:j + ROUND_ROWS]), axis=1)
-                for j in range(0, len(rows), ROUND_ROWS)]
+            labels += [predictor.predict_ids(rows[j:j + ROUND_ROWS])
+                       for j in range(0, len(rows), ROUND_ROWS)]
         hits += (np.concatenate(labels).reshape(active.size, batch)
                  == targets[:, None]).sum(axis=1)
         verdict = _verdicts(trials, cfg.delta, cfg.tau, trials >= cfg.max_samples)[hits]

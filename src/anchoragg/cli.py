@@ -434,15 +434,15 @@ def cmd_topk(args: argparse.Namespace, stack: ExitStack) -> int:
 def cmd_anchors(args: argparse.Namespace, stack: ExitStack) -> int:
     from ._validation import check_positive_int, check_probability
     from .anchor import AnchorConfig, anchors_of_documents, document_waves
-    from .corpus import word_stats
-    from .perturb import build_unigram_perturbator
+    from .corpus import word_totals
+    from .perturb import UnigramPerturbator
     from .seeding import token_streams
     from .topk import classify_corpus, order_documents
 
     resolved = _merge_config(args, {
         **_corpus_defaults(), **_predictor_defaults(),
         **_defaults(AnchorConfig, _ANCHOR_PARAMS),
-        **_defaults(build_unigram_perturbator, _PERTURB_PARAMS)})
+        **_defaults(UnigramPerturbator.from_counts, _PERTURB_PARAMS)})
     manifest = _manifest_path(resolved, resolved["out"])
     _check_predictor(resolved)
     with _config_errors():
@@ -457,8 +457,8 @@ def cmd_anchors(args: argparse.Namespace, stack: ExitStack) -> int:
     if resolved["class_label"]:
         _check_class(resolved["class_label"], corpus)
     predicted, calls = classify_corpus(corpus, predictor)
-    stats = word_stats(corpus, {i: cls for i, (cls, _) in predicted.items()})
-    perturbator = build_unigram_perturbator(stats, **_kwargs(resolved, _PERTURB_PARAMS))
+    perturbator = UnigramPerturbator.from_counts(word_totals(corpus),
+                                                 **_kwargs(resolved, _PERTURB_PARAMS))
     docs = order_documents(corpus, predicted, resolved["class_label"]) \
         if resolved["class_label"] else corpus.documents
     docs = [d for d in docs if d.words][:resolved["limit"]]

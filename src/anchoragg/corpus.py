@@ -14,6 +14,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -30,6 +31,7 @@ __all__ = [
     "load_stopwords",
     "default_stopwords",
     "word_stats",
+    "word_totals",
     "filter_candidates",
     "sample_documents",
 ]
@@ -254,6 +256,14 @@ def word_stats(corpus: Corpus,
         doc_freq_total=dict(df_total),
         doc_freq_class=df_class,
     )
+
+
+def word_totals(corpus: Corpus) -> Counter:
+    """Each word's occurrences in the corpus, ``word_stats``'s
+    ``total_count``, in one pass."""
+    if len(corpus) == 0:
+        raise ValueError("corpus is empty")
+    return Counter(chain.from_iterable(doc.words for doc in corpus))
 
 
 def filter_candidates(stats: WordStats, stopwords: Iterable[str] = (),

@@ -2,9 +2,9 @@
 wire-protocol client for external models.
 
 Every predictor exposes ``classes_`` and ``predict_proba_many``; documents
-are scored through their token sequences, and the anchor sampling loop scores
-perturbed rows as id matrices (``predict_proba_ids``). Probability vectors
-align with ``classes_`` and sum to one.
+are scored through their token sequences, and the anchor sampling loop asks
+the class of perturbed rows held as id matrices (``predict_ids``).
+Probability vectors align with ``classes_`` and sum to one.
 """
 
 from __future__ import annotations
@@ -41,6 +41,10 @@ DEFAULT_TIMEOUT = 30.0
 # ~batch * m perturbed rows, so it is drawn and scored in slices. The
 # external client's default request size, so that one call is one request.
 ROUND_ROWS = 4096
+# logit gap at or below which ``BowClassifier.predict_ids`` asks the softmax:
+# a larger gap keeps the lower class's ``exp`` below 1 by far more than one
+# rounding, so its probability stays strictly below the top's
+NEAR_TIE = 1e-12
 
 
 class Predictor:
@@ -58,6 +62,10 @@ class Predictor:
     ``None``, and ``predict_proba_ids`` drops it. ``BowClassifier`` uses
     vocabulary ids, and pads with the out-of-vocabulary id;
     ``ExternalPredictorClient`` uses ids it interns itself, and pads with -1.
+
+    The anchor loop reads only each row's class: ``predict_ids(ids)``, by
+    default the argmax of ``predict_proba_ids(ids)``, ties going to the
+    lowest class index. An override must return exactly those indices.
     """
 
     classes_: tuple[str, ...]
@@ -79,6 +87,11 @@ class Predictor:
             rows = [row[:row.index(self.pad)] if end == self.pad else row
                     for row, end in zip(rows, ends)]
         return self.predict_proba_many(rows)
+
+    def predict_ids(self, ids: np.ndarray) -> np.ndarray:
+        """The class index of each row of ``ids``: the argmax of its
+        ``predict_proba_ids`` row, ties going to the lowest index."""
+        return np.argmax(self.predict_proba_ids(ids), axis=1)
 
     def predict(self, doc: Document) -> str:
         return self.predict_many([doc])[0]
@@ -295,6 +308,33 @@ class BowClassifier(ParamsMixin, Predictor):
         """
         check_fitted(self, ("weights_", "bias_", "classes_"))
         return _softmax(self._logits(ids))
+
+    def predict_ids(self, ids: np.ndarray) -> np.ndarray:
+        """``Predictor.predict_ids`` without the softmax where it cannot
+        change the answer: each row's argmax of its logits, taken column by
+        column with ties going to the lowest index. The softmax decides only
+        the rows where another class's logit is within ``NEAR_TIE`` of the
+        top without equalling it, or where a logit is not finite. Elsewhere
+        the two agree bit for bit: exact ties get equal probabilities, and
+        any other class a probability strictly below the top's."""
+        check_fitted(self, ("weights_", "bias_", "classes_"))
+        logits = self._logits(ids)
+        columns = logits.T
+        top = columns[0].copy()
+        labels = np.zeros(len(logits), dtype=np.intp)
+        for j in range(1, len(columns)):
+            labels[columns[j] > top] = j
+            np.maximum(top, columns[j], out=top)
+        unsure = np.zeros(len(logits), dtype=bool)
+        for column in columns:
+            gap = top - column
+            # a gap in (0, NEAR_TIE]; nan or inf where a logit is not finite
+            unsure |= (gap <= NEAR_TIE) != (gap == 0)
+            unsure |= ~np.isfinite(gap)
+        rows = unsure.nonzero()[0]
+        if rows.size:
+            labels[rows] = np.argmax(_softmax(logits[rows]), axis=1)
+        return labels
 
     def _logits(self, ids: np.ndarray) -> np.ndarray:
         """``bias`` plus the weight rows of each row of ``ids``, added left to

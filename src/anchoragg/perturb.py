@@ -12,7 +12,7 @@ service can supply context-aware candidates instead.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -114,6 +114,19 @@ class UnigramPerturbator(Perturbator):
         self._guide = _guide_table(self._cdf)
         self.mask_prob = float(mask_prob)
 
+    @classmethod
+    def from_counts(cls, totals: Mapping[str, int], zeta: int = DEFAULT_ZETA,
+                    mask_prob: float = DEFAULT_MASK_PROB) -> "UnigramPerturbator":
+        """Pool of the ``zeta`` words with the most occurrences in
+        ``totals``, weighted by count. Frequency ties are broken
+        lexicographically so the pool is deterministic."""
+        check_positive_int(zeta, "zeta")
+        if not totals:
+            raise ValueError("empty vocabulary")
+        top = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))[:zeta]
+        return cls([w for w, _ in top], [float(c) for _, c in top],
+                   mask_prob=mask_prob)
+
     def sample_round(self, wave_ids: np.ndarray, lengths: np.ndarray,
                      doc_of: np.ndarray, positions: np.ndarray, n: int,
                      rngs: Sequence[np.random.Generator], fill_ids: np.ndarray
@@ -136,8 +149,10 @@ class UnigramPerturbator(Perturbator):
             raise ValueError("keep position outside its document")
         rows = wave_ids[doc_of, :m.max(initial=0)].repeat(n, axis=0)
         row, col, picks = self._masked_slots(m - 1, n, rngs)
-        # the free slots of a row skip its kept position
-        rows[row, col + (col >= kept[row // n])] = fill_ids[picks]
+        # the free slots of a row skip its kept position; ``rows`` is a fresh
+        # C-ordered copy, so its flat view takes the fill in one 1-D scatter
+        col += col >= kept.repeat(n)[row]
+        rows.reshape(-1)[row * rows.shape[1] + col] = fill_ids[picks]
         return rows
 
     def _masked_slots(self, counts: np.ndarray, n: int,
@@ -203,18 +218,9 @@ class UnigramPerturbator(Perturbator):
 def build_unigram_perturbator(stats: WordStats, zeta: int = DEFAULT_ZETA,
                               mask_prob: float = DEFAULT_MASK_PROB
                               ) -> UnigramPerturbator:
-    """Pool of the ``zeta`` most frequent corpus words, weighted by count.
-
-    Frequency ties are broken lexicographically so the pool is deterministic.
-    """
-    check_positive_int(zeta, "zeta")
-    if not stats.vocabulary:
-        raise ValueError("empty vocabulary")
-    ranked = sorted(stats.total_count.items(), key=lambda kv: (-kv[1], kv[0]))
-    top = ranked[:zeta]
-    words = [w for w, _ in top]
-    weights = [float(c) for _, c in top]
-    return UnigramPerturbator(words, weights, mask_prob=mask_prob)
+    """Pool of the ``zeta`` most frequent corpus words, weighted by count
+    (see ``UnigramPerturbator.from_counts``)."""
+    return UnigramPerturbator.from_counts(stats.total_count, zeta, mask_prob)
 
 
 class ExternalPerturbatorError(RuntimeError):

@@ -42,11 +42,11 @@ from .aggregate import (DEFAULT_ALPHA, DEFAULT_MIN_FREQ, AnchorCounts,
 from .anchor import (AnchorConfig, AnchorDecision, anchors_of_documents,
                      document_waves)
 from .corpus import (Corpus, Document, WordStats, default_stopwords,
-                     filter_candidates, sample_documents, word_stats)
+                     filter_candidates, sample_documents, word_stats, word_totals)
 from .eval import TermList
 from .model import Predictor
 from .perturb import (DEFAULT_MASK_PROB, DEFAULT_ZETA, Perturbator,
-                      build_unigram_perturbator)
+                      UnigramPerturbator)
 from .seeding import stream_rng, token_streams
 
 __all__ = [
@@ -398,10 +398,12 @@ class AnchorTopTerms(ParamsMixin):
         if settings["sample_fraction"] < 1.0:
             run_corpus = sample_documents(corpus, settings["sample_fraction"],
                                           stream_rng(self.seed, "sample"))
-        stats = word_stats(run_corpus)
         if perturbator is None:
-            perturbator = build_unigram_perturbator(
-                stats, zeta=settings["zeta"], mask_prob=self.mask_prob)
+            # the pool needs only word totals; ``run_anytime`` makes the one
+            # full ``word_stats`` pass, under the predicted labels
+            perturbator = UnigramPerturbator.from_counts(
+                word_totals(run_corpus), zeta=settings["zeta"],
+                mask_prob=self.mask_prob)
         options = AnytimeOptions(
             candidate_filtering=settings["candidate_filtering"],
             stop_rare_filtering=settings["stop_rare_filtering"],

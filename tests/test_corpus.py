@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from anchoragg.corpus import (Corpus, Document, default_stopwords,
                               filter_candidates, load_corpus, load_stopwords,
-                              sample_documents, tokenize, word_stats)
+                              sample_documents, tokenize, word_stats,
+                              word_totals)
 from anchoragg.seeding import stream_rng
 
 from conftest import make_corpus
@@ -140,6 +141,13 @@ class TestWordStats:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             word_stats(Corpus(documents=(), labels={}, classes=()))
+
+    def test_totals_are_the_total_counts(self, tiny_corpus):
+        corpus = make_corpus([("0", "a b a", "c0"), ("1", "", "c1"), ("2", "b c", "c1")])
+        for c in (corpus, tiny_corpus):
+            assert word_totals(c) == word_stats(c).total_count
+        with pytest.raises(ValueError, match="corpus is empty"):
+            word_totals(Corpus(documents=(), labels={}, classes=()))
 
 
 class TestFilterCandidates:

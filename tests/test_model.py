@@ -293,6 +293,112 @@ class TestBatchedScoring:
         assert clf.predict_proba_many([]).shape == (0, 2)
 
 
+def _bow_model(weights, bias) -> BowClassifier:
+    """A classifier with the given weights and bias, one class per column
+    and one word per row."""
+    clf = BowClassifier()
+    clf.weights_ = np.asarray(weights, dtype=np.float64)
+    clf.bias_ = np.asarray(bias, dtype=np.float64)
+    clf.classes_ = tuple(f"c{i}" for i in range(clf.bias_.size))
+    clf.vocabulary_ = tuple(f"w{j}" for j in range(len(clf.weights_)))
+    clf._vocab_index_ = {w: j for j, w in enumerate(clf.vocabulary_)}
+    return clf
+
+
+# weights and biases that make exact, near and far ties among the logits
+_LOGIT_PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 0.2, 0.3, 1e-12, -1e-12,
+                                1e-13, 1e-20, 5e-324, 1e5]) \
+    | st.floats(-50, 50, allow_nan=False)
+
+
+class TestPredictIds:
+    """``BowClassifier.predict_ids`` is the argmax of its probabilities, bit
+    for bit, though it computes the softmax only for near ties."""
+
+    @staticmethod
+    def _labels_agree(clf, ids):
+        labels = clf.predict_ids(ids)
+        assert labels.dtype == np.intp
+        assert np.array_equal(labels, np.argmax(clf.predict_proba_ids(ids), axis=1))
+        return labels.tolist()
+
+    @given(st.data(), st.integers(2, 4), st.integers(1, 5),
+           st.lists(st.integers(0, 8), min_size=1, max_size=10))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_argmax_of_the_probabilities(self, data, c, v, lengths):
+        """Random weights and biases over 2-4 classes, rows ending in the
+        pad (the out-of-vocabulary id)."""
+        parts = st.lists(_LOGIT_PARTS, min_size=c, max_size=c)
+        clf = _bow_model([data.draw(parts) for _ in range(v)], data.draw(parts))
+        ids = [data.draw(st.lists(st.integers(0, v), min_size=n, max_size=n))
+               for n in lengths]
+        self._labels_agree(clf, pad_rows(np.array([i for row in ids for i in row],
+                                                  dtype=np.intp), lengths, clf.pad))
+
+    def test_a_gap_the_softmax_rounds_away_ties(self):
+        """Logits 0 and 1e-20 have equal probabilities, so the lowest index
+        wins, though the plain logit argmax says 1."""
+        clf = _bow_model(np.zeros((1, 2)), [0.0, 1e-20])
+        ids = np.array([[0], [1]], dtype=np.intp)
+        assert np.argmax(clf._logits(ids), axis=1).tolist() == [1, 1]
+        assert self._labels_agree(clf, ids) == [0, 0]
+
+    @pytest.mark.parametrize("top", [0.0, 1.0, -3.0, 1e3, 1e5, 1e300])
+    def test_one_ulp_gaps(self, top):
+        """A logit one ulp below or above another, at magnitudes where the
+        ulp is below and above ``NEAR_TIE``."""
+        for low, high in ((np.nextafter(top, -np.inf), top),
+                          (top, np.nextafter(top, np.inf))):
+            for bias in ([low, high], [high, low], [low, high, low], [low, low, high]):
+                self._labels_agree(_bow_model(np.zeros((1, len(bias))), bias),
+                                   np.zeros((1, 1), dtype=np.intp))
+
+    def test_exact_three_way_tie(self):
+        clf = _bow_model(np.zeros((1, 4)), [0.5, 0.5, 0.5, 0.25])
+        ids = np.array([[0], [1]], dtype=np.intp)
+        assert self._labels_agree(clf, ids) == [0, 0]
+        clf.bias_ = np.array([0.25, 0.5, 0.5, 0.5])
+        assert self._labels_agree(clf, ids) == [1, 1]
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_logits(self, value):
+        """Rows with a logit that is not finite get the softmax's answer:
+        class 0 where the probabilities are nan."""
+        clf = _bow_model([[0.0, 0.0, 0.0], [0.0, value, 1.0]], [0.0, 0.5, 0.25])
+        with np.errstate(invalid="ignore"):
+            labels = self._labels_agree(clf, np.array([[0], [1], [2]], dtype=np.intp))
+        assert labels == [1, 2 if value < 0 else 0, 1]
+
+    def test_no_softmax_without_a_near_tie(self, monkeypatch):
+        """A batch with no near tie is labelled from its logits alone; a near
+        tie sends that row, and only it, through the softmax."""
+        import anchoragg.model as model
+
+        clf = train_bow(separable_corpus(), epochs=50)
+        ids = np.stack([clf.encode(w) for w in
+                        (["good", "bad"], ["bad", "bad"], ["fine", "x"])])
+        logits = clf._logits(ids)
+        # an exact tie and two far gaps
+        assert np.abs(logits[:, 0] - logits[:, 1]).tolist()[0] == 0.0
+        assert (np.abs(logits[1:, 0] - logits[1:, 1]) > 1e-6).all()
+        rows = []
+
+        def counted(x):
+            rows.append(len(x))
+            return _softmax(x)
+
+        monkeypatch.setattr(model, "_softmax", counted)
+        expected = np.argmax(_softmax(logits), axis=1)
+        assert np.array_equal(clf.predict_ids(ids), expected)
+        assert rows == []
+        clf.bias_ = clf.bias_ + np.array([0.0, 1e-13])
+        logits = clf._logits(ids)
+        assert 0 < logits[0, 1] - logits[0, 0] <= 1e-12
+        expected = np.argmax(_softmax(logits), axis=1)
+        assert np.array_equal(clf.predict_ids(ids), expected)
+        assert rows == [1]
+
+
 class TestAccuracy:
     def test_perfect(self):
         corpus = separable_corpus()
@@ -413,6 +519,33 @@ class TestPredictorDefaults:
         ids = np.stack([predictor.encode(w) for w in rows])
         assert np.array_equal(predictor.predict_proba_ids(ids),
                               np.array([good_share(w) for w in rows]))
+
+    class GoodShareTransport:
+        """A predictor service that answers each text with ``good_share``
+        of its words."""
+
+        def roundtrip(self, request):
+            return {"probs": [good_share(t.split()).tolist() for t in request["texts"]],
+                    "classes": ["neg", "pos"]}
+
+    @pytest.mark.parametrize("kind", ["many", "words", "cached", "external"])
+    def test_predict_ids_is_the_argmax_of_the_probabilities(self, kind):
+        """Every predictor without its own ``predict_ids`` labels a padded
+        id matrix as the argmax of its probabilities; the empty row ties, so
+        it gets class 0."""
+        if kind == "external":
+            predictor = ExternalPredictorClient(command=["unused"])
+            predictor._transport = self.GoodShareTransport()
+        else:
+            predictor = self.WordsOnly() if kind == "words" else self.ManyOnly()
+            if kind == "cached":
+                predictor = CachingPredictor(predictor)
+        words = [d.words for d in self.DOCS]
+        ids = pad_rows(predictor.encode([w for row in words for w in row]),
+                       list(map(len, words)), predictor.pad)
+        labels = predictor.predict_ids(ids)
+        assert np.array_equal(labels, np.argmax(predictor.predict_proba_ids(ids), axis=1))
+        assert labels.tolist() == [1, 1, 0, 0, 1]
 
     def test_row_only_predictor_answers_batches(self):
         words = [d.words for d in self.DOCS]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from anchoragg.corpus import Document, word_stats
+from anchoragg.corpus import Document, word_stats, word_totals
 from anchoragg.model import pad_rows
 from anchoragg.perturb import GUIDE_BINS, UnigramPerturbator, build_unigram_perturbator
 from anchoragg.seeding import stream_rng
@@ -38,6 +38,24 @@ class TestBuildPool:
         corpus = make_corpus([("0", "a b", "x")])
         pert = build_unigram_perturbator(word_stats(corpus), zeta=500)
         assert len(pert.pool_words) == 2
+
+    @given(st.lists(st.lists(st.sampled_from("abcdefgh"), max_size=12), min_size=1,
+                    max_size=6), st.integers(1, 10))
+    @settings(max_examples=100, deadline=None)
+    def test_pool_of_totals_is_the_pool_of_stats(self, docs, zeta):
+        """The pool ``AnchorTopTerms.fit`` builds from word totals is the one
+        ``build_unigram_perturbator`` builds from full statistics."""
+        corpus = make_corpus([(str(i), " ".join(words), "x")
+                              for i, words in enumerate(docs)])
+        stats = word_stats(corpus)
+        if not stats.vocabulary:
+            with pytest.raises(ValueError, match="empty vocabulary"):
+                UnigramPerturbator.from_counts(word_totals(corpus), zeta)
+            return
+        a = UnigramPerturbator.from_counts(word_totals(corpus), zeta)
+        b = build_unigram_perturbator(stats, zeta)
+        assert a.pool_words.tolist() == b.pool_words.tolist()
+        assert a.pool_weights.tobytes() == b.pool_weights.tobytes()
 
     def test_bad_parameters(self):
         corpus = make_corpus([("0", "a b", "x")])

@@ -354,6 +354,29 @@ class TestEstimatorFrontEnd:
         assert est.calls_ > 0
         assert len(est.snapshots_) == 24
 
+    def test_fit_makes_one_word_stats_pass(self, monkeypatch):
+        """The pool comes from word totals; the run's pass, under the
+        predicted labels, is the only full ``word_stats``, and the run is
+        the one a pool from full statistics gives."""
+        import anchoragg.topk as topk
+
+        corpus = anchor_test_corpus()
+        passes = []
+
+        def counted(*args, **kwargs):
+            passes.append(kwargs.get("label_map"))
+            return word_stats(*args, **kwargs)
+
+        monkeypatch.setattr(topk, "word_stats", counted)
+        est = AnchorTopTerms(k=3, target_class="pos", max_samples=20, seed=2)
+        est.fit(corpus, FlipWordPredictor())
+        assert len(passes) == 1 and passes[0] is not None
+        result = run_anytime(corpus, FlipWordPredictor(),
+                             build_unigram_perturbator(word_stats(corpus)),
+                             AnchorConfig(max_samples=20), make_aggregation("pr"), 3,
+                             "pos", root_seed=2)
+        assert est.terms_ == result.terms and est.calls_ == result.calls
+
     def test_target_class_required(self):
         est = AnchorTopTerms()
         with pytest.raises(ValueError, match="target_class"):
