@@ -4,10 +4,12 @@ A token is an anchor when the predictor keeps its decision on perturbed
 documents that retain the token, with probability at least a threshold.
 The estimator samples in batches, maintains two-sided confidence bounds on
 the success rate, and stops as soon as the bound certifies the decision
-either way; at budget exhaustion the point estimate decides. The tokens of
-a wave of documents are tested together, in rounds that share predictor
-calls and one verdict table per round; every token draws from its own
-generator, so a token's decision does not depend on its wave.
+either way; at budget exhaustion the point estimate decides.
+``anchors_of_documents`` yields each document's decisions in turn. It tests
+the tokens of a wave of documents together when the wave's first document
+is requested, in rounds that share predictor calls and one verdict table
+per round; every token draws from its own generator, so a token's decision
+does not depend on its wave. An empty document yields ``[]``.
 """
 
 from __future__ import annotations
@@ -202,36 +204,43 @@ def anchors_of_documents(docs: Sequence[Document], predictor: Predictor,
                          perturbator: Perturbator, cfg: AnchorConfig,
                          streams: Sequence[Callable[[int], np.random.Generator]],
                          skip_word: Callable[[str], bool] | None = None, *,
-                         targets: Sequence[str]) -> list[list[AnchorDecision]]:
-    """One anchor decision per token of each document, in position order,
-    document ``i``'s tokens tested against ``targets[i]``: the class
-    ``topk.classify_corpus`` gave it.
+                         targets: Sequence[str]) -> Iterator[list[AnchorDecision]]:
+    """Each document's anchor decisions, one per token in position order,
+    yielded document by document; document ``i``'s tokens are tested against
+    ``targets[i]``, the class ``topk.classify_corpus`` gave it.
 
-    ``streams[i]`` supplies document ``i``'s per-position generator, so the
-    tokens' tests are independent: the tokens of all the documents run
+    A wave of documents (``document_waves``) is tested when its first
+    document's decisions are requested, so ``skip_word`` is read at each
+    wave's start, and a consumer that stops early tests no later wave. Words
+    for which ``skip_word`` is true are not sampled and are recorded as
+    non-anchors. ``streams[i]`` supplies document ``i``'s per-position
+    generator, so the tokens' tests are independent: a wave's tokens run
     together in rounds (see ``_sequential_tests``), and each document gets
-    the decisions it gets when tested alone. Words for which ``skip_word``
-    is true are not sampled and are recorded as non-anchors.
+    the decisions it gets when tested alone. An empty document yields ``[]``
+    and draws nothing.
     """
     if not len(docs) == len(streams) == len(targets):
         raise ValueError(f"{len(docs)} documents, {len(streams)} streams "
                          f"and {len(targets)} targets")
-    for doc in docs:
-        if len(doc.words) == 0:
-            raise ValueError(f"document {doc.id!r} is empty")
-
-    tokens = [(i, p) for i, doc in enumerate(docs) for p, w in enumerate(doc.words)
-              if skip_word is None or not skip_word(w)]
-    doc_of = np.fromiter((i for i, _ in tokens), dtype=np.intp, count=len(tokens))
-    positions = np.fromiter((p for _, p in tokens), dtype=np.intp, count=len(tokens))
-    class_of = np.array([predictor.class_index(t) for t in targets], dtype=np.intp)
-    verdicts, successes, samples = _sequential_tests(
-        docs, doc_of, positions, [streams[i](p) for i, p in tokens],
-        class_of[doc_of], predictor, perturbator, cfg)
-    tested: list[list[AnchorDecision | None]] = [[None] * len(doc.words) for doc in docs]
-    for (i, p), verdict, hits, used in zip(tokens, verdicts.tolist(),
-                                           successes.tolist(), samples.tolist()):
-        tested[i][p] = AnchorDecision(docs[i].words[p], p, bool(verdict), hits, used)
-    return [[d or AnchorDecision(w, p, False, 0, 0)
-             for p, (w, d) in enumerate(zip(doc.words, row))]
-            for doc, row in zip(docs, tested)]
+    end = 0
+    for wave in document_waves(docs, cfg, skip_word):
+        start, end = end, end + len(wave)
+        decided = [[AnchorDecision(w, p, False, 0, 0) for p, w in enumerate(doc.words)]
+                   for doc in wave]
+        tested = [i for i in range(start, end) if docs[i].words]
+        if tested:
+            tokens = [(j, p) for j, i in enumerate(tested)
+                      for p, w in enumerate(docs[i].words)
+                      if skip_word is None or not skip_word(w)]
+            doc_of, positions = np.array(tokens, dtype=np.intp).reshape(-1, 2).T
+            class_of = np.array([predictor.class_index(targets[i]) for i in tested],
+                                dtype=np.intp)
+            verdicts, successes, samples = _sequential_tests(
+                [docs[i] for i in tested], doc_of, positions,
+                [streams[tested[j]](p) for j, p in tokens], class_of[doc_of],
+                predictor, perturbator, cfg)
+            for (j, p), verdict, hits, used in zip(tokens, verdicts.tolist(),
+                                                   successes.tolist(), samples.tolist()):
+                decided[tested[j] - start][p] = AnchorDecision(
+                    docs[tested[j]].words[p], p, bool(verdict), hits, used)
+        yield from decided

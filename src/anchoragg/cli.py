@@ -433,7 +433,7 @@ def cmd_topk(args: argparse.Namespace, stack: ExitStack) -> int:
 
 def cmd_anchors(args: argparse.Namespace, stack: ExitStack) -> int:
     from ._validation import check_positive_int, check_probability
-    from .anchor import AnchorConfig, anchors_of_documents, document_waves
+    from .anchor import AnchorConfig, anchors_of_documents
     from .corpus import word_totals
     from .perturb import UnigramPerturbator
     from .seeding import token_streams
@@ -462,19 +462,14 @@ def cmd_anchors(args: argparse.Namespace, stack: ExitStack) -> int:
     docs = order_documents(corpus, predicted, resolved["class_label"]) \
         if resolved["class_label"] else corpus.documents
     docs = [d for d in docs if d.words][:resolved["limit"]]
-    streams = token_streams(resolved["seed"], docs)
-    rows = start = 0
+    rows = 0
     handle = stack.enter_context(open(resolved["out"], "w", encoding="utf-8"))
-    for wave in document_waves(docs, cfg):
-        decided = anchors_of_documents(
-            wave, predictor, perturbator, cfg, streams[start:start + len(wave)],
-            targets=[predicted[doc.id][0] for doc in wave])
-        start += len(wave)
-        for doc, decisions in zip(wave, decided):
-            calls += sum(dec.samples_used for dec in decisions)
-            for dec in decisions:
-                handle.write(json.dumps(dec.to_row(doc.id)) + "\n")
-                rows += 1
+    for doc, decisions in zip(docs, anchors_of_documents(
+            docs, predictor, perturbator, cfg, token_streams(resolved["seed"], docs),
+            targets=[predicted[doc.id][0] for doc in docs])):
+        calls += sum(dec.samples_used for dec in decisions)
+        rows += len(decisions)
+        handle.writelines(json.dumps(dec.to_row(doc.id)) + "\n" for dec in decisions)
         handle.flush()
     _write_manifest(manifest, "anchors", resolved, started, {},
                     {"documents": len(docs), "documents_dropped": corpus.dropped,

@@ -14,16 +14,18 @@ improving answer. Optimizations on top:
 - document sampling: run on a uniform subset of the corpus.
 
 Every anchor test decides against the one threshold ``AnchorConfig.tau``.
-Token estimations are independent and move in rounds. The tokens of a wave
-of consecutive documents, up to ``anchor.WAVE_ROWS`` first-round rows
-(``anchor.document_waves``), share those rounds, and are tested against the
-domain (the candidates not yet pruned) at the wave's start. After each wave,
-tallies, selection, filtering and snapshots are applied document by
-document, in order. Pruning only shrinks the domain, so a token whose word
-was pruned by an earlier document of its wave gets the unsampled
-non-anchor decision that testing its document alone would give; its rows
-were scored for nothing (``AnytimeResult.discarded_rows``). A run's outputs
-depend only on its inputs and seed, not on its waves.
+The decisions arrive document by document from one generator,
+``anchor.anchors_of_documents``, and each document is tallied, traced,
+rescored, filtered and snapshotted in one pass before the next is
+requested. The generator tests a wave of consecutive documents, up to
+``anchor.WAVE_ROWS`` first-round rows, in shared rounds when the wave's
+first document is requested, against the domain (the candidates not yet
+pruned) at that moment; an empty document yields no decisions. Pruning
+only shrinks the domain, so a token whose word was pruned by an earlier
+document of its wave gets the unsampled non-anchor decision that testing
+its document alone would give; its rows were scored for nothing
+(``AnytimeResult.discarded_rows``). A run's outputs depend only on its
+inputs and seed, not on its waves.
 """
 
 from __future__ import annotations
@@ -39,8 +41,7 @@ from ._validation import (ParamsMixin, check_fraction, check_positive_int,
                           check_probability)
 from .aggregate import (DEFAULT_ALPHA, DEFAULT_MIN_FREQ, AnchorCounts,
                         Aggregation, GAv, make_aggregation, rank_words)
-from .anchor import (AnchorConfig, AnchorDecision, anchors_of_documents,
-                     document_waves)
+from .anchor import AnchorConfig, AnchorDecision, anchors_of_documents
 from .corpus import (Corpus, Document, WordStats, default_stopwords,
                      filter_candidates, sample_documents, word_stats, word_totals)
 from .eval import TermList
@@ -174,9 +175,9 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
     the full counts whenever candidate filtering is off. Aggregations that
     need no anchor sampling (``base``) skip estimation entirely and their
     tallies stay empty. The run scores with a copy of ``aggregation``, so one
-    aggregation may be passed to several runs. ``snapshot_sink`` and
-    ``trace_sink`` receive a wave's documents' rows together, in document
-    order, once the wave's tests are done.
+    aggregation may be passed to several runs. ``trace_sink`` and
+    ``snapshot_sink`` receive each document's rows as the document is
+    tallied, in document order.
     """
     check_positive_int(k, "k")
     if c not in corpus.classes:
@@ -204,25 +205,13 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
     vocab_size = len(words)
 
     candidate_mask = np.zeros(vocab_size, dtype=bool)
-    for w in candidates:
-        candidate_mask[index[w]] = True
-
-    remaining = np.zeros(vocab_size, dtype=np.int64)
-    for doc in ordered:
-        for w in doc.words:
-            remaining[index[w]] += 1
-
+    candidate_mask[[index[w] for w in candidates]] = True
+    remaining = np.bincount([index[w] for doc in ordered for w in doc.words],
+                            minlength=vocab_size)
     filtered_mask = np.zeros(vocab_size, dtype=bool)
     snapshots: list[Snapshot] = []
     selection: list[tuple[str, float]] = []
     t0 = time.monotonic()
-
-    def take_snapshot(i: int):
-        snap = Snapshot(t_sec=time.monotonic() - t0, calls=calls,
-                        doc_index=i, topk=tuple(selection))
-        snapshots.append(snap)
-        if snapshot_sink is not None:
-            snapshot_sink(snap)
 
     def outside(w: str) -> bool:
         """Whether ``w`` is outside the domain (the candidates not yet
@@ -230,53 +219,40 @@ def run_anytime(corpus: Corpus, predictor: Predictor, perturbator: Perturbator,
         return not candidate_mask[index[w]] or filtered_mask[index[w]]
 
     prune = options.candidate_filtering and aggregation.filterable
-    streams = token_streams(root_seed, ordered) if aggregation.needs_anchors else []
+    decided = anchors_of_documents(
+        ordered, predictor, perturbator, cfg, token_streams(root_seed, ordered),
+        skip_word=outside, targets=[c] * len(ordered)) \
+        if aggregation.needs_anchors else ([] for _ in ordered)
     discarded = 0
-    i = 0
-    for wave in document_waves(ordered, cfg, outside):
-        tested = [(doc, rng_for) for doc, rng_for in zip(wave, streams[i:i + len(wave)])
-                  if doc.words]
-        decided = iter(anchors_of_documents(
-            [doc for doc, _ in tested], predictor, perturbator, cfg,
-            [rng_for for _, rng_for in tested],
-            skip_word=outside, targets=[c] * len(tested)) if tested else [])
-        for doc in wave:
-            i += 1
-            decisions = next(decided) if aggregation.needs_anchors and doc.words else []
-            # a word pruned since the wave's tests began is outside this
-            # document's domain: it gets the unsampled non-anchor that
-            # testing against the current domain records
-            for j, d in enumerate(decisions):
-                if d.samples_used and outside(d.word):
-                    discarded += d.samples_used
-                    decisions[j] = AnchorDecision(d.word, d.position, False, 0, 0)
-            counts.ingest(decisions, c, doc.id)
-            calls += sum(d.samples_used for d in decisions)
-            if trace_sink is not None:
-                for d in decisions:
-                    trace_sink(d.to_row(doc.id))
-            if not doc.words:
-                take_snapshot(i)
-                continue
-
-            for w in doc.words:
-                remaining[index[w]] -= 1
-
+    for i, (doc, decisions) in enumerate(zip(ordered, decided), 1):
+        # a word pruned since the wave's tests began is outside this
+        # document's domain: it gets the unsampled non-anchor that testing
+        # against the current domain records
+        for j, d in enumerate(decisions):
+            if d.samples_used and outside(d.word):
+                discarded += d.samples_used
+                decisions[j] = AnchorDecision(d.word, d.position, False, 0, 0)
+        counts.ingest(decisions, c, doc.id)
+        calls += sum(d.samples_used for d in decisions)
+        if trace_sink is not None:
+            for d in decisions:
+                trace_sink(d.to_row(doc.id))
+        if doc.words:
+            np.subtract.at(remaining, [index[w] for w in doc.words], 1)
             domain = candidate_mask & ~filtered_mask
-            values = aggregation.rank_values(counts, c)
-            masked = np.where(domain, values, np.nan)
+            masked = np.where(domain, aggregation.rank_values(counts, c), np.nan)
             selection = rank_words(words, masked, k)
-
             if prune and len(selection) == k:
-                w_min_score = selection[-1][1]
                 in_selection = np.zeros(vocab_size, dtype=bool)
-                for w, _ in selection:
-                    in_selection[index[w]] = True
+                in_selection[[index[w] for w, _ in selection]] = True
                 bounds = aggregation.upper_bounds(counts, c, remaining)
-                filtered_mask |= domain & ~in_selection & should_filter(bounds,
-                                                                        w_min_score)
-
-            take_snapshot(i)
+                filtered_mask |= domain & ~in_selection & should_filter(
+                    bounds, selection[-1][1])
+        snap = Snapshot(t_sec=time.monotonic() - t0, calls=calls, doc_index=i,
+                        topk=tuple(selection))
+        snapshots.append(snap)
+        if snapshot_sink is not None:
+            snapshot_sink(snap)
 
     terms = TermList.from_pairs(c, aggregation.describe(), selection)
     final_scores = {w: s for w, s in

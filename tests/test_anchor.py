@@ -16,7 +16,7 @@ from anchoragg.synth import SynthSpec, generate_planted_corpus
 from anchoragg.topk import AnchorTopTerms
 
 from conftest import (CoinPerturbator, ConstantPredictor, FlipWordPredictor,
-                      PositionWordPredictor)
+                      PositionWordPredictor, RowRecorder)
 from oracles import (estimate_token, interval_coverage, mc_precision,
                      sequential_test_by_token)
 
@@ -24,8 +24,29 @@ from oracles import (estimate_token, interval_coverage, mc_precision,
 def anchors_of_document(doc, predictor, perturbator, cfg, rng_for, skip_word=None, *,
                         target):
     """``anchors_of_documents`` on a wave of one document."""
-    return anchors_of_documents([doc], predictor, perturbator, cfg, [rng_for],
-                                skip_word, targets=[target])[0]
+    return next(anchors_of_documents([doc], predictor, perturbator, cfg, [rng_for],
+                                     skip_word, targets=[target]))
+
+
+def undrawn(position):
+    """The stream of a position no test may draw from."""
+    raise AssertionError(f"position {position} drew from its stream")
+
+
+class SamplerRecorder(Perturbator):
+    """Forwards to ``base``, and records the document ids of every
+    ``sampler`` it builds: the waves that were tested."""
+
+    def __init__(self, base):
+        self.base = base
+        self.waves = []
+
+    def sampler(self, docs, encode, pad):
+        self.waves.append([d.id for d in docs])
+        return self.base.sampler(docs, encode, pad)
+
+    def sample_batch(self, doc, keep, n, rng):
+        return self.base.sample_batch(doc, keep, n, rng)
 
 
 class TestConfidenceBounds:
@@ -235,10 +256,12 @@ class TestAnchorsOfDocument:
                            "precision": d.successes / d.samples_used}
         assert any(0 < row["precision"] < 1 for _, row in sampled)
 
-    def test_empty_document_rejected(self):
+    def test_empty_document_yields_no_decisions(self):
         doc = Document(id="0", words=(), raw_text="")
-        with pytest.raises(ValueError):
-            self._run(doc, ConstantPredictor(), CoinPerturbator(1.0))
+        pert = SamplerRecorder(CoinPerturbator(1.0))
+        assert anchors_of_document(doc, ConstantPredictor(), pert, AnchorConfig(),
+                                   undrawn, target="pos") == []
+        assert pert.waves == []
 
 
 class CallRecorder(Predictor):
@@ -593,8 +616,8 @@ class TestWaves:
     def _check(docs, pred, pert, cfg, skip):
         streams = [lambda pos, d=d: stream_rng(8, "wave", d.id, pos) for d in docs]
         targets = pred.predict_many(docs)
-        wave = anchors_of_documents(docs, pred, pert, cfg, streams, skip,
-                                    targets=targets)
+        wave = list(anchors_of_documents(docs, pred, pert, cfg, streams, skip,
+                                         targets=targets))
         assert wave == [anchors_of_document(d, pred, pert, cfg, rng_for, skip, target=t)
                         for d, rng_for, t in zip(docs, streams, targets)]
         return wave, targets
@@ -627,13 +650,104 @@ class TestWaves:
         assert pred.rows and all(None not in row for row in pred.rows)
         assert {len(row) for row in pred.rows} == lengths
 
-    def test_empty_document_rejected(self, trained_pair):
+    def test_empty_document_yields_no_decisions(self, trained_pair):
+        """An empty document between others yields ``[]``, draws nothing from
+        its stream and reaches no sampler; the others get their decisions."""
         corpus, clf, pool = trained_pair
-        docs = [corpus.documents[0], Document(id="e", words=(), raw_text="")]
-        with pytest.raises(ValueError, match="'e' is empty"):
-            anchors_of_documents(docs, clf, pool, AnchorConfig(),
-                                 [lambda pos: stream_rng(0, pos)] * 2,
-                                 targets=["pos", "pos"])
+        first, second = corpus.documents[:2]
+        streams = [lambda pos, d=d: stream_rng(0, d.id, pos) for d in (first, second)]
+        pert, cfg = SamplerRecorder(pool), AnchorConfig(max_samples=30)
+        decided = list(anchors_of_documents(
+            [first, Document(id="e", words=(), raw_text=""), second], clf, pert, cfg,
+            [streams[0], undrawn, streams[1]], targets=["pos"] * 3))
+        assert decided[1] == []
+        assert [decided[0], decided[2]] == [
+            anchors_of_document(d, clf, pool, cfg, rng_for, target="pos")
+            for d, rng_for in zip((first, second), streams)]
+        assert [d for wave in pert.waves for d in wave] == [first.id, second.id]
+
+    def test_mismatched_lengths_raise_before_any_call(self, trained_pair):
+        corpus, clf, pool = trained_pair
+        docs = corpus.documents[:2]
+        pred, pert = RowRecorder(clf), SamplerRecorder(pool)
+        for n_streams, n_targets in ((1, 2), (2, 1), (3, 3)):
+            decided = anchors_of_documents(docs, pred, pert, AnchorConfig(),
+                                           [undrawn] * n_streams,
+                                           targets=["pos"] * n_targets)
+            with pytest.raises(ValueError, match="2 documents"):
+                next(decided)
+        assert pred.calls == [] and pert.waves == []
+
+    @staticmethod
+    def _two_document_first_wave(corpus, cfg, monkeypatch):
+        """Six documents, with ``WAVE_ROWS`` set so that the first wave holds
+        the first two, and two more waves follow."""
+        from anchoragg import anchor
+
+        docs = corpus.documents[:6]
+        monkeypatch.setattr(anchor, "WAVE_ROWS",
+                            cfg.batch_size * (len(docs[0].words) + len(docs[1].words)))
+        waves = list(document_waves(docs, cfg))
+        assert len(waves[0]) == 2 and len(waves) > 2
+        return docs, [lambda pos, d=d: stream_rng(5, d.id, pos) for d in docs]
+
+    def test_stopping_early_tests_no_later_wave(self, trained_pair, monkeypatch):
+        corpus, clf, pool = trained_pair
+        cfg = AnchorConfig(max_samples=30)
+        docs, streams = self._two_document_first_wave(corpus, cfg, monkeypatch)
+        pred, pert = RowRecorder(clf), SamplerRecorder(pool)
+        decided = anchors_of_documents(docs, pred, pert, cfg, streams,
+                                       targets=clf.predict_many(docs))
+        assert pred.calls == [] and pert.waves == []
+        first = [next(decided), next(decided)]
+        assert pert.waves == [[docs[0].id, docs[1].id]]
+        assert sum(n for _, n in pred.calls) == sum(
+            d.samples_used for decisions in first for d in decisions)
+        next(decided)
+        assert len(pert.waves) == 2
+
+    def test_skip_word_is_read_at_each_wave_start(self, trained_pair, monkeypatch):
+        """Words skipped once a wave's first document is yielded are still
+        sampled in the rest of that wave, and skipped from the next wave on."""
+        corpus, clf, pool = trained_pair
+        cfg = AnchorConfig(max_samples=30)
+        docs, streams = self._two_document_first_wave(corpus, cfg, monkeypatch)
+        targets = clf.predict_many(docs)
+        skipped = set()
+        skip = lambda w: w in skipped
+        decided = anchors_of_documents(docs, clf, pool, cfg, streams, skip,
+                                       targets=targets)
+        got = [next(decided)]
+        skipped.update(docs[1].words)
+        got += list(decided)
+
+        def alone(skip_word):
+            return [anchors_of_document(d, clf, pool, cfg, rng_for, skip_word, target=t)
+                    for d, rng_for, t in zip(docs, streams, targets)]
+
+        unskipped, later_skipped = alone(None), alone(skip)
+        assert got[:2] == unskipped[:2]
+        assert all(d.samples_used for d in got[1])
+        assert got[2:] == later_skipped[2:] != unskipped[2:]
+
+    def test_a_wave_is_cut_when_it_is_reached(self, monkeypatch):
+        """The skip predicate in force when a wave is reached sizes it: a word
+        skipped after the first wave shrinks a later document's rows, so the
+        next wave holds one more document."""
+        from anchoragg import anchor
+
+        monkeypatch.setattr(anchor, "WAVE_ROWS", 30)
+        docs = [Document.from_text(i, text)
+                for i, text in (("0", "a b"), ("1", "c"), ("2", "x y"), ("3", "x z"))]
+        pert, skipped = SamplerRecorder(CoinPerturbator(1.0)), set()
+        decided = anchors_of_documents(
+            docs, ConstantPredictor(), pert, AnchorConfig(batch_size=10, max_samples=10),
+            [lambda pos, d=d: stream_rng(0, d.id, pos) for d in docs],
+            lambda w: w in skipped, targets=["pos"] * len(docs))
+        next(decided)
+        skipped.add("x")
+        list(decided)
+        assert pert.waves == [["0", "1"], ["2", "3"]]
 
     def test_waves_are_consecutive_runs_within_the_row_bound(self):
         r = np.random.default_rng(4)

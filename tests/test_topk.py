@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from anchoragg.aggregate import make_aggregation, rank_words
+from anchoragg.aggregate import GPr, make_aggregation, rank_words
 from anchoragg.anchor import AnchorConfig
 from anchoragg.corpus import Corpus, Document, word_stats
 from anchoragg.model import train_bow
@@ -243,6 +243,32 @@ class TestRunAnytime:
         with pytest.raises(ValueError, match="unknown class"):
             run_anytime(corpus, FlipWordPredictor(), pert, AnchorConfig(),
                         make_aggregation("sq"), 1, "nope")
+
+    def test_bounds_see_every_untallied_occurrence(self):
+        """After each document, the ``remaining`` that ``upper_bounds`` gets
+        holds each word's occurrences in the documents not yet tallied; a word
+        repeated in a document is counted once per occurrence."""
+        corpus = two_class_corpus([(f"d{i}", text, "pos") for i, text in enumerate(
+            ["w w x", "x y y y", "", "w z z w", "y x", "z z z w"])])
+        snapshots, seen = [], []
+
+        class Recording(GPr):
+            def upper_bounds(self, counts, c, remaining):
+                seen.append((len(snapshots), remaining.copy()))
+                return super().upper_bounds(counts, c, remaining)
+
+        result = run_anytime(corpus, FlipWordPredictor(),
+                             build_unigram_perturbator(word_stats(corpus)),
+                             AnchorConfig(max_samples=20), Recording(), 1, "pos",
+                             AnytimeOptions(candidate_filtering=True),
+                             snapshot_sink=snapshots.append)
+        ordered = order_documents(corpus, classify_corpus(corpus, FlipWordPredictor())[0],
+                                  "pos")
+        assert [tallied for tallied, _ in seen] == [
+            i for i, doc in enumerate(ordered) if doc.words]
+        for tallied, remaining in seen:
+            untallied = [w for doc in ordered[tallied + 1:] for w in doc.words]
+            assert remaining.tolist() == [untallied.count(w) for w in result.counts.words]
 
 
 class TestCallCount:
